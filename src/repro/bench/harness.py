@@ -317,6 +317,9 @@ class MessBenchmark:
             chase_core.stats.dependent_latency_sum_ns,
         )
         system.engine.run(until_ns=cfg.warmup_ns + cfg.measure_ns)
+        # the point is done: free its system now, not at the next
+        # cyclic collection
+        system.engine.discard_pending()
 
         loads = chase_core.stats.dependent_loads - chase_stats_before[0]
         latency_sum = (

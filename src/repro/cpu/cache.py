@@ -3,26 +3,34 @@
 The write-allocate policy is load-bearing for the whole paper: it is why
 a 100%-store kernel produces 50%-read/50%-write *memory* traffic
 (Section II-A), and why Mess measures higher bandwidth than STREAM
-(Section III). The model is functional (real tags, real replacement
+(Section III). The model is functional (real lines, real replacement
 state) so traffic ratios emerge from behaviour instead of being
 asserted.
 
-Replacement is delegated to :mod:`repro.cpu.policies` (``lru``,
-``plru``, ``random``); per-set state is kept in way-indexed lists plus
-a tag->way membership dict that is never iterated, so victim choice
-cannot depend on dict ordering. The default configuration (``lru``,
-64-byte lines, write-back) is bit-exact with the historical
-``OrderedDict`` implementation.
+State is flat and preallocated per cache, with no per-set objects. Way
+``w`` of set ``s`` is slot ``s * ways + w``; per slot the cache keeps
+the resident line number and a dirty bit, and one ``line -> slot`` dict
+answers lookups for the whole cache (the line number fixes both set and
+tag, and an evicted line's address is ``line * line_bytes``). The dict
+is only ever looked up, never iterated, so victim choice cannot depend
+on dict ordering. Empty ways fill lowest-first from a per-set fill
+counter, after any ways freed by back-invalidation, most recently freed
+first. Replacement is delegated to a whole-cache policy from
+:mod:`repro.cpu.policies` (``lru``, ``plru``, ``random``) over the same
+slots. The default configuration (``lru``, 64-byte lines, write-back)
+is bit-exact with the historical ``OrderedDict`` implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import ConfigurationError
+import numpy as np
+
+from ..errors import ConfigurationError, SimulationError
 from ..specs import SpecConvertible
 from ..units import CACHE_LINE_BYTES
-from .policies import ReplacementPolicy, make_policy, mix64
+from .policies import make_policy
 
 
 @dataclass
@@ -60,20 +68,9 @@ class AccessOutcome:
     clean_eviction_address: int | None = None
 
 
-class _CacheSet:
-    """Way-indexed state for one set: tags, dirty bits, policy."""
-
-    __slots__ = ("tags", "dirty", "way_of", "free", "policy")
-
-    def __init__(self, ways: int, policy: ReplacementPolicy) -> None:
-        self.tags: list[int | None] = [None] * ways
-        self.dirty: list[bool] = [False] * ways
-        # membership only — never iterated, so victim choice cannot
-        # depend on dict ordering
-        self.way_of: dict[int, int] = {}
-        # descending so pop() yields the lowest-numbered free way
-        self.free: list[int] = list(range(ways - 1, -1, -1))
-        self.policy = policy
+#: Shared outcomes of the two accesses that evict nothing.
+_HIT = AccessOutcome(hit=True)
+_MISS = AccessOutcome(hit=False)
 
 
 class Cache:
@@ -135,56 +132,51 @@ class Cache:
         self.write_through = write_through
         self.policy_seed = policy_seed
         self.num_sets = lines // ways
-        self.stats = CacheStats()
-        # validate the policy name eagerly, before the first miss
-        make_policy(policy, ways, 0)
-        self._sets: dict[int, _CacheSet] = {}
+        self.reset()
 
     def reset(self) -> None:
         """Invalidate all lines and clear statistics."""
-        self._sets.clear()
+        slots = self.num_sets * self.ways
+        self._lines: list[int | None] = [None] * slots
+        self._dirty = bytearray(slots)
+        self._slot_of: dict[int, int] = {}
+        # ways handed out so far per set, lowest first
+        self._filled = [0] * self.num_sets
+        # per set, ways freed by invalidation (LIFO); a set's entry
+        # exists only while non-empty
+        self._freed: dict[int, list[int]] = {}
+        self._policy = make_policy(
+            self.policy, self.num_sets, self.ways, self.policy_seed
+        )
         self.stats = CacheStats()
 
-    def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.line_bytes
-        return line % self.num_sets, line // self.num_sets
+    def _fill(self, line: int, dirty: bool) -> tuple[int, bool] | None:
+        """Place ``line`` in a free or victimized way of its set.
 
-    def _set_for(self, set_index: int) -> _CacheSet:
-        state = self._sets.get(set_index)
-        if state is None:
-            state = _CacheSet(
-                self.ways,
-                make_policy(
-                    self.policy, self.ways, mix64(self.policy_seed, set_index)
-                ),
-            )
-            self._sets[set_index] = state
-        return state
-
-    def _allocate(self, state: _CacheSet, set_index: int, tag: int, dirty: bool) -> tuple[int | None, bool]:
-        """Place ``tag`` in a free or victimized way.
-
-        Returns ``(victim_address, victim_dirty)``; the victim address
-        is ``None`` when a free way absorbed the fill.
+        Returns ``(victim_line, victim_dirty)``, or ``None`` when a free
+        way absorbed the fill.
         """
-        victim_address: int | None = None
-        victim_dirty = False
-        if state.free:
-            way = state.free.pop()
+        set_index = line % self.num_sets
+        base = set_index * self.ways
+        freed = self._freed.get(set_index)
+        evicted = None
+        if freed:
+            slot = base + freed.pop()
+            if not freed:
+                del self._freed[set_index]
+        elif self._filled[set_index] < self.ways:
+            slot = base + self._filled[set_index]
+            self._filled[set_index] += 1
         else:
-            way = state.policy.victim()
-            victim_tag = state.tags[way]
-            assert victim_tag is not None
-            victim_dirty = state.dirty[way]
-            victim_address = (
-                victim_tag * self.num_sets + set_index
-            ) * self.line_bytes
-            del state.way_of[victim_tag]
-        state.tags[way] = tag
-        state.dirty[way] = dirty
-        state.way_of[tag] = way
-        state.policy.touch(way)
-        return victim_address, victim_dirty
+            slot = base + self._policy.victim(set_index)
+            victim = self._lines[slot]
+            evicted = (victim, bool(self._dirty[slot]))
+            del self._slot_of[victim]
+        self._lines[slot] = line
+        self._dirty[slot] = dirty
+        self._slot_of[line] = slot
+        self._policy.touch(set_index, slot)
+        return evicted
 
     def access(self, address: int, is_store: bool) -> AccessOutcome:
         """Look up ``address``; allocate on miss (write-allocate).
@@ -193,40 +185,33 @@ class Cache:
         that overflows the set, the policy's victim is evicted: dirty
         lines surface as a writeback, clean ones as a clean eviction.
         """
-        set_index, tag = self._locate(address)
-        state = self._set_for(set_index)
-        way = state.way_of.get(tag)
+        line = address // self.line_bytes
+        slot = self._slot_of.get(line)
         dirties = is_store and not self.write_through
-        if way is not None:
+        if slot is not None:
             self.stats.hits += 1
-            state.policy.touch(way)
+            self._policy.touch(line % self.num_sets, slot)
             if dirties:
-                state.dirty[way] = True
-            return AccessOutcome(hit=True)
+                self._dirty[slot] = True
+            return _HIT
         self.stats.misses += 1
-        victim_address, victim_dirty = self._allocate(
-            state, set_index, tag, dirty=dirties
-        )
-        writeback = None
-        clean_eviction = None
-        if victim_address is not None:
-            if victim_dirty:
-                self.stats.writebacks += 1
-                writeback = victim_address
-            else:
-                self.stats.clean_evictions += 1
-                clean_eviction = victim_address
+        evicted = self._fill(line, dirties)
+        if evicted is None:
+            return _MISS
+        victim, victim_dirty = evicted
+        if victim_dirty:
+            self.stats.writebacks += 1
+            return AccessOutcome(
+                hit=False, writeback_address=victim * self.line_bytes
+            )
+        self.stats.clean_evictions += 1
         return AccessOutcome(
-            hit=False,
-            writeback_address=writeback,
-            clean_eviction_address=clean_eviction,
+            hit=False, clean_eviction_address=victim * self.line_bytes
         )
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident (no policy touch)."""
-        set_index, tag = self._locate(address)
-        state = self._sets.get(set_index)
-        return state is not None and tag in state.way_of
+        return address // self.line_bytes in self._slot_of
 
     def install(self, address: int, dirty: bool) -> None:
         """Silently install a line (warmup priming; no stats, no traffic).
@@ -236,15 +221,15 @@ class Cache:
         discarded warmup iterations. Victims are dropped without
         generating writebacks.
         """
-        set_index, tag = self._locate(address)
-        state = self._set_for(set_index)
+        line = address // self.line_bytes
         sticky = dirty and not self.write_through
-        way = state.way_of.get(tag)
-        if way is not None:
-            state.policy.touch(way)
-            state.dirty[way] = state.dirty[way] or sticky
+        slot = self._slot_of.get(line)
+        if slot is not None:
+            self._policy.touch(line % self.num_sets, slot)
+            if sticky:
+                self._dirty[slot] = True
             return
-        self._allocate(state, set_index, tag, dirty=sticky)
+        self._fill(line, sticky)
 
     def invalidate(self, address: int) -> tuple[bool, bool]:
         """Drop the line holding ``address`` (inclusive back-invalidation).
@@ -252,19 +237,17 @@ class Cache:
         Returns ``(was_present, was_dirty)``; the caller decides what
         to do with a dirty copy (normally: write it to memory).
         """
-        set_index, tag = self._locate(address)
-        state = self._sets.get(set_index)
-        if state is None:
+        line = address // self.line_bytes
+        slot = self._slot_of.pop(line, None)
+        if slot is None:
             return False, False
-        way = state.way_of.get(tag)
-        if way is None:
-            return False, False
-        was_dirty = state.dirty[way]
-        del state.way_of[tag]
-        state.tags[way] = None
-        state.dirty[way] = False
-        state.free.append(way)
-        state.policy.forget(way)
+        was_dirty = bool(self._dirty[slot])
+        self._lines[slot] = None
+        self._dirty[slot] = False
+        set_index = line % self.num_sets
+        way = slot - set_index * self.ways
+        self._freed.setdefault(set_index, []).append(way)
+        self._policy.forget(set_index, way)
         self.stats.invalidations += 1
         return True, was_dirty
 
@@ -277,20 +260,49 @@ class Cache:
         traffic shows its steady 1-read-1-write-per-store pattern from
         the first access instead of after a full cache-fill period.
         Returns the number of lines installed.
+
+        The result is the state that installing the consecutive lines
+        from ``scratch_base`` one by one would leave, written in one
+        pass: the ``i``-th scratch line lands in way ``i // num_sets``
+        of the set its line number maps to, its dirty bit follows a
+        Bresenham schedule (an exact fraction over any prefix), and the
+        policy takes its closed-form :meth:`fill` state. That holds only
+        for a cache nothing has been allocated in since :meth:`reset`;
+        any other cache raises :class:`SimulationError`.
         """
         if not 0.0 <= dirty_fraction <= 1.0:
             raise ConfigurationError(
                 f"dirty_fraction must be in [0, 1], got {dirty_fraction}"
             )
-        total_lines = self.num_sets * self.ways
-        dirty_acc = 0
-        for index in range(total_lines):
-            # Bresenham schedule: exact fraction over any prefix
-            target = round((index + 1) * dirty_fraction)
-            dirty = target > dirty_acc
-            if dirty:
-                dirty_acc += 1
-            self.install(scratch_base + index * self.line_bytes, dirty=dirty)
+        if any(self._filled):
+            raise SimulationError(
+                f"{self.name}: fill_with_scratch needs a cache nothing has "
+                "been allocated in since reset()"
+            )
+        num_sets, ways = self.num_sets, self.ways
+        total_lines = num_sets * ways
+        first_line = scratch_base // self.line_bytes
+        if self.write_through:
+            dirty_by_index = bytes(total_lines)
+        else:
+            # line i is dirty when round((i + 1) * f) passes the dirty
+            # count so far, which is round(i * f) because f <= 1 moves
+            # the rounded target by at most one per line; rint rounds
+            # half to even, as round() does
+            targets = np.rint(np.arange(total_lines + 1) * dirty_fraction)
+            dirty_by_index = (np.diff(targets) > 0).tobytes()
+        # way w of every set, in set order: scratch lines w * num_sets
+        # onwards, rotated so that set 0 gets the one of rank ``shift``
+        shift = -first_line % num_sets
+        for way in range(ways):
+            start = way * num_sets
+            column = range(first_line + start, first_line + start + num_sets)
+            self._lines[way::ways] = [*column[shift:], *column[:shift]]
+            bits = dirty_by_index[start : start + num_sets]
+            self._dirty[way::ways] = bits[shift:] + bits[:shift]
+        self._slot_of = dict(zip(self._lines, range(total_lines)))
+        self._filled = [ways] * num_sets
+        self._policy.fill(first_line % num_sets)
         return total_lines
 
 
@@ -301,9 +313,6 @@ class CacheConfig(SpecConvertible):
     size_bytes: int
     ways: int
     latency_ns: float
-
-    def build(self, name: str) -> Cache:
-        return Cache(name, self.size_bytes, self.ways, self.latency_ns)
 
 
 @dataclass(frozen=True)

@@ -96,3 +96,13 @@ class Engine:
     def pending(self) -> int:
         """Number of events still queued."""
         return len(self._queue)
+
+    def discard_pending(self) -> None:
+        """Drop every queued event without running it.
+
+        Queued callbacks are typically bound methods of objects that
+        themselves hold the engine; dropping them breaks that cycle, so
+        a finished simulation is freed by reference counting instead of
+        waiting for the cyclic garbage collector.
+        """
+        self._queue.clear()

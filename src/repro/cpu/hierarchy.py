@@ -88,34 +88,41 @@ class MemoryHierarchy:
         model = self.cache_model
         plan = model.level_plan(config)
         self.levels: list[list[Cache]] = []
-        self._shared: list[bool] = []
-        self._labels: list[str] = []
+        #: Per core, the cache it looks up at each level, outermost first.
+        self._paths: list[list[Cache]] = [[] for _ in range(cores)]
+        # Hit latencies are configuration constants: one shared result
+        # per level, and the lookup latency of the whole path on a miss.
+        self._hits: list[HierarchyAccess] = []
+        latency = 0.0
         for index, (geometry, shared) in enumerate(plan):
             label = f"L{index + 1}"
             names = [label] if shared else [
                 f"{label}.{core}" for core in range(cores)
             ]
-            self.levels.append(
-                [
-                    Cache(
-                        name,
-                        geometry.size_bytes,
-                        geometry.ways,
-                        geometry.latency_ns,
-                        policy=model.policy,
-                        line_bytes=model.line_bytes,
-                        write_through=model.write_through,
-                        policy_seed=mix64(policy_seed, index, instance),
-                    )
-                    for instance, name in enumerate(names)
-                ]
-            )
-            self._shared.append(shared)
-            self._labels.append(label)
+            caches = [
+                Cache(
+                    name,
+                    geometry.size_bytes,
+                    geometry.ways,
+                    geometry.latency_ns,
+                    policy=model.policy,
+                    line_bytes=model.line_bytes,
+                    write_through=model.write_through,
+                    policy_seed=mix64(policy_seed, index, instance),
+                )
+                for instance, name in enumerate(names)
+            ]
+            self.levels.append(caches)
+            for core, path in enumerate(self._paths):
+                path.append(caches[0] if shared else caches[core])
+            latency += geometry.latency_ns
+            if shared and model.shared_latency_penalty_ns > 0.0:
+                latency += model.shared_latency_penalty_ns * (cores - 1)
+            self._hits.append(HierarchyAccess(latency_ns=latency, level=label))
+        self._miss_path_ns = latency
         #: The shared last level fronting the memory model.
         self.llc: Cache = self.levels[-1][0]
         self._line_bytes = model.line_bytes
-        self._shared_penalty_ns = model.shared_latency_penalty_ns
         # Historical aliases; for the default topology these match the
         # old fixed attributes exactly.
         self.l1: list[Cache] = self.levels[0]
@@ -225,27 +232,17 @@ class MemoryHierarchy:
         self, core: int, address: int, is_store: bool, now_ns: float
     ) -> HierarchyAccess:
         """Traverse the configured levels; fall through to memory."""
-        depth = len(self.levels)
-        latency = 0.0
-        for index in range(depth):
-            cache = self._cache_at(index, core)
-            latency += cache.latency_ns
-            if self._shared[index] and self._shared_penalty_ns > 0.0:
-                latency += self._shared_penalty_ns * (self.cores - 1)
+        path = self._paths[core]
+        last = len(path) - 1
+        for index, cache in enumerate(path):
             outcome = cache.access(address, is_store)
             if outcome.hit:
-                return HierarchyAccess(
-                    latency_ns=latency, level=self._labels[index]
-                )
-            if index + 1 < depth:
+                return self._hits[index]
+            if index < last:
                 # victims propagate to the next level down
                 # (inclusive-ish simplification: the dirty line is
                 # installed there rather than written to memory)
-                self._spill(
-                    self._cache_at(index + 1, core),
-                    outcome,
-                    lower_is_llc=index + 1 == depth - 1,
-                )
+                self._spill(path[index + 1], outcome, lower_is_llc=index + 1 == last)
             else:
                 self._emit_evictions(outcome, now_ns)
 
@@ -258,12 +255,8 @@ class MemoryHierarchy:
         )
         self._miss_latency_ewma += 0.05 * (memory_latency - self._miss_latency_ewma)
         self._maybe_prefetch(core, address, now_ns)
-        latency += self.config.noc_latency_ns + memory_latency
+        latency = self._miss_path_ns + (self.config.noc_latency_ns + memory_latency)
         return HierarchyAccess(latency_ns=latency, level="MEM")
-
-    def _cache_at(self, index: int, core: int) -> Cache:
-        caches = self.levels[index]
-        return caches[0] if self._shared[index] else caches[core]
 
     #: Demand-miss latency (ns) above which the stream prefetcher backs
     #: off — real prefetchers throttle when the memory system is

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.bench.harness import MessBenchmark, MessBenchmarkConfig
+from repro.cpu.hierarchy import MemoryHierarchy
 from repro.errors import BenchmarkError
 from repro.memmodels.fixed import FixedLatencyModel
 from repro.memmodels.cycle_accurate import CycleAccurateModel
@@ -104,6 +108,25 @@ class TestCharacterization:
         )
         with pytest.raises(BenchmarkError, match="no progress"):
             bench.run()
+
+    def test_point_system_freed_by_refcount(self, bench, monkeypatch):
+        """A measured point's system dies without the cyclic collector."""
+        built = []
+        original = MemoryHierarchy.__init__
+
+        def record(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            built.append(weakref.ref(self))
+
+        monkeypatch.setattr(MemoryHierarchy, "__init__", record)
+        gc.collect()
+        gc.disable()
+        try:
+            bench.measure_point(1.0, 200)
+            assert len(built) == 1
+            assert built[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestCharacterizationCache:

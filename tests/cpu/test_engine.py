@@ -80,6 +80,18 @@ class TestBoundedRuns:
         assert engine.run(max_events=3) == 3
         assert engine.pending() == 7
 
+    def test_discard_pending_drops_events_unrun(self):
+        engine = Engine()
+        ran = []
+        engine.schedule(1.0, lambda: ran.append(1))
+        engine.schedule(10.0, lambda: ran.append(10))
+        engine.run(until_ns=5.0)
+        engine.discard_pending()
+        assert engine.pending() == 0
+        assert engine.run(until_ns=20.0) == 0
+        assert ran == [1]
+        assert engine.now_ns == 20.0
+
     def test_clock_advances_to_until_when_queue_empties(self):
         engine = Engine()
         engine.schedule(1.0, lambda: None)

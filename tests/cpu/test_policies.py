@@ -33,26 +33,26 @@ class TestRegistry:
         assert policy_kinds() == ("lru", "plru", "random")
 
     def test_make_policy_dispatch(self):
-        assert isinstance(make_policy("lru", 4), LruPolicy)
-        assert isinstance(make_policy("plru", 4), TreePlruPolicy)
-        assert isinstance(make_policy("random", 4, seed=7), SeededRandomPolicy)
+        assert isinstance(make_policy("lru", 1, 4), LruPolicy)
+        assert isinstance(make_policy("plru", 1, 4), TreePlruPolicy)
+        assert isinstance(make_policy("random", 1, 4, seed=7), SeededRandomPolicy)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_policy("fifo", 4)
+            make_policy("fifo", 1, 4)
 
 
 class TestLru:
     def test_victim_is_least_recent(self):
-        policy = LruPolicy(4)
+        policy = LruPolicy(1, 4)
         for way in (0, 1, 2, 3):
-            policy.touch(way)
-        policy.touch(0)  # order now 1, 2, 3, 0
-        assert policy.victim() == 1
+            policy.touch(0, way)
+        policy.touch(0, 0)  # order now 1, 2, 3, 0
+        assert policy.victim(0) == 1
 
     def test_matches_ordered_dict_semantics(self):
         """Bit-exact replay of the pre-refactor OrderedDict cache set."""
-        policy = LruPolicy(8)
+        policy = LruPolicy(1, 8)
         shadow: OrderedDict[int, None] = OrderedDict()
         victims = []
         shadow_victims = []
@@ -62,68 +62,68 @@ class TestLru:
                 shadow.move_to_end(way)
             else:
                 shadow[way] = None
-            policy.touch(way)
+            policy.touch(0, way)
             if step % 7 == 3:
-                victim = policy.victim()
+                victim = policy.victim(0)
                 victims.append(victim)
                 shadow_victim = next(iter(shadow))
                 shadow_victims.append(shadow_victim)
                 shadow.pop(shadow_victim)
                 shadow[victim] = None
-                policy.forget(victim)
-                policy.touch(victim)
+                policy.forget(0, victim)
+                policy.touch(0, victim)
         assert victims == shadow_victims
 
     def test_forget_removes_way(self):
-        policy = LruPolicy(2)
-        policy.touch(0)
-        policy.touch(1)
-        policy.forget(0)
-        assert policy.victim() == 1
+        policy = LruPolicy(1, 2)
+        policy.touch(0, 0)
+        policy.touch(0, 1)
+        policy.forget(0, 0)
+        assert policy.victim(0) == 1
 
 
 class TestTreePlru:
     def test_requires_power_of_two_ways(self):
         with pytest.raises(ConfigurationError):
-            TreePlruPolicy(6)
+            TreePlruPolicy(1, 6)
 
     def test_golden_victim_sequence(self):
         """Simu3 binary-tree PLRU: bits steer away from touched ways."""
-        policy = TreePlruPolicy(4)
+        policy = TreePlruPolicy(1, 4)
         trace = []
         for way in (0, 1, 2, 3, 0):
-            policy.touch(way)
-            trace.append(policy.victim())
+            policy.touch(0, way)
+            trace.append(policy.victim(0))
         # Hand-traced against the heap-array bit updates; this exact
         # sequence is the tree-PLRU fingerprint.
         assert trace == [2, 2, 0, 0, 2]
 
     def test_victim_never_just_touched(self):
-        policy = TreePlruPolicy(8)
+        policy = TreePlruPolicy(1, 8)
         for step in range(200):
             way = mix64(7, step) % 8
-            policy.touch(way)
-            assert policy.victim() != way
+            policy.touch(0, way)
+            assert policy.victim(0) != way
 
 
 class TestSeededRandom:
     def test_deterministic_for_same_seed(self):
-        first = SeededRandomPolicy(8, seed=123)
-        second = SeededRandomPolicy(8, seed=123)
-        seq_a = [first.victim() for _ in range(64)]
-        seq_b = [second.victim() for _ in range(64)]
+        first = SeededRandomPolicy(1, 8, seed=123)
+        second = SeededRandomPolicy(1, 8, seed=123)
+        seq_a = [first.victim(0) for _ in range(64)]
+        seq_b = [second.victim(0) for _ in range(64)]
         assert seq_a == seq_b
 
     def test_distinct_seeds_decorrelate(self):
-        a = SeededRandomPolicy(8, seed=1)
-        b = SeededRandomPolicy(8, seed=2)
-        assert [a.victim() for _ in range(64)] != [
-            b.victim() for _ in range(64)
+        a = SeededRandomPolicy(1, 8, seed=1)
+        b = SeededRandomPolicy(1, 8, seed=2)
+        assert [a.victim(0) for _ in range(64)] != [
+            b.victim(0) for _ in range(64)
         ]
 
     def test_victims_in_range(self):
-        policy = SeededRandomPolicy(4, seed=99)
-        victims = {policy.victim() for _ in range(256)}
+        policy = SeededRandomPolicy(1, 4, seed=99)
+        victims = {policy.victim(0) for _ in range(256)}
         assert victims == {0, 1, 2, 3}
 
 
