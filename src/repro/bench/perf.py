@@ -412,50 +412,6 @@ def _bench_hierarchy_visit():
     return work, summarize
 
 
-@register("checks.selfcheck", "checks")
-def _bench_checks_selfcheck():
-    """The whole-program self-check, cold cache vs warm cache.
-
-    Runs ``analyze_paths`` over the shipped ``repro`` package twice
-    through the engine harness: the reference leg clears the analysis
-    cache first (a cold full parse + every rule), the vectorized leg
-    reuses it (digest probes plus the always-live whole-program pass).
-    The digest covers the bound findings, so the cross-engine check
-    certifies that a warm, cache-served analysis reports exactly what
-    a cold one does. The speedup is the incremental-CI win the
-    committed ``BENCH_checks.json`` floor pins.
-    """
-    import shutil
-
-    import repro
-    from ..checks.cache import AnalysisCache
-    from ..checks.driver import analyze_paths
-
-    package_dir = Path(repro.__file__).parent
-    cache_root = Path(".repro-cache") / "bench-selfcheck"
-
-    def work(engine: str):
-        if not engine_mod.vectorized():
-            shutil.rmtree(cache_root, ignore_errors=True)
-        return analyze_paths(
-            [package_dir], cache=AnalysisCache(cache_root)
-        )
-
-    def summarize(report) -> dict:
-        return {
-            "digest": spec_digest(
-                sorted(
-                    (f.path, f.line, f.rule_id, f.message)
-                    for f in report.findings
-                )
-            ),
-            "files": report.files_scanned,
-            "from_cache": report.files_from_cache,
-        }
-
-    return work, summarize
-
-
 @register("serve.loadgen", "serve")
 def _bench_serve_loadgen():
     """The characterization service under a replayable request load.

@@ -8,11 +8,10 @@ Three layers:
   (:mod:`.rules_hotpath`), RPR004 registry hygiene
   (:mod:`.rules_registry`), RPR005 float equality
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
-  (:mod:`.rules_scenario`), RPR007 exception swallowing
-  (:mod:`.rules_resilience`), RPR008 engine-seam bypass
-  (:mod:`.rules_engine_seam`), RPR009 blocking I/O on the serving
-  event loop (:mod:`.rules_serve`), RPR013 unclassified exception
-  swallowing on shard RPC paths (:mod:`.rules_cluster`);
+  (:mod:`.rules_scenario`), RPR007 exception swallowing, stricter in
+  the cluster fabric's modules (:mod:`.rules_resilience`), RPR008
+  engine-seam bypass (:mod:`.rules_engine_seam`), RPR009 blocking I/O
+  on the serving event loop (:mod:`.rules_serve`);
 - a whole-program layer — an import + approximate call graph
   (:mod:`.graph`) and reachability walks (:mod:`.dataflow`) feeding
   the interprocedural rules: RPR010 digest-determinism taint
@@ -24,19 +23,15 @@ Three layers:
   (RPR102), run manifests (RPR103), scenario files (RPR104) and
   fault plans (RPR105).
 
-Entry points: :func:`run_checks` (what ``repro check`` calls — the
-cached, parallel :func:`~repro.checks.driver.analyze_paths` pipeline),
+Entry points: :func:`check_paths` (what ``repro check`` calls — one
+cold, serial pass over every file it is given),
 :func:`check_source`/:func:`check_sources` (for fixture tests), and
-the per-artifact validators. Deployment plumbing lives beside the
-rules: :mod:`.sarif` (code-scanning output), :mod:`.baseline` (the
-adopt-then-ratchet workflow), :mod:`.cache` (the content-digest
-incremental cache). Importing this package imports every rule module
-so the registry is complete.
+the per-artifact validators. :mod:`.sarif` renders findings for code
+scanning. Importing this package imports every rule module so the
+registry is complete.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from .engine import (
     Finding,
@@ -52,7 +47,6 @@ from .engine import (
 
 # Importing the rule modules populates RULE_CLASSES as a side effect —
 # same pattern as the experiment registry.
-from . import rules_cluster  # noqa: F401
 from . import rules_determinism  # noqa: F401
 from . import rules_engine_seam  # noqa: F401
 from . import rules_floats  # noqa: F401
@@ -65,8 +59,6 @@ from . import rules_scenario  # noqa: F401
 from . import rules_serve  # noqa: F401
 from . import rules_taint  # noqa: F401
 from . import rules_units  # noqa: F401
-from .baseline import compare, load_baseline, write_baseline
-from .driver import AnalysisReport, analyze_paths
 from .invariants import (
     check_curve_family,
     check_fault_plan,
@@ -81,12 +73,10 @@ from .invariants import (
 from .sarif import render_sarif, to_sarif
 
 __all__ = [
-    "AnalysisReport",
     "Finding",
     "ProgramRule",
     "Rule",
     "RULE_CLASSES",
-    "analyze_paths",
     "available_rules",
     "check_curve_family",
     "check_fault_plan",
@@ -100,23 +90,7 @@ __all__ = [
     "check_scenario_file",
     "check_source",
     "check_sources",
-    "compare",
-    "load_baseline",
     "register_rule",
     "render_sarif",
-    "run_checks",
     "to_sarif",
-    "write_baseline",
 ]
-
-
-def run_checks(
-    paths: Sequence[str],
-    rules: Sequence[str] | None = None,
-) -> list[Finding]:
-    """Run the static-analysis pass over files and directories.
-
-    Thin alias of :func:`check_paths` under the name the CLI and docs
-    use; ``rules=None`` means every registered rule.
-    """
-    return check_paths(paths, rules=rules)

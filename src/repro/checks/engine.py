@@ -15,6 +15,12 @@ instantiated fresh per :func:`check_paths` run, so rules may keep
 cross-file state (the registry rule tracks duplicate experiment ids) and
 report it from :meth:`Rule.finish`.
 
+Every run is cold and serial: :func:`check_paths` reads, parses and
+analyses every file it is given, then runs the whole-program rules over
+a graph built from the same parsed trees. Nothing is cached between
+runs, so a finding always reflects the current source *and* the current
+rule code.
+
 Suppression: a line ending in ``# repro: ignore`` silences every rule on
 that line; ``# repro: ignore[RPR001,RPR005]`` silences only the listed
 rules. Suppressions are deliberate, grep-able escape hatches — prefer
@@ -27,12 +33,10 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import CheckError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .graph import ProgramGraph
+from .graph import ModuleSummary, ProgramGraph, extract_summary
 
 #: Directories whose contents feed the content-addressed cache and must
 #: therefore stay deterministic (RPR002's scope).
@@ -114,10 +118,6 @@ class Rule(ast.NodeVisitor):
     rule_id: str = ""
     title: str = ""
     hint: str = ""
-    #: True when findings depend on *other* files in the same run
-    #: (e.g. duplicate-id detection). Cross-file rules are excluded
-    #: from the per-file result cache and always re-run.
-    cross_file: bool = False
 
     def __init__(self) -> None:
         self.findings: list[Finding] = []
@@ -179,15 +179,16 @@ class ProgramRule:
     every scanned module and returns findings directly. Suppression is
     the rule's responsibility — the graph's summaries carry the
     ``# repro: ignore`` markers recorded at extraction time (see
-    :func:`repro.checks.graph.site_suppressed`), because by the time a
-    program rule runs the sources may only exist as cached summaries.
+    :func:`repro.checks.graph.site_suppressed`), because a finding may
+    be anchored in a different file from the one the rule reasons
+    about.
     """
 
     rule_id: str = ""
     title: str = ""
     hint: str = ""
 
-    def run_program(self, graph: "ProgramGraph") -> list[Finding]:
+    def run_program(self, graph: ProgramGraph) -> list[Finding]:
         """Findings over the whole program; override in subclasses."""
         raise NotImplementedError
 
@@ -213,7 +214,7 @@ class ProgramRule:
 #: rule id -> rule class, populated by :func:`register_rule`.
 RULE_CLASSES: dict[str, type[Rule] | type[ProgramRule]] = {}
 
-#: Pseudo-rules reported by the driver itself, not by a rule class.
+#: Pseudo-rules reported by the engine itself, not by a rule class.
 #: RPR000 marks a file the analyzer could not parse: the file is
 #: reported and skipped instead of aborting the whole run.
 PARSE_RULE_ID = "RPR000"
@@ -315,31 +316,36 @@ def _collect_files(paths: Iterable[str | Path]) -> tuple[list[Path], list[Path]]
     return python_files, json_files
 
 
-def run_file_rules(ctx: FileContext, rules: Sequence[Rule]) -> list[Finding]:
-    """Run the per-file rules over one context (no cross-file state)."""
-    findings: list[Finding] = []
-    for rule in rules:
-        if rule.applies_to(ctx):
-            findings.extend(rule.run(ctx))
-    return findings
-
-
-def run_program_rules(
-    graph: "ProgramGraph", rules: Sequence[ProgramRule]
+def _run_rules(
+    contexts: Iterable[FileContext],
+    file_rules: Sequence[Rule],
+    program_rules: Sequence[ProgramRule],
 ) -> list[Finding]:
-    """Run every selected whole-program rule over one built graph."""
+    """File rules, then ``finish()``, then the program rules.
+
+    The one analysis core behind :func:`check_sources` and
+    :func:`check_paths`; returns the findings unsorted. Each file's
+    tree is summarized for the program graph as soon as its rules have
+    run, so a streamed ``contexts`` never holds a whole tree's syntax
+    trees alive at once (the garbage collector would walk them all).
+    """
     findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule.run_program(graph))
+    summaries: list[ModuleSummary] = []
+    paths: list[str] = []
+    for ctx in contexts:
+        for rule in file_rules:
+            if rule.applies_to(ctx):
+                findings.extend(rule.run(ctx))
+        if program_rules:
+            summaries.append(extract_summary(ctx.tree, ctx.source))
+            paths.append(ctx.display_path)
+    for rule in file_rules:
+        findings.extend(rule.finish())
+    if summaries:
+        graph = ProgramGraph.build(summaries, paths)
+        for program_rule in program_rules:
+            findings.extend(program_rule.run_program(graph))
     return findings
-
-
-def graph_from_contexts(contexts: Sequence[FileContext]) -> "ProgramGraph":
-    """Build the program graph for already-parsed file contexts."""
-    from .graph import ProgramGraph, extract_summary
-
-    summaries = [extract_summary(ctx.tree, ctx.source) for ctx in contexts]
-    return ProgramGraph.build(summaries, [ctx.display_path for ctx in contexts])
 
 
 def check_sources(
@@ -352,7 +358,8 @@ def check_sources(
     rule scoping (``core/x.py`` is simulation-core code, ``serve/app.
     py`` is serving code) and in the module naming of the program
     graph, which makes this the natural entry point for whole-program
-    fixture tests.
+    fixture tests. A source that does not parse raises
+    :class:`CheckError`.
     """
     file_rules, program_rules = _select_rules(rules)
     contexts: list[FileContext] = []
@@ -362,15 +369,7 @@ def check_sources(
         except SyntaxError as exc:
             raise CheckError(f"{filename}: syntax error: {exc}") from exc
         contexts.append(ctx)
-    findings: list[Finding] = []
-    for ctx in contexts:
-        findings.extend(run_file_rules(ctx, file_rules))
-    for rule in file_rules:
-        findings.extend(rule.finish())
-    if program_rules:
-        findings.extend(
-            run_program_rules(graph_from_contexts(contexts), program_rules)
-        )
+    findings = _run_rules(contexts, file_rules, program_rules)
     return sorted(findings, key=Finding.sort_key)
 
 
@@ -390,18 +389,39 @@ def check_paths(
     """Run the selected rules over files and directories.
 
     Directories are walked for ``*.py``; ``.json`` files are validated
-    as run manifests, or as scenarios when they carry the
-    ``repro_scenario`` marker (see :mod:`repro.checks.invariants`).
-    Returns every finding, sorted by location. Raises
-    :class:`CheckError` for missing paths and unknown rules; a file
-    that fails to parse becomes an ``RPR000`` finding rather than
-    aborting the run. This is the simple serial entry point — the CLI
-    runs the same pipeline through :mod:`repro.checks.driver`, which
-    adds the incremental cache and parallel file analysis.
+    as run manifests, or as scenarios / fault plans when they carry
+    the ``repro_scenario`` / ``repro_fault_plan`` marker (see
+    :mod:`repro.checks.invariants`). Returns every finding, sorted by
+    location. Raises :class:`CheckError` for missing or unreadable
+    paths and unknown rules; a file that fails to parse becomes an
+    ``RPR000`` finding and is left out of the analysis, so one syntax
+    error cannot hide every other finding in the tree.
     """
-    from .driver import analyze_paths
+    file_rules, program_rules = _select_rules(rules)
+    python_files, json_files = _collect_files(paths)
+    findings: list[Finding] = []
 
-    return analyze_paths(paths, rules=rules).findings
+    def parsed() -> Iterator[FileContext]:
+        for path in python_files:
+            try:
+                source = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise CheckError(f"cannot read {path}: {exc}") from exc
+            try:
+                ctx = FileContext(path, source, display_path=str(path))
+            except SyntaxError as exc:
+                error = f"line {exc.lineno or 0}: {exc.msg or 'syntax error'}"
+                findings.append(parse_failure_finding(str(path), error))
+                continue
+            yield ctx
+
+    findings.extend(_run_rules(parsed(), file_rules, program_rules))
+    if json_files:
+        from .invariants import check_json_file
+
+        for path in json_files:
+            findings.extend(check_json_file(path))
+    return sorted(findings, key=Finding.sort_key)
 
 
 # ----------------------------------------------------------------------

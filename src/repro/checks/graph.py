@@ -10,10 +10,7 @@ interprocedural rules (RPR010–012) walk:
   :class:`ModuleSummary`: imports as written, every function with the
   calls it makes, the determinism-relevant *sink* sites it contains,
   the module-level state it writes, the callables it hands to
-  executors, and its public signature surface. Summaries are plain
-  data (``to_dict``/``from_dict`` round-trip), so the incremental
-  cache (:mod:`repro.checks.cache`) can persist them keyed by source
-  digest and skip re-parsing unchanged files.
+  executors, and its public signature surface.
 - :class:`ProgramGraph` binds summaries to dotted module names,
   resolves imports (absolute, relative, aliased; ``import x as y``)
   and builds an approximate call graph: calls through imported names
@@ -37,11 +34,6 @@ import ast
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-#: Bump when the summary layout or extraction semantics change; the
-#: incremental cache folds this into its keys so stale summaries are
-#: never reused across versions of the analyzer.
-SUMMARY_VERSION = 1
 
 #: Call targets that read wall-clock state.
 WALLCLOCK_CALLS = frozenset(
@@ -197,23 +189,6 @@ class CallSite:
     #: RNG factories and similar arity-sensitive sinks)
     args: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "spelling": self.spelling,
-            "lineno": self.lineno,
-            "col": self.col,
-            "args": self.args,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "CallSite":
-        return cls(
-            spelling=str(payload["spelling"]),
-            lineno=int(payload["lineno"]),
-            col=int(payload["col"]),
-            args=int(payload.get("args", 0)),
-        )
-
 
 @dataclass
 class SinkSite:
@@ -225,25 +200,6 @@ class SinkSite:
     col: int
     suppress: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "detail": self.detail,
-            "lineno": self.lineno,
-            "col": self.col,
-            "suppress": self.suppress,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "SinkSite":
-        return cls(
-            kind=str(payload["kind"]),
-            detail=str(payload["detail"]),
-            lineno=int(payload["lineno"]),
-            col=int(payload["col"]),
-            suppress=payload.get("suppress"),
-        )
-
 
 @dataclass
 class GlobalWrite:
@@ -254,25 +210,6 @@ class GlobalWrite:
     lineno: int
     col: int
     suppress: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "lineno": self.lineno,
-            "col": self.col,
-            "suppress": self.suppress,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "GlobalWrite":
-        return cls(
-            name=str(payload["name"]),
-            kind=str(payload["kind"]),
-            lineno=int(payload["lineno"]),
-            col=int(payload["col"]),
-            suppress=payload.get("suppress"),
-        )
 
 
 @dataclass
@@ -298,47 +235,6 @@ class FunctionSummary:
     #: ``loop.run_in_executor(None, f)``, ``initializer=f``)
     submits: list[CallSite] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "cls": self.cls,
-            "lineno": self.lineno,
-            "col": self.col,
-            "is_async": self.is_async,
-            "params": list(self.params),
-            "kwonly": list(self.kwonly),
-            "has_vararg": self.has_vararg,
-            "has_kwarg": self.has_kwarg,
-            "suppress": self.suppress,
-            "calls": [site.to_dict() for site in self.calls],
-            "sinks": [site.to_dict() for site in self.sinks],
-            "global_writes": [site.to_dict() for site in self.global_writes],
-            "submits": [site.to_dict() for site in self.submits],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "FunctionSummary":
-        return cls(
-            qualname=str(payload["qualname"]),
-            name=str(payload["name"]),
-            cls=payload.get("cls"),
-            lineno=int(payload["lineno"]),
-            col=int(payload["col"]),
-            is_async=bool(payload["is_async"]),
-            params=[str(p) for p in payload.get("params", [])],
-            kwonly=[str(p) for p in payload.get("kwonly", [])],
-            has_vararg=bool(payload.get("has_vararg", False)),
-            has_kwarg=bool(payload.get("has_kwarg", False)),
-            suppress=payload.get("suppress"),
-            calls=[CallSite.from_dict(s) for s in payload.get("calls", [])],
-            sinks=[SinkSite.from_dict(s) for s in payload.get("sinks", [])],
-            global_writes=[
-                GlobalWrite.from_dict(s) for s in payload.get("global_writes", [])
-            ],
-            submits=[CallSite.from_dict(s) for s in payload.get("submits", [])],
-        )
-
 
 @dataclass
 class ImportEntry:
@@ -349,31 +245,13 @@ class ImportEntry:
     name: str | None  # attribute for from-imports, None for ``import m``
     level: int  # relative-import level (0 = absolute)
 
-    def to_dict(self) -> dict:
-        return {
-            "alias": self.alias,
-            "module": self.module,
-            "name": self.name,
-            "level": self.level,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ImportEntry":
-        return cls(
-            alias=str(payload["alias"]),
-            module=str(payload["module"]),
-            name=payload.get("name"),
-            level=int(payload["level"]),
-        )
-
 
 @dataclass
 class ModuleSummary:
     """Everything the program rules need from one source file.
 
     Content-derived only — the binding to a dotted module name and a
-    display path happens at graph-build time, so a summary cached by
-    source digest stays valid when the checkout moves.
+    display path happens at graph-build time.
     """
 
     imports: list[ImportEntry] = field(default_factory=list)
@@ -386,50 +264,11 @@ class ModuleSummary:
     exports: list[str] | None = None
     parse_error: str | None = None
 
-    # bound at graph-build time, not cached
+    # bound at graph-build time
     module: str = ""
     display_path: str = ""
     parts: frozenset[str] = frozenset()
     is_package: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "version": SUMMARY_VERSION,
-            "imports": [entry.to_dict() for entry in self.imports],
-            "star_imports": list(self.star_imports),
-            "functions": [fn.to_dict() for fn in self.functions],
-            "classes": {name: list(ms) for name, ms in self.classes.items()},
-            "globals": {
-                name: [lineno, mutable]
-                for name, (lineno, mutable) in self.globals.items()
-            },
-            "exports": self.exports,
-            "parse_error": self.parse_error,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "ModuleSummary":
-        return cls(
-            imports=[ImportEntry.from_dict(e) for e in payload.get("imports", [])],
-            star_imports=[str(s) for s in payload.get("star_imports", [])],
-            functions=[
-                FunctionSummary.from_dict(f) for f in payload.get("functions", [])
-            ],
-            classes={
-                str(name): [str(m) for m in methods]
-                for name, methods in payload.get("classes", {}).items()
-            },
-            globals={
-                str(name): (int(entry[0]), bool(entry[1]))
-                for name, entry in payload.get("globals", {}).items()
-            },
-            exports=(
-                None
-                if payload.get("exports") is None
-                else [str(name) for name in payload["exports"]]
-            ),
-            parse_error=payload.get("parse_error"),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -1101,7 +940,6 @@ class ProgramGraph:
 
 
 __all__ = [
-    "SUMMARY_VERSION",
     "CallSite",
     "FunctionSummary",
     "GlobalWrite",

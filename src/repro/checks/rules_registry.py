@@ -48,7 +48,6 @@ def _register_decorator(node: ast.FunctionDef) -> ast.Call | None:
 class RegistryHygieneRule(Rule):
     rule_id = "RPR004"
     title = "experiment-registry hygiene violation"
-    cross_file = True  # duplicate-id detection spans files
     hint = (
         "experiment modules declare themselves with "
         "@register(\"<id>\", ...) on a run function whose options all "

@@ -14,9 +14,8 @@ The mapping is deliberately small and schema-faithful:
   (id, short description, full help text from the rule's hint);
 - one ``result`` per finding with ``ruleId``, ``ruleIndex``, message
   and a single ``physicalLocation`` (URI + 1-based region);
-- a stable ``partialFingerprints`` entry per result (the same
-  fingerprint the baseline ratchet uses) so code-scanning tracks a
-  finding across pushes even as line numbers shift.
+- a stable ``partialFingerprints`` entry per result so code-scanning
+  tracks a finding across pushes even as line numbers shift.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ def fingerprint(finding: Finding) -> str:
     """Location-stable identity of a finding (path, rule, message).
 
     Line and column are deliberately excluded: unrelated edits above a
-    finding must not change its identity, or every baseline and every
-    code-scanning alert would churn on each push.
+    finding must not change its identity, or every code-scanning alert
+    would churn on each push.
     """
     return f"{finding.path}::{finding.rule_id}::{finding.message}"
 

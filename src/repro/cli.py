@@ -55,14 +55,16 @@ Commands
 ``telemetry summarize PATH [--json]``
     Roll up an exported telemetry file (Chrome trace or JSONL): span
     durations, counter totals, control-loop sample ranges.
-``check [--rules RPR001,...] [--format text|json] [--list-rules]
+``check [--rules RPR001,...] [--format text|json|sarif] [--list-rules]
 [PATH ...]``
     Run the project-specific static-analysis pass (unit safety,
     determinism, telemetry hot path, registry hygiene, float equality,
     scenario-layer boundary, engine-seam bypass; ``.json`` paths are
     validated as run manifests or — when they carry the
-    ``repro_scenario`` marker — as scenario files). Exits 1 when any
-    finding is reported. Defaults to checking the installed package.
+    ``repro_scenario`` marker — as scenario files). Every run is cold
+    and serial. ``--format sarif`` emits SARIF 2.1.0 for code scanning.
+    Exits 1 when any finding is reported, 2 on a usage error. Defaults
+    to checking the installed package.
 ``curves <platform> [--csv PATH]``
     Print (and optionally save) a preset platform's curve family.
 ``characterize [--cores N] [--channels C] [--preset TIMING]
@@ -124,14 +126,7 @@ from pathlib import Path
 from . import engine as engine_mod
 from . import telemetry
 from .bench.harness import MessBenchmarkConfig
-from .checks import (
-    analyze_paths,
-    available_rules,
-    compare as compare_baseline,
-    load_baseline,
-    render_sarif,
-    write_baseline,
-)
+from .checks import available_rules, check_paths, render_sarif
 from .core.metrics import compute_metrics
 from .cpu.system import SystemConfig
 from .dram.timing import PRESETS, preset
@@ -743,41 +738,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # works from any checkout layout (and from an installed wheel).
     paths = args.paths or [str(Path(__file__).parent)]
     try:
-        report = analyze_paths(
-            paths,
-            rules=rules,
-            jobs=args.jobs or None,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            changed_only=args.changed_only,
-            since=args.since,
-        )
+        findings = check_paths(paths, rules=rules)
     except CheckError as exc:
         # usage/configuration errors exit 2; findings exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    findings = report.findings
-    if args.write_baseline:
-        write_baseline(args.write_baseline, findings)
-        print(
-            f"baseline with {len(findings)} finding(s) written to "
-            f"{args.write_baseline}"
-        )
-        return 0
-
-    baselined = 0
-    stale = 0
-    if args.baseline:
-        try:
-            accepted = load_baseline(args.baseline)
-        except CheckError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        comparison = compare_baseline(findings, accepted)
-        findings = comparison.new
-        baselined = len(comparison.baselined)
-        stale = comparison.stale
 
     if args.format == "sarif":
         print(render_sarif(findings), end="")
@@ -788,23 +753,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(finding.format())
         noun = "finding" if len(findings) == 1 else "findings"
         scope = ", ".join(paths)
-        qualifier = " new" if args.baseline else ""
-        detail = []
-        if baselined:
-            detail.append(f"{baselined} baselined")
-        if stale:
-            detail.append(f"{stale} stale baseline entr{'y' if stale == 1 else 'ies'}: tighten with --write-baseline")
-        if report.changed_only:
-            detail.append("changed files only")
-        if report.files_from_cache:
-            detail.append(
-                f"{report.files_from_cache}/{report.files_scanned} files from cache"
-            )
-        suffix = f" ({'; '.join(detail)})" if detail else ""
         if findings:
-            print(f"{len(findings)}{qualifier} {noun} in {scope}{suffix}")
+            print(f"{len(findings)} {noun} in {scope}")
         else:
-            print(f"clean: no{qualifier} findings in {scope}{suffix}")
+            print(f"clean: no findings in {scope}")
     return 1 if findings else 0
 
 
@@ -1474,49 +1426,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="list available rule ids and exit",
-    )
-    check_parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help="compare findings against an accepted-findings baseline; "
-        "only new findings fail the run",
-    )
-    check_parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="snapshot the current findings as the accepted baseline and exit 0",
-    )
-    check_parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="report findings only for files changed relative to --since "
-        "(the whole tree is still analyzed, so cross-file rules stay sound)",
-    )
-    check_parser.add_argument(
-        "--since",
-        metavar="REF",
-        default=None,
-        help="git ref --changed-only diffs against (default: HEAD)",
-    )
-    check_parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for file analysis (0 = auto)",
-    )
-    check_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the content-digest incremental analysis cache",
-    )
-    check_parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="analysis cache location (default: .repro-cache/checks)",
     )
     check_parser.set_defaults(func=_cmd_check)
 

@@ -35,8 +35,9 @@ mechanism below trades only locality and latency, never digests:
   loses nothing either.
 
 Failure classification is strict: every shard RPC failure routes
-through :func:`repro.resilience.failures.classify_failure` (RPR013
-forbids bare ``except`` in these paths), and only *peer* failures
+through :func:`repro.resilience.failures.classify_failure` (RPR007
+forbids bare ``except`` in these paths and any broad handler that
+neither re-raises nor classifies), and only *peer* failures
 (connect errors, dropped sockets, 5xx) trip breakers — a 4xx is the
 request's fault and is returned unchanged, without burning a failover.
 

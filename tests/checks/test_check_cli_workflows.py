@@ -1,12 +1,8 @@
-"""CLI workflows added with the whole-program pass: SARIF output,
-the baseline ratchet and PR-scoped ``--changed-only`` runs."""
+"""``repro check --format sarif`` end to end through the CLI."""
 
 from __future__ import annotations
 
 import json
-import subprocess
-
-import pytest
 
 from repro.cli import main
 
@@ -15,7 +11,7 @@ CLEAN = "total_ns = a_ns + b_ns\n"
 
 
 def check(*argv):
-    return main(["check", "--no-cache", *argv])
+    return main(["check", *argv])
 
 
 class TestSarifOutput:
@@ -36,101 +32,3 @@ class TestSarifOutput:
         (tmp_path / "ok.py").write_text(CLEAN)
         assert check("--format", "sarif", str(tmp_path)) == 0
         assert json.loads(capsys.readouterr().out)["runs"][0]["results"] == []
-
-
-class TestBaselineWorkflow:
-    def test_adopt_then_ratchet(self, tmp_path, capsys):
-        target = tmp_path / "bad.py"
-        target.write_text(DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert check("--write-baseline", str(baseline), str(target)) == 0
-        assert check("--baseline", str(baseline), str(target)) == 0
-        out = capsys.readouterr().out
-        assert "no new findings" in out
-        assert "1 baselined" in out
-
-    def test_new_finding_fails_against_baseline(self, tmp_path, capsys):
-        target = tmp_path / "bad.py"
-        target.write_text(DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert check("--write-baseline", str(baseline), str(target)) == 0
-        target.write_text(DIRTY + "y = total_us + span_ns\n")
-        assert check("--baseline", str(baseline), str(target)) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert any("1 new finding" in line for line in out)
-
-    def test_fixed_finding_reports_stale_entries(self, tmp_path, capsys):
-        target = tmp_path / "bad.py"
-        target.write_text(DIRTY)
-        baseline = tmp_path / "baseline.json"
-        assert check("--write-baseline", str(baseline), str(target)) == 0
-        target.write_text(CLEAN)
-        assert check("--baseline", str(baseline), str(target)) == 0
-        assert "stale baseline" in capsys.readouterr().out
-
-    def test_unreadable_baseline_is_a_usage_error(self, tmp_path, capsys):
-        target = tmp_path / "ok.py"
-        target.write_text(CLEAN)
-        assert check("--baseline", str(tmp_path / "nope.json"), str(target)) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-
-@pytest.fixture
-def git_tree(tmp_path, monkeypatch):
-    def git(*argv):
-        subprocess.run(
-            ["git", *argv],
-            cwd=tmp_path,
-            check=True,
-            capture_output=True,
-            env={
-                "GIT_AUTHOR_NAME": "t",
-                "GIT_AUTHOR_EMAIL": "t@t",
-                "GIT_COMMITTER_NAME": "t",
-                "GIT_COMMITTER_EMAIL": "t@t",
-                "HOME": str(tmp_path),
-                "PATH": "/usr/bin:/bin:/usr/local/bin",
-            },
-        )
-
-    git("init", "-q")
-    (tmp_path / "committed.py").write_text(DIRTY)
-    git("add", "committed.py")
-    git("commit", "-qm", "seed")
-    monkeypatch.chdir(tmp_path)
-    return tmp_path
-
-
-class TestChangedOnly:
-    def test_only_changed_files_report(self, git_tree, capsys):
-        # committed.py has a finding but is unchanged; new.py is dirty
-        # and new — only new.py may be reported.
-        (git_tree / "new.py").write_text("y = total_us + span_ns\n")
-        assert check("--changed-only", str(git_tree)) == 1
-        out = capsys.readouterr().out
-        assert "new.py" in out
-        assert "committed.py" not in out
-
-    def test_clean_when_nothing_changed(self, git_tree, capsys):
-        assert check("--changed-only", str(git_tree)) == 0
-        assert "clean" in capsys.readouterr().out
-
-    def test_program_rules_cross_into_unchanged_files(self, git_tree, capsys):
-        # The graph is built over the full tree: a *changed* digest
-        # root reaching an *unchanged* sink file must still be caught,
-        # anchored at the unchanged file — and therefore filtered; the
-        # guarantee is that analysis ran, so a changed sink reports.
-        pkg = git_tree / "repro"
-        pkg.mkdir()
-        (pkg / "helpers.py").write_text(
-            "import time\n"
-            "def stamp(x):\n"
-            "    return time.time()\n"
-        )
-        (pkg / "specs.py").write_text(
-            "from repro.helpers import stamp\n"
-            "def digest(x):\n"
-            "    return stamp(x)\n"
-        )
-        assert check("--changed-only", "--rules", "RPR010", str(pkg)) == 1
-        assert "helpers.py" in capsys.readouterr().out

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.checks.graph import (
-    ModuleSummary,
     ProgramGraph,
     module_names_for,
     summarize_source,
@@ -177,21 +176,3 @@ class TestParseFailures:
         )
         assert "pkg.a:f" in g.functions
         assert g.modules["pkg.broken"].parse_error is not None
-
-
-class TestSummaryRoundTrip:
-    def test_summary_survives_json_round_trip(self):
-        source = (
-            "import time\n"
-            "_STATE = {}\n"
-            "async def f(x):\n"
-            "    _STATE[x] = time.time()  # repro: ignore[RPR010,RPR011]\n"
-        )
-        original = summarize_source(source)
-        restored = ModuleSummary.from_dict(original.to_dict())
-        assert restored.to_dict() == original.to_dict()
-        fn = restored.functions[0]
-        assert fn.is_async
-        assert fn.sinks[0].kind == "wallclock"
-        assert fn.sinks[0].suppress == "RPR010,RPR011"
-        assert fn.global_writes[0].name == "_STATE"

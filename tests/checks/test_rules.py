@@ -306,6 +306,131 @@ class TestExceptionSwallowRPR007:
         assert rule_ids(src, rules=["RPR007"]) == []
 
 
+class TestFabricExceptionSwallowRPR007:
+    """The stricter RPR007 test in the cluster fabric's modules: a broad
+    handler passes only if it re-raises or calls classify_failure."""
+
+    FILE = "src/repro/serve/cluster.py"
+
+    def test_fires_on_bare_except(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except:\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == ["RPR007"]
+
+    def test_fires_on_swallowed_broad_except(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except Exception:\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == ["RPR007"]
+
+    def test_fires_on_broad_member_of_a_tuple(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except (ValueError, Exception):\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == ["RPR007"]
+
+    def test_silent_when_handler_reraises(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except Exception as exc:\n"
+            "        raise ShardUnavailableError(str(exc)) from exc\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == []
+
+    def test_silent_when_handler_classifies(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except Exception as exc:\n"
+            "        record(classify_failure(exc))\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == []
+
+    def test_silent_on_typed_peer_failure_set(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except (ConnectionError, OSError):\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == []
+
+    def test_scoped_to_the_fabric_modules(self):
+        src = (
+            "def work():\n"
+            "    try:\n"
+            "        return 1\n"
+            "    except Exception:\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, "src/repro/serve/service.py", rules=["RPR007"]) == []
+        assert rule_ids(src, "src/repro/runner/pool.py", rules=["RPR007"]) == []
+        assert rule_ids(
+            src, "src/repro/serve/health.py", rules=["RPR007"]
+        ) == ["RPR007"]
+
+    def test_suppression_comment_works(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except Exception:  # repro: ignore[RPR007]\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == []
+
+    def test_raise_only_inside_nested_def_does_not_count(self):
+        # Code merely *defined* in the handler never runs there.
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except Exception:\n"
+            "        def later():\n"
+            "            raise RuntimeError('x')\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == ["RPR007"]
+
+    def test_fires_on_dotted_broad_name(self):
+        src = (
+            "def call(shard):\n"
+            "    try:\n"
+            "        return shard.request()\n"
+            "    except builtins.Exception:\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE, rules=["RPR007"]) == ["RPR007"]
+
+    def test_bare_except_is_reported_once(self):
+        src = (
+            "async def call(shard):\n"
+            "    try:\n"
+            "        return await shard.request()\n"
+            "    except:\n"
+            "        return None\n"
+        )
+        assert rule_ids(src, self.FILE) == ["RPR007"]
+
+
 class TestEngineSeamRPR008:
     def test_fires_on_simulator_construction_in_experiments(self):
         src = "sim = MessMemorySimulator(curves)\n"
@@ -420,92 +545,3 @@ class TestBlockingAsyncIORPR009:
             "    time.sleep(1)  # repro: ignore[RPR009]\n"
         )
         assert rule_ids(src, self.FILE, rules=["RPR009"]) == []
-
-
-class TestUnclassifiedShardFailureRPR013:
-    FILE = "src/repro/serve/cluster.py"
-
-    def test_fires_on_bare_except(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except:\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == ["RPR013"]
-
-    def test_fires_on_swallowed_broad_except(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except Exception:\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == ["RPR013"]
-
-    def test_fires_on_broad_member_of_a_tuple(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except (ValueError, Exception):\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == ["RPR013"]
-
-    def test_silent_when_handler_reraises(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except Exception as exc:\n"
-            "        raise ShardUnavailableError(str(exc)) from exc\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == []
-
-    def test_silent_when_handler_classifies(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except Exception as exc:\n"
-            "        record(classify_failure(exc))\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == []
-
-    def test_silent_on_typed_peer_failure_set(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except (ConnectionError, OSError):\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == []
-
-    def test_scoped_to_the_fabric_modules(self):
-        src = (
-            "def work():\n"
-            "    try:\n"
-            "        return 1\n"
-            "    except Exception:\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, "src/repro/serve/service.py", rules=["RPR013"]) == []
-        assert rule_ids(src, "src/repro/runner/pool.py", rules=["RPR013"]) == []
-        assert rule_ids(
-            src, "src/repro/serve/health.py", rules=["RPR013"]
-        ) == ["RPR013"]
-
-    def test_suppression_comment_works(self):
-        src = (
-            "async def call(shard):\n"
-            "    try:\n"
-            "        return await shard.request()\n"
-            "    except Exception:  # repro: ignore[RPR013]\n"
-            "        return None\n"
-        )
-        assert rule_ids(src, self.FILE, rules=["RPR013"]) == []

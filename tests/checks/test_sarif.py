@@ -1,4 +1,4 @@
-"""Baseline ratchet round-trip and SARIF 2.1.0 serialization."""
+"""SARIF 2.1.0 serialization of findings."""
 
 from __future__ import annotations
 
@@ -6,10 +6,8 @@ import json
 
 import pytest
 
-from repro.checks.baseline import compare, load_baseline, write_baseline
 from repro.checks.engine import Finding
 from repro.checks.sarif import fingerprint, render_sarif, to_sarif
-from repro.errors import CheckError
 
 
 def finding(path="src/x.py", line=3, rule="RPR001", message="mixed units"):
@@ -17,54 +15,6 @@ def finding(path="src/x.py", line=3, rule="RPR001", message="mixed units"):
         path=path, line=line, col=1, rule_id=rule, message=message,
         hint="use repro.units",
     )
-
-
-class TestBaseline:
-    def test_round_trip_baselines_everything(self, tmp_path):
-        findings = [finding(), finding(rule="RPR005", message="float ==")]
-        path = tmp_path / "baseline.json"
-        write_baseline(path, findings)
-        comparison = compare(findings, load_baseline(path))
-        assert comparison.new == []
-        assert len(comparison.baselined) == 2
-        assert comparison.stale == 0
-
-    def test_new_finding_is_not_baselined(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding()])
-        fresh = finding(path="src/y.py", message="other problem")
-        comparison = compare([finding(), fresh], load_baseline(path))
-        assert comparison.new == [fresh]
-
-    def test_line_moves_do_not_invalidate_the_baseline(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding(line=3)])
-        comparison = compare([finding(line=40)], load_baseline(path))
-        assert comparison.new == []
-
-    def test_counts_ratchet_duplicate_findings(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding()])
-        # a second identical finding appears: one slot, two findings
-        comparison = compare([finding(), finding()], load_baseline(path))
-        assert len(comparison.new) == 1
-        assert len(comparison.baselined) == 1
-
-    def test_fixed_findings_surface_as_stale(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [finding(), finding(rule="RPR005")])
-        comparison = compare([finding()], load_baseline(path))
-        assert comparison.stale == 1
-
-    def test_malformed_baseline_is_a_check_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{}")
-        with pytest.raises(CheckError):
-            load_baseline(path)
-
-    def test_missing_baseline_is_a_check_error(self, tmp_path):
-        with pytest.raises(CheckError):
-            load_baseline(tmp_path / "absent.json")
 
 
 class TestSarif:

@@ -5,13 +5,13 @@ from __future__ import annotations
 from pathlib import Path
 
 import repro
-from repro.checks import run_checks
+from repro.checks import check_paths
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
 
 def test_package_is_clean_under_all_rules():
-    findings = run_checks([str(PACKAGE_DIR)])
+    findings = check_paths([PACKAGE_DIR])
     assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
 
