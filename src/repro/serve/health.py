@@ -116,6 +116,7 @@ class HealthMonitor:
         }
         self._clients: "dict[str, ServiceClient]" = {}
         self._tasks: "list[asyncio.Task]" = []
+        self._stopping = False
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -125,6 +126,7 @@ class HealthMonitor:
         """Spawn one probe loop per shard on the running loop."""
         if self._tasks:
             return
+        self._stopping = False
         for url in self._states:
             self._clients[url] = ServiceClient(url, pool=self._pool)
             self._tasks.append(
@@ -132,7 +134,14 @@ class HealthMonitor:
             )
 
     async def stop(self) -> None:
-        """Cancel the probe loops and release private clients."""
+        """Cancel the probe loops and release private clients.
+
+        The loops also check a stop flag: before Python 3.12,
+        ``asyncio.wait_for`` swallows a cancellation that lands just as
+        the probe it wraps completes, and the loop would then probe on
+        forever while this method waits for it.
+        """
+        self._stopping = True
         tasks, self._tasks = self._tasks, []
         for task in tasks:
             task.cancel()
@@ -202,7 +211,7 @@ class HealthMonitor:
             self.on_change(state.url, healthy)
 
     async def _probe_loop(self, url: str) -> None:
-        while True:
+        while not self._stopping:
             await self.probe_once(url)
             await asyncio.sleep(self.interval_s)
 

@@ -306,9 +306,10 @@ class TestExceptionSwallowRPR007:
         assert rule_ids(src, rules=["RPR007"]) == []
 
 
-class TestFabricExceptionSwallowRPR007:
-    """The stricter RPR007 test in the cluster fabric's modules: a broad
-    handler passes only if it re-raises or calls classify_failure."""
+class TestUnclassifiedShardFailureRPR013:
+    """The stricter RPR007 test in the cluster fabric's modules, which
+    was rule RPR013 before it was folded into RPR007: a broad handler
+    passes only if it re-raises or calls classify_failure."""
 
     FILE = "src/repro/serve/cluster.py"
 

@@ -5,7 +5,8 @@ under ``engine="vectorized"`` produces an :class:`ExperimentResult`
 whose digest is *identical* to the reference engine's — same rows, same
 floats, same notes. Each run clears the on-disk result cache and the
 in-process family memoization first, so both engines genuinely
-recompute everything.
+recompute everything. The two runs of a case are independent, so they
+go to two worker processes and run side by side.
 
 Experiments run at a reduced scale (digest equality is scale-local:
 both engines see the same scale, so any divergence still shows). The
@@ -18,6 +19,9 @@ engine differ on those).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -35,6 +39,10 @@ _SCALES = {"fig10": 0.2, "fig11": 0.2, "fig13": 0.2}
 
 _SLOW = {"fig10", "fig11", "fig13"}
 
+#: Bound on one engine run in a worker; the slowest takes ~12 s on a
+#: 2-vCPU host.
+_RUN_TIMEOUT_S = 600.0
+
 
 def _params():
     for experiment_id in experiment_ids():
@@ -50,9 +58,18 @@ def _digest_under(engine: str, experiment_id: str, scale: float) -> str:
     return deterministic_digest(result)
 
 
+@pytest.fixture(scope="module")
+def engine_workers():
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        yield pool
+
+
 @pytest.mark.parametrize("experiment_id", _params())
-def test_engines_produce_identical_digests(experiment_id):
+def test_engines_produce_identical_digests(experiment_id, engine_workers):
     scale = _SCALES.get(experiment_id, _DEFAULT_SCALE)
-    reference = _digest_under("reference", experiment_id, scale)
-    vectorized = _digest_under("vectorized", experiment_id, scale)
-    assert reference == vectorized
+    reference, vectorized = (
+        engine_workers.submit(_digest_under, engine, experiment_id, scale)
+        for engine in ("reference", "vectorized")
+    )
+    assert reference.result(_RUN_TIMEOUT_S) == vectorized.result(_RUN_TIMEOUT_S)

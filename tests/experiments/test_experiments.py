@@ -7,6 +7,9 @@ reports, not absolute numbers.
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -157,10 +160,42 @@ class TestSimulatorCharacterization:
         assert sources == {"actual(dram)", "dramsim3", "ramulator"}
 
 
+#: Every (experiment, scale) run TestFullSystemExperiments checks,
+#: longest first so two workers finish together.
+_FULL_SYSTEM_RUNS = (
+    ("fig11", 0.5),
+    ("fig10", 0.5),
+    ("fig14", 0.6),
+    ("ablation", 0.5),
+    ("openpiton", 0.6),
+)
+
+#: Bound on one run in a worker; the slowest takes ~30 s on a 2-vCPU host.
+_RUN_TIMEOUT_S = 600.0
+
+
+@pytest.fixture(scope="class")
+def full_system():
+    """The closed-loop runs, computed two at a time in worker processes.
+
+    They are independent and dominate this module's wall time; each
+    test still checks one run's result.
+    """
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+        futures = {
+            run: pool.submit(run_experiment, run[0], scale=run[1])
+            for run in _FULL_SYSTEM_RUNS
+        }
+        yield lambda experiment_id, scale: futures[experiment_id, scale].result(
+            _RUN_TIMEOUT_S
+        )
+
+
 @pytest.mark.slow
 class TestFullSystemExperiments:
-    def test_fig10_mess_tracks_actual(self):
-        result = run_experiment("fig10", scale=0.5)
+    def test_fig10_mess_tracks_actual(self, full_system):
+        result = full_system("fig10", 0.5)
         # every subfigure reports its comparison note with small
         # unloaded error
         assert len(result.notes) == 3
@@ -168,8 +203,8 @@ class TestFullSystemExperiments:
             unloaded = float(note.split("unloaded latency error ")[1].split("%")[0])
             assert unloaded < 10.0
 
-    def test_fig11_mess_most_accurate_model(self):
-        result = run_experiment("fig11", scale=0.5)
+    def test_fig11_mess_most_accurate_model(self, full_system):
+        result = full_system("fig11", 0.5)
         means = {
             row["model"]: row["mean_error_pct"] for row in result.rows
         }
@@ -178,8 +213,8 @@ class TestFullSystemExperiments:
         assert means["mess"] == min(means.values())
         assert means["fixed-latency"] > 3 * means["mess"]
 
-    def test_fig14_openpiton_cannot_pressure_reads(self):
-        result = run_experiment("fig14", scale=0.6)
+    def test_fig14_openpiton_cannot_pressure_reads(self, full_system):
+        result = full_system("fig14", 0.6)
 
         def read_peak(system):
             return max(
@@ -190,8 +225,8 @@ class TestFullSystemExperiments:
 
         assert read_peak("openpiton+mess") < read_peak("manufacturer") * 1.05
 
-    def test_openpiton_findings(self):
-        result = run_experiment("openpiton", scale=0.6)
+    def test_openpiton_findings(self, full_system):
+        result = full_system("openpiton", 0.6)
         correct = {
             row["store_fraction"]: row
             for row in result.rows
@@ -210,8 +245,8 @@ class TestFullSystemExperiments:
             for row in buggy
         )
 
-    def test_ablation_studies_present(self):
-        result = run_experiment("ablation", scale=0.5)
+    def test_ablation_studies_present(self, full_system):
+        result = full_system("ablation", 0.5)
         studies = {row["study"] for row in result.rows}
         assert studies == {
             "convergence_factor",

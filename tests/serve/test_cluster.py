@@ -23,6 +23,7 @@ from repro.serve.cluster import (
     LocalCluster,
     owner_shard,
 )
+from repro.serve.health import HealthMonitor
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import BadRequestError, warm_from_manifest
 
@@ -351,6 +352,36 @@ class TestConnectionPool:
 
         health = with_cluster(exercise, shard_count=1)
         assert health["ok"] is True
+
+
+class TestHealthMonitor:
+    def test_stop_ends_a_loop_whose_cancellation_was_swallowed(self):
+        # Before Python 3.12, asyncio.wait_for returns the probe's result
+        # instead of raising when a cancellation lands just as the probe
+        # completes. stop() must still end the loop, without a second
+        # cancellation.
+        url = "http://127.0.0.1:1"
+        monitor = HealthMonitor([url], interval_s=0.01)
+        cancels = []
+
+        async def probe_once(probed):
+            try:
+                await asyncio.sleep(60)
+            except asyncio.CancelledError:
+                cancels.append(probed)
+                if len(cancels) > 1:
+                    raise
+            return True
+
+        monitor.probe_once = probe_once
+
+        async def exercise():
+            await monitor.start()
+            await asyncio.sleep(0.05)
+            await asyncio.wait_for(monitor.stop(), timeout=2.0)
+
+        asyncio.run(exercise())
+        assert cancels == [url]
 
 
 class TestWarm:
