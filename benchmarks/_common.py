@@ -7,23 +7,17 @@ shim over :func:`experiment_bench_test`; running
 
 regenerates all of them through the *same* harness ``repro bench``
 uses (``repro.bench.perf.experiment_bench``). Each bench executes its
-experiment once (via ``benchmark.pedantic``) under the selected
-engine, records the wall time, writes the data series to
+experiment once (via ``benchmark.pedantic``), records the wall time,
+writes the data series to
 ``benchmarks/results/<id>.csv`` and the formatted table plus notes to
 ``benchmarks/results/<id>.txt``, and attaches the experiment digest to
 the pytest-benchmark record.
 
-Environment knobs:
+``REPRO_BENCH_SCALE`` (default 1.0) is the sweep-density multiplier;
+2.0 approaches the paper's densities.
 
-- ``REPRO_BENCH_SCALE`` (default 1.0): sweep-density multiplier; 2.0
-  approaches the paper's densities.
-- ``REPRO_BENCH_ENGINE`` (default ``reference``): execution engine,
-  ``reference`` or ``vectorized`` — both produce bit-identical
-  results, see :mod:`repro.engine`.
-
-For engine-vs-engine speedup tracking use ``repro bench`` instead:
-it times both engines, cross-checks their digests, and emits the
-``BENCH_*.json`` trajectory payloads.
+For the ``BENCH_*.json`` trajectory payloads use ``repro bench``
+instead: it times each workload best-of-N and records its digest.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
-from repro import engine as engine_mod
 from repro.bench import perf
 from repro.experiments.base import ExperimentResult
 
@@ -41,13 +34,6 @@ RESULTS_DIR = Path(__file__).parent / "results"
 def bench_scale() -> float:
     """Sweep-density multiplier from the environment."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-def bench_engine() -> str:
-    """Execution engine from the environment (default: reference)."""
-    return engine_mod.resolve(
-        os.environ.get("REPRO_BENCH_ENGINE", engine_mod.DEFAULT_ENGINE)
-    )
 
 
 def save_result(result: ExperimentResult) -> None:
@@ -62,20 +48,13 @@ def save_result(result: ExperimentResult) -> None:
 def run_experiment_benchmark(benchmark, experiment_id: str) -> ExperimentResult:
     """Standard body of one experiment bench, routed through perf."""
     scale = bench_scale()
-    engine = bench_engine()
     spec = perf.experiment_bench(experiment_id, scale=scale)
     work, summarize = spec.make()
-
-    def once() -> ExperimentResult:
-        with engine_mod.using(engine):
-            return work(engine)
-
-    result = benchmark.pedantic(once, iterations=1, rounds=1)
+    result = benchmark.pedantic(work, iterations=1, rounds=1)
     save_result(result)
     meta = summarize(result)
     benchmark.extra_info["rows"] = meta["rows"]
     benchmark.extra_info["scale"] = scale
-    benchmark.extra_info["engine"] = engine
     benchmark.extra_info["digest"] = meta["digest"]
     for index, note in enumerate(result.notes):
         benchmark.extra_info[f"note_{index}"] = note.splitlines()[0]

@@ -24,9 +24,9 @@ stand on:
   content-addressed on-disk cache and JSON run manifests;
 - :mod:`repro.scenario` — declarative, digest-keyed run configuration:
   the sanctioned way to build simulators and harnesses;
-- :mod:`repro.engine` — execution-engine selection: the scalar
-  ``reference`` engine vs the batched-numpy ``vectorized`` engine,
-  bit-exact with each other (``repro bench`` tracks the speedups);
+- :mod:`repro.engine` — batched numpy fast paths for the direct
+  model probe and the Mess fixed-rate drive, each bit-exact with the
+  scalar loop it falls back to;
 - :mod:`repro.telemetry` — observability: typed counters/gauges/
   histograms, spans, and per-window control-loop traces, exportable as
   JSONL, Chrome trace-event (Perfetto) and Prometheus text. Disabled by
@@ -42,14 +42,13 @@ Quickstart::
             "kind": "cycle-accurate",
             "params": {"timing": "DDR4-2666", "channels": 6},
         },
-        engine="vectorized",  # or "reference" (the default)
     )
     family = scenario.materialize().benchmark().run()  # characterize
     sim = build_memory("mess", {"curves": family})  # simulate on curves
 
 (Constructing ``MessBenchmark`` directly still works but is deprecated
-in favor of the scenario route, which wires up the engine seam and the
-digest-keyed characterization cache.)
+in favor of the scenario route, which wires up the digest-keyed
+characterization cache.)
 """
 
 from __future__ import annotations

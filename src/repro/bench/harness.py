@@ -129,7 +129,7 @@ class MessBenchmark:
                 "constructing MessBenchmark directly is deprecated; declare "
                 "a scenario and build the harness through "
                 "Scenario.materialize().benchmark(), which wires up the "
-                "engine seam and the digest-keyed characterization cache",
+                "digest-keyed characterization cache",
                 DeprecationWarning,
                 stacklevel=3,
             )

@@ -152,28 +152,24 @@ def characterize_model(
     never leaks between configurations (matching the paper's practice
     of rebooting the system under test between runs).
 
-    Under the vectorized engine (``repro.engine``) each point is first
-    attempted as one batched numpy evaluation; points whose exactness
-    preconditions fail fall back to this scalar loop, so the measured
-    curves are bit-identical under both engines.
+    Each point is first attempted as one batched numpy evaluation
+    (:mod:`repro.engine.probe`); a point whose exactness preconditions
+    fail falls back to the scalar :func:`probe_point`, so the measured
+    curves are bit-identical to an all-scalar sweep.
     """
-    # lazy import: the engine's probe module imports ProbePoint from here
-    from .. import engine as engine_mod
+    # lazy import: the batched probe imports ProbePoint from here
     from ..engine.probe import probe_point_vectorized
 
     config = config or ProbeConfig()
-    use_vectorized = engine_mod.vectorized()
     builder = CurveBuilder(
         name=name, theoretical_bandwidth_gbps=theoretical_bandwidth_gbps
     )
     for ratio in config.read_ratios:
         for gap in config.gaps_ns:
             model = model_factory()
-            point = None
-            if use_vectorized:
-                # returns None (leaving the model untouched) when the
-                # batch preconditions fail for this model or schedule
-                point = probe_point_vectorized(model, ratio, gap, config)
+            # None (leaving the model untouched) when the batch
+            # preconditions fail for this model or schedule
+            point = probe_point_vectorized(model, ratio, gap, config)
             if point is None:
                 point = probe_point(model, ratio, gap, config)
             builder.add(

@@ -1,37 +1,33 @@
-"""The perf-bench registry: a tracked reference-vs-vectorized trajectory.
+"""The perf-bench registry: absolute timings of named workloads.
 
-One named bench is a workload that produces the *same* result under
-both engines (see :mod:`repro.engine`); the harness times it under
-each, checks the result digests agree, and reports the speedup. The
+One named bench is a deterministic workload; the harness times it
+best-of-``repeat`` and records a digest of its result, so a payload
+says both how long the workload took and what it computed. The
 registry replaces the copy-pasted ``benchmarks/bench_fig*.py`` bodies:
 every paper experiment is registered here under ``experiment.<id>``,
-and the engine-sensitive inner loops (curve interpolation, the model
-probe, the Mess window drive) have dedicated benches tagged
-``curves`` / ``probe`` / ``mess``.
+and the inner loops (the model probe, the Mess window drive, the cache
+hierarchy walk, the serving path) have dedicated benches tagged
+``curves`` / ``probe`` / ``mess`` / ``hierarchy`` / ``serve``.
 
-``repro bench --filter curves --json BENCH_curves.json`` is the CI
-smoke invocation: the committed ``BENCH_curves.json`` is the perf
-trajectory of record, and the workflow fails when the measured
-speedup drops below its pinned floor.
+``repro bench --filter curves,hierarchy --json BENCH_curves.json`` is
+the CI smoke invocation; the committed ``BENCH_*.json`` files are the
+trajectory of record.
 
 Output schema (``--json``)::
 
     {
-      "repro_bench": 1,
+      "repro_bench": 2,
       "benches": [
         {
-          "name": "curves.family_interpolation",
-          "tags": ["curves"],
-          "engine_times_s": {"reference": 1.2, "vectorized": 0.02},
-          "speedup": 60.0,
-          "meta": {"digest": "...", "digests_match": true, ...}
+          "name": "curves.characterize_fixed_latency",
+          "tags": ["curves", "probe"],
+          "time_s": 0.02,
+          "meta": {"digest": "...", ...}
         }
       ]
     }
 
-``speedup`` is reference time over vectorized time (best-of-``repeat``
-for each); ``meta.digests_match`` certifies the two engines produced
-bit-identical results for this workload.
+``time_s`` is the best of ``repeat`` timed runs of the workload.
 """
 
 from __future__ import annotations
@@ -40,19 +36,16 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
-import numpy as np
-
-from .. import engine as engine_mod
-from ..errors import BenchmarkError, ConfigurationError
+from ..errors import ConfigurationError
 from ..specs import spec_digest
 
 #: Format marker of the ``--json`` payload.
 FORMAT_KEY = "repro_bench"
 
 #: Current payload version; bump on incompatible layout change.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -60,16 +53,15 @@ class BenchSpec:
     """One registered perf bench.
 
     ``make()`` performs the (untimed) setup and returns a pair
-    ``(work, summarize)``: ``work(engine)`` runs the workload under the
-    already-activated engine and returns its raw result; ``summarize``
-    turns that result into a meta dict containing a ``"digest"``, so
-    the harness can certify engine equivalence. Only ``work`` is
-    timed — digesting a large result must not pollute the measurement.
+    ``(work, summarize)``: ``work()`` runs the workload and returns its
+    raw result; ``summarize`` turns that result into a meta dict
+    containing a ``"digest"``. Only ``work`` is timed — digesting a
+    large result must not pollute the measurement.
     """
 
     name: str
     tags: tuple[str, ...]
-    make: Callable[[], tuple[Callable[[str], object], Callable[[object], dict]]]
+    make: Callable[[], tuple[Callable[[], object], Callable[[object], dict]]]
 
 
 _REGISTRY: dict[str, BenchSpec] = {}
@@ -78,7 +70,7 @@ _REGISTRY: dict[str, BenchSpec] = {}
 def register(name: str, *tags: str) -> Callable:
     """Decorator registering a bench factory under ``name``."""
 
-    def decorator(make: Callable[[], Callable[[str], dict]]):
+    def decorator(make: Callable[[], tuple]):
         if name in _REGISTRY:
             raise ConfigurationError(f"duplicate bench name {name!r}")
         _REGISTRY[name] = BenchSpec(name=name, tags=tuple(tags), make=make)
@@ -109,52 +101,26 @@ def bench_names(filter: str | None = None) -> list[str]:
     return names
 
 
-def run_bench(
-    spec: BenchSpec,
-    engines: Iterable[str] = engine_mod.ENGINE_NAMES,
-    repeat: int = 1,
-) -> dict:
-    """Time one bench under each engine; returns its payload entry."""
+def run_bench(spec: BenchSpec, repeat: int = 1) -> dict:
+    """Time one bench best-of-``repeat``; returns its payload entry."""
     if repeat < 1:
         raise ConfigurationError(f"repeat must be >= 1, got {repeat}")
     work, summarize = spec.make()
-    times: dict[str, float] = {}
-    metas: dict[str, dict] = {}
-    for engine in engines:
-        engine = engine_mod.resolve(engine)
-        best = float("inf")
-        for _ in range(repeat):
-            with engine_mod.using(engine):
-                start = time.perf_counter()
-                result = work(engine)
-                elapsed = time.perf_counter() - start
-            best = min(best, elapsed)
-            metas[engine] = summarize(result)
-        times[engine] = best
-    digests = {meta.get("digest") for meta in metas.values()}
-    meta = dict(next(iter(metas.values())))
-    meta["digests_match"] = len(digests) == 1
-    if not meta["digests_match"]:
-        raise BenchmarkError(
-            f"bench {spec.name!r}: engines disagree: "
-            + ", ".join(
-                f"{engine}={m.get('digest')}" for engine, m in metas.items()
-            )
-        )
-    entry = {
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        result = work()
+        best = min(best, time.perf_counter() - start)
+    return {
         "name": spec.name,
         "tags": list(spec.tags),
-        "engine_times_s": times,
-        "meta": meta,
+        "time_s": best,
+        "meta": summarize(result),
     }
-    if "reference" in times and "vectorized" in times and times["vectorized"] > 0:
-        entry["speedup"] = times["reference"] / times["vectorized"]
-    return entry
 
 
 def run_benches(
     filter: str | None = None,
-    engines: Iterable[str] = engine_mod.ENGINE_NAMES,
     repeat: int = 1,
     progress: Callable[[dict], None] | None = None,
 ) -> dict:
@@ -166,7 +132,7 @@ def run_benches(
         )
     benches = []
     for name in names:
-        entry = run_bench(_REGISTRY[name], engines=engines, repeat=repeat)
+        entry = run_bench(_REGISTRY[name], repeat=repeat)
         benches.append(entry)
         if progress is not None:
             progress(entry)
@@ -178,72 +144,13 @@ def write_payload(payload: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def min_speedup(
-    payload: dict,
-    tag: str | None = None,
-    exclude_tags: Iterable[str] = (),
-) -> float | None:
-    """Smallest speedup in a payload (optionally among one tag).
-
-    ``exclude_tags`` drops benches carrying any of those tags — used by
-    the CLI to hold tag-scoped floors out of the global one (a scalar
-    hierarchy kernel should not be held to the vectorized-curves bar).
-    """
-    excluded = tuple(exclude_tags)
-    speedups = [
-        bench["speedup"]
-        for bench in payload.get("benches", ())
-        if "speedup" in bench
-        and (tag is None or tag in bench.get("tags", ()))
-        and not any(t in bench.get("tags", ()) for t in excluded)
-    ]
-    return min(speedups) if speedups else None
-
-
 # ----------------------------------------------------------------------
-# Component benches: the engine-sensitive inner loops
+# Component benches: the inner loops
 # ----------------------------------------------------------------------
 
 
 def _family_digest(family) -> str:
     return spec_digest(family.to_dict())
-
-
-@register("curves.family_interpolation", "curves")
-def _bench_family_interpolation():
-    """Full curve-family latency surface: the Mess inner loop.
-
-    The reference engine walks ``family.latency_at`` point by point;
-    the vectorized engine answers whole bandwidth sweeps per ratio via
-    :func:`repro.engine.curves.family_latency_batch`. This is the
-    headline curve-family characterization kernel the PR's >= 10x
-    target refers to.
-    """
-    from ..engine.curves import family_latency_batch
-    from ..platforms.presets import INTEL_SKYLAKE, family
-
-    fam = family(INTEL_SKYLAKE)
-    ratios = sorted(curve.read_ratio for curve in fam)
-    bandwidths = np.linspace(0.0, fam.max_bandwidth_gbps * 1.05, 20_000)
-
-    def work(engine: str) -> list[np.ndarray]:
-        if engine_mod.vectorized():
-            return [
-                family_latency_batch(fam, bandwidths, ratio)
-                for ratio in ratios
-            ]
-        return [
-            np.array([fam.latency_at(float(b), ratio) for b in bandwidths])
-            for ratio in ratios
-        ]
-
-    def summarize(surface: list[np.ndarray]) -> dict:
-        return {
-            "digest": spec_digest([column.tolist() for column in surface]),
-            "queries": int(bandwidths.size * len(ratios)),
-        }
-
-    return work, summarize
 
 
 def _probe_bench(model_factory: Callable, theoretical: float | None):
@@ -259,7 +166,7 @@ def _probe_bench(model_factory: Callable, theoretical: float | None):
         max_outstanding=1024,
     )
 
-    def work(engine: str):
+    def work():
         return characterize_model(
             model_factory,
             config,
@@ -302,8 +209,8 @@ def _bench_mess_drive():
     """A fixed-rate read stream through the Mess simulator.
 
     The open-loop harness of the ablation and Optane studies: 20k
-    requests at 64 B/ns offered bandwidth, window-batched under the
-    vectorized engine, request-at-a-time under the reference engine.
+    requests at 64 B/ns offered bandwidth, window-batched wherever the
+    batch is exact.
     """
     from ..core.simulator import MessMemorySimulator
     from ..engine.mess import drive_fixed_rate
@@ -311,7 +218,7 @@ def _bench_mess_drive():
 
     fam = family(INTEL_SKYLAKE)
 
-    def work(engine: str):
+    def work():
         simulator = MessMemorySimulator(fam, keep_history=True)
         drive_fixed_rate(simulator, 1.0, 20_000)
         return simulator
@@ -341,11 +248,8 @@ def _bench_hierarchy_visit():
     A deterministic mixed load/store trace (streaming writes + a
     seeded scatter) driven through one :class:`MemoryHierarchy` per
     registered replacement policy. The walk is the scalar hot path of
-    every characterize run; this bench pins its throughput trajectory
-    and cross-checks that hit/miss/writeback counters are identical
-    under both engines (the hierarchy itself has no vectorized fast
-    path yet, so the speedup hovers around 1x — CI holds it to a
-    tag-scoped floor rather than the vectorized-curves one).
+    every characterize run; this bench pins its throughput trajectory,
+    and its digest covers the hit/miss/writeback counters.
     """
     from ..cpu.cache import CacheConfig, HierarchyConfig
     from ..cpu.cachemodel import CacheModelSpec
@@ -362,7 +266,7 @@ def _bench_hierarchy_visit():
     line = 64
     span_lines = 3 * (512 * 1024) // line  # 3x the LLC: eviction pressure
 
-    def work(engine: str) -> dict:
+    def work() -> dict:
         counters: dict[str, dict] = {}
         for policy in policy_kinds():
             hierarchy = MemoryHierarchy(
@@ -419,11 +323,9 @@ def _bench_serve_loadgen():
     Boots an in-process HTTP server on a fresh in-memory backend and
     replays the deterministic loadgen schedule through real sockets —
     miss/coalesce/compute on pass one, cache-serving on pass two. The
-    digest covers the served result *rows* (engine-independent), so
-    the harness's cross-engine check doubles as proof that a served
-    characterization equals a locally-computed one under either
-    engine. The meta records the hit-ratio and p99 trajectories —
-    the serving-path perf numbers ``BENCH_serve.json`` tracks.
+    digest covers the served results' digests. The meta records the
+    hit-ratio and p99 trajectories — the serving-path perf numbers
+    ``BENCH_serve.json`` tracks.
     """
     from ..serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -436,13 +338,13 @@ def _bench_serve_loadgen():
         max_inflight=4,
     )
 
-    def work(engine: str):
-        return run_loadgen(LoadgenConfig(engine=engine, **config))
+    def work():
+        return run_loadgen(LoadgenConfig(**config))
 
     def summarize(report) -> dict:
         final = report["passes"][-1]
         return {
-            "digest": spec_digest(report["row_digests"]),
+            "digest": spec_digest(report["result_digests"]),
             "requests": sum(p["requests"] for p in report["passes"]),
             "errors": sum(p["errors"] for p in report["passes"]),
             "hit_ratio_trajectory": report["hit_ratio_trajectory"],
@@ -462,10 +364,10 @@ def _bench_serve_cluster():
     Boots a 3-shard :class:`~repro.serve.cluster.LocalCluster` —
     three shard servers behind the digest-range router, real sockets
     throughout — and replays the loadgen schedule through the router.
-    Same row-digest check as ``serve.loadgen``: a routed result must
-    be bit-identical to a locally-computed one, under either engine.
-    The delta between this bench's p99 and ``serve.loadgen``'s is the
-    router's overhead — the price of failover, measured.
+    Its digest equals ``serve.loadgen``'s when a routed result is
+    bit-identical to a single-process one. The delta between this
+    bench's p99 and ``serve.loadgen``'s is the router's overhead — the
+    price of failover, measured.
     """
     from ..serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -479,15 +381,15 @@ def _bench_serve_cluster():
         shards=3,
     )
 
-    def work(engine: str):
-        return run_loadgen(LoadgenConfig(engine=engine, **config))
+    def work():
+        return run_loadgen(LoadgenConfig(**config))
 
     def summarize(report) -> dict:
         final = report["passes"][-1]
         server = report.get("server") or {}
         counters = server.get("counters", {})
         return {
-            "digest": spec_digest(report["row_digests"]),
+            "digest": spec_digest(report["result_digests"]),
             "requests": sum(p["requests"] for p in report["passes"]),
             "errors": sum(p["errors"] for p in report["passes"]),
             "hit_ratio_trajectory": report["hit_ratio_trajectory"],
@@ -506,14 +408,14 @@ def _bench_serve_cluster():
 # Experiment benches: one per paper table/figure
 # ----------------------------------------------------------------------
 
-#: Experiments too heavy to regenerate at full scale per engine; their
-#: benches run scaled down (the digest check still covers both engines).
+#: Experiments too heavy to regenerate at full scale per bench run;
+#: their benches run scaled down.
 _EXPERIMENT_SCALES = {"fig10": 0.4, "fig11": 0.4, "fig13": 0.4}
 
 #: Columns that are genuine wall-clock measurements: two runs of the
-#: *same* engine differ on them, so the engine cross-check digests the
-#: result with these columns removed (and the notes, which restate the
-#: same numbers as text).
+#: same experiment differ on them, so a deterministic digest drops
+#: these columns (and the notes, which restate the same numbers as
+#: text).
 NONDETERMINISTIC_COLUMNS: dict[str, tuple[str, ...]] = {
     "fig11": ("wall_time_s",),
 }
@@ -553,9 +455,9 @@ def _experiment_bench(
             else scale
         )
 
-        def work(engine: str):
+        def work():
             # a real regeneration: no disk cache, no family memoization
-            # left over from the other engine's run
+            # left over from an earlier run
             result_cache.deactivate()
             experiments_common._FAMILY_CACHE.clear()
             return run_experiment(experiment_id, scale=effective_scale)
@@ -614,7 +516,6 @@ __all__ = [
     "bench_names",
     "deterministic_digest",
     "experiment_bench",
-    "min_speedup",
     "register",
     "run_bench",
     "run_benches",

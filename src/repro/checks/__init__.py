@@ -9,15 +9,14 @@ Three layers:
   (:mod:`.rules_registry`), RPR005 float equality
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
   (:mod:`.rules_scenario`), RPR007 exception swallowing, stricter in
-  the cluster fabric's modules (:mod:`.rules_resilience`), RPR008
-  engine-seam bypass (:mod:`.rules_engine_seam`), RPR009 blocking I/O
-  on the serving event loop (:mod:`.rules_serve`);
+  the cluster fabric's modules (:mod:`.rules_resilience`), RPR009
+  blocking I/O on the serving event loop (:mod:`.rules_serve`);
 - a whole-program layer — an import + approximate call graph
   (:mod:`.graph`) and reachability walks (:mod:`.dataflow`) feeding
   the interprocedural rules: RPR010 digest-determinism taint
-  (:mod:`.rules_taint`), RPR011 shared-state races across the serve
-  event loop and the process-pool boundary (:mod:`.rules_races`),
-  RPR012 engine kernel parity (:mod:`.rules_parity`);
+  (:mod:`.rules_taint`) and RPR011 shared-state races across the
+  serve event loop and the process-pool boundary
+  (:mod:`.rules_races`);
 - declarative invariant validators for data artifacts
   (:mod:`.invariants`): platform specs (RPR101), curve families
   (RPR102), run manifests (RPR103), scenario files (RPR104) and
@@ -48,10 +47,8 @@ from .engine import (
 # Importing the rule modules populates RULE_CLASSES as a side effect —
 # same pattern as the experiment registry.
 from . import rules_determinism  # noqa: F401
-from . import rules_engine_seam  # noqa: F401
 from . import rules_floats  # noqa: F401
 from . import rules_hotpath  # noqa: F401
-from . import rules_parity  # noqa: F401
 from . import rules_races  # noqa: F401
 from . import rules_registry  # noqa: F401
 from . import rules_resilience  # noqa: F401

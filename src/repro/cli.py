@@ -9,7 +9,7 @@ Commands
 ``list``
     Show every registered experiment with its title, tags and cost.
 ``run [EXPERIMENT ...] [--scenario FILE|PRESET] [--all] [--jobs N]
-[--scale S] [--opt K=V] [--engine NAME] [--cache-dir DIR] [--no-cache]
+[--scale S] [--opt K=V] [--cache-dir DIR] [--no-cache]
 [--manifest PATH] [--csv PATH] [--trace PATH] [--metrics PATH]
 [--retries N] [--deadline S] [--resume MANIFEST] [--inject-faults PLAN]``
     Run one or many experiments and/or scenarios — in parallel with
@@ -29,12 +29,8 @@ Commands
     terminating hung workers; ``--resume`` re-executes only what a
     previous run's manifest records as unfinished and rewrites the
     merged checkpoint; ``--inject-faults`` activates a fault-plan JSON
-    file for chaos testing. ``--engine`` selects the execution engine
-    (``reference`` or ``vectorized`` — bit-identical results; see
-    :mod:`repro.engine`), overriding any scenario-file ``engine``
-    field; ``--opt engine=vectorized`` works as a dotted-path override
-    too. On partial failure the exit code is 1 and a per-failure-class
-    summary goes to stderr.
+    file for chaos testing. On partial failure the exit code is 1 and a
+    per-failure-class summary goes to stderr.
 ``scenario {list,show,validate,digest} [SCENARIO ...] [--scale S]``
     Work with declarative scenarios: list the named presets, show a
     preset or file as canonical JSON, validate scenario files (exit 1
@@ -59,27 +55,24 @@ Commands
 [PATH ...]``
     Run the project-specific static-analysis pass (unit safety,
     determinism, telemetry hot path, registry hygiene, float equality,
-    scenario-layer boundary, engine-seam bypass; ``.json`` paths are
-    validated as run manifests or — when they carry the
-    ``repro_scenario`` marker — as scenario files). Every run is cold
-    and serial. ``--format sarif`` emits SARIF 2.1.0 for code scanning.
+    scenario-layer boundary; ``.json`` paths are validated as run
+    manifests or — when they carry the ``repro_scenario`` marker — as
+    scenario files). Every run is cold and serial. ``--format sarif``
+    emits SARIF 2.1.0 for code scanning.
     Exits 1 when any finding is reported, 2 on a usage error. Defaults
     to checking the installed package.
 ``curves <platform> [--csv PATH]``
     Print (and optionally save) a preset platform's curve family.
-``characterize [--cores N] [--channels C] [--preset TIMING]
-[--engine NAME]``
+``characterize [--cores N] [--channels C] [--preset TIMING]``
     Run the Mess benchmark against a fresh cycle-level memory system
     and print the measured family and metrics.
-``bench [--filter NAME|TAG] [--engine reference|vectorized|both]
-[--repeat N] [--json PATH] [--min-speedup X] [--list]``
+``bench [--filter NAME|TAG] [--repeat N] [--json PATH] [--list]``
     Time registered perf benches (component inner loops plus one
-    ``experiment.<id>`` bench per figure) under the selected engines,
-    cross-check that both engines produced bit-identical results, and
-    report reference/vectorized speedups. ``--json`` writes the
-    ``repro_bench`` payload (the committed ``BENCH_curves.json`` is
-    the perf trajectory of record); ``--min-speedup`` exits 1 when any
-    measured speedup falls below the floor.
+    ``experiment.<id>`` bench per figure), best of ``--repeat`` runs
+    each, and print each bench's time and result digest. ``--json``
+    writes the ``repro_bench`` payload (the committed
+    ``BENCH_curves.json`` and ``BENCH_serve.json`` are the perf
+    trajectories of record).
 ``serve [--host H] [--port P] [--backend SPEC] [--cache-dir DIR]
 [--max-inflight N] [--queue-limit N] [--deadline S] [--shards N]
 [--hedge] [--warm MANIFEST] [--ttl S] [--max-entries N]``
@@ -123,7 +116,6 @@ import sys
 
 from pathlib import Path
 
-from . import engine as engine_mod
 from . import telemetry
 from .bench.harness import MessBenchmarkConfig
 from .checks import available_rules, check_paths, render_sarif
@@ -258,25 +250,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     experiment_options = None
     if options:
         if len(ids) == 1 and not scenarios:
-            # `engine` is a scenario field, not an experiment option:
-            # route the dotted override to the same seam as --engine.
-            engine_override = options.pop("engine", None)
-            if engine_override is not None:
-                try:
-                    engine_override = engine_mod.resolve(str(engine_override))
-                except ConfigurationError as exc:
-                    print(f"error: --opt engine: {exc}", file=sys.stderr)
-                    raise SystemExit(2) from exc
-                if args.engine is not None and args.engine != engine_override:
-                    print(
-                        "error: --engine and --opt engine= disagree "
-                        f"({args.engine} vs {engine_override})",
-                        file=sys.stderr,
-                    )
-                    raise SystemExit(2)
-                args.engine = engine_override
-            if options:
-                experiment_options = {ids[0]: options}
+            experiment_options = {ids[0]: options}
         elif len(scenarios) == 1 and not ids:
             # dotted-path overrides on the scenario spec
             scenarios[0] = scenarios[0].with_overrides(options)
@@ -318,7 +292,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         deadline_s=args.deadline,
         retry=retry,
         fault_plan=fault_plan,
-        engine=args.engine,
     )
     for label in labels:
         result = outcome.results.get(label)
@@ -391,7 +364,6 @@ def _run_resume(args: argparse.Namespace) -> int:
         deadline_s=args.deadline,
         retry=retry,
         fault_plan=fault_plan,
-        engine=args.engine,
     )
     for label in sorted(outcome.results):
         print()
@@ -831,88 +803,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for name in perf.bench_names(args.filter):
             print(f"{name:40s} [{', '.join(perf._REGISTRY[name].tags)}]")
         return 0
-    engines = (
-        list(engine_mod.ENGINE_NAMES) if args.engine == "both" else [args.engine]
-    )
 
     def progress(entry: dict) -> None:
-        times = entry["engine_times_s"]
-        timing = "  ".join(
-            f"{engine}={elapsed:.3f}s" for engine, elapsed in times.items()
+        print(
+            f"{entry['name']:40s} {entry['time_s']:.3f}s  "
+            f"digest={entry['meta']['digest'][:12]}",
+            flush=True,
         )
-        speedup = (
-            f"  speedup={entry['speedup']:.1f}x" if "speedup" in entry else ""
-        )
-        print(f"{entry['name']:40s} {timing}{speedup}", flush=True)
 
     payload = perf.run_benches(
-        filter=args.filter,
-        engines=engines,
-        repeat=args.repeat,
-        progress=progress,
+        filter=args.filter, repeat=args.repeat, progress=progress
     )
     if args.json:
         perf.write_payload(payload, args.json)
         print(f"bench payload written to {args.json}")
-    tag_floors: dict[str, float] = {}
-    for spec in args.tag_floor or []:
-        tag, sep, value = spec.partition("=")
-        if not sep or not tag:
-            print(
-                f"error: --tag-floor expects TAG=FLOOR, got {spec!r}",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            tag_floors[tag] = float(value)
-        except ValueError:
-            print(
-                f"error: --tag-floor {tag}: {value!r} is not a number",
-                file=sys.stderr,
-            )
-            return 2
-    failed = False
-    floor = args.min_speedup
-    if floor is not None:
-        # the global floor covers benches no tag-scoped floor claims
-        worst = perf.min_speedup(payload, exclude_tags=tag_floors)
-        if worst is None and not tag_floors:
-            print(
-                "error: --min-speedup needs both engines timed",
-                file=sys.stderr,
-            )
-            return 2
-        if worst is not None:
-            if worst < floor:
-                print(
-                    f"error: minimum speedup {worst:.2f}x is below the "
-                    f"{floor:.2f}x floor",
-                    file=sys.stderr,
-                )
-                failed = True
-            else:
-                print(f"minimum speedup {worst:.2f}x (floor {floor:.2f}x)")
-    for tag in sorted(tag_floors):
-        tag_floor = tag_floors[tag]
-        worst = perf.min_speedup(payload, tag=tag)
-        if worst is None:
-            print(
-                f"error: --tag-floor {tag}: no timed benches carry that tag",
-                file=sys.stderr,
-            )
-            return 2
-        if worst < tag_floor:
-            print(
-                f"error: minimum {tag} speedup {worst:.2f}x is below the "
-                f"{tag_floor:.2f}x floor",
-                file=sys.stderr,
-            )
-            failed = True
-        else:
-            print(
-                f"minimum {tag} speedup {worst:.2f}x (floor {tag_floor:.2f}x)"
-            )
-    return 1 if failed else 0
+    return 0
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
@@ -966,11 +871,9 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
             measure_ns=10_000.0,
         ),
         theoretical_bandwidth_gbps=timing.channel_peak_gbps * args.channels,
-        engine=engine_mod.resolve(args.engine),
     )
     bench = scenario.materialize().benchmark()
-    with engine_mod.using(scenario.engine):
-        curves = bench.run()
+    curves = bench.run()
     metrics = compute_metrics(curves)
     for point in bench.points:
         print(
@@ -1022,16 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run_parser.add_argument("--scale", type=float, default=1.0)
-    run_parser.add_argument(
-        "--engine",
-        choices=engine_mod.ENGINE_NAMES,
-        default=None,
-        help=(
-            "execution engine: 'reference' (scalar, default) or "
-            "'vectorized' (batched numpy, bit-identical results); "
-            "overrides the engine field of selected scenarios"
-        ),
-    )
     run_parser.add_argument(
         "--scenario",
         action="append",
@@ -1461,7 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = commands.add_parser(
         "bench",
-        help="time registered perf benches under both engines",
+        help="time registered perf benches",
     )
     bench_parser.add_argument(
         "--filter",
@@ -1473,43 +1366,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     bench_parser.add_argument(
-        "--engine",
-        choices=("reference", "vectorized", "both"),
-        default="both",
-        help="engine(s) to time (default: both, reporting the speedup)",
-    )
-    bench_parser.add_argument(
         "--repeat",
         type=int,
         default=1,
         metavar="N",
-        help="timing repetitions per engine; best-of-N is reported",
+        help="timing repetitions per bench; best-of-N is reported",
     )
     bench_parser.add_argument(
         "--json",
         default=None,
         metavar="PATH",
         help="write the bench payload (see repro.bench.perf) to PATH",
-    )
-    bench_parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=None,
-        metavar="X",
-        help=(
-            "exit 1 if any bench's vectorized speedup is below X "
-            "(benches covered by a --tag-floor are exempt)"
-        ),
-    )
-    bench_parser.add_argument(
-        "--tag-floor",
-        action="append",
-        default=[],
-        metavar="TAG=X",
-        help=(
-            "per-tag speedup floor (e.g. hierarchy=0.5) for benches "
-            "whose kernels are scalar under both engines; repeatable"
-        ),
     )
     bench_parser.add_argument(
         "--list", action="store_true", help="list matching benches and exit"
@@ -1531,9 +1398,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     char_parser.add_argument("--channels", type=int, default=3)
     char_parser.add_argument("--cores", type=int, default=8)
-    char_parser.add_argument(
-        "--engine", choices=engine_mod.ENGINE_NAMES, default=None
-    )
     char_parser.add_argument("--csv", default=None)
     char_parser.set_defaults(func=_cmd_characterize)
     return parser

@@ -1,98 +1,15 @@
-"""Engine selection: reference (scalar) vs vectorized execution.
+"""Batched fast paths for the two open-loop inner loops.
 
-The simulation stack has two interchangeable engines:
+- :mod:`.probe` measures one direct model-probe point as array
+  arithmetic (``characterize_model`` tries it for every point);
+- :mod:`.mess` drives a fixed-rate read stream through the Mess
+  simulator one whole window per step (``drive_fixed_rate``);
+- :mod:`.kernels` holds the per-model batch latency kernels the probe
+  uses.
 
-- ``"reference"`` — the original scalar models, one request / one
-  window step at a time. Always correct, always available; the golden
-  digests were produced with it.
-- ``"vectorized"`` — batched numpy implementations of the inner loops
-  (curve-family interpolation, the PI-controller window, the direct
-  model probe, the Mess window drive). Bit-exact with the reference
-  engine: every batched fast path either provably reproduces the
-  scalar arithmetic operation-for-operation or falls back to the
-  reference code for that segment, so experiment digests are identical
-  under both engines.
-
-Selection follows the repo's process-global activation pattern
-(telemetry registries, fault plans, result caches): :func:`activate`
-installs an engine for the process, :func:`using` scopes one to a
-``with`` block, and the consumers (``repro.bench.model_probe``,
-``repro.engine.mess``, the scenario runner) consult :func:`active` at
-dispatch points. The default is ``"reference"`` so nothing changes
-unless a scenario, CLI flag or override asks for it.
+Each fast path is bit-exact with the scalar code it replaces, and it
+proves that per point or per window: when an exactness precondition
+fails, that point is measured by the scalar probe and that window is
+replayed request by request through ``simulator.access``. There is no
+switch between the two; the preconditions decide.
 """
-
-from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
-
-from ..errors import ConfigurationError
-
-#: Engines selectable through the ``engine=`` seam, in preference order.
-ENGINE_NAMES = ("reference", "vectorized")
-
-#: Engine used when nothing activates another one.
-DEFAULT_ENGINE = "reference"
-
-_active: str = DEFAULT_ENGINE
-
-
-def resolve(name: str | None) -> str:
-    """Validate an engine name; ``None`` means the default."""
-    if name is None:
-        return DEFAULT_ENGINE
-    if name not in ENGINE_NAMES:
-        raise ConfigurationError(
-            f"unknown engine {name!r}; available: {list(ENGINE_NAMES)}"
-        )
-    return name
-
-
-def active() -> str:
-    """The engine currently driving batched-vs-scalar dispatch."""
-    return _active
-
-
-def vectorized() -> bool:
-    """True when the vectorized engine is active."""
-    return _active == "vectorized"
-
-
-def activate(name: str) -> str:
-    """Install an engine process-wide; returns the previous one."""
-    global _active
-    previous = _active
-    _active = resolve(name)
-    return previous
-
-
-def deactivate() -> None:
-    """Return to the default engine."""
-    global _active
-    _active = DEFAULT_ENGINE
-
-
-@contextmanager
-def using(name: str | None) -> Iterator[str]:
-    """Scope an engine to a ``with`` block (``None``: keep current)."""
-    if name is None:
-        yield _active
-        return
-    previous = activate(name)
-    try:
-        yield _active
-    finally:
-        activate(previous)
-
-
-__all__ = [
-    "ENGINE_NAMES",
-    "DEFAULT_ENGINE",
-    "active",
-    "activate",
-    "deactivate",
-    "resolve",
-    "using",
-    "vectorized",
-]

@@ -14,9 +14,9 @@ identical to the scalar model:
   same operations the scalar code performs per request.
 
 A kernel returns ``None`` when its preconditions do not hold; the
-caller (``repro.engine.probe``) then replays that schedule through the
-scalar reference model, so the vectorized engine is exact by
-construction everywhere, fast wherever the fast path applies.
+caller (``repro.engine.probe``) then measures that point with the
+scalar probe, so the probe is exact by construction everywhere and
+fast wherever the fast path applies.
 """
 
 from __future__ import annotations
@@ -137,8 +137,8 @@ def _dramsim3(
 
 
 #: Model type -> batch kernel. Exact-type dispatch: a subclass may
-#: override the scalar arithmetic, so it falls back to the reference
-#: path instead of inheriting a kernel that no longer matches it.
+#: override the scalar arithmetic, so it falls back to the scalar
+#: probe instead of inheriting a kernel that no longer matches it.
 KERNELS: dict[type, Callable] = {
     FixedLatencyModel: _fixed_latency,
     RamulatorAnalog: _ramulator,
@@ -151,7 +151,7 @@ KERNELS: dict[type, Callable] = {
 def batch_latencies(
     model: MemoryModel, t: np.ndarray, is_read: np.ndarray
 ) -> np.ndarray | None:
-    """Latency vector for a schedule, or ``None`` to use the reference.
+    """Latency vector for a schedule, or ``None`` to probe it scalar.
 
     ``None`` means either no kernel exists for this model type or the
     kernel's exactness preconditions do not hold for this schedule.

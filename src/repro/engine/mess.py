@@ -2,12 +2,11 @@
 
 The open-loop studies (the ablation's controller sweeps, the Optane
 validation) push a fixed-rate request stream through
-:class:`MessMemorySimulator` one request at a time. Within one
-simulation window the scalar per-request work is degenerate: the
-latency is constant (the capacity pipe stays idle at sub-peak rates,
-so every request answers ``max(latency_ns, unloaded_ns + 0.0)``), and
-the bookkeeping is counters. This driver executes a whole window per
-step:
+:class:`MessMemorySimulator`. Within one simulation window the scalar
+per-request work is degenerate: the latency is constant (the capacity
+pipe stays idle at sub-peak rates, so every request answers
+``max(latency_ns, unloaded_ns + 0.0)``), and the bookkeeping is
+counters. This driver executes a whole window per step:
 
 - it verifies the pipe stays idle across the window (the same
   precondition the probe kernels use), then writes the window's
@@ -17,12 +16,12 @@ step:
   ``np.cumsum``, never a closed form);
 - the window boundary runs the simulator's *own*
   ``_end_window`` — controller update, guardrails, history and
-  telemetry are the reference code, untouched.
+  telemetry are the simulator's code, untouched.
 
-Any window whose fast-path precondition fails (pipe backlog, active
-telemetry) is replayed through ``simulator.access`` request by
-request, so the drive is bit-exact with the scalar loop under both
-outcomes.
+A window whose fast-path precondition fails is replayed through
+``simulator.access`` request by request, and so is every window while
+telemetry is bound, so the drive is bit-exact with a one-request-at-
+a-time loop under both outcomes.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import numpy as np
 from ..core.simulator import MessMemorySimulator
 from ..request import AccessType, MemoryRequest
 from ..units import CACHE_LINE_BYTES
-from . import active
 from .probe import issue_schedule, sequential_sum
 
 
@@ -48,14 +46,10 @@ def drive_fixed_rate(
     The open-loop harness shared by the ablation and Optane studies:
     addresses walk ``address_lines`` cache lines cyclically, every
     request is a read, and issue times accumulate ``now += gap_ns``.
-    Returns the final ``now``. Under the vectorized engine the stream
-    is executed window-at-a-time; under the reference engine (or
-    whenever a fast-path precondition fails) it is the scalar loop.
+    Returns the final ``now``.
     """
     if ops < 1:
         return start_ns
-    if active() != "vectorized" or simulator._tel is not None:
-        return _drive_scalar(simulator, gap_ns, ops, address_lines, start_ns)
     t = issue_schedule(ops, gap_ns, start_ns)
     cursor = 0
     while cursor < ops:
@@ -64,8 +58,10 @@ def drive_fixed_rate(
         pending = simulator._window_reads + simulator._window_writes
         span = min(simulator.window_ops - pending, ops - cursor)
         window = t[cursor : cursor + span]
-        if not _window_fast_path(simulator, window, span):
-            _replay_scalar(simulator, window, cursor, address_lines)
+        if simulator._tel is not None or not _window_fast_path(
+            simulator, window, span
+        ):
+            _replay(simulator, window, cursor, address_lines)
         cursor += span
     return float(t[-1]) + gap_ns
 
@@ -73,7 +69,7 @@ def drive_fixed_rate(
 def _window_fast_path(
     simulator: MessMemorySimulator, t: np.ndarray, span: int
 ) -> bool:
-    """Execute one window segment in batch; False to replay it scalar."""
+    """Execute one window segment in batch; False to replay it."""
     pipe = simulator._pipe
     if pipe.backlog_ns > t[0]:
         return False
@@ -104,12 +100,13 @@ def _window_fast_path(
     return True
 
 
-def _replay_scalar(
+def _replay(
     simulator: MessMemorySimulator,
     t: np.ndarray,
     base_index: int,
     address_lines: int,
 ) -> None:
+    """The scalar loop: one ``simulator.access`` per request."""
     for offset in range(t.size):
         index = base_index + offset
         simulator.access(
@@ -119,26 +116,6 @@ def _replay_scalar(
                 issue_time_ns=float(t[offset]),
             )
         )
-
-
-def _drive_scalar(
-    simulator: MessMemorySimulator,
-    gap_ns: float,
-    ops: int,
-    address_lines: int,
-    start_ns: float,
-) -> float:
-    now = start_ns
-    for index in range(ops):
-        simulator.access(
-            MemoryRequest(
-                address=(index % address_lines) * CACHE_LINE_BYTES,
-                access_type=AccessType.READ,
-                issue_time_ns=now,
-            )
-        )
-        now += gap_ns
-    return now
 
 
 __all__ = ["drive_fixed_rate"]

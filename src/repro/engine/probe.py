@@ -21,10 +21,9 @@ arithmetic:
   heap never advances ``now`` and the candidate schedule *is* the
   schedule.
 
-Any point that fails a precondition is measured by the scalar
-reference probe instead, so ``characterize_model`` under the
-vectorized engine is exact by construction and fast on the
-(overwhelmingly common) analytic-model points.
+Any point that fails a precondition is measured by the scalar probe
+instead, so ``characterize_model`` is exact by construction and fast
+on the analytic-model points whose preconditions hold.
 """
 
 from __future__ import annotations
@@ -63,17 +62,6 @@ def bresenham_reads(ops: int, read_ratio: float) -> np.ndarray:
     return targets > previous
 
 
-def stream_addresses(
-    ops: int, streams: int, stream_bytes: int
-) -> np.ndarray:
-    """Round-robin sequential-stream addresses of the scalar probe."""
-    stream_lines = stream_bytes // CACHE_LINE_BYTES
-    index = np.arange(ops, dtype=np.int64)
-    stream = index % streams
-    position = (index // streams) % stream_lines
-    return stream * stream_bytes + position * CACHE_LINE_BYTES
-
-
 def cap_never_stalls(
     t: np.ndarray, completions: np.ndarray, max_outstanding: int
 ) -> bool:
@@ -110,7 +98,7 @@ def probe_point_vectorized(model, read_ratio: float, gap_ns: float, config):
 
     Returns a ``ProbePoint`` bit-identical to the scalar probe when
     the model has an exact batch kernel and the schedule is provably
-    stall-free; ``None`` tells the caller to run the reference probe.
+    stall-free; ``None`` tells the caller to run the scalar probe.
     """
     # lazy import: model_probe dispatches into this module
     from ..bench.model_probe import ProbePoint
@@ -156,5 +144,4 @@ __all__ = [
     "issue_schedule",
     "probe_point_vectorized",
     "sequential_sum",
-    "stream_addresses",
 ]

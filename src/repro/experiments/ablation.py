@@ -13,12 +13,16 @@ Six studies, each a block of rows distinguished by the ``study`` column:
 from __future__ import annotations
 
 from ..core.simulator import MessMemorySimulator
+from ..dram.controller import DramController
 from ..dram.timing import DDR4_2666
-from ..engine.dram import frfcfs_replay
 from ..engine.mess import drive_fixed_rate
 from ..platforms.presets import INTEL_SKYLAKE, family
 from ..scenario import build_memory
-from ..traces.driver import replay_trace, synthesize_mess_trace
+from ..traces.driver import (
+    replay_trace,
+    replay_trace_frfcfs,
+    synthesize_mess_trace,
+)
 from .base import ExperimentResult, scaled
 from .registry import register
 
@@ -34,9 +38,8 @@ def _drive_simulator(
     """Open-loop drive at a fixed rate; returns (windows to settle, final bw).
 
     Settling is the first window whose estimate is within 5% of the
-    offered bandwidth (64 bytes / gap). The drive goes through the
-    engine seam: window-batched under the vectorized engine,
-    request-at-a-time (bit-identically) under the reference engine.
+    offered bandwidth (64 bytes / gap). The drive is window-batched
+    wherever that is bit-exact (see :mod:`repro.engine.mess`).
     """
     simulator.keep_history = True
     drive_fixed_rate(simulator, gap_ns, ops)
@@ -124,7 +127,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
     fcfs_model = build_memory("cycle-accurate", _SUBSTRATE)
     fcfs = replay_trace(fcfs_model, trace)
-    frfcfs = frfcfs_replay(DDR4_2666, 6, trace, window=16)
+    frfcfs = replay_trace_frfcfs(
+        DramController(DDR4_2666, channels=6), trace, window=16
+    )
     result.add(
         study="scheduling", setting="fcfs", metric="bandwidth_gbps",
         value=fcfs.bandwidth_gbps,

@@ -1,7 +1,7 @@
 """Fan experiments out across worker processes, fault-tolerantly.
 
-:func:`run_many` is the engine behind ``python -m repro run --all
---jobs N``: it validates the requested experiment ids and options up
+:func:`run_many` is what ``python -m repro run --all --jobs N``
+calls: it validates the requested experiment ids and options up
 front, executes them inline (``jobs=1``) or on a
 :class:`~concurrent.futures.ProcessPoolExecutor`, streams a per-
 experiment telemetry record to an optional progress callback as each
@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from .. import engine as engine_mod
 from ..errors import ConfigurationError, MessError
 from ..resilience import faults as faults_mod
 from ..resilience.failures import DeadlineExceededError, classify_failure
@@ -111,7 +110,6 @@ def _execute_one(
     cache_dir: str | None,
     use_cache: bool,
     collect_telemetry: bool = False,
-    engine: str | None = None,
     fault_payload: dict | None = None,
     attempt: int = 1,
 ) -> dict:
@@ -131,17 +129,11 @@ def _execute_one(
     to this (experiment, attempt) and activated for the duration, with
     entry faults fired first and cache corruption injected just before
     the result-cache read.
-
-    ``engine`` selects the execution engine (see :mod:`repro.engine`);
-    a non-default engine participates in the cache key, so reference
-    and vectorized runs are cached independently even though their
-    results are bit-identical.
     """
     from ..core import simulator as simulator_mod
     from ..experiments.base import ExperimentResult
     from ..experiments.registry import run_experiment
 
-    effective_engine = engine_mod.resolve(engine)
     plan = _scoped_plan(fault_payload, experiment_id, attempt)
     registry = None
     previous = telemetry_mod.active()
@@ -165,10 +157,7 @@ def _execute_one(
                 from ..scenario.core import Scenario
 
                 key = Scenario.for_experiment(
-                    experiment_id,
-                    scale=scale,
-                    options=options,
-                    engine=effective_engine,
+                    experiment_id, scale=scale, options=options
                 ).digest()
                 if plan is not None:
                     plan.corrupt_cache_entry(cache, key)
@@ -184,15 +173,11 @@ def _execute_one(
                     with registry.span(
                         "runner.experiment", category="runner", id=experiment_id
                     ):
-                        with engine_mod.using(effective_engine):
-                            result = run_experiment(
-                                experiment_id, scale=scale, **options
-                            )
-                else:
-                    with engine_mod.using(effective_engine):
                         result = run_experiment(
                             experiment_id, scale=scale, **options
                         )
+                else:
+                    result = run_experiment(experiment_id, scale=scale, **options)
                 # one JSON round-trip so cached and fresh results carry
                 # identically-typed rows (e.g. tuples become lists either way)
                 payload = json.loads(json.dumps(result.to_dict()))
@@ -427,7 +412,6 @@ def run_many(
     deadline_s: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: "faults_mod.FaultPlan | Mapping | None" = None,
-    engine: str | None = None,
 ) -> RunOutcome:
     """Run many experiments, optionally in parallel, with caching.
 
@@ -475,12 +459,6 @@ def run_many(
         A :class:`~repro.resilience.faults.FaultPlan` (or its dict
         form) injected into every unit for chaos testing; see
         ``repro run --inject-faults``.
-    engine:
-        Execution engine for every unit (see :mod:`repro.engine`):
-        ``"reference"`` (default) or ``"vectorized"``. When given it
-        overrides the ``engine`` field of selected scenarios; both
-        engines produce bit-identical results, but runs under a
-        non-default engine cache independently.
 
     A failing experiment is recorded with ``status="error"``, a typed
     ``failure_kind`` and its full traceback, and does not abort the
@@ -491,9 +469,6 @@ def run_many(
     from ..experiments.registry import validate_options
     from ..scenario.core import Scenario
 
-    # validate eagerly: a bad engine name must fail the run up front
-    engine_mod.resolve(engine)
-
     scenario_list: list[Scenario] = []
     for entry in scenarios or ():
         scenario = (
@@ -501,8 +476,6 @@ def run_many(
             if isinstance(entry, Scenario)
             else Scenario.from_spec(entry)  # type: ignore[arg-type]
         )
-        if engine is not None:
-            scenario = scenario.with_overrides({"engine": engine})
         problems = scenario.validate()
         if problems:
             raise ConfigurationError(
@@ -588,7 +561,6 @@ def run_many(
                 cache_dir_str,
                 use_cache,
                 collect_telemetry,
-                engine,
             ),
             opts=per_experiment.get(experiment_id, {}),
         )
@@ -831,7 +803,6 @@ def resume_run(
     deadline_s: float | None = None,
     retry: RetryPolicy | None = None,
     fault_plan: "faults_mod.FaultPlan | Mapping | None" = None,
-    engine: str | None = None,
 ) -> RunOutcome:
     """Re-execute only what ``manifest_path`` records as unfinished.
 
@@ -896,7 +867,6 @@ def resume_run(
         deadline_s=deadline_s,
         retry=retry,
         fault_plan=fault_plan,
-        engine=engine,
     )
     fresh = {record.experiment_id: record for record in outcome.manifest.records}
     outcome.manifest.records = [

@@ -31,7 +31,6 @@ import json
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .. import engine as engine_mod
 from ..bench.harness import MessBenchmark, MessBenchmarkConfig
 from ..core.family import CurveFamily
 from ..cpu.cachemodel import canonical_cache_spec, validate_cache_model
@@ -49,6 +48,11 @@ FORMAT_KEY = "repro_scenario"
 FORMAT_VERSION = 1
 
 _WORKLOAD_KINDS = ("characterize", "experiment")
+
+#: Values the retired ``engine`` key may still carry in old scenario
+#: files, request bodies and manifests. Both results were bit-identical,
+#: so such a spec loads with the key dropped and digests as the default.
+_LEGACY_ENGINES = ("reference", "vectorized")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,11 +76,6 @@ class Scenario:
     memory: Mapping | None = None
     sweep: MessBenchmarkConfig | None = None
     theoretical_bandwidth_gbps: float | None = None
-    #: Execution engine (see :mod:`repro.engine`): ``"reference"`` or
-    #: ``"vectorized"``. Both produce bit-identical results; the spec
-    #: only records a non-default choice, so existing digests are
-    #: unchanged.
-    engine: str = engine_mod.DEFAULT_ENGINE
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -118,8 +117,6 @@ class Scenario:
             spec["theoretical_bandwidth_gbps"] = float(
                 self.theoretical_bandwidth_gbps
             )
-        if self.engine != engine_mod.DEFAULT_ENGINE:
-            spec["engine"] = self.engine
         return spec
 
     def digest(self) -> str:
@@ -210,9 +207,11 @@ class Scenario:
             raise ConfigurationError(
                 f"{where}.theoretical_bandwidth_gbps: expected a number"
             )
-        engine_name = payload.get("engine", engine_mod.DEFAULT_ENGINE)
-        if not isinstance(engine_name, str):
-            raise ConfigurationError(f"{where}.engine: expected a string")
+        if "engine" in payload and payload["engine"] not in _LEGACY_ENGINES:
+            raise ConfigurationError(
+                f"{where}.engine: obsolete key, accepted (and ignored) only "
+                f"as one of {list(_LEGACY_ENGINES)}; got {payload['engine']!r}"
+            )
         if memory is not None:
             if not isinstance(memory, Mapping) or "kind" not in memory:
                 raise ConfigurationError(
@@ -240,7 +239,6 @@ class Scenario:
             theoretical_bandwidth_gbps=(
                 float(theoretical) if theoretical is not None else None
             ),
-            engine=engine_name,
             description=str(payload.get("description", "")),
         )
         problems = scenario.validate()
@@ -254,13 +252,11 @@ class Scenario:
         experiment_id: str,
         scale: float = 1.0,
         options: Mapping | None = None,
-        engine: str | None = None,
     ) -> "Scenario":
         """The scenario describing one registered-experiment run.
 
         This is what the runner digests to key the result cache: the
-        experiment id, the scale, the full option set and (when
-        non-default) the engine, nothing else.
+        experiment id, the scale and the full option set, nothing else.
         """
         return cls(
             name=f"experiment:{experiment_id}",
@@ -270,7 +266,6 @@ class Scenario:
                 "scale": float(scale),
                 "options": dict(options or {}),
             },
-            engine=engine_mod.resolve(engine),
         )
 
     def with_overrides(self, assignments: Mapping[str, object]) -> "Scenario":
@@ -304,11 +299,6 @@ class Scenario:
         problems: list[str] = []
         if not self.name:
             problems.append("name: must be non-empty")
-        if self.engine not in engine_mod.ENGINE_NAMES:
-            problems.append(
-                f"engine: expected one of {list(engine_mod.ENGINE_NAMES)}, "
-                f"got {self.engine!r}"
-            )
         kind = self.workload_kind
         if kind not in _WORKLOAD_KINDS:
             problems.append(
@@ -431,10 +421,7 @@ class Scenario:
 
         Characterize scenarios run the Mess benchmark (through the
         characterization cache when one is active) and tabulate the
-        family; experiment scenarios delegate to the registry. Either
-        way the scenario's engine is active for the duration, so the
-        ``engine`` field is authoritative for everything run through
-        here.
+        family; experiment scenarios delegate to the registry.
         """
         # lazy: experiments.base -> telemetry only, but the registry
         # pulls in every experiment module
@@ -443,14 +430,12 @@ class Scenario:
 
         if self.workload_kind == "experiment":
             options = dict(self.workload.get("options", {}))
-            with engine_mod.using(self.engine):
-                return registry.run_experiment(
-                    str(self.workload.get("experiment_id")),
-                    scale=float(self.workload.get("scale", 1.0)),
-                    **options,
-                )
-        with engine_mod.using(self.engine):
-            family = self.materialize().benchmark().run()
+            return registry.run_experiment(
+                str(self.workload.get("experiment_id")),
+                scale=float(self.workload.get("scale", 1.0)),
+                **options,
+            )
+        family = self.materialize().benchmark().run()
         result = ExperimentResult(
             experiment_id=f"scenario:{self.name}",
             title=self.description or f"Scenario {self.name}",

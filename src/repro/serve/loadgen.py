@@ -65,7 +65,6 @@ class LoadgenConfig:
     backend: str = "tiered"
     cache_dir: "str | None" = None
     url: "str | None" = None
-    engine: "str | None" = None
     max_inflight: int = 4
     deadline_s: float = 120.0
     shards: int = 0
@@ -90,9 +89,7 @@ class LoadgenConfig:
             )
 
 
-def loadgen_scenarios(
-    count: int, seed: int = 0, engine: "str | None" = None
-) -> list:
+def loadgen_scenarios(count: int, seed: int = 0) -> list:
     """``count`` unique, cheap characterize scenarios.
 
     Each is a tiny fixed-latency sweep (two store fractions, two nop
@@ -112,19 +109,16 @@ def loadgen_scenarios(
         chase_array_bytes=512 * 1024,
         traffic_array_bytes=512 * 1024,
     )
-    scenarios = []
-    for index in range(count):
-        scenario = characterization(
+    return [
+        characterization(
             name=f"loadgen-{seed}-{index:03d}",
             memory_kind="fixed-latency",
             memory_params={"latency_ns": 40.0 + 5.0 * index},
             cores=2,
             sweep=sweep,
         )
-        if engine is not None:
-            scenario = scenario.with_overrides({"engine": engine})
-        scenarios.append(scenario)
-    return scenarios
+        for index in range(count)
+    ]
 
 
 def _percentile_ms(sorted_ms: "list[float]", q: float) -> float:
@@ -188,40 +182,24 @@ def _result_digest(payload: Any) -> str:
     return ExperimentResult.from_dict(payload).digest()
 
 
-def _row_digest(payload: Any) -> str:
-    """Digest of the result *rows* only.
-
-    Unlike :func:`_result_digest` this excludes the notes (which embed
-    the scenario digest, and with it the engine field), so the same
-    characterization computed under different engines digests
-    identically — the cross-engine equality the bench harness checks.
-    """
-    from ..specs import spec_digest
-
-    return spec_digest(payload.get("rows", []))
-
-
 def _pass_report(
     pass_index: int, observations: "list[dict]"
-) -> "tuple[dict, dict[str, str], dict[str, str], bool]":
+) -> "tuple[dict, dict[str, str], bool]":
     """Summarize one pass.
 
-    Returns (report, result-digest map, row-digest map, consistency).
+    Returns (report, result-digest map, consistency).
     """
     ok = [obs for obs in observations if obs["ok"]]
     latencies = sorted(obs["latency_ms"] for obs in ok)
     hits = sum(1 for obs in ok if obs["cached"])
     coalesced = sum(1 for obs in ok if obs["coalesced"])
     digests: dict[str, str] = {}
-    row_digests: dict[str, str] = {}
     consistent = True
     for obs in ok:
         result_digest = _result_digest(obs["result"])
         previous = digests.setdefault(obs["digest"], result_digest)
         if previous != result_digest:
             consistent = False
-        name = str(obs["result"].get("experiment_id", obs["digest"]))
-        row_digests.setdefault(name, _row_digest(obs["result"]))
     report = {
         "pass": pass_index,
         "requests": len(observations),
@@ -238,14 +216,12 @@ def _pass_report(
             {obs["error"] for obs in observations if not obs["ok"]}
         )[:5],
     }
-    return report, digests, row_digests, consistent
+    return report, digests, consistent
 
 
 async def run_loadgen_async(config: LoadgenConfig) -> dict:
     """Run the full loadgen and return its JSON-ready report."""
-    scenarios = loadgen_scenarios(
-        config.scenarios, seed=config.seed, engine=config.engine
-    )
+    scenarios = loadgen_scenarios(config.scenarios, seed=config.seed)
     specs = [scenario.to_spec() for scenario in scenarios]
 
     server: "HttpServer | None" = None
@@ -282,7 +258,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
 
     passes: "list[dict]" = []
     result_digests: dict[str, str] = {}
-    row_digests: dict[str, str] = {}
     consistent = True
     try:
         for pass_index in range(1, config.passes + 1):
@@ -299,7 +274,7 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
             finally:
                 for client in clients:
                     await client.close()
-            report, digests, pass_rows, pass_consistent = _pass_report(
+            report, digests, pass_consistent = _pass_report(
                 pass_index, observations
             )
             consistent = consistent and pass_consistent
@@ -308,10 +283,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
                     scenario_digest, result_digest
                 )
                 if previous != result_digest:
-                    consistent = False
-            for name, row_digest in pass_rows.items():
-                previous = row_digests.setdefault(name, row_digest)
-                if previous != row_digest:
                     consistent = False
             passes.append(report)
         if cluster is not None and cluster.router is not None:
@@ -336,7 +307,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
             "seed": config.seed,
             "backend": config.backend if config.url is None else None,
             "url": config.url,
-            "engine": config.engine,
             "shards": config.shards,
             "hedge": config.hedge,
         },
@@ -344,7 +314,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
         "hit_ratio_trajectory": [entry["hit_ratio"] for entry in passes],
         "p99_ms_trajectory": [entry["p99_ms"] for entry in passes],
         "result_digests": dict(sorted(result_digests.items())),
-        "row_digests": dict(sorted(row_digests.items())),
         "digest_consistent": consistent,
         "server": server_stats,
     }

@@ -36,13 +36,6 @@ Every stage is instrumented on the service's own
 :class:`~repro.telemetry.registry.TelemetryRegistry`
 (hit/miss/coalesce counters, queue-depth gauge, latency histograms) —
 the HTTP layer exports it at ``/metrics`` in Prometheus format.
-
-Concurrency note: computes run on executor threads, and the engine
-selection seam (:mod:`repro.engine`) is process-global, so two
-concurrent scenarios naming different engines can race the active
-engine. This is deliberate: both engines are bit-identical (the PR 6
-equivalence suite), so the race can change which code path runs, never
-the result.
 """
 
 from __future__ import annotations
@@ -591,13 +584,10 @@ def warm_from_manifest(
             if record.scenario_spec is not None:
                 scenario = Scenario.from_spec(record.scenario_spec)
             else:
-                options = dict(record.options)
-                engine = options.pop("engine", None)
                 scenario = Scenario.for_experiment(
                     record.experiment_id,
                     scale=record.scale,
-                    options=options,
-                    engine=engine,
+                    options=dict(record.options),
                 )
             key = scenario.digest()
         except MessError:

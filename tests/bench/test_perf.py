@@ -5,13 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import perf
-from repro.errors import BenchmarkError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
 
 
-def _constant_spec(name="t.constant", payload="same"):
+def _constant_spec(name="t.constant", payload="same", calls=None):
     def make():
-        def work(engine):
+        def work():
+            if calls is not None:
+                calls.append(name)
             return payload
 
         def summarize(result):
@@ -23,36 +25,18 @@ def _constant_spec(name="t.constant", payload="same"):
 
 
 class TestRunBench:
-    def test_times_both_engines_and_reports_speedup(self):
-        entry = perf.run_bench(_constant_spec())
-        assert set(entry["engine_times_s"]) == {"reference", "vectorized"}
-        assert entry["meta"]["digests_match"] is True
-        assert "speedup" in entry
+    def test_reports_best_of_repeat_time_and_meta(self):
+        calls = []
+        entry = perf.run_bench(_constant_spec(calls=calls), repeat=3)
+        assert len(calls) == 3
+        assert entry["name"] == "t.constant"
+        assert entry["tags"] == ["t"]
+        assert 0 <= entry["time_s"] < float("inf")
+        assert entry["meta"] == {"digest": "same"}
 
-    def test_single_engine_has_no_speedup(self):
-        entry = perf.run_bench(_constant_spec(), engines=("reference",))
-        assert "speedup" not in entry
-        assert list(entry["engine_times_s"]) == ["reference"]
-
-    def test_digest_mismatch_raises(self):
-        def make():
-            def work(engine):
-                return engine  # engine-dependent result: a real bug
-
-            def summarize(result):
-                return {"digest": result}
-
-            return work, summarize
-
-        spec = perf.BenchSpec(name="t.mismatch", tags=(), make=make)
-        with pytest.raises(BenchmarkError, match="disagree"):
-            perf.run_bench(spec)
-
-    def test_rejects_bad_repeat_and_engine(self):
+    def test_rejects_bad_repeat(self):
         with pytest.raises(ConfigurationError):
             perf.run_bench(_constant_spec(), repeat=0)
-        with pytest.raises(ConfigurationError):
-            perf.run_bench(_constant_spec(), engines=("turbo",))
 
 
 class TestRegistry:
@@ -67,7 +51,7 @@ class TestRegistry:
 
     def test_bench_names_filters_by_substring_and_tag(self):
         names = perf.bench_names()
-        assert "curves.family_interpolation" in names
+        assert "curves.characterize_fixed_latency" in names
         assert "experiment.fig2" in names
         assert perf.bench_names("curves") == [
             name
@@ -83,7 +67,7 @@ class TestRegistry:
     def test_experiment_bench_scale_override(self):
         spec = perf.experiment_bench("fig17", scale=0.5)
         work, summarize = spec.make()
-        result = work("reference")
+        result = work()
         meta = summarize(result)
         assert meta["scale"] == 0.5
         assert meta["rows"] == len(result.rows)
@@ -102,18 +86,6 @@ class TestPayload:
         again = json.loads(out.read_text())
         assert again[perf.FORMAT_KEY] == perf.FORMAT_VERSION
         assert again["benches"][0]["name"] == "t.constant"
-
-    def test_min_speedup_selects_tag(self):
-        payload = {
-            "benches": [
-                {"speedup": 12.0, "tags": ["curves"]},
-                {"speedup": 3.0, "tags": ["probe"]},
-                {"tags": ["curves"]},  # no speedup: single-engine entry
-            ]
-        }
-        assert perf.min_speedup(payload) == 3.0
-        assert perf.min_speedup(payload, tag="curves") == 12.0
-        assert perf.min_speedup({"benches": []}) is None
 
 
 class TestDeterministicDigest:

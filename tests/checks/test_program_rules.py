@@ -1,4 +1,4 @@
-"""Fixture tests for the whole-program rules (RPR010/011/012).
+"""Fixture tests for the whole-program rules (RPR010/011).
 
 Each rule gets fire + silent fixtures as in-memory trees; the display
 paths drive module naming and package scoping exactly as on disk.
@@ -186,62 +186,3 @@ class TestSharedStateRacesRPR011:
             ),
         }
         assert rule_ids(files, rules=["RPR011"]) == []
-
-
-class TestEngineParityRPR012:
-    def test_fires_when_reference_module_is_missing(self):
-        files = {
-            "proj/engine/curves.py": "def kern_batch(x):\n    return x\n",
-        }
-        findings = check_sources(files, rules=["RPR012"])
-        assert [f.rule_id for f in findings] == ["RPR012"]
-        assert "no sibling reference module" in findings[0].message
-
-    def test_fires_on_missing_scalar_twin(self):
-        files = {
-            "proj/engine/curves.py": "def kern_batch(x):\n    return x\n",
-            "proj/engine/reference.py": "def other(x):\n    return x\n",
-        }
-        messages = [
-            f.message for f in check_sources(files, rules=["RPR012"])
-        ]
-        assert any("no scalar twin" in m for m in messages)
-        assert any("no batched twin" in m for m in messages)
-
-    def test_fires_on_signature_drift(self):
-        files = {
-            "proj/engine/curves.py": (
-                "def kern_batch(curve, values, scale=1.0):\n    return values\n"
-            ),
-            "proj/engine/reference.py": (
-                "def kern_batch(curve, values):\n    return values\n"
-            ),
-        }
-        findings = check_sources(files, rules=["RPR012"])
-        assert [f.rule_id for f in findings] == ["RPR012"]
-        assert "does not match" in findings[0].message
-
-    def test_silent_on_matching_surfaces(self):
-        files = {
-            "proj/engine/curves.py": (
-                "def kern_batch(curve, values, scale=1.0):\n    return values\n"
-                "def _private_helper(x):\n    return x\n"
-            ),
-            "proj/engine/reference.py": (
-                "def kern_batch(curve, values, scale=1.0):\n    return values\n"
-            ),
-        }
-        assert rule_ids(files, rules=["RPR012"]) == []
-
-    def test_all_surface_limits_the_parity_set(self):
-        files = {
-            "proj/engine/curves.py": (
-                "def kern_batch(x):\n    return x\n"
-                "def helper(x):\n    return x\n"
-                "__all__ = ['kern_batch']\n"
-            ),
-            "proj/engine/reference.py": (
-                "def kern_batch(x):\n    return x\n"
-            ),
-        }
-        assert rule_ids(files, rules=["RPR012"]) == []

@@ -432,45 +432,6 @@ class TestUnclassifiedShardFailureRPR013:
         assert rule_ids(src, self.FILE) == ["RPR007"]
 
 
-class TestEngineSeamRPR008:
-    def test_fires_on_simulator_construction_in_experiments(self):
-        src = "sim = MessMemorySimulator(curves)\n"
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == ["RPR008"]
-
-    def test_fires_on_dotted_controller_construction(self):
-        src = "ctrl = controller.DramController(timing, channels=6)\n"
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == ["RPR008"]
-
-    def test_fires_on_engine_and_core_construction(self):
-        src = "engine = Engine()\ncore = Core(0)\n"
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == ["RPR008", "RPR008"]
-
-    def test_silent_on_seam_routed_construction(self):
-        src = (
-            "sim = build_memory('mess', {'curves': skylake})\n"
-            "drive_fixed_rate(sim, 1.0, 1000)\n"
-            "replay = frfcfs_replay(DDR4_2666, 6, trace)\n"
-        )
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == []
-
-    def test_silent_on_class_passed_as_probe_factory(self):
-        # a class reference is not a call: characterize_model builds it
-        src = "fam = characterize_model(OptaneModel, config, name='x')\n"
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == []
-
-    def test_silent_outside_experiments(self):
-        src = "sim = MessMemorySimulator(curves)\n"
-        assert rule_ids(src, "src/repro/engine/mess.py", rules=["RPR008"]) == []
-
-    def test_silent_in_experiment_tests(self):
-        src = "sim = MessMemorySimulator(curves)\n"
-        assert rule_ids(src, "tests/experiments/test_x.py", rules=["RPR008"]) == []
-
-    def test_suppression_comment_works(self):
-        src = "sim = MessMemorySimulator(curves)  # repro: ignore[RPR008]\n"
-        assert rule_ids(src, "src/repro/experiments/figX.py", rules=["RPR008"]) == []
-
-
 class TestBlockingAsyncIORPR009:
     FILE = "src/repro/serve/http.py"
 

@@ -1,208 +1,112 @@
-"""The engine-selection API: registry, scenario field, runner, CLI.
+"""The retired ``engine`` key and flags: what still loads, what fails.
 
-The contract under test: ``engine`` is a first-class scenario field
-(default ``"reference"``, so existing spec digests are unchanged), the
-runner and CLI fold ``--engine`` into that field, and activation is a
-properly scoped process-global (restored on exit, even on error).
+There is one execution path, so nothing selects an engine any more.
+Old specs keep loading: a scenario file, request body or manifest that
+still carries ``"engine": "reference"`` or ``"engine": "vectorized"``
+loads with the key dropped, digests as the default spec and so shares
+its result-cache entries. Any other value is still a configuration
+error, and the removed CLI flags fail like any other unknown input.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
-from repro import engine as engine_mod
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.runner import run_many
 from repro.scenario import Scenario
 
 
-class TestRegistry:
-    def test_default_engine_is_reference(self):
-        assert engine_mod.DEFAULT_ENGINE == "reference"
-        assert engine_mod.active() == "reference"
-        assert not engine_mod.vectorized()
-
-    def test_resolve_none_means_default(self):
-        assert engine_mod.resolve(None) == engine_mod.DEFAULT_ENGINE
-        for name in engine_mod.ENGINE_NAMES:
-            assert engine_mod.resolve(name) == name
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ConfigurationError, match="vectorised"):
-            engine_mod.resolve("vectorised")
-
-    def test_using_restores_on_exit(self):
-        assert engine_mod.active() == "reference"
-        with engine_mod.using("vectorized"):
-            assert engine_mod.vectorized()
-        assert engine_mod.active() == "reference"
-
-    def test_using_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with engine_mod.using("vectorized"):
-                raise RuntimeError("boom")
-        assert engine_mod.active() == "reference"
-
-    def test_using_none_keeps_current(self):
-        with engine_mod.using("vectorized"):
-            with engine_mod.using(None):
-                assert engine_mod.vectorized()
-
-    def test_activate_returns_previous(self):
-        previous = engine_mod.activate("vectorized")
-        try:
-            assert previous == "reference"
-            assert engine_mod.active() == "vectorized"
-        finally:
-            engine_mod.activate(previous)
+def _with_engine(spec: dict, engine: object) -> dict:
+    return {**spec, "engine": engine}
 
 
 class TestScenarioField:
     def test_default_engine_not_in_spec(self):
         scenario = Scenario.for_experiment("fig17")
-        assert scenario.engine == "reference"
         assert "engine" not in scenario.to_spec()
 
-    def test_non_default_engine_in_spec_and_digest(self):
-        reference = Scenario.for_experiment("fig17")
-        vectorized = Scenario.for_experiment("fig17", engine="vectorized")
-        assert vectorized.to_spec()["engine"] == "vectorized"
-        assert reference.digest() != vectorized.digest()
-
-    def test_round_trips_through_spec(self):
-        scenario = Scenario.for_experiment("fig17", engine="vectorized")
-        again = Scenario.from_spec(scenario.to_spec())
-        assert again.engine == "vectorized"
-        assert again.digest() == scenario.digest()
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_legacy_engine_key_digests_as_default(self, engine):
+        scenario = Scenario.for_experiment("fig17")
+        legacy = Scenario.from_spec(_with_engine(scenario.to_spec(), engine))
+        assert legacy.to_spec() == scenario.to_spec()
+        assert legacy.digest() == scenario.digest()
+        overridden = scenario.with_overrides({"engine": engine})
+        assert overridden.digest() == scenario.digest()
 
     def test_validate_rejects_unknown_engine(self):
-        scenario = Scenario.for_experiment("fig17")
-        bad = dataclasses.replace(scenario, engine="turbo")
-        problems = bad.validate()
-        assert any("engine" in problem for problem in problems)
+        spec = Scenario.for_experiment("fig17").to_spec()
+        for engine in ("turbo", None, 1):
+            with pytest.raises(ConfigurationError, match="engine"):
+                Scenario.from_spec(_with_engine(spec, engine))
 
     def test_override_rejects_unknown_engine(self):
         scenario = Scenario.for_experiment("fig17")
         with pytest.raises(ConfigurationError, match="engine"):
             scenario.with_overrides({"engine": "turbo"})
 
-    def test_override_selects_engine(self):
-        scenario = Scenario.for_experiment("fig17")
-        fast = scenario.with_overrides({"engine": "vectorized"})
-        assert fast.engine == "vectorized"
-
-    def test_run_results_identical_across_engines(self):
-        reference = Scenario.for_experiment("optane", scale=0.3)
-        vectorized = Scenario.for_experiment(
-            "optane", scale=0.3, engine="vectorized"
-        )
-        assert reference.run().digest() == vectorized.run().digest()
-
-    def test_run_restores_ambient_engine(self):
-        Scenario.for_experiment("fig17", engine="vectorized").run()
-        assert engine_mod.active() == "reference"
-
 
 class TestRunnerThreading:
-    def test_engine_flag_selects_engine(self):
-        outcome = run_many(
-            ["fig17"], jobs=1, use_cache=False, engine="vectorized"
-        )
-        record = outcome.manifest.records[0]
-        assert record.status == "ok"
-        assert outcome.results["fig17"].rows
-
-    def test_engines_cache_independently(self, tmp_path):
+    def test_legacy_engine_key_hits_default_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        first = run_many(["fig17"], jobs=1, cache_dir=cache_dir)
+        spec = Scenario.for_experiment("fig17").to_spec()
+        first = run_many(scenarios=[spec], jobs=1, cache_dir=cache_dir)
         second = run_many(
-            ["fig17"], jobs=1, cache_dir=cache_dir, engine="vectorized"
-        )
-        third = run_many(
-            ["fig17"], jobs=1, cache_dir=cache_dir, engine="vectorized"
+            scenarios=[_with_engine(spec, "vectorized")],
+            jobs=1,
+            cache_dir=cache_dir,
         )
         assert first.manifest.records[0].cache_hits == 0
-        # distinct cache key per engine: no false hit on the second run
-        assert second.manifest.records[0].cache_hits == 0
-        assert third.manifest.records[0].cache_hits == 1
-        # but bit-identical payloads
+        assert second.manifest.records[0].cache_hits == 1
         assert (
             first.manifest.records[0].result_digest
             == second.manifest.records[0].result_digest
         )
 
     def test_rejects_unknown_engine_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            run_many(["fig17"], jobs=1, engine="turbo")
+        spec = _with_engine(Scenario.for_experiment("fig17").to_spec(), "turbo")
+        with pytest.raises(ConfigurationError, match="engine"):
+            run_many(scenarios=[spec], jobs=1, use_cache=False)
 
 
 class TestCli:
     def test_run_engine_flag(self, capsys):
-        assert main(["run", "fig17", "--engine", "vectorized"]) == 0
-        assert "perlbench" in capsys.readouterr().out
-
-    def test_run_opt_engine_override(self, capsys):
-        assert main(["run", "fig17", "--opt", "engine=vectorized"]) == 0
-        assert "perlbench" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["run", "fig5", "--engine", "vectorized"])
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_run_opt_engine_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(["run", "fig17", "--opt", "engine=bogus"])
-        assert exc_info.value.code == 2
-        assert "unknown engine 'bogus'" in capsys.readouterr().err
+        for value in ("vectorized", "bogus"):
+            assert main(["run", "fig17", "--opt", f"engine={value}"]) == 1
+            assert "unknown option(s) ['engine']" in capsys.readouterr().err
 
-    def test_run_opt_engine_conflicting_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc_info:
-            main(
-                [
-                    "run",
-                    "fig17",
-                    "--engine",
-                    "reference",
-                    "--opt",
-                    "engine=vectorized",
-                ]
-            )
-        assert exc_info.value.code == 2
-        assert "disagree" in capsys.readouterr().err
-
-    def test_bench_runs_filtered(self, capsys, tmp_path):
+    def test_bench_runs_filtered(self, tmp_path):
         payload_path = tmp_path / "bench.json"
         assert main(
             [
                 "bench",
                 "--filter",
-                "family_interpolation",
+                "mess.drive_fixed_rate",
+                "--repeat",
+                "2",
                 "--json",
                 str(payload_path),
             ]
         ) == 0
         payload = json.loads(payload_path.read_text())
-        assert payload["repro_bench"] == 1
+        assert payload["repro_bench"] == 2
         (entry,) = payload["benches"]
-        assert entry["meta"]["digests_match"] is True
-        assert entry["speedup"] > 1.0
+        assert entry["name"] == "mess.drive_fixed_rate"
+        assert entry["time_s"] > 0
+        assert len(entry["meta"]["digest"]) == 64
 
     def test_bench_list(self, capsys):
         assert main(["bench", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "curves.family_interpolation" in out
+        assert "curves.characterize_fixed_latency" in out
         assert "experiment.fig2" in out
-
-    def test_bench_min_speedup_floor_fails(self, capsys):
-        assert (
-            main(
-                [
-                    "bench",
-                    "--filter",
-                    "family_interpolation",
-                    "--min-speedup",
-                    "1e9",
-                ]
-            )
-            == 1
-        )

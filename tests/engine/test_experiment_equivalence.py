@@ -1,75 +1,86 @@
-"""Dual-engine equivalence over every registered experiment.
+"""Fast paths vs all-scalar runs over every experiment that reaches them.
 
-The PR's core guarantee: for each golden-digest experiment, running
-under ``engine="vectorized"`` produces an :class:`ExperimentResult`
-whose digest is *identical* to the reference engine's — same rows, same
-floats, same notes. Each run clears the on-disk result cache and the
-in-process family memoization first, so both engines genuinely
-recompute everything. The two runs of a case are independent, so they
-go to two worker processes and run side by side.
+The batched fast paths are the only production path, and each claims
+to leave results bit-identical. For every registered experiment whose
+module calls ``characterize_model`` or ``drive_fixed_rate`` (found from
+the module's globals, so a new caller joins the sweep on its own), the
+experiment runs twice — once as shipped and once with both fast paths
+forced onto their scalar fallbacks (``oracle.forced_scalar``) — and the
+two result digests must be *identical*: same rows, same floats, same
+notes. No other experiment reaches fast-path code, so running it twice
+would compare a run with itself.
 
-Experiments run at a reduced scale (digest equality is scale-local:
-both engines see the same scale, so any divergence still shows). The
-three heavyweights keep the ``slow`` marker convention of
-``tests/test_integration.py``. The digest comes from
-:func:`repro.bench.perf.deterministic_digest`, which is the plain
-``result.digest()`` for every experiment except fig11, whose rows
-embed genuinely measured wall-clock times (two runs of the *same*
-engine differ on those).
+Each run clears the on-disk result cache and the in-process family
+memoization first, so both runs genuinely recompute everything. The
+two runs of a case are independent, so they go to two worker processes
+and run side by side. Experiments run at a reduced scale: digest
+equality is scale-local, so any divergence still shows.
 """
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import pytest
 
-from repro import engine as engine_mod
+from repro.bench.model_probe import characterize_model
 from repro.bench.perf import deterministic_digest
+from repro.engine.mess import drive_fixed_rate
 from repro.experiments import common as experiments_common
-from repro.experiments.registry import experiment_ids, run_experiment
+from repro.experiments.registry import SPECS, experiment_ids, run_experiment
 from repro.runner import cache as result_cache
 
-#: Scale keeping the whole parametrized sweep in tens of seconds; the
-#: heavy closed-loop experiments get pushed down further below.
-_DEFAULT_SCALE = 0.3
+from . import oracle
 
-_SCALES = {"fig10": 0.2, "fig11": 0.2, "fig13": 0.2}
+_SCALE = 0.3
 
-_SLOW = {"fig10", "fig11", "fig13"}
-
-#: Bound on one engine run in a worker; the slowest takes ~12 s on a
-#: 2-vCPU host.
+#: Bound on one run in a worker; the slowest takes ~3 s on a 2-vCPU
+#: host.
 _RUN_TIMEOUT_S = 600.0
 
+_FAST_PATH_ENTRIES = (characterize_model, drive_fixed_rate)
 
-def _params():
+
+def _fast_path_callers() -> list[str]:
+    callers = []
     for experiment_id in experiment_ids():
-        marks = [pytest.mark.slow] if experiment_id in _SLOW else []
-        yield pytest.param(experiment_id, id=experiment_id, marks=marks)
+        module = importlib.import_module(SPECS[experiment_id].func.__module__)
+        if any(
+            value is entry
+            for value in vars(module).values()
+            for entry in _FAST_PATH_ENTRIES
+        ):
+            callers.append(experiment_id)
+    return callers
 
 
-def _digest_under(engine: str, experiment_id: str, scale: float) -> str:
+def _digest(experiment_id: str, scalar: bool) -> str:
     result_cache.deactivate()
     experiments_common._FAMILY_CACHE.clear()
-    with engine_mod.using(engine):
-        result = run_experiment(experiment_id, scale=scale)
+    with oracle.forced_scalar() if scalar else nullcontext():
+        result = run_experiment(experiment_id, scale=_SCALE)
     return deterministic_digest(result)
 
 
 @pytest.fixture(scope="module")
-def engine_workers():
+def sweep_workers():
     context = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
         yield pool
 
 
-@pytest.mark.parametrize("experiment_id", _params())
-def test_engines_produce_identical_digests(experiment_id, engine_workers):
-    scale = _SCALES.get(experiment_id, _DEFAULT_SCALE)
-    reference, vectorized = (
-        engine_workers.submit(_digest_under, engine, experiment_id, scale)
-        for engine in ("reference", "vectorized")
+def test_sweep_finds_the_known_fast_path_callers():
+    known = {"fig4", "fig5", "fig14", "optane", "ablation"}
+    assert known <= set(_fast_path_callers())
+
+
+@pytest.mark.parametrize("experiment_id", _fast_path_callers())
+def test_engines_produce_identical_digests(experiment_id, sweep_workers):
+    shipped, scalar = (
+        sweep_workers.submit(_digest, experiment_id, scalar)
+        for scalar in (False, True)
     )
-    assert reference.result(_RUN_TIMEOUT_S) == vectorized.result(_RUN_TIMEOUT_S)
+    assert shipped.result(_RUN_TIMEOUT_S) == scalar.result(_RUN_TIMEOUT_S)

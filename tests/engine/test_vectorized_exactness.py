@@ -1,10 +1,12 @@
-"""The vectorized engine's bit-exactness claims, checked per layer.
+"""The batched fast paths' bit-exactness claims, checked per layer.
 
 Every fast path in :mod:`repro.engine` claims *exact* equality with the
-scalar reference code — identical floats, not close ones. These tests
-assert ``==`` at each seam: curve interpolation, probe schedules, batch
-latency kernels, the full model probe, the Mess window drive, and DRAM
-address decoding. The end-to-end experiment digests ride on these.
+scalar loop it replaces — identical floats, not close ones. These tests
+assert ``==`` at each seam against the scalar twins in
+:mod:`tests.engine.oracle`: probe schedules, batch latency kernels, the
+full model probe and the Mess window drive. A last group pins how much
+work actually takes the fast paths, so a path that silently falls back
+to scalar fails here. The end-to-end experiment digests ride on these.
 """
 
 from __future__ import annotations
@@ -12,18 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import engine as engine_mod
+from repro import telemetry
 from repro.bench.model_probe import ProbeConfig, characterize_model, probe_point
-from repro.dram.address import AddressMapper
-from repro.dram.timing import DDR4_2666
-from repro.engine.curves import (
-    curve_inclination_batch,
-    curve_latency_batch,
-    family_inclination_batch,
-    family_latency_batch,
-    family_latency_grid,
-)
-from repro.engine.dram import decode_addresses, frfcfs_replay
+from repro.engine import mess
+from repro.engine import probe as fast_probe
 from repro.engine.kernels import pipe_stays_idle
 from repro.engine.mess import drive_fixed_rate
 from repro.engine.probe import (
@@ -32,8 +26,9 @@ from repro.engine.probe import (
     issue_schedule,
     probe_point_vectorized,
     sequential_sum,
-    stream_addresses,
 )
+from repro.experiments import fig5
+from repro.experiments.registry import run_experiment
 from repro.memmodels.fixed import FixedLatencyModel
 from repro.memmodels.flawed import (
     DRAMsim3Analog,
@@ -44,114 +39,28 @@ from repro.memmodels.optane import OptaneModel
 from repro.memmodels.simple_bw import SimpleBandwidthModel
 from repro.platforms.presets import INTEL_SKYLAKE, family
 from repro.scenario import build_memory
-from repro.traces.driver import synthesize_mess_trace
+from repro.telemetry.registry import TelemetryRegistry
 
-BANDWIDTH_SWEEP = np.linspace(0.0, 130.0, 400)
-
-
-class TestCurveBatches:
-    def test_curve_latency_matches_scalar(self, simple_curve):
-        batched = curve_latency_batch(simple_curve, BANDWIDTH_SWEEP)
-        scalar = [simple_curve.latency_at(float(b)) for b in BANDWIDTH_SWEEP]
-        assert batched.tolist() == scalar
-
-    def test_family_latency_matches_scalar(self, small_family):
-        for ratio in (0.5, 0.62, 0.75, 0.93, 1.0):
-            batched = family_latency_batch(
-                small_family, BANDWIDTH_SWEEP, ratio
-            )
-            scalar = [
-                small_family.latency_at(float(b), ratio)
-                for b in BANDWIDTH_SWEEP
-            ]
-            assert batched.tolist() == scalar
-
-    def test_family_latency_nearest_matches_scalar(self, small_family):
-        batched = family_latency_batch(
-            small_family, BANDWIDTH_SWEEP, 0.62, interpolate=False
-        )
-        scalar = [
-            small_family.latency_at(float(b), 0.62, interpolate=False)
-            for b in BANDWIDTH_SWEEP
-        ]
-        assert batched.tolist() == scalar
-
-    def test_grid_matches_scalar_double_loop(self, small_family):
-        ratios = np.array([0.5, 0.7, 1.0])
-        grid = family_latency_grid(small_family, BANDWIDTH_SWEEP, ratios)
-        for row, ratio in enumerate(ratios):
-            scalar = [
-                small_family.latency_at(float(b), float(ratio))
-                for b in BANDWIDTH_SWEEP
-            ]
-            assert grid[row].tolist() == scalar
-
-    def test_inclination_matches_scalar(self, simple_curve, small_family):
-        batched = curve_inclination_batch(simple_curve, BANDWIDTH_SWEEP)
-        scalar = [
-            simple_curve.inclination_at(float(b)) for b in BANDWIDTH_SWEEP
-        ]
-        assert batched.tolist() == scalar
-        batched = family_inclination_batch(small_family, BANDWIDTH_SWEEP, 0.8)
-        scalar = [
-            small_family.inclination_at(float(b), 0.8)
-            for b in BANDWIDTH_SWEEP
-        ]
-        assert batched.tolist() == scalar
-
-    def test_preset_family_full_surface(self):
-        fam = family(INTEL_SKYLAKE)
-        sweep = np.linspace(0.0, fam.max_bandwidth_gbps * 1.05, 2000)
-        for curve in fam:
-            batched = family_latency_batch(fam, sweep, curve.read_ratio)
-            scalar = [
-                fam.latency_at(float(b), curve.read_ratio) for b in sweep
-            ]
-            assert batched.tolist() == scalar
+from . import oracle
 
 
 class TestProbeSchedules:
     def test_issue_schedule_matches_scalar_accumulation(self):
-        got = issue_schedule(500, 0.7)
-        now, scalar = 0.0, []
-        for _ in range(500):
-            scalar.append(now)
-            now += 0.7
-        assert got.tolist() == scalar
+        for ops, gap, start in ((500, 0.7, 0.0), (50, 3.3, 7.0)):
+            got = issue_schedule(ops, gap, start_ns=start)
+            scalar = oracle.issue_schedule(ops, gap, start_ns=start)
+            assert got.tolist() == scalar.tolist()
 
     def test_bresenham_matches_scalar_interleave(self):
-        for ratio in (0.0, 0.25, 0.5, 2 / 3, 0.75, 0.9, 1.0):
-            got = bresenham_reads(400, ratio)
-            reads_acc, scalar = 0, []
-            for op_index in range(400):
-                target = round((op_index + 1) * ratio)
-                is_read = target > reads_acc
-                if is_read:
-                    reads_acc += 1
-                scalar.append(is_read)
-            assert got.tolist() == scalar
-
-    def test_stream_addresses_match_scalar_round_robin(self):
-        config = ProbeConfig()
-        stream_lines = config.stream_bytes // 64
-        got = stream_addresses(300, config.streams, config.stream_bytes)
-        positions = [0] * config.streams
-        scalar = []
-        for op_index in range(300):
-            stream = op_index % config.streams
-            scalar.append(
-                stream * config.stream_bytes + positions[stream] * 64
-            )
-            positions[stream] = (positions[stream] + 1) % stream_lines
-        assert got.tolist() == scalar
+        cases = [(400, r) for r in (0.0, 0.25, 0.5, 2 / 3, 0.75, 0.9, 1.0)]
+        for ops, ratio in cases + [(41, 0.62)]:
+            got = bresenham_reads(ops, ratio)
+            assert got.tolist() == oracle.bresenham_reads(ops, ratio).tolist()
 
     def test_sequential_sum_matches_running_addition(self):
         rng = np.random.default_rng(7)
-        values = rng.uniform(0.0, 300.0, 2000)
-        total = 0.0
-        for value in values:
-            total += float(value)
-        assert sequential_sum(values) == total
+        for values in (rng.uniform(0.0, 300.0, 2000), np.linspace(0.1, 9.9, 257)):
+            assert sequential_sum(values) == oracle.sequential_sum(values)
 
     def test_cap_never_stalls_detects_saturation(self):
         t = issue_schedule(100, 1.0)
@@ -159,6 +68,12 @@ class TestProbeSchedules:
         assert cap_never_stalls(t, fast, 64)
         slow = t + 200.0  # 200 ns latency, 64-deep window of 64 ns
         assert not cap_never_stalls(t, slow, 64)
+        t = np.arange(0.0, 100.0, 2.5)
+        for cap in (1, 4, 64):
+            for completions in (t + 17.0, fast[: t.size], slow[: t.size]):
+                assert cap_never_stalls(
+                    t, completions, cap
+                ) == oracle.cap_never_stalls(t, completions, cap)
 
     def test_pipe_stays_idle_conditions(self):
         model = RamulatorAnalog(theoretical_gbps=128.0)
@@ -223,73 +138,121 @@ class TestProbeEquivalence:
 
     @pytest.mark.parametrize("model_factory", PROBED_MODELS)
     def test_characterize_model_identical_across_engines(self, model_factory):
-        with engine_mod.using("reference"):
-            ref = characterize_model(model_factory, PROBE_CONFIG, name="t")
-        with engine_mod.using("vectorized"):
-            vec = characterize_model(model_factory, PROBE_CONFIG, name="t")
-        assert ref.to_dict() == vec.to_dict()
+        """The shipped sweep equals one forced onto the scalar probe."""
+        with oracle.forced_scalar():
+            scalar = characterize_model(model_factory, PROBE_CONFIG, name="t")
+        batched = characterize_model(model_factory, PROBE_CONFIG, name="t")
+        assert batched.to_dict() == scalar.to_dict()
+
+
+def _drive_outcome(simulator, end):
+    return (
+        end,
+        simulator.stats.reads,
+        simulator.stats.total_latency_ns,
+        simulator.stats.last_completion_ns,
+        simulator._mess_bw,
+        [record.mess_bandwidth_gbps for record in simulator.history],
+        [record.latency_ns for record in simulator.history],
+    )
 
 
 class TestMessDrive:
-    @pytest.mark.parametrize("gap_ns", [0.4, 1.0, 8.0])
+    @pytest.mark.parametrize("gap_ns", [0.4, 1.0, 3.0, 8.0])
     def test_drive_identical_across_engines(self, gap_ns):
+        """The window-batched drive equals the request-at-a-time loop."""
         fam = family(INTEL_SKYLAKE)
-        outcomes = {}
-        for engine in engine_mod.ENGINE_NAMES:
+        outcomes = []
+        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
             simulator = build_memory(
                 "mess", {"curves": fam, "keep_history": True}
             )
-            with engine_mod.using(engine):
-                end = drive_fixed_rate(simulator, gap_ns, 4000)
-            outcomes[engine] = (
-                end,
-                simulator.stats.reads,
-                simulator.stats.total_latency_ns,
-                simulator.stats.last_completion_ns,
-                simulator._mess_bw,
-                [record.mess_bandwidth_gbps for record in simulator.history],
-                [record.latency_ns for record in simulator.history],
-            )
-        assert outcomes["reference"] == outcomes["vectorized"]
+            end = drive(simulator, gap_ns, 4000)
+            outcomes.append(_drive_outcome(simulator, end))
+        assert outcomes[0] == outcomes[1]
 
     def test_partial_window_tail_identical(self):
         fam = family(INTEL_SKYLAKE)
-        outcomes = {}
-        for engine in engine_mod.ENGINE_NAMES:
+        outcomes = []
+        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
             simulator = build_memory("mess", {"curves": fam})
             ops = simulator.window_ops * 3 + 17  # ragged tail
-            with engine_mod.using(engine):
-                drive_fixed_rate(simulator, 1.0, ops)
-            outcomes[engine] = (
-                simulator.stats.reads,
-                simulator.stats.total_latency_ns,
-                simulator._mess_bw,
+            drive(simulator, 1.0, ops)
+            outcomes.append(
+                (
+                    simulator.stats.reads,
+                    simulator.stats.total_latency_ns,
+                    simulator._mess_bw,
+                )
             )
-        assert outcomes["reference"] == outcomes["vectorized"]
+        assert outcomes[0] == outcomes[1]
+
+    def test_bound_telemetry_replays_every_request(self):
+        fam = family(INTEL_SKYLAKE)
+        outcomes = []
+        registries = []
+        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
+            registries.append(telemetry.activate(TelemetryRegistry()))
+            try:
+                simulator = build_memory(
+                    "mess", {"curves": fam, "keep_history": True}
+                )
+                end = drive(simulator, 1.0, 2500)
+            finally:
+                telemetry.deactivate()
+            outcomes.append(_drive_outcome(simulator, end))
+        assert outcomes[0] == outcomes[1]
+        batched, scalar = (r.counter("sim.requests").value for r in registries)
+        assert batched == scalar == 2500
 
 
-class TestDram:
-    def test_decode_matches_scalar_mapper(self):
-        mapper = AddressMapper(DDR4_2666, channels=6)
-        rng = np.random.default_rng(11)
-        addresses = (
-            rng.integers(0, 1 << 34, 3000, dtype=np.int64) // 64
-        ) * 64
-        coords = decode_addresses(mapper, addresses)
-        for index, address in enumerate(addresses):
-            decoded = mapper.decode(int(address))
-            assert coords["channel"][index] == decoded.channel
-            assert coords["rank"][index] == decoded.rank
-            assert coords["bank"][index] == decoded.bank
-            assert coords["row"][index] == decoded.row
-            assert coords["column"][index] == decoded.column
+class TestFastPathCoverage:
+    """How much real work the fast paths take.
 
-    def test_frfcfs_replay_engine_invariant(self):
-        trace = synthesize_mess_trace(
-            ops=1200, read_ratio=0.75, gap_ns=0.6, streams=8
-        )
-        results = {}
-        for engine in engine_mod.ENGINE_NAMES:
-            with engine_mod.using(engine):
-                results[engine] = frfcfs_replay(DDR4_2666, 6, trace)
-        assert results["reference"] == results["vectorized"]
+    The counts are the ones the shipped code measures; a kernel that
+    starts declining points or windows it used to take shows up here
+    as a lower count, not as a slower benchmark.
+    """
+
+    @pytest.mark.parametrize(
+        "model, batched",
+        [
+            ("fixed-latency", 66),
+            ("ramulator", 54),
+            ("dramsim3", 42),
+            ("md1", 0),
+            ("internal-ddr", 0),
+        ],
+    )
+    def test_fig5_probe_points_batched(self, model, batched, monkeypatch):
+        answers = []
+        original = fast_probe.probe_point_vectorized
+
+        def counting(*args):
+            point = original(*args)
+            answers.append(point is not None)
+            return point
+
+        monkeypatch.setattr(fast_probe, "probe_point_vectorized", counting)
+        config = fig5._probe_config(0.1)
+        characterize_model(fig5.model_factories()[model], config, name=model)
+        assert len(answers) == 66
+        assert sum(answers) == batched
+
+    @pytest.mark.parametrize(
+        "experiment_id, windows", [("ablation", 118), ("optane", 8)]
+    )
+    def test_mess_drive_windows_batched(
+        self, experiment_id, windows, monkeypatch
+    ):
+        taken = []
+        original = mess._window_fast_path
+
+        def counting(*args):
+            took = original(*args)
+            taken.append(took)
+            return took
+
+        monkeypatch.setattr(mess, "_window_fast_path", counting)
+        run_experiment(experiment_id, scale=0.3)
+        assert taken == [True] * windows

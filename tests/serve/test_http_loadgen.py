@@ -46,7 +46,10 @@ class TestHttp:
         async def exercise(server, client):
             health = await client.healthz()
             submitted = await client.submit("characterize", spec)
-            again = await client.submit("characterize", spec)
+            # a body still carrying the retired engine key is the same run
+            again = await client.submit(
+                "characterize", {**spec, "engine": "vectorized"}
+            )
             looked_up = await client.lookup(submitted["digest"])
             stats = await client.stats()
             return health, submitted, again, looked_up, stats
@@ -55,31 +58,32 @@ class TestHttp:
         assert health == {"ok": True, "draining": False}
         assert submitted["cached"] is False
         assert again["cached"] is True
+        assert again["digest"] == submitted["digest"]
         assert looked_up["result"] == submitted["result"]
         assert stats["counters"]["serve.computed"] == 1
         assert submitted["digest"] == scenario.digest()
 
     def test_error_statuses_reach_the_client(self):
+        spec = loadgen_scenarios(1)[0].to_spec()
+
+        requests = [
+            ("POST", "/v1/explode", {"x": 1}, 400),
+            ("POST", "/v1/characterize", {"bad": "spec"}, 400),
+            ("POST", "/v1/characterize", {**spec, "engine": "turbo"}, 400),
+            ("GET", "/v1/result/" + "ab" * 32, None, 404),
+            ("GET", "/nope", None, 404),
+            ("PUT", "/healthz", None, 405),
+        ]
+
         async def exercise(server, client):
-            statuses = {}
-            for method, path, payload in [
-                ("POST", "/v1/explode", {"x": 1}),
-                ("POST", "/v1/characterize", {"bad": "spec"}),
-                ("GET", "/v1/result/" + "ab" * 32, None),
-                ("GET", "/nope", None),
-                ("PUT", "/healthz", None),
-            ]:
+            statuses = []
+            for method, path, payload, _ in requests:
                 with pytest.raises(ResponseError) as excinfo:
                     await client.request(method, path, payload)
-                statuses[(method, path)] = excinfo.value.status
+                statuses.append(excinfo.value.status)
             return statuses
 
-        statuses = with_server(exercise)
-        assert statuses[("POST", "/v1/explode")] == 400
-        assert statuses[("POST", "/v1/characterize")] == 400
-        assert statuses[("GET", "/v1/result/" + "ab" * 32)] == 404
-        assert statuses[("GET", "/nope")] == 404
-        assert statuses[("PUT", "/healthz")] == 405
+        assert with_server(exercise) == [status for *_, status in requests]
 
     def test_metrics_endpoint_speaks_prometheus(self):
         async def exercise(server, client):
