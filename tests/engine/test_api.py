@@ -80,10 +80,14 @@ class TestCli:
         assert exc_info.value.code == 2
         assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
+    def test_run_opt_engine_override(self, capsys):
+        # engine= no longer overrides anything: it is an unknown option.
+        assert main(["run", "fig17", "--opt", "engine=vectorized"]) == 1
+        assert "unknown option(s) ['engine']" in capsys.readouterr().err
+
     def test_run_opt_engine_rejects_unknown(self, capsys):
-        for value in ("vectorized", "bogus"):
-            assert main(["run", "fig17", "--opt", f"engine={value}"]) == 1
-            assert "unknown option(s) ['engine']" in capsys.readouterr().err
+        assert main(["run", "fig17", "--opt", "engine=bogus"]) == 1
+        assert "unknown option(s) ['engine']" in capsys.readouterr().err
 
     def test_bench_runs_filtered(self, tmp_path):
         payload_path = tmp_path / "bench.json"
