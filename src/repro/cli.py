@@ -36,18 +36,12 @@ Commands
     preset or file as canonical JSON, validate scenario files (exit 1
     on problems), or print the stable content digest the cache keys
     on.
-``cache {info,clear} [--cache-dir DIR] [--backend SPEC] [--ttl S]
-[--max-entries N] [--json]``
+``cache {info,clear} [--cache-dir DIR] [--json]``
     Inspect or empty the result cache (default ``~/.cache/repro-mess``,
-    overridable via ``$REPRO_CACHE_DIR``). ``info`` reports the backend
-    type, entry/byte totals, digest-shard distribution and quarantined
-    counts uniformly for every backend; ``--backend`` selects a storage
-    backend or comma-separated tier stack (``dir``, ``sqlite``,
-    ``memory``, ``tiered``; see :mod:`repro.serve.backends`).
-    ``--ttl`` / ``--max-entries`` configure sqlite-tier retention
-    (expiry on read, oldest-first eviction on write); ``info`` reports
-    the lifetime expired/evicted totals. ``info --json`` emits a
-    machine-readable report with a per-entry size breakdown.
+    overridable via ``$REPRO_CACHE_DIR``). ``info`` reports entry/byte
+    totals, the digest-shard distribution and quarantined counts;
+    ``info --json`` emits a machine-readable report with a per-entry
+    size breakdown.
 ``telemetry summarize PATH [--json]``
     Roll up an exported telemetry file (Chrome trace or JSONL): span
     durations, counter totals, control-loop sample ranges.
@@ -73,13 +67,13 @@ Commands
     writes the ``repro_bench`` payload (the committed
     ``BENCH_curves.json`` and ``BENCH_serve.json`` are the perf
     trajectories of record).
-``serve [--host H] [--port P] [--backend SPEC] [--cache-dir DIR]
-[--max-inflight N] [--queue-limit N] [--deadline S] [--shards N]
-[--hedge] [--warm MANIFEST] [--ttl S] [--max-entries N]``
+``serve [--host H] [--port P] [--cache-dir DIR] [--max-inflight N]
+[--queue-limit N] [--deadline S] [--shards N] [--hedge]
+[--warm MANIFEST]``
     Run the asyncio characterization service (:mod:`repro.serve`):
-    digest-keyed scenario results over HTTP with tiered cache
-    backends, single-flight request coalescing, backpressure (429/503)
-    and per-request deadlines (504). Routes: ``/healthz``,
+    digest-keyed scenario results over HTTP from a memory LRU in front
+    of the result cache, single-flight request coalescing, backpressure
+    (429/503) and per-request deadlines (504). Routes: ``/healthz``,
     ``/metrics`` (Prometheus), ``/stats``, ``GET /v1/result/<digest>``
     and ``POST /v1/{characterize,simulate,profile}``. ``--warm``
     pre-seeds the cache from a ``repro run`` manifest before the
@@ -95,7 +89,7 @@ Commands
     shards — the deployment shape where shards and router live on
     different machines. Same routes and drain behaviour as ``serve``.
 ``loadgen [--scenarios K] [--requests N] [--clients C] [--passes P]
-[--seed S] [--backend SPEC] [--cache-dir DIR] [--url URL]
+[--seed S] [--cache-dir DIR] [--url URL]
 [--shards N] [--hedge] [--json PATH] [--assert-hit-ratio X]
 [--assert-p99-ms MS]``
     Replay a deterministic request schedule against a serve endpoint —
@@ -384,31 +378,7 @@ def _run_resume(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    backend = None
-    if args.backend:
-        from .serve.backends import make_backend
-
-        backend = make_backend(
-            args.backend,
-            args.cache_dir,
-            ttl_s=args.ttl,
-            max_entries=args.max_entries,
-        )
-    elif args.ttl is not None or args.max_entries is not None:
-        print(
-            "error: --ttl/--max-entries require a sqlite tier; pass "
-            "--backend sqlite (or a stack containing it)",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    cache = ResultCache(args.cache_dir, backend=backend)
-    try:
-        return _run_cache_action(args, cache)
-    finally:
-        cache.close()
-
-
-def _run_cache_action(args: argparse.Namespace, cache: ResultCache) -> int:
+    cache = ResultCache(args.cache_dir)
     if args.action == "info":
         if args.json:
             print(json.dumps(cache.info(detail=True), indent=2, sort_keys=True))
@@ -427,16 +397,6 @@ def _run_cache_action(args: argparse.Namespace, cache: ResultCache) -> int:
         for kind, count in sorted(info["kinds"].items()):
             size = info["kind_bytes"].get(kind, 0)
             print(f"  {kind}: {count} ({size / 1e6:.2f} MB)")
-        if info.get("ttl_s") is not None or info.get("max_entries") is not None:
-            print(
-                f"retention:  ttl_s={info.get('ttl_s')} "
-                f"max_entries={info.get('max_entries')}"
-            )
-        if info.get("expired") or info.get("evictions"):
-            print(
-                f"retired:    {info.get('expired', 0)} expired, "
-                f"{info.get('evictions', 0)} evicted"
-            )
         corrupt = info["corrupt_entries"]
         print(
             f"corrupt:    {corrupt} quarantined "
@@ -466,18 +426,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_cluster(args)
 
     config = ServiceConfig(
-        backend=args.backend,
         cache_dir=args.cache_dir,
         max_inflight=args.max_inflight,
         queue_limit=args.queue_limit,
         deadline_s=args.deadline,
-        ttl_s=args.ttl,
-        max_entries=args.max_entries,
     )
 
     def ready(server) -> None:
         print(
-            f"serving on {server.url} (backend {args.backend}, "
+            f"serving on {server.url} (backend {config.backend}, "
             f"max-inflight {args.max_inflight})",
             flush=True,
         )
@@ -516,17 +473,12 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         "--queue-limit", str(args.queue_limit),
         "--deadline", str(args.deadline),
     ]
-    if args.ttl is not None:
-        extra += ["--ttl", str(args.ttl)]
-    if args.max_entries is not None:
-        extra += ["--max-entries", str(args.max_entries)]
     if args.warm is not None:
         extra += ["--warm", args.warm]
     processes = spawn_shards(
         args.shards,
         args.port + 1,
         host=args.host,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         max_inflight=args.max_inflight,
         extra_args=extra,
@@ -568,7 +520,7 @@ def _serve_cluster(args: argparse.Namespace) -> int:
         def ready(server) -> None:
             print(
                 f"routing on {server.url} over {len(urls)} shards "
-                f"(backend {args.backend}, hedge {args.hedge})",
+                f"(hedge {args.hedge})",
                 flush=True,
             )
 
@@ -630,7 +582,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         clients=args.clients,
         passes=args.passes,
         seed=args.seed,
-        backend=args.backend,
         cache_dir=args.cache_dir,
         url=args.url,
         max_inflight=args.max_inflight,
@@ -1016,29 +967,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="override the on-disk cache location"
     )
     cache_parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="SPEC",
-        help=(
-            "cache backend or comma-separated tier stack: dir, sqlite, "
-            "memory, tiered (default: dir)"
-        ),
-    )
-    cache_parser.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="sqlite-tier entry TTL; older entries expire on read",
-    )
-    cache_parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sqlite-tier high-water mark; oldest entries evict on write",
-    )
-    cache_parser.add_argument(
         "--json",
         action="store_true",
         help="machine-readable `info` output with per-entry sizes",
@@ -1057,15 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8650,
         help="listen port (default 8650; 0 picks an ephemeral port)",
-    )
-    serve_parser.add_argument(
-        "--backend",
-        default="tiered",
-        metavar="SPEC",
-        help=(
-            "cache backend or tier stack: dir, sqlite, memory, tiered "
-            "(default: tiered = memory,dir)"
-        ),
     )
     serve_parser.add_argument(
         "--cache-dir", default=None, help="override the on-disk cache location"
@@ -1111,20 +1030,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="MANIFEST",
         help="pre-seed the cache from a `repro run` manifest before serving",
-    )
-    serve_parser.add_argument(
-        "--ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="sqlite-tier entry TTL; older entries expire on read",
-    )
-    serve_parser.add_argument(
-        "--max-entries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="sqlite-tier high-water mark; oldest entries evict on write",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 
@@ -1221,12 +1126,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="schedule seed (same seed -> identical request stream)",
-    )
-    loadgen_parser.add_argument(
-        "--backend",
-        default="tiered",
-        metavar="SPEC",
-        help="in-process server's cache backend (ignored with --url)",
     )
     loadgen_parser.add_argument(
         "--cache-dir",

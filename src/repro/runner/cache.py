@@ -8,15 +8,25 @@ stable hash of the *complete* configuration plus the package version —
 change any sweep parameter, system knob or the code version and the key
 changes with it.
 
-Storage itself lives behind the pluggable
-:class:`repro.serve.backends.CacheBackend` interface (atomic writes,
-quarantine-on-corruption, digest-sharded layout); :class:`ResultCache`
-adds the runner-facing concerns on top — key derivation folding in the
-package version, the process-global activation switch, and the
-directory-backend default that keeps ``repro run`` and ``repro serve``
-sharing entries. The design rules (atomic writes, corruption is never
-fatal, write failures degrade to "no cache") are stated and enforced in
-the backends module.
+This module holds the one result store. :class:`CacheBackend` is the
+storage contract, :class:`DirectoryBackend` the content-addressed
+directory tree that implements it, and :class:`ResultCache` that
+directory store plus key derivation and the default root. ``repro
+run``, the benchmark harness, ``repro cache`` and ``repro serve`` all
+read and write the same entries; :mod:`repro.serve.backends` only puts
+a memory LRU in front of this store, and imports it from here, so
+importing the runner never loads the serving stack.
+
+Contract rules (kept by every backend):
+
+- **get never raises.** A missing, unreadable or corrupt entry is a
+  miss; corruption is quarantined (the evidence survives for ``repro
+  cache info``) and counted, never fatal.
+- **put never raises.** A full disk degrades to "no cache"
+  (``False``), not to an error.
+- **Digest-identical everywhere.** A payload written through one
+  backend and read through another is byte-for-byte the same JSON
+  value; the round-trip suite in ``tests/serve`` enforces this.
 
 The default location is ``~/.cache/repro-mess``; override it with the
 ``REPRO_CACHE_DIR`` environment variable or ``--cache-dir`` on the CLI.
@@ -27,14 +37,21 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from pathlib import Path
 from typing import Iterator, Mapping
+
+from ..telemetry import registry as telemetry_mod
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: Suffix appended to a corrupt entry's filename when it is quarantined.
 CORRUPT_SUFFIX = ".corrupt"
+
+#: Digest prefix length used for sharding (directory fan-out). Two hex
+#: chars -> 256 shards.
+SHARD_CHARS = 2
 
 _DEFAULT_CACHE_DIR = "~/.cache/repro-mess"
 
@@ -66,65 +83,297 @@ def stable_digest(payload: object) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-class ResultCache:
-    """A content-addressed store of JSON payloads behind one backend.
+def _count_quarantine(key: str) -> None:
+    """Emit the quarantine telemetry counter/event when a registry is on."""
+    registry = telemetry_mod.active()
+    if registry is not None:
+        registry.counter(
+            "cache.corrupt_quarantined",
+            help="corrupt cache entries quarantined on read",
+        ).inc()
+        registry.event("cache.quarantined", category="cache", key=key)
 
-    By default entries live in a sharded directory tree
-    (``<root>/<key[:2]>/<key>.json``); pass any
-    :class:`~repro.serve.backends.CacheBackend` as ``backend`` to store
-    them elsewhere (sqlite, in-memory LRU, or a tiered stack) with
-    identical get/put/quarantine semantics.
+
+class CacheBackend:
+    """The storage contract every cache tier implements.
+
+    Subclasses override the ``_do_*`` primitives; the public methods
+    add the shared miss/hit/quarantine accounting so counters mean the
+    same thing regardless of backend.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        backend: "object | None" = None,
-    ) -> None:
-        from ..serve.backends import CacheBackend, DirectoryBackend
+    #: Short machine-readable backend kind (``dir`` / ``memory`` /
+    #: ``tiered``).
+    kind: str = "abstract"
 
-        self.root = Path(root).expanduser() if root else default_cache_dir()
-        if backend is None:
-            backend = DirectoryBackend(self.root)
-        elif not isinstance(backend, CacheBackend):
-            raise TypeError(
-                f"backend must be a CacheBackend, got {type(backend).__name__}"
+    def __init__(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.quarantined = 0
+
+    # -- primitives (override) -----------------------------------------
+
+    def _do_get(self, key: str) -> "dict | list | None":
+        raise NotImplementedError
+
+    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
+        raise NotImplementedError
+
+    def discard(self, key: str) -> None:
+        """Best-effort removal of one entry."""
+        raise NotImplementedError
+
+    def keys(self) -> Iterator[str]:
+        """Every digest currently stored."""
+        raise NotImplementedError
+
+    def info(self, detail: bool = False) -> dict:
+        """Uniform summary: backend, location, entries, shards, corruption.
+
+        Every backend reports the same keys — ``backend``, ``location``,
+        ``entries``, ``bytes``, ``kinds``, ``kind_bytes``,
+        ``corrupt_entries``, ``corrupt_bytes`` and a ``shards`` summary
+        (``{"count", "max", "mean"}`` over the digest-prefix shards) —
+        so ``repro cache info`` and the service's ``/stats`` read them
+        alike. With ``detail``, ``entry_list`` / ``corrupt_list`` /
+        ``shard_counts`` are included.
+        """
+        raise NotImplementedError
+
+    def clear(self) -> int:
+        """Delete every entry (quarantined included); returns the count."""
+        raise NotImplementedError
+
+    # -- shared accounting ----------------------------------------------
+
+    def get(self, key: str) -> "dict | list | None":
+        """The payload stored under ``key``, or ``None`` (never raises)."""
+        payload = self._do_get(key)
+        if payload is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return payload
+
+    def put(self, key: str, payload: "dict | list", kind: str = "") -> bool:
+        """Store ``payload`` under ``key``; ``False`` on failure."""
+        return self._do_put(key, payload, kind)
+
+    def _quarantined_one(self, key: str) -> None:
+        self.quarantined += 1
+        _count_quarantine(key)
+
+    @staticmethod
+    def _shard_summary(counts: Mapping[str, int]) -> dict:
+        total = sum(counts.values())
+        return {
+            "count": len(counts),
+            "max": max(counts.values()) if counts else 0,
+            "mean": (total / len(counts)) if counts else 0.0,
+        }
+
+
+class DirectoryBackend(CacheBackend):
+    """The content-addressed directory store.
+
+    Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
+    single directory small) and wrap the payload with its key and kind
+    so :meth:`get` can reject entries that landed at the wrong path.
+    Writes go to a temporary file in the destination directory and are
+    ``os.replace``d into place, so a concurrent reader (or a killed
+    worker) never observes a half-written entry. Corrupt entries are
+    renamed to ``<entry>.json.corrupt`` on read.
+    """
+
+    kind = "dir"
+
+    def __init__(self, root: "str | Path") -> None:
+        super().__init__()
+        self.root = Path(root).expanduser()
+
+    @property
+    def location(self) -> str:
+        return str(self.root)
+
+    def path_for(self, key: str) -> Path:
+        """On-disk location of the entry for ``key`` (may not exist)."""
+        return self.root / key[:SHARD_CHARS] / f"{key}.json"
+
+    def _do_get(self, key: str) -> "dict | list | None":
+        path = self.path_for(key)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        try:
+            # json.loads handles the UTF-8 decode: undecodable bytes
+            # surface as ValueError and take the corruption path
+            entry = json.loads(data)
+            if entry["key"] != key:
+                raise ValueError("key mismatch")
+            payload = entry["payload"]
+            if not isinstance(payload, (dict, list)):
+                raise ValueError("payload is not a JSON object or array")
+        except (ValueError, TypeError, KeyError):
+            self.quarantine(key)
+            return None
+        return payload
+
+    def quarantine(self, key: str) -> "Path | None":
+        """Move a corrupt entry aside instead of silently deleting it.
+
+        The entry is renamed to ``<entry>.json.corrupt`` so the bad
+        bytes survive for post-mortem inspection while the original
+        path is freed for the recomputed value. Falls back to plain
+        removal when the rename fails. Emits a
+        ``cache.corrupt_quarantined`` telemetry counter and a
+        ``cache.quarantined`` event when a registry is active.
+        """
+        path = self.path_for(key)
+        target = path.with_name(path.name + CORRUPT_SUFFIX)
+        result: "Path | None" = target
+        try:
+            os.replace(path, target)
+        except OSError:
+            self.discard(key)
+            result = None
+        self._quarantined_one(key)
+        return result
+
+    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
+        path = self.path_for(key)
+        entry = {"key": key, "kind": kind, "payload": payload}
+        tmp_name = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(
+                dir=str(path.parent), prefix=".tmp-", suffix=".json"
             )
-        elif isinstance(backend, DirectoryBackend):
-            self.root = backend.root
-        self.backend: CacheBackend = backend
+            with os.fdopen(fd, "w") as handle:
+                json.dump(entry, handle)
+            os.replace(tmp_name, path)
+            return True
+        except OSError:
+            if tmp_name is not None:
+                try:
+                    os.unlink(tmp_name)
+                except OSError:
+                    pass
+            return False
 
-    # ------------------------------------------------------------------
-    # Counters (owned by the backend; mirrored for the runner/tests)
-    # ------------------------------------------------------------------
+    def discard(self, key: str) -> None:
+        try:
+            self.path_for(key).unlink()
+        except OSError:
+            pass
 
-    @property
-    def hits(self) -> int:
-        return self.backend.hits
+    def entries(self) -> Iterator[Path]:
+        """Every entry file currently in the cache."""
+        if not self.root.is_dir():
+            return
+        for shard in sorted(self.root.iterdir()):
+            if shard.is_dir():
+                yield from sorted(shard.glob("*.json"))
 
-    @hits.setter
-    def hits(self, value: int) -> None:
-        self.backend.hits = value
+    def corrupt_entries(self) -> Iterator[Path]:
+        """Every quarantined (``*.json.corrupt``) file in the cache."""
+        if not self.root.is_dir():
+            return
+        for shard in sorted(self.root.iterdir()):
+            if shard.is_dir():
+                yield from sorted(shard.glob(f"*.json{CORRUPT_SUFFIX}"))
 
-    @property
-    def misses(self) -> int:
-        return self.backend.misses
+    def keys(self) -> Iterator[str]:
+        for path in self.entries():
+            yield path.stem
 
-    @misses.setter
-    def misses(self, value: int) -> None:
-        self.backend.misses = value
+    def info(self, detail: bool = False) -> dict:
+        """Summary statistics: backend, location, entries, shards, kinds.
 
-    @property
-    def quarantined(self) -> int:
-        return self.backend.quarantined
+        Besides the contract's keys, ``root`` names the cache directory.
+        A non-zero ``corrupt_entries`` count means corruption was
+        detected and survived, which is worth knowing even though the
+        run itself recovered. With ``detail``, an ``entry_list``
+        (``{key, kind, bytes}``, largest first), a ``corrupt_list`` and
+        per-shard ``shard_counts`` are included — the machine-readable
+        breakdown behind ``repro cache info --json``.
+        """
+        count = 0
+        total = 0
+        kinds: dict[str, int] = {}
+        kind_bytes: dict[str, int] = {}
+        shard_counts: dict[str, int] = {}
+        entry_list: list[dict] = []
+        for path in self.entries():
+            count += 1
+            size = 0
+            try:
+                size = path.stat().st_size
+                kind = json.loads(path.read_text()).get("kind") or "unknown"
+            except (OSError, ValueError, AttributeError):
+                kind = "corrupt"
+            total += size
+            kinds[kind] = kinds.get(kind, 0) + 1
+            kind_bytes[kind] = kind_bytes.get(kind, 0) + size
+            shard = path.parent.name
+            shard_counts[shard] = shard_counts.get(shard, 0) + 1
+            if detail:
+                entry_list.append(
+                    {"key": path.stem, "kind": kind, "bytes": size}
+                )
+        corrupt_count = 0
+        corrupt_bytes = 0
+        corrupt_list: list[dict] = []
+        for path in self.corrupt_entries():
+            corrupt_count += 1
+            try:
+                size = path.stat().st_size
+            except OSError:
+                size = 0
+            corrupt_bytes += size
+            if detail:
+                key = path.name[: -len(f".json{CORRUPT_SUFFIX}")]
+                corrupt_list.append({"key": key, "bytes": size})
+        info = {
+            "backend": self.kind,
+            "location": self.location,
+            "root": self.location,
+            "entries": count,
+            "bytes": total,
+            "kinds": kinds,
+            "kind_bytes": kind_bytes,
+            "shards": self._shard_summary(shard_counts),
+            "corrupt_entries": corrupt_count,
+            "corrupt_bytes": corrupt_bytes,
+        }
+        if detail:
+            entry_list.sort(key=lambda entry: (-entry["bytes"], entry["key"]))
+            info["entry_list"] = entry_list
+            corrupt_list.sort(key=lambda entry: entry["key"])
+            info["corrupt_list"] = corrupt_list
+            info["shard_counts"] = dict(sorted(shard_counts.items()))
+        return info
 
-    @quarantined.setter
-    def quarantined(self, value: int) -> None:
-        self.backend.quarantined = value
+    def clear(self) -> int:
+        removed = 0
+        for path in [*self.entries(), *self.corrupt_entries()]:
+            try:
+                path.unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
-    # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
+
+class ResultCache(DirectoryBackend):
+    """The runner's result store: the directory store at the default root.
+
+    ``root`` defaults to :func:`default_cache_dir`, so ``repro run`` and
+    ``repro serve`` share entries unless told otherwise.
+    """
+
+    def __init__(self, root: str | Path | None = None) -> None:
+        super().__init__(root if root else default_cache_dir())
 
     def key_for(self, kind: str, config: Mapping) -> str:
         """Cache key for one (kind, configuration) pair.
@@ -135,108 +384,6 @@ class ResultCache:
         return stable_digest(
             {"kind": kind, "config": config, "version": _package_version()}
         )
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of the entry for ``key``.
-
-        Only meaningful for directory-backed caches (the default); for
-        other backends this is where a directory backend *would* put
-        the entry — fault injection and tests use it to reach behind
-        the cache API.
-        """
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            return self.backend.path_for(key)
-        return self.root / key[:2] / f"{key}.json"
-
-    # Backwards-compatible internal alias.
-    _path = path_for
-
-    # ------------------------------------------------------------------
-    # Read / write
-    # ------------------------------------------------------------------
-
-    def get(self, key: str) -> dict | list | None:
-        """The payload stored under ``key``, or ``None``.
-
-        Any failure — missing entry, unreadable bytes, invalid JSON, or
-        a wrapper whose recorded key disagrees with its location —
-        counts as a miss; corrupted entries are quarantined so they are
-        recomputed once, never re-parsed, and the evidence stays
-        inspectable via ``repro cache info``.
-        """
-        return self.backend.get(key)
-
-    def quarantine(self, key: str) -> Path | None:
-        """Move a corrupt entry aside instead of silently deleting it.
-
-        Directory backends rename the entry to ``<entry>.json.corrupt``
-        and return the new path; other backends preserve the bad bytes
-        in their own quarantine area and return ``None``. Emits a
-        ``cache.corrupt_quarantined`` telemetry counter and a
-        ``cache.quarantined`` event when a registry is active.
-        """
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            return self.backend.quarantine(key)
-        self.backend.discard(key)
-        self.backend._quarantined_one(key)
-        return None
-
-    def put(self, key: str, payload: dict | list, kind: str = "") -> bool:
-        """Store ``payload`` under ``key`` atomically; False on failure."""
-        return self.backend.put(key, payload, kind)
-
-    def discard(self, key: str) -> None:
-        """Best-effort removal of one entry."""
-        self.backend.discard(key)
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-
-    def entries(self) -> Iterator[Path]:
-        """Every entry file currently in the cache (directory backends)."""
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            yield from self.backend.entries()
-
-    def corrupt_entries(self) -> Iterator[Path]:
-        """Every quarantined entry file in the cache (directory backends)."""
-        from ..serve.backends import DirectoryBackend
-
-        if isinstance(self.backend, DirectoryBackend):
-            yield from self.backend.corrupt_entries()
-
-    def info(self, detail: bool = False) -> dict:
-        """Summary statistics: backend, location, entries, shards, kinds.
-
-        Reports uniformly across backends: ``backend`` (type),
-        ``location``, entry/byte counts per kind, a ``shards``
-        distribution summary over the digest-prefix shards, and
-        quarantined-entry counts (``corrupt_entries`` /
-        ``corrupt_bytes``) — a non-zero quarantine count means
-        corruption was detected and survived, which is worth knowing
-        even though the run itself recovered. With ``detail``, an
-        ``entry_list`` (``{key, kind, bytes}``, largest first), a
-        ``corrupt_list`` and per-shard ``shard_counts`` are included —
-        the machine-readable breakdown behind
-        ``repro cache info --json``.
-        """
-        info = self.backend.info(detail=detail)
-        info.setdefault("root", str(self.root))
-        return info
-
-    def clear(self) -> int:
-        """Delete every entry (quarantined included); returns the count."""
-        return self.backend.clear()
-
-    def close(self) -> None:
-        """Release backend resources (sqlite connections, write-backs)."""
-        self.backend.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """repro.serve: the async digest-keyed characterization service.
 
 The scenario layer makes every run a pure function of its spec digest;
-this package turns that into a read-mostly service: tiered cache
-backends (:mod:`.backends`), single-flight request coalescing
-(:mod:`.singleflight`), the transport-independent service core with
-backpressure/deadlines/retries (:mod:`.service`), a stdlib asyncio
-HTTP front end and pooled client (:mod:`.http`, :mod:`.client`), a
-deterministic load generator (:mod:`.loadgen`), and the sharded
-fabric — health probing (:mod:`.health`), per-shard circuit breakers
-(:mod:`.breaker`) and the digest-range router (:mod:`.cluster`).
+this package turns that into a read-mostly service: a memory LRU in
+front of the runner's directory cache (:mod:`.backends`), single-flight
+request coalescing (:mod:`.singleflight`), the transport-independent
+service core with backpressure/deadlines/retries (:mod:`.service`), a
+stdlib asyncio HTTP front end and pooled client (:mod:`.http`,
+:mod:`.client`), a deterministic load generator (:mod:`.loadgen`), and
+the sharded fabric — health probing (:mod:`.health`), per-shard circuit
+breakers (:mod:`.breaker`) and the digest-range router
+(:mod:`.cluster`).
 
-Only the backends are imported eagerly — the runner's result cache
-delegates its storage here, and constructing a cache must not drag in
-the whole serving stack. Everything else loads on first attribute
-access.
+Only the backends and :mod:`.singleflight` are imported eagerly; the
+backends need nothing beyond the runner's cache module, which holds
+the directory store they build on. Everything else loads on first
+attribute access.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .backends import (
     CacheBackend,
     DirectoryBackend,
     MemoryLRUBackend,
-    SqliteBackend,
     TieredBackend,
     make_backend,
 )
@@ -56,7 +56,6 @@ __all__ = [
     "CacheBackend",
     "DirectoryBackend",
     "MemoryLRUBackend",
-    "SqliteBackend",
     "TieredBackend",
     "backends",
     "make_backend",

@@ -1,673 +1,36 @@
-"""Pluggable cache backends: one storage contract, three stores, one stack.
+"""The service's result stores: the directory cache, a memory LRU, the pair.
 
 The scenario layer made every run a pure function of its spec — the
 digest is the identity — and the runner's on-disk store made results
-content-addressed. This module generalizes that store into a
-:class:`CacheBackend` contract so the same digest-keyed payloads can
-live in any of three places:
+content-addressed. That store, and the :class:`CacheBackend` contract
+it implements, live in :mod:`repro.runner.cache`; this module adds what
+serving needs on top of it:
 
-- :class:`DirectoryBackend` — the original content-addressed directory
-  tree (``<root>/<key[:2]>/<key>.json``, atomic writes, quarantine on
-  corruption). This is the code that used to live inside
-  :class:`repro.runner.cache.ResultCache`; the runner now delegates to
-  it, so there is exactly one atomic-write path in the repository.
-- :class:`SqliteBackend` — the same entries in a single sqlite file
-  (one row per digest, sharded by digest prefix), for deployments where
-  millions of small files are the bottleneck.
-- :class:`MemoryLRUBackend` — a bounded in-process LRU tier, the hot
-  set in front of a durable store.
+- :class:`MemoryLRUBackend` — a bounded in-process LRU, the hot set
+  (and the whole store for the in-process serve benches).
+- :class:`TieredBackend` — that LRU in front of the directory store:
+  reads fall through to the directory and promote hits into memory;
+  writes land in both before ``put`` returns.
 
-:class:`TieredBackend` composes any of them into a read-through /
-write-back stack: reads try each tier in order and promote hits
-upward; writes land in the fastest tier immediately and flush down.
-
-Contract rules (inherited from the runner's cache and kept by every
-backend):
-
-- **get never raises.** A missing, unreadable or corrupt entry is a
-  miss; corruption is quarantined (the evidence survives for ``repro
-  cache info``) and counted, never fatal.
-- **put never raises.** A full disk or locked database degrades to
-  "no cache" (``False``), not to an error.
-- **Digest-identical everywhere.** A payload written through one
-  backend and read through another is byte-for-byte the same JSON
-  value; the round-trip suite in ``tests/serve`` enforces this.
+:func:`make_backend` builds one of the three by name (``dir``,
+``memory`` or ``tiered``). Every store keeps the contract's rules: get
+never raises, put never raises, and a payload reads back as the same
+JSON value whichever store holds it.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import sqlite3
-import tempfile
 import threading
-import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator
 
 from ..errors import ConfigurationError
-from ..telemetry import registry as telemetry_mod
-
-#: Suffix appended to a corrupt entry's filename when it is quarantined.
-CORRUPT_SUFFIX = ".corrupt"
-
-#: Digest prefix length used for sharding (directory fan-out / sqlite
-#: shard column). Two hex chars -> 256 shards.
-SHARD_CHARS = 2
+from ..runner.cache import SHARD_CHARS, CacheBackend, DirectoryBackend, ResultCache
 
 #: Default entry bound of the in-memory LRU tier.
 DEFAULT_LRU_ENTRIES = 1024
-
-#: Filename of the sqlite store inside a cache root directory.
-SQLITE_FILENAME = "cache.sqlite"
-
-
-def _count_quarantine(key: str) -> None:
-    """Emit the quarantine telemetry counter/event when a registry is on."""
-    registry = telemetry_mod.active()
-    if registry is not None:
-        registry.counter(
-            "cache.corrupt_quarantined",
-            help="corrupt cache entries quarantined on read",
-        ).inc()
-        registry.event("cache.quarantined", category="cache", key=key)
-
-
-class CacheBackend:
-    """The storage contract every cache tier implements.
-
-    Subclasses override the ``_do_*`` primitives; the public methods
-    add the shared miss/hit/quarantine accounting so counters mean the
-    same thing regardless of backend.
-    """
-
-    #: Short machine-readable backend kind (``dir`` / ``sqlite`` / ...).
-    kind: str = "abstract"
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-
-    # -- primitives (override) -----------------------------------------
-
-    def _do_get(self, key: str) -> "dict | list | None":
-        raise NotImplementedError
-
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        """Best-effort removal of one entry."""
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        """Every digest currently stored."""
-        raise NotImplementedError
-
-    def info(self, detail: bool = False) -> dict:
-        """Uniform summary: backend, location, entries, shards, corruption.
-
-        Every backend reports the same keys — ``backend``, ``location``,
-        ``entries``, ``bytes``, ``kinds``, ``kind_bytes``,
-        ``corrupt_entries``, ``corrupt_bytes`` and a ``shards`` summary
-        (``{"count", "max", "mean"}`` over the digest-prefix shards) —
-        so ``repro cache info`` renders identically over all of them.
-        With ``detail``, ``entry_list`` / ``corrupt_list`` /
-        ``shard_counts`` are included.
-        """
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Delete every entry (quarantined included); returns the count."""
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any held resources (connections, locks)."""
-
-    # -- shared accounting ----------------------------------------------
-
-    def get(self, key: str) -> "dict | list | None":
-        """The payload stored under ``key``, or ``None`` (never raises)."""
-        payload = self._do_get(key)
-        if payload is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: "dict | list", kind: str = "") -> bool:
-        """Store ``payload`` under ``key``; ``False`` on failure."""
-        return self._do_put(key, payload, kind)
-
-    def _quarantined_one(self, key: str) -> None:
-        self.quarantined += 1
-        _count_quarantine(key)
-
-    @staticmethod
-    def _shard_summary(counts: Mapping[str, int]) -> dict:
-        total = sum(counts.values())
-        return {
-            "count": len(counts),
-            "max": max(counts.values()) if counts else 0,
-            "mean": (total / len(counts)) if counts else 0.0,
-        }
-
-
-class DirectoryBackend(CacheBackend):
-    """The content-addressed directory store, extracted from the runner.
-
-    Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
-    single directory small) and wrap the payload with its key and kind
-    so :meth:`get` can reject entries that landed at the wrong path.
-    Writes go to a temporary file in the destination directory and are
-    ``os.replace``d into place, so a concurrent reader (or a killed
-    worker) never observes a half-written entry. Corrupt entries are
-    renamed to ``<entry>.json.corrupt`` on read.
-    """
-
-    kind = "dir"
-
-    def __init__(self, root: "str | Path") -> None:
-        super().__init__()
-        self.root = Path(root).expanduser()
-
-    @property
-    def location(self) -> str:
-        return str(self.root)
-
-    def path_for(self, key: str) -> Path:
-        """On-disk location of the entry for ``key`` (may not exist)."""
-        return self.root / key[:SHARD_CHARS] / f"{key}.json"
-
-    def _do_get(self, key: str) -> "dict | list | None":
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
-        except OSError:
-            return None
-        try:
-            # json.loads handles the UTF-8 decode: undecodable bytes
-            # surface as ValueError and take the corruption path
-            entry = json.loads(data)
-            if entry["key"] != key:
-                raise ValueError("key mismatch")
-            payload = entry["payload"]
-        except (ValueError, TypeError, KeyError):
-            self.quarantine(key)
-            return None
-        return payload
-
-    def quarantine(self, key: str) -> "Path | None":
-        """Move a corrupt entry aside instead of silently deleting it.
-
-        The entry is renamed to ``<entry>.json.corrupt`` so the bad
-        bytes survive for post-mortem inspection while the original
-        path is freed for the recomputed value. Falls back to plain
-        removal when the rename fails.
-        """
-        path = self.path_for(key)
-        target = path.with_name(path.name + CORRUPT_SUFFIX)
-        result: "Path | None" = target
-        try:
-            os.replace(path, target)
-        except OSError:
-            self.discard(key)
-            result = None
-        self._quarantined_one(key)
-        return result
-
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        path = self.path_for(key)
-        entry = {"key": key, "kind": kind, "payload": payload}
-        tmp_name = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(path.parent), prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle)
-            os.replace(tmp_name, path)
-            return True
-        except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            return False
-
-    def discard(self, key: str) -> None:
-        try:
-            self.path_for(key).unlink()
-        except OSError:
-            pass
-
-    def entries(self) -> Iterator[Path]:
-        """Every entry file currently in the cache."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob("*.json"))
-
-    def corrupt_entries(self) -> Iterator[Path]:
-        """Every quarantined (``*.json.corrupt``) file in the cache."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir():
-                yield from sorted(shard.glob(f"*.json{CORRUPT_SUFFIX}"))
-
-    def keys(self) -> Iterator[str]:
-        for path in self.entries():
-            yield path.stem
-
-    def info(self, detail: bool = False) -> dict:
-        count = 0
-        total = 0
-        kinds: dict[str, int] = {}
-        kind_bytes: dict[str, int] = {}
-        shard_counts: dict[str, int] = {}
-        entry_list: list[dict] = []
-        for path in self.entries():
-            count += 1
-            size = 0
-            try:
-                size = path.stat().st_size
-                kind = json.loads(path.read_text()).get("kind") or "unknown"
-            except (OSError, ValueError, AttributeError):
-                kind = "corrupt"
-            total += size
-            kinds[kind] = kinds.get(kind, 0) + 1
-            kind_bytes[kind] = kind_bytes.get(kind, 0) + size
-            shard = path.parent.name
-            shard_counts[shard] = shard_counts.get(shard, 0) + 1
-            if detail:
-                entry_list.append(
-                    {"key": path.stem, "kind": kind, "bytes": size}
-                )
-        corrupt_count = 0
-        corrupt_bytes = 0
-        corrupt_list: list[dict] = []
-        for path in self.corrupt_entries():
-            corrupt_count += 1
-            try:
-                size = path.stat().st_size
-            except OSError:
-                size = 0
-            corrupt_bytes += size
-            if detail:
-                key = path.name[: -len(f".json{CORRUPT_SUFFIX}")]
-                corrupt_list.append({"key": key, "bytes": size})
-        info = {
-            "backend": self.kind,
-            "location": self.location,
-            "root": self.location,
-            "entries": count,
-            "bytes": total,
-            "kinds": kinds,
-            "kind_bytes": kind_bytes,
-            "shards": self._shard_summary(shard_counts),
-            "corrupt_entries": corrupt_count,
-            "corrupt_bytes": corrupt_bytes,
-        }
-        if detail:
-            entry_list.sort(key=lambda entry: (-entry["bytes"], entry["key"]))
-            info["entry_list"] = entry_list
-            corrupt_list.sort(key=lambda entry: entry["key"])
-            info["corrupt_list"] = corrupt_list
-            info["shard_counts"] = dict(sorted(shard_counts.items()))
-        return info
-
-    def clear(self) -> int:
-        removed = 0
-        for path in [*self.entries(), *self.corrupt_entries()]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
-
-
-class SqliteBackend(CacheBackend):
-    """Digest-keyed entries in one sqlite file.
-
-    One row per digest, sharded by digest prefix in a dedicated column
-    (so shard distribution is one ``GROUP BY`` away). Corrupt payloads
-    are moved into a ``quarantine`` table on read — same evidence-
-    preserving semantics as the directory backend's ``*.corrupt``
-    files. A single connection guarded by a lock keeps the backend
-    usable from the server's executor threads.
-
-    Retention is optional and layered on the write timestamp each row
-    carries:
-
-    - ``ttl_s`` expires entries lazily on read: a row older than the
-      TTL is deleted and reported as a miss. Rows migrated from a
-      pre-timestamp database carry ``created_at = 0`` and are exempt
-      (age unknown is not age infinite).
-    - ``max_entries`` is a high-water mark enforced on write: when an
-      insert pushes the table over the bound, the oldest rows (by
-      ``created_at``, then key) are evicted back down to it.
-
-    Both are counted in memory *and* persisted in a ``meta`` table, so
-    ``repro cache info`` reports lifetime ``expired`` / ``evictions``
-    totals across process restarts — retention that silently loses
-    entries without a ledger is indistinguishable from corruption.
-    """
-
-    kind = "sqlite"
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS entries (
-        key TEXT PRIMARY KEY,
-        shard TEXT NOT NULL,
-        kind TEXT NOT NULL DEFAULT '',
-        payload TEXT NOT NULL,
-        created_at REAL NOT NULL DEFAULT 0
-    );
-    CREATE INDEX IF NOT EXISTS entries_shard ON entries (shard);
-    CREATE INDEX IF NOT EXISTS entries_created ON entries (created_at);
-    CREATE TABLE IF NOT EXISTS quarantine (
-        key TEXT PRIMARY KEY,
-        payload TEXT NOT NULL
-    );
-    CREATE TABLE IF NOT EXISTS meta (
-        key TEXT PRIMARY KEY,
-        value REAL NOT NULL
-    );
-    """
-
-    def __init__(
-        self,
-        path: "str | Path",
-        *,
-        ttl_s: "float | None" = None,
-        max_entries: "int | None" = None,
-    ) -> None:
-        super().__init__()
-        if ttl_s is not None and ttl_s <= 0:
-            raise ConfigurationError(f"ttl_s must be positive, got {ttl_s}")
-        if max_entries is not None and max_entries < 1:
-            raise ConfigurationError(
-                f"max_entries must be >= 1, got {max_entries}"
-            )
-        self.path = Path(path).expanduser()
-        self.ttl_s = ttl_s
-        self.max_entries = max_entries
-        self.expired = 0
-        self.evictions = 0
-        #: Injection point for the TTL tests; wall clock in production.
-        self._clock = time.time
-        self._lock = threading.Lock()
-        self._conn: "sqlite3.Connection | None" = None
-
-    @property
-    def location(self) -> str:
-        return str(self.path)
-
-    def _connection(self) -> sqlite3.Connection:
-        # opened lazily so constructing a backend never touches the disk
-        if self._conn is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(str(self.path), check_same_thread=False)
-            conn.executescript(self._SCHEMA)
-            try:
-                # migrate pre-timestamp databases in place
-                conn.execute(
-                    "ALTER TABLE entries ADD COLUMN "
-                    "created_at REAL NOT NULL DEFAULT 0"
-                )
-            except sqlite3.Error:
-                pass  # column already exists
-            conn.commit()
-            for meta_key, attr in (("expired", "expired"),
-                                   ("evicted", "evictions")):
-                try:
-                    row = conn.execute(
-                        "SELECT value FROM meta WHERE key = ?", (meta_key,)
-                    ).fetchone()
-                except sqlite3.Error:
-                    row = None
-                if row is not None:
-                    setattr(self, attr, int(row[0]))
-            self._conn = conn
-        return self._conn
-
-    def _bump_meta_locked(self, meta_key: str, delta: int) -> None:
-        """Persist a retention counter increment (lock held, best effort)."""
-        try:
-            self._connection().execute(
-                "INSERT INTO meta (key, value) VALUES (?, ?) "
-                "ON CONFLICT(key) DO UPDATE SET value = value + ?",
-                (meta_key, delta, delta),
-            )
-        except sqlite3.Error:
-            pass
-
-    def _do_get(self, key: str) -> "dict | list | None":
-        with self._lock:
-            try:
-                row = (
-                    self._connection()
-                    .execute(
-                        "SELECT payload, created_at FROM entries "
-                        "WHERE key = ?",
-                        (key,),
-                    )
-                    .fetchone()
-                )
-            except sqlite3.Error:
-                return None
-            if row is None:
-                return None
-            blob, created_at = row
-            if (
-                self.ttl_s is not None
-                and created_at
-                and self._clock() - created_at > self.ttl_s
-            ):
-                try:
-                    conn = self._connection()
-                    conn.execute(
-                        "DELETE FROM entries WHERE key = ?", (key,)
-                    )
-                    self.expired += 1
-                    self._bump_meta_locked("expired", 1)
-                    conn.commit()
-                except sqlite3.Error:
-                    pass
-                return None
-            try:
-                payload = json.loads(blob)
-            except (ValueError, TypeError):
-                self._quarantine_locked(key, blob)
-                return None
-            if not isinstance(payload, (dict, list)):
-                self._quarantine_locked(key, blob)
-                return None
-            return payload
-
-    def purge_expired(self) -> int:
-        """Eagerly delete every expired row; returns the count removed."""
-        if self.ttl_s is None:
-            return 0
-        cutoff = self._clock() - self.ttl_s
-        with self._lock:
-            try:
-                conn = self._connection()
-                count = conn.execute(
-                    "SELECT COUNT(*) FROM entries "
-                    "WHERE created_at > 0 AND created_at < ?",
-                    (cutoff,),
-                ).fetchone()[0]
-                if count:
-                    conn.execute(
-                        "DELETE FROM entries "
-                        "WHERE created_at > 0 AND created_at < ?",
-                        (cutoff,),
-                    )
-                    self.expired += count
-                    self._bump_meta_locked("expired", count)
-                    conn.commit()
-                return int(count)
-            except sqlite3.Error:
-                return 0
-
-    def _quarantine_locked(self, key: str, blob: str) -> None:
-        """Move a corrupt row into the quarantine table (lock held)."""
-        try:
-            conn = self._connection()
-            conn.execute(
-                "INSERT OR REPLACE INTO quarantine (key, payload) "
-                "VALUES (?, ?)",
-                (key, blob),
-            )
-            conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-            conn.commit()
-        except sqlite3.Error:
-            pass
-        self._quarantined_one(key)
-
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        blob = json.dumps(payload)
-        with self._lock:
-            try:
-                conn = self._connection()
-                conn.execute(
-                    "INSERT OR REPLACE INTO entries "
-                    "(key, shard, kind, payload, created_at) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (key, key[:SHARD_CHARS], kind, blob, self._clock()),
-                )
-                self._evict_over_high_water_locked(conn)
-                conn.commit()
-                return True
-            except sqlite3.Error:
-                return False
-
-    def _evict_over_high_water_locked(self, conn: sqlite3.Connection) -> None:
-        """Evict oldest rows past ``max_entries`` (lock held, pre-commit)."""
-        if self.max_entries is None:
-            return
-        count = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        over = int(count) - self.max_entries
-        if over <= 0:
-            return
-        conn.execute(
-            "DELETE FROM entries WHERE key IN ("
-            "SELECT key FROM entries ORDER BY created_at ASC, key ASC "
-            "LIMIT ?)",
-            (over,),
-        )
-        self.evictions += over
-        self._bump_meta_locked("evicted", over)
-
-    def discard(self, key: str) -> None:
-        with self._lock:
-            try:
-                conn = self._connection()
-                conn.execute("DELETE FROM entries WHERE key = ?", (key,))
-                conn.commit()
-            except sqlite3.Error:
-                pass
-
-    def keys(self) -> Iterator[str]:
-        with self._lock:
-            try:
-                rows = (
-                    self._connection()
-                    .execute("SELECT key FROM entries ORDER BY key")
-                    .fetchall()
-                )
-            except sqlite3.Error:
-                return iter(())
-        return iter([row[0] for row in rows])
-
-    def info(self, detail: bool = False) -> dict:
-        entry_rows: list = []
-        corrupt_rows: list = []
-        with self._lock:
-            try:
-                conn = self._connection()
-                entry_rows = conn.execute(
-                    "SELECT key, shard, kind, LENGTH(payload) FROM entries"
-                ).fetchall()
-                corrupt_rows = conn.execute(
-                    "SELECT key, LENGTH(payload) FROM quarantine"
-                ).fetchall()
-            except sqlite3.Error:
-                pass
-        kinds: dict[str, int] = {}
-        kind_bytes: dict[str, int] = {}
-        shard_counts: dict[str, int] = {}
-        total = 0
-        entry_list: list[dict] = []
-        for key, shard, kind, size in entry_rows:
-            kind = kind or "unknown"
-            size = int(size or 0)
-            total += size
-            kinds[kind] = kinds.get(kind, 0) + 1
-            kind_bytes[kind] = kind_bytes.get(kind, 0) + size
-            shard_counts[shard] = shard_counts.get(shard, 0) + 1
-            if detail:
-                entry_list.append({"key": key, "kind": kind, "bytes": size})
-        corrupt_bytes = sum(int(size or 0) for _key, size in corrupt_rows)
-        info = {
-            "backend": self.kind,
-            "location": self.location,
-            "entries": len(entry_rows),
-            "bytes": total,
-            "kinds": kinds,
-            "kind_bytes": kind_bytes,
-            "shards": self._shard_summary(shard_counts),
-            "corrupt_entries": len(corrupt_rows),
-            "corrupt_bytes": corrupt_bytes,
-            "ttl_s": self.ttl_s,
-            "max_entries": self.max_entries,
-            "expired": self.expired,
-            "evictions": self.evictions,
-        }
-        if detail:
-            entry_list.sort(key=lambda entry: (-entry["bytes"], entry["key"]))
-            info["entry_list"] = entry_list
-            info["corrupt_list"] = sorted(
-                (
-                    {"key": key, "bytes": int(size or 0)}
-                    for key, size in corrupt_rows
-                ),
-                key=lambda entry: entry["key"],
-            )
-            info["shard_counts"] = dict(sorted(shard_counts.items()))
-        return info
-
-    def clear(self) -> int:
-        with self._lock:
-            try:
-                conn = self._connection()
-                count = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-                count += conn.execute(
-                    "SELECT COUNT(*) FROM quarantine"
-                ).fetchone()[0]
-                conn.execute("DELETE FROM entries")
-                conn.execute("DELETE FROM quarantine")
-                conn.commit()
-                return int(count)
-            except sqlite3.Error:
-                return 0
-
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                try:
-                    self._conn.close()
-                except sqlite3.Error:
-                    pass
-                self._conn = None
 
 
 class MemoryLRUBackend(CacheBackend):
@@ -675,27 +38,20 @@ class MemoryLRUBackend(CacheBackend):
 
     Values are stored as their canonical JSON encoding (not object
     references), so a cached payload cannot be mutated by one consumer
-    under another — the same isolation the on-disk backends get for
+    under another — the same isolation the on-disk store gets for
     free. Least-recently-used entries are evicted once ``max_entries``
-    or ``max_bytes`` is exceeded; evictions are counted, not errors.
+    is exceeded; evictions are counted, not errors.
     """
 
     kind = "memory"
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_LRU_ENTRIES,
-        max_bytes: "int | None" = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_LRU_ENTRIES) -> None:
         super().__init__()
         if max_entries < 1:
             raise ConfigurationError(
                 f"max_entries must be >= 1, got {max_entries}"
             )
-        if max_bytes is not None and max_bytes < 1:
-            raise ConfigurationError(f"max_bytes must be >= 1, got {max_bytes}")
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self.evictions = 0
         self._lock = threading.Lock()
         #: key -> (blob, kind); ordered oldest-first.
@@ -736,11 +92,7 @@ class MemoryLRUBackend(CacheBackend):
             self._discard_locked(key)
             self._entries[key] = (blob, kind)
             self._bytes += len(blob)
-            while len(self._entries) > self.max_entries or (
-                self.max_bytes is not None
-                and self._bytes > self.max_bytes
-                and len(self._entries) > 1
-            ):
+            while len(self._entries) > self.max_entries:
                 evicted_key, (evicted_blob, _kind) = self._entries.popitem(
                     last=False
                 )
@@ -807,191 +159,105 @@ class MemoryLRUBackend(CacheBackend):
 
 
 class TieredBackend(CacheBackend):
-    """A read-through / write-back stack of backends, fastest first.
+    """A memory LRU in front of the directory store.
 
-    ``get`` tries each tier in order; a hit at tier *i* is promoted
-    into every faster tier before returning, so the hot set migrates
-    upward on its own. ``put`` lands in the fastest tier immediately
-    and, under the default write-back policy, queues the write for the
-    slower tiers — :meth:`flush` (called by the service after each
-    compute, and by :meth:`close`) drains the queue. With
-    ``write_policy="write-through"`` every put goes to all tiers
-    synchronously.
+    ``get`` tries the LRU first; a directory hit is promoted into the
+    LRU before returning, so the hot set migrates into memory on its
+    own. ``put`` stores in the LRU and then in the directory before it
+    returns, so the durable store holds everything the service ever
+    acknowledged.
     """
 
     kind = "tiered"
 
-    _POLICIES = ("write-back", "write-through")
-
     def __init__(
-        self,
-        tiers: Sequence[CacheBackend],
-        write_policy: str = "write-back",
+        self, memory: MemoryLRUBackend, directory: DirectoryBackend
     ) -> None:
         super().__init__()
-        if not tiers:
-            raise ConfigurationError("a tiered backend needs at least one tier")
-        if write_policy not in self._POLICIES:
-            raise ConfigurationError(
-                f"write_policy: expected one of {list(self._POLICIES)}, "
-                f"got {write_policy!r}"
-            )
-        self.tiers = list(tiers)
-        self.write_policy = write_policy
+        self.memory = memory
+        self.directory = directory
         self.promotions = 0
-        self._lock = threading.Lock()
-        #: write-back queue: key -> (payload, kind), insertion-ordered.
-        self._pending: "OrderedDict[str, tuple[dict | list, str]]" = (
-            OrderedDict()
-        )
 
     @property
     def location(self) -> str:
-        return " -> ".join(tier.kind for tier in self.tiers)
+        return f"{self.memory.kind} -> {self.directory.kind}"
 
     def _do_get(self, key: str) -> "dict | list | None":
-        for index, tier in enumerate(self.tiers):
-            payload = tier.get(key)
-            if payload is None:
-                continue
-            for faster in self.tiers[:index]:
-                faster.put(key, payload)
+        payload = self.memory.get(key)
+        if payload is None:
+            payload = self.directory.get(key)
+            if payload is not None:
+                self.memory.put(key, payload)
                 self.promotions += 1
-            return payload
-        return None
+        return payload
 
     def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        stored = self.tiers[0].put(key, payload, kind)
-        if self.write_policy == "write-through":
-            for tier in self.tiers[1:]:
-                stored = tier.put(key, payload, kind) or stored
-            return stored
-        if len(self.tiers) > 1:
-            with self._lock:
-                self._pending[key] = (payload, kind)
-        return stored
-
-    def flush(self) -> int:
-        """Drain queued write-backs into the slower tiers; returns count."""
-        with self._lock:
-            pending = list(self._pending.items())
-            self._pending.clear()
-        for key, (payload, kind) in pending:
-            for tier in self.tiers[1:]:
-                tier.put(key, payload, kind)
-        return len(pending)
-
-    @property
-    def pending_writes(self) -> int:
-        """Entries written to the fast tier but not yet flushed down."""
-        with self._lock:
-            return len(self._pending)
+        stored = self.memory.put(key, payload, kind)
+        return self.directory.put(key, payload, kind) or stored
 
     def discard(self, key: str) -> None:
-        with self._lock:
-            self._pending.pop(key, None)
-        for tier in self.tiers:
-            tier.discard(key)
+        self.memory.discard(key)
+        self.directory.discard(key)
 
     def keys(self) -> Iterator[str]:
         seen: set[str] = set()
-        for tier in self.tiers:
+        for tier in (self.memory, self.directory):
             for key in tier.keys():
                 if key not in seen:
                     seen.add(key)
                     yield key
 
     def info(self, detail: bool = False) -> dict:
-        tier_infos = [tier.info(detail=detail) for tier in self.tiers]
-        # the slowest tier is the durable one; with write-backs pending
-        # the fast tier may briefly hold entries the bottom hasn't seen
-        authoritative = tier_infos[-1]
+        tier_infos = [
+            self.memory.info(detail=detail),
+            self.directory.info(detail=detail),
+        ]
+        # the directory is the durable tier: it reports sizes and shards
+        durable = tier_infos[-1]
         info = {
             "backend": self.kind,
             "location": self.location,
             "entries": max(tier["entries"] for tier in tier_infos),
-            "bytes": authoritative["bytes"],
-            "kinds": dict(authoritative["kinds"]),
-            "kind_bytes": dict(authoritative["kind_bytes"]),
-            "shards": dict(authoritative["shards"]),
+            "bytes": durable["bytes"],
+            "kinds": dict(durable["kinds"]),
+            "kind_bytes": dict(durable["kind_bytes"]),
+            "shards": dict(durable["shards"]),
             "corrupt_entries": sum(
                 tier["corrupt_entries"] for tier in tier_infos
             ),
             "corrupt_bytes": sum(tier["corrupt_bytes"] for tier in tier_infos),
-            "write_policy": self.write_policy,
-            "pending_writes": self.pending_writes,
             "promotions": self.promotions,
             "tiers": tier_infos,
         }
         if detail:
-            info["entry_list"] = authoritative.get("entry_list", [])
-            info["corrupt_list"] = authoritative.get("corrupt_list", [])
-            info["shard_counts"] = authoritative.get("shard_counts", {})
+            info["entry_list"] = durable.get("entry_list", [])
+            info["corrupt_list"] = durable.get("corrupt_list", [])
+            info["shard_counts"] = durable.get("shard_counts", {})
         return info
 
     def clear(self) -> int:
-        with self._lock:
-            self._pending.clear()
-        return max(tier.clear() for tier in self.tiers)
-
-    def close(self) -> None:
-        self.flush()
-        for tier in self.tiers:
-            tier.close()
+        return max(self.memory.clear(), self.directory.clear())
 
 
-#: Backend spec names accepted by :func:`make_backend`; ``tiered`` is
-#: shorthand for the canonical serving stack ``memory,dir``.
-BACKEND_NAMES = ("dir", "sqlite", "memory", "tiered")
+#: Backend names accepted by :func:`make_backend`.
+BACKEND_NAMES = ("dir", "memory", "tiered")
 
 
-def make_backend(
-    spec: str,
-    root: "str | Path | None" = None,
-    *,
-    lru_entries: int = DEFAULT_LRU_ENTRIES,
-    write_policy: str = "write-back",
-    ttl_s: "float | None" = None,
-    max_entries: "int | None" = None,
-) -> CacheBackend:
-    """Build a backend (or tiered stack) from a spec string.
+def make_backend(name: str, root: "str | Path | None" = None) -> CacheBackend:
+    """Build the store called ``name``: ``dir``, ``memory`` or ``tiered``.
 
-    ``spec`` is a single name or a comma-separated stack, fastest tier
-    first: ``"dir"``, ``"sqlite"``, ``"memory"``,
-    ``"memory,sqlite"``, ... The name ``"tiered"`` is shorthand for
-    ``"memory,dir"``. ``root`` locates the on-disk tiers (the sqlite
-    file is ``<root>/cache.sqlite``); it defaults to the runner's cache
-    directory, so a server and ``repro run`` share entries by default.
-    ``ttl_s`` / ``max_entries`` configure retention on the sqlite tiers
-    (see :class:`SqliteBackend`); the other backends ignore them.
+    ``tiered`` is a :class:`MemoryLRUBackend` in front of the directory
+    store. ``root`` locates the directory store; it defaults to the
+    runner's cache directory, so a server and ``repro run`` share
+    entries by default.
     """
-    from ..runner.cache import default_cache_dir
-
-    resolved_root = Path(root).expanduser() if root else default_cache_dir()
-    names = [name.strip() for name in spec.split(",") if name.strip()]
-    if not names:
-        raise ConfigurationError(f"empty backend spec {spec!r}")
-    if names == ["tiered"]:
-        names = ["memory", "dir"]
-    tiers: list[CacheBackend] = []
-    for name in names:
-        if name == "dir":
-            tiers.append(DirectoryBackend(resolved_root))
-        elif name == "sqlite":
-            tiers.append(
-                SqliteBackend(
-                    resolved_root / SQLITE_FILENAME,
-                    ttl_s=ttl_s,
-                    max_entries=max_entries,
-                )
-            )
-        elif name == "memory":
-            tiers.append(MemoryLRUBackend(max_entries=lru_entries))
-        else:
-            raise ConfigurationError(
-                f"unknown cache backend {name!r}; available: "
-                f"{list(BACKEND_NAMES)} or a comma-separated stack"
-            )
-    if len(tiers) == 1:
-        return tiers[0]
-    return TieredBackend(tiers, write_policy=write_policy)
+    if name == "memory":
+        return MemoryLRUBackend()
+    if name not in BACKEND_NAMES:
+        raise ConfigurationError(
+            f"unknown cache backend {name!r}; available: {list(BACKEND_NAMES)}"
+        )
+    directory = ResultCache(root)
+    if name == "dir":
+        return directory
+    return TieredBackend(MemoryLRUBackend(), directory)

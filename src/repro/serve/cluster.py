@@ -653,7 +653,7 @@ class LocalCluster:
     (:meth:`drain_shard`) members mid-load. Shards share one backend
     spec but get *independent* backend instances (memory backends do
     not share entries, matching separate processes); pass ``cache_dir``
-    with a ``dir``/``sqlite`` backend for the shared-store layout.
+    with a ``dir`` backend for the shared-store layout.
     """
 
     def __init__(
@@ -741,7 +741,6 @@ def spawn_shards(
     base_port: int,
     *,
     host: str = "127.0.0.1",
-    backend: str = "tiered",
     cache_dir: "str | None" = None,
     max_inflight: int = 4,
     extra_args: "Sequence[str] | None" = None,
@@ -769,8 +768,6 @@ def spawn_shards(
             host,
             "--port",
             str(base_port + index),
-            "--backend",
-            backend,
             "--max-inflight",
             str(max_inflight),
         ]

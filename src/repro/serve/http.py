@@ -32,9 +32,9 @@ monitor stop routing here before the socket closes.
 
 Graceful drain (:meth:`HttpServer.drain`, wired to SIGTERM by
 :func:`serve`): stop accepting connections, wait for requests already
-being handled, drain the service (which flushes pending cache
-write-backs), then exit 0 — killing a shard costs availability of its
-digest range for a probe interval, never a lost in-flight response.
+being handled, drain the service (which waits out its queue and
+running computes), then exit 0 — killing a shard costs availability of
+its digest range for a probe interval, never a lost in-flight response.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class HttpServer:
         connections arrive (established keep-alive connections keep
         being read — their next request gets a 503 once the service is
         draining); (2) drain the service — it stops admitting requests
-        and waits out its queue and running computes, flushing pending
-        cache write-backs; (3) wait for responses still being written.
+        and waits out its queue and running computes; (3) wait for
+        responses still being written.
         Returns the service's drain summary plus the requests this
         transport was still handling.
         """
@@ -305,9 +305,9 @@ async def serve_service(
 
     The shared run loop behind ``repro serve`` and ``repro route``:
     accepts any service-protocol object (a shard service or a cluster
-    router). On SIGTERM/SIGINT the server drains — stops accepting,
-    finishes in-flight work, flushes caches — and this coroutine
-    returns normally, so the process exits 0.
+    router). On SIGTERM/SIGINT the server drains — stops accepting and
+    finishes in-flight work — and this coroutine returns normally, so
+    the process exits 0.
     """
     server = HttpServer(service, host=host, port=port)
     await server.start()

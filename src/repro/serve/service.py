@@ -12,7 +12,7 @@ The request path, in order:
    :class:`~repro.scenario.core.Scenario` (malformed specs are a 400,
    computed on the event loop — validation is cheap).
 2. **Cache lookup** through the configured
-   :class:`~repro.serve.backends.CacheBackend` stack, offloaded to the
+   :class:`~repro.runner.cache.CacheBackend`, offloaded to the
    executor (backend I/O is blocking; RPR009 enforces the offload).
 3. **Coalesce** misses per digest through
    :class:`~repro.serve.singleflight.SingleFlight`: a thundering herd
@@ -54,12 +54,7 @@ from ..resilience.failures import (
 )
 from ..resilience.retry import RetryPolicy
 from ..telemetry.registry import TelemetryRegistry
-from .backends import (
-    BACKEND_NAMES,
-    CacheBackend,
-    TieredBackend,
-    make_backend,
-)
+from .backends import BACKEND_NAMES, CacheBackend, make_backend
 from .singleflight import SingleFlight
 
 #: Request verbs the service answers, and the scenario workload kind
@@ -165,14 +160,13 @@ class ServiceConfig:
     Parameters
     ----------
     backend:
-        Cache backend spec for :func:`~repro.serve.backends.make_backend`
-        — a name (``dir`` / ``sqlite`` / ``memory`` / ``tiered``) or a
-        comma-separated stack, fastest first. The default ``tiered``
-        is an in-memory LRU in front of the shared directory store.
+        Store name for :func:`~repro.serve.backends.make_backend`:
+        ``dir``, ``memory`` or ``tiered``. The default ``tiered`` is an
+        in-memory LRU in front of the shared directory store.
     cache_dir:
-        Root for the on-disk tiers; ``None`` uses the runner's default,
-        so the service answers from — and feeds — the same cache as
-        ``repro run``.
+        Root of the directory store; ``None`` uses the runner's
+        default, so the service answers from — and feeds — the same
+        cache as ``repro run``.
     max_inflight:
         Computes allowed to run concurrently (executor threads doing
         scenario work). Lookups are not bounded by this.
@@ -184,10 +178,6 @@ class ServiceConfig:
         this long fails with ``DeadlineExceededError`` (504).
     retry:
         Policy for transient compute failures inside a flight.
-    ttl_s / max_entries:
-        Expiry and high-water eviction for sqlite tiers (see
-        :class:`~repro.serve.backends.SqliteBackend`); ignored by the
-        other backends.
     """
 
     backend: str = "tiered"
@@ -200,16 +190,13 @@ class ServiceConfig:
             max_attempts=2, base_delay_s=0.05, max_delay_s=1.0, jitter=0.5
         )
     )
-    ttl_s: "float | None" = None
-    max_entries: "int | None" = None
 
     def __post_init__(self) -> None:
-        for part in self.backend.split(","):
-            if part.strip() not in BACKEND_NAMES:
-                raise ConfigurationError(
-                    f"unknown backend {part.strip()!r} in {self.backend!r}; "
-                    f"expected names from {sorted(BACKEND_NAMES)}"
-                )
+        if self.backend not in BACKEND_NAMES:
+            raise ConfigurationError(
+                f"unknown backend {self.backend!r}; "
+                f"expected one of {list(BACKEND_NAMES)}"
+            )
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -234,10 +221,7 @@ class CharacterizationService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.backend = backend if backend is not None else make_backend(
-            self.config.backend,
-            self.config.cache_dir,
-            ttl_s=self.config.ttl_s,
-            max_entries=self.config.max_entries,
+            self.config.backend, self.config.cache_dir
         )
         self.telemetry = TelemetryRegistry()
         self.flights = SingleFlight()
@@ -310,14 +294,14 @@ class CharacterizationService:
         return {"ok": self.accepting, "draining": self._draining}
 
     async def drain(self, timeout_s: "float | None" = None) -> dict:
-        """Graceful shutdown, phase one: stop accepting, flush, report.
+        """Graceful shutdown, phase one: stop accepting, wait, report.
 
         New requests are refused with 503 immediately; requests already
         inside the service (queued waiters, running computes) are given
         up to ``timeout_s`` seconds (forever when ``None``) to finish.
-        Pending tiered write-backs are then flushed so the durable tier
-        holds everything the fast tier ever acknowledged. Returns a
-        summary; call :meth:`close` afterwards to release resources.
+        Every put reached the durable store before it returned, so no
+        write is left pending. Returns a summary; call :meth:`close`
+        afterwards to release resources.
         """
         self._draining = True
         start = time.perf_counter()
@@ -330,20 +314,14 @@ class CharacterizationService:
                 drained = False
                 break
             await asyncio.sleep(0.01)
-        flushed = 0
-        if isinstance(self.backend, TieredBackend):
-            flushed = await asyncio.get_running_loop().run_in_executor(
-                self._executor, self.backend.flush
-            )
         return {
             "drained": drained,
             "abandoned_in_flight": self._active + self.flights.in_flight,
-            "flushed_writes": flushed,
             "drain_s": time.perf_counter() - start,
         }
 
     async def close(self) -> None:
-        """Stop accepting work and release executor/backend resources."""
+        """Stop accepting work and release the executor."""
         self._closed = True
         executor = self._executor
         self._executor = None
@@ -351,9 +329,6 @@ class CharacterizationService:
             await asyncio.get_running_loop().run_in_executor(
                 None, lambda: executor.shutdown(wait=True)
             )
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.backend.close
-        )
 
     async def _offload(self, func: Any, *args: Any) -> Any:
         """Run blocking work on the service executor."""
@@ -392,8 +367,6 @@ class CharacterizationService:
         result = scenario.run()
         payload = json.loads(json.dumps(result.to_dict()))
         self.backend.put(key, payload, kind="scenario-result")
-        if isinstance(self.backend, TieredBackend):
-            self.backend.flush()
         return payload
 
     async def _fly(self, scenario: Any, key: str) -> "dict | list":
@@ -547,35 +520,29 @@ class CharacterizationService:
         }
 
 
-def warm_from_manifest(
-    backend: CacheBackend,
-    manifest_path: "str | Any",
-    source: "CacheBackend | None" = None,
-) -> dict:
+def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dict:
     """Pre-seed ``backend`` from a ``repro run`` manifest's results.
 
-    The manifest records which scenarios a sweep ran; their payloads
-    live in the runner's content-addressed cache under the scenario
-    digest. Warming walks every successful record, recomputes its
-    scenario digest (from ``scenario_spec`` for scenario records, from
-    ``experiment_id``/``scale``/``options`` for experiment records),
-    reads the payload from ``source`` (the runner's directory cache by
-    default) and writes it through ``backend`` — so the first request
-    wave after a deploy hits a hot cache instead of a compute storm.
+    The manifest records which scenarios a sweep ran and the cache
+    directory it ran against; the payloads live there under the
+    scenario digest. Warming walks every successful record, recomputes
+    its scenario digest (from ``scenario_spec`` for scenario records,
+    from ``experiment_id``/``scale``/``options`` for experiment
+    records), reads the payload from the manifest's ``cache_dir`` (the
+    default cache directory when the run recorded none) and writes it
+    through ``backend`` — so the first request wave after a deploy hits
+    a hot cache instead of a compute storm.
 
     Synchronous and blocking by design: it runs *before* the server
     starts accepting traffic. Returns
     ``{"records", "warmed", "already_present", "missing", "failed"}``.
     """
-    from ..runner.cache import default_cache_dir
+    from ..runner.cache import ResultCache
     from ..runner.manifest import RunManifest
     from ..scenario.core import Scenario
 
     manifest = RunManifest.read(manifest_path)
-    if source is None:
-        from .backends import DirectoryBackend
-
-        source = DirectoryBackend(default_cache_dir())
+    source = ResultCache(manifest.cache_dir)
     warmed = present = missing = failed = 0
     for record in manifest.records:
         if record.status != "ok":
@@ -604,8 +571,6 @@ def warm_from_manifest(
             warmed += 1
         else:
             failed += 1
-    if isinstance(backend, TieredBackend):
-        backend.flush()
     return {
         "records": len(manifest.records),
         "warmed": warmed,

@@ -72,7 +72,7 @@ class TestCorruption:
     def test_truncated_entry_is_discarded(self, cache):
         key = cache.key_for("result", {"id": "fig2"})
         cache.put(key, {"v": 1})
-        path = cache._path(key)
+        path = cache.path_for(key)
         path.write_text('{"key": "' + key + '", "payl')  # truncated JSON
         assert cache.get(key) is None
         assert not path.exists(), "corrupt entry must be deleted"
@@ -82,7 +82,7 @@ class TestCorruption:
 
     def test_key_mismatch_is_discarded(self, cache):
         key = cache.key_for("result", {"id": "fig2"})
-        path = cache._path(key)
+        path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"key": "0" * 64, "payload": {"v": 1}}))
         assert cache.get(key) is None
@@ -90,7 +90,7 @@ class TestCorruption:
 
     def test_garbage_bytes_are_discarded(self, cache):
         key = cache.key_for("result", {"id": "fig2"})
-        path = cache._path(key)
+        path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(os.urandom(64))
         assert cache.get(key) is None

@@ -1,10 +1,11 @@
 """Cache backends: the same digest-keyed contract over every store.
 
-The backends are interchangeable by construction — any payload stored
-under a digest must round-trip byte-identically (same canonical JSON,
-same :func:`repro.runner.cache.stable_digest`) whichever backend holds
-it, corruption must quarantine instead of raising, and concurrent
-writers of the same digest must never tear an entry.
+The directory store, the memory LRU and the pair of them are
+interchangeable by construction — any payload stored under a digest
+must round-trip byte-identically (same canonical JSON, same
+:func:`repro.runner.cache.stable_digest`) whichever store holds it,
+corruption must quarantine instead of raising, and concurrent writers
+of the same digest must never tear an entry.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from repro.runner.cache import stable_digest
 from repro.serve.backends import (
     DirectoryBackend,
     MemoryLRUBackend,
-    SqliteBackend,
     TieredBackend,
     make_backend,
 )
@@ -36,11 +36,8 @@ PAYLOAD = {
 def all_backends(tmp_path):
     return [
         DirectoryBackend(tmp_path / "dir"),
-        SqliteBackend(tmp_path / "store.sqlite"),
         MemoryLRUBackend(),
-        TieredBackend(
-            [MemoryLRUBackend(), DirectoryBackend(tmp_path / "tiered")]
-        ),
+        TieredBackend(MemoryLRUBackend(), DirectoryBackend(tmp_path / "tiered")),
     ]
 
 
@@ -52,7 +49,6 @@ class TestContract:
             stored = backend.get(KEY)
             assert stored == PAYLOAD
             digests.add(stable_digest(stored))
-            backend.close()
         assert len(digests) == 1
 
     def test_miss_returns_none_and_counts(self, tmp_path):
@@ -60,7 +56,6 @@ class TestContract:
             assert backend.get(KEY) is None
             assert backend.misses == 1
             assert backend.hits == 0
-            backend.close()
 
     def test_discard_and_keys(self, tmp_path):
         for backend in all_backends(tmp_path):
@@ -70,14 +65,12 @@ class TestContract:
             backend.discard(KEY)
             assert backend.get(KEY) is None
             assert backend.get(OTHER) == {"x": 1}
-            backend.close()
 
     def test_clear_empties_every_backend(self, tmp_path):
         for backend in all_backends(tmp_path):
             backend.put(KEY, PAYLOAD)
             assert backend.clear() >= 1
             assert backend.get(KEY) is None
-            backend.close()
 
     def test_info_keys_are_uniform(self, tmp_path):
         required = {
@@ -93,53 +86,30 @@ class TestContract:
         }
         for backend in all_backends(tmp_path):
             backend.put(KEY, PAYLOAD, kind="result")
-            if isinstance(backend, TieredBackend):
-                backend.flush()  # shards are read from the durable tier
             info = backend.info()
             assert required <= set(info)
             assert info["entries"] == 1
             assert info["shards"]["count"] == 1
-            backend.close()
-
-    def test_sqlite_and_dir_round_trips_agree(self, tmp_path):
-        via_dir = DirectoryBackend(tmp_path / "d")
-        via_sql = SqliteBackend(tmp_path / "s.sqlite")
-        via_dir.put(KEY, PAYLOAD)
-        via_sql.put(KEY, PAYLOAD)
-        assert stable_digest(via_dir.get(KEY)) == stable_digest(
-            via_sql.get(KEY)
-        )
-        via_sql.close()
 
 
 class TestCorruption:
     def test_dir_quarantines_corrupt_entry(self, tmp_path):
-        backend = DirectoryBackend(tmp_path)
-        backend.put(KEY, PAYLOAD)
-        path = backend.path_for(KEY)
-        path.write_text("{not json")
-        assert backend.get(KEY) is None
-        assert backend.quarantined == 1
-        assert not path.exists()
-        (moved,) = list(backend.corrupt_entries())
-        assert moved.name.endswith(".corrupt")
-        assert backend.info()["corrupt_entries"] == 1
-
-    def test_sqlite_quarantines_corrupt_row(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "s.sqlite")
-        backend.put(KEY, PAYLOAD)
-        with backend._lock:
-            backend._connection().execute(
-                "UPDATE entries SET payload = ? WHERE key = ?",
-                ("{not json", KEY),
-            )
-            backend._connection().commit()
-        assert backend.get(KEY) is None
-        assert backend.quarantined == 1
-        assert backend.info()["corrupt_entries"] == 1
-        # quarantined entries are not resurrected
-        assert backend.get(KEY) is None
-        backend.close()
+        corrupt_entries = [
+            "{not json",
+            # well-formed JSON, but the payload is no result
+            json.dumps({"key": KEY, "kind": "", "payload": "oops"}),
+        ]
+        for index, corrupt in enumerate(corrupt_entries):
+            backend = DirectoryBackend(tmp_path / str(index))
+            backend.put(KEY, PAYLOAD)
+            path = backend.path_for(KEY)
+            path.write_text(corrupt)
+            assert backend.get(KEY) is None
+            assert backend.quarantined == 1
+            assert not path.exists()
+            (moved,) = list(backend.corrupt_entries())
+            assert moved.name.endswith(".corrupt")
+            assert backend.info()["corrupt_entries"] == 1
 
 
 class TestConcurrency:
@@ -165,28 +135,6 @@ class TestConcurrency:
         stored = backend.get(KEY)
         assert stored in payloads
 
-    def test_parallel_sqlite_writers(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "s.sqlite")
-        errors = []
-
-        def write(n):
-            try:
-                for _ in range(20):
-                    backend.put(KEY, {"writer": n})
-            except Exception as exc:  # pragma: no cover - fail loudly
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=write, args=(n,)) for n in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert backend.get(KEY) in [{"writer": n} for n in range(6)]
-        backend.close()
-
 
 class TestMemoryLRU:
     def test_eviction_under_entry_pressure(self):
@@ -208,15 +156,6 @@ class TestMemoryLRU:
         assert backend.get(a) == {"k": "a"}
         assert backend.get(b) is None
 
-    def test_byte_budget_eviction(self):
-        backend = MemoryLRUBackend(max_entries=100, max_bytes=200)
-        keys = [format(n, "064x") for n in range(10)]
-        for key in keys:
-            backend.put(key, {"blob": "x" * 40})
-        info = backend.info()
-        assert info["bytes"] <= 200
-        assert backend.evictions > 0
-
     def test_stored_payloads_are_isolated(self):
         backend = MemoryLRUBackend()
         payload = {"rows": [1, 2]}
@@ -232,168 +171,39 @@ class TestTiered:
         fast = MemoryLRUBackend()
         slow = DirectoryBackend(tmp_path)
         slow.put(KEY, PAYLOAD)
-        tiered = TieredBackend([fast, slow])
+        tiered = TieredBackend(fast, slow)
         assert tiered.get(KEY) == PAYLOAD
         assert tiered.promotions == 1
         assert fast.get(KEY) == PAYLOAD  # promoted
 
-    def test_write_back_defers_then_flushes(self, tmp_path):
-        fast = MemoryLRUBackend()
-        slow = DirectoryBackend(tmp_path)
-        tiered = TieredBackend([fast, slow], write_policy="write-back")
-        tiered.put(KEY, PAYLOAD, kind="result")
-        assert fast.get(KEY) == PAYLOAD
-        assert slow.get(KEY) is None  # not yet landed
-        assert tiered.pending_writes == 1
-        assert tiered.flush() == 1
-        assert slow.get(KEY) == PAYLOAD
-        assert tiered.pending_writes == 0
-
     def test_write_through_lands_everywhere_immediately(self, tmp_path):
         fast = MemoryLRUBackend()
         slow = DirectoryBackend(tmp_path)
-        tiered = TieredBackend([fast, slow], write_policy="write-through")
+        tiered = TieredBackend(fast, slow)
         tiered.put(KEY, PAYLOAD)
+        assert fast.get(KEY) == PAYLOAD
         assert slow.get(KEY) == PAYLOAD
-        assert tiered.pending_writes == 0
-
-    def test_requires_a_tier(self):
-        with pytest.raises(ConfigurationError):
-            TieredBackend([])
-        with pytest.raises(ConfigurationError):
-            TieredBackend([MemoryLRUBackend()], write_policy="sometimes")
-
-
-class TestSqliteRetention:
-    KEYS = [format(n, "064x") for n in range(5)]
-
-    def test_ttl_expires_lazily_on_read(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "s.sqlite", ttl_s=10.0)
-        now = [1000.0]
-        backend._clock = lambda: now[0]
-        backend.put(KEY, PAYLOAD)
-        assert backend.get(KEY) == PAYLOAD
-        now[0] += 11.0
-        assert backend.get(KEY) is None
-        assert backend.expired == 1
-        # the expired row is gone, not resurrected
-        assert backend.get(KEY) is None
-        assert backend.expired == 1
-        backend.close()
-
-    def test_high_water_evicts_oldest_first(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "s.sqlite", max_entries=3)
-        now = [0.0]
-        backend._clock = lambda: now[0]
-        for n, key in enumerate(self.KEYS):
-            now[0] = float(n)
-            backend.put(key, {"n": n})
-        assert backend.evictions == 2
-        assert backend.get(self.KEYS[0]) is None
-        assert backend.get(self.KEYS[1]) is None
-        assert backend.get(self.KEYS[-1]) == {"n": 4}
-        assert backend.info()["entries"] == 3
-        backend.close()
-
-    def test_purge_expired_bulk_deletes(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "s.sqlite", ttl_s=5.0)
-        now = [100.0]
-        backend._clock = lambda: now[0]
-        for key in self.KEYS:
-            backend.put(key, PAYLOAD)
-        now[0] += 6.0
-        assert backend.purge_expired() == 5
-        assert backend.expired == 5
-        assert backend.info()["entries"] == 0
-        # without a TTL, purge is a no-op by definition
-        plain = SqliteBackend(tmp_path / "p.sqlite")
-        assert plain.purge_expired() == 0
-        plain.close()
-        backend.close()
-
-    def test_retention_counters_survive_reopen(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        backend = SqliteBackend(path, ttl_s=5.0, max_entries=2)
-        now = [0.0]
-        backend._clock = lambda: now[0]
-        for n, key in enumerate(self.KEYS[:3]):
-            now[0] = float(n)
-            backend.put(key, PAYLOAD)  # third put evicts one
-        now[0] += 10.0
-        backend.get(self.KEYS[2])  # expires one
-        assert (backend.evictions, backend.expired) == (1, 1)
-        backend.close()
-        reopened = SqliteBackend(path, ttl_s=5.0, max_entries=2)
-        # the connection (and the persisted counters) load on first use
-        info = reopened.info()
-        assert info["evictions"] == 1
-        assert info["expired"] == 1
-        assert reopened.evictions == 1
-        reopened.close()
-
-    def test_legacy_rows_are_ttl_exempt(self, tmp_path):
-        path = tmp_path / "s.sqlite"
-        backend = SqliteBackend(path)
-        backend.put(KEY, PAYLOAD)
-        with backend._lock:
-            # a row migrated from a pre-retention store has created_at=0
-            backend._connection().execute(
-                "UPDATE entries SET created_at = 0 WHERE key = ?", (KEY,)
-            )
-            backend._connection().commit()
-        backend.close()
-        aged = SqliteBackend(path, ttl_s=0.001)
-        assert aged.get(KEY) == PAYLOAD
-        assert aged.expired == 0
-        aged.close()
-
-    def test_info_reports_retention(self, tmp_path):
-        backend = SqliteBackend(
-            tmp_path / "s.sqlite", ttl_s=60.0, max_entries=10
-        )
-        info = backend.info()
-        assert info["ttl_s"] == 60.0
-        assert info["max_entries"] == 10
-        assert info["expired"] == 0
-        assert info["evictions"] == 0
-        backend.close()
-
-    def test_rejects_bad_retention_config(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            SqliteBackend(tmp_path / "a.sqlite", ttl_s=0)
-        with pytest.raises(ConfigurationError):
-            SqliteBackend(tmp_path / "b.sqlite", max_entries=0)
-
-    def test_make_backend_threads_retention_to_sqlite_tiers(self, tmp_path):
-        stack = make_backend(
-            "memory,sqlite", tmp_path / "s", ttl_s=60.0, max_entries=9
-        )
-        memory_tier, sqlite_tier = stack.tiers
-        assert sqlite_tier.ttl_s == 60.0
-        assert sqlite_tier.max_entries == 9
-        assert not hasattr(memory_tier, "ttl_s")
-        stack.close()
 
 
 class TestMakeBackend:
     def test_named_specs(self, tmp_path):
         assert make_backend("dir", tmp_path / "a").kind == "dir"
-        sql = make_backend("sqlite", tmp_path / "b")
-        assert sql.kind == "sqlite"
-        sql.close()
         assert make_backend("memory", tmp_path / "c").kind == "memory"
+        assert make_backend("tiered", tmp_path / "d").kind == "tiered"
 
     def test_tiered_alias_and_stacks(self, tmp_path):
         tiered = make_backend("tiered", tmp_path)
-        assert tiered.kind == "tiered"
-        assert [tier.kind for tier in tiered.tiers] == ["memory", "dir"]
-        stack = make_backend("memory,sqlite", tmp_path / "s")
-        assert [tier.kind for tier in stack.tiers] == ["memory", "sqlite"]
-        stack.close()
+        assert tiered.memory.kind == "memory"
+        assert tiered.directory.root == tmp_path
+        # tiered is the one stack; comma-separated stacks are gone
+        for stack in ("memory,dir", "memory,sqlite"):
+            with pytest.raises(ConfigurationError):
+                make_backend(stack, tmp_path)
 
     def test_unknown_spec_is_a_configuration_error(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            make_backend("redis", tmp_path)
+        for name in ("redis", "sqlite"):
+            with pytest.raises(ConfigurationError):
+                make_backend(name, tmp_path)
 
     def test_round_trip_matches_canonical_json(self, tmp_path):
         backend = make_backend("tiered", tmp_path)

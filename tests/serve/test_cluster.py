@@ -388,9 +388,13 @@ class TestWarm:
     def test_warm_from_manifest_preseeds_the_backend(self, tmp_path):
         scenario = loadgen_scenarios(1)[0]
         digest = scenario.digest()
-        source = DirectoryBackend(tmp_path / "runner-cache")
+        # the run used its own cache dir, not the (empty) default one
+        runner_cache = tmp_path / "runner-cache"
+        source = DirectoryBackend(runner_cache)
         source.put(digest, scenario.run().to_dict(), kind="scenario-result")
-        manifest = RunManifest(jobs=1, package_version="test")
+        manifest = RunManifest(
+            jobs=1, package_version="test", cache_dir=str(runner_cache)
+        )
         manifest.records.append(
             ExperimentRecord(
                 experiment_id=f"scenario:{scenario.name}",
@@ -405,18 +409,20 @@ class TestWarm:
         manifest.write(path)
 
         backend = MemoryLRUBackend()
-        summary = warm_from_manifest(backend, path, source=source)
+        summary = warm_from_manifest(backend, path)
         assert summary["warmed"] == 1
         assert summary["missing"] == 0
         assert backend.get(digest) is not None
         # idempotent: a second warm finds everything already present
-        again = warm_from_manifest(backend, path, source=source)
+        again = warm_from_manifest(backend, path)
         assert again["already_present"] == 1
         assert again["warmed"] == 0
 
     def test_warm_counts_missing_payloads(self, tmp_path):
         scenario = loadgen_scenarios(1)[0]
-        manifest = RunManifest(jobs=1, package_version="test")
+        manifest = RunManifest(
+            jobs=1, package_version="test", cache_dir=str(tmp_path / "empty")
+        )
         manifest.records.append(
             ExperimentRecord(
                 experiment_id=f"scenario:{scenario.name}",
@@ -426,9 +432,6 @@ class TestWarm:
         )
         path = tmp_path / "MANIFEST.json"
         manifest.write(path)
-        empty_source = DirectoryBackend(tmp_path / "empty")
-        summary = warm_from_manifest(
-            MemoryLRUBackend(), path, source=empty_source
-        )
+        summary = warm_from_manifest(MemoryLRUBackend(), path)
         assert summary["missing"] == 1
         assert summary["warmed"] == 0

@@ -175,8 +175,10 @@ class TestConfigAndStats:
             ServiceConfig(max_inflight=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(deadline_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            ServiceConfig(backend="redis")
+        # one store name, never a stack; sqlite is gone
+        for backend in ("redis", "sqlite", "memory,dir"):
+            with pytest.raises(ConfigurationError):
+                ServiceConfig(backend=backend)
 
     def test_error_status_fallback_is_500(self):
         assert error_status(ValueError("boom")) == 500

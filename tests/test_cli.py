@@ -378,6 +378,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cache", "info", "--backend", "dir"],
+            ["serve", "--ttl", "60"],
+            ["loadgen", "--backend", "memory"],
+        ],
+    )
+    def test_removed_store_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestRunResilience:
     def crash_plan(self, tmp_path, target="fig2") -> str:
