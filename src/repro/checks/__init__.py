@@ -8,8 +8,8 @@ Three layers:
   (:mod:`.rules_hotpath`), RPR004 registry hygiene
   (:mod:`.rules_registry`), RPR005 float equality
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
-  (:mod:`.rules_scenario`), RPR007 exception swallowing, stricter in
-  the cluster fabric's modules (:mod:`.rules_resilience`), RPR009
+  (:mod:`.rules_scenario`), RPR007 exception swallowing
+  (:mod:`.rules_resilience`), RPR009
   blocking I/O on the serving event loop (:mod:`.rules_serve`);
 - a whole-program layer — an import + approximate call graph
   (:mod:`.graph`) and reachability walks (:mod:`.dataflow`) feeding

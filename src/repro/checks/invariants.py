@@ -214,7 +214,6 @@ _FAILURE_KINDS = (
     "timeout",
     "model-error",
     "cache-error",
-    "unavailable",
 )
 
 

@@ -12,22 +12,13 @@ Exception: pass`` quietly undoes. Two shapes are flagged:
   i.e. the failure is swallowed without being recorded, classified,
   logged or transformed.
 
-The cluster fabric's modules (``serve/cluster.py``, ``health.py``,
-``breaker.py`` and ``client.py``) get a stricter test, because their
-exception handling *is* the failure policy: the router trips breakers
-and fails over by what
-:func:`repro.resilience.failures.classify_failure` says an exception
-is. There a broad handler passes only if it re-raises or calls
-``classify_failure``; a ``return None`` silently converts "shard is
-down" into "everything is fine".
-
 Handlers that *do something* with the exception (classify it, build an
 error record, log it, fall back to a computed value) are legitimate and
-untouched outside the fabric; so are narrow handlers everywhere
-(``except OSError: pass`` states exactly which failure is being
-tolerated). In both tests code inside a nested ``def`` or ``class``
-does not count — code merely *defined* in a handler never runs there.
-Deliberate swallows can be annotated ``# repro: ignore[RPR007]``.
+untouched; so are narrow handlers (``except OSError: pass`` states
+exactly which failure is being tolerated). Code inside a nested
+``def`` or ``class`` does not count — code merely *defined* in a
+handler never runs there. Deliberate swallows can be annotated
+``# repro: ignore[RPR007]``.
 """
 
 from __future__ import annotations
@@ -35,22 +26,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .engine import FileContext, Rule, dotted_name, register_rule
+from .engine import Rule, dotted_name, register_rule
 
 #: Exception names considered "broad": catching these without acting on
 #: the failure swallows every possible error indiscriminately.
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
-
-#: Modules whose exception handlers implement the fabric failure policy.
-_FABRIC_FILES = frozenset({"cluster.py", "health.py", "breaker.py", "client.py"})
-
-_FABRIC_HINT = (
-    "catch the typed peer-failure set (ConnectionError, OSError, "
-    "asyncio.IncompleteReadError, asyncio.TimeoutError, MessError) or "
-    "route the exception through repro.resilience.failures."
-    "classify_failure so breakers and health tracking see it; annotate "
-    "deliberate cases with `# repro: ignore[RPR007]`"
-)
 
 
 def _is_broad(annotation: ast.AST | None) -> bool:
@@ -88,20 +68,6 @@ def _acts_on_failure(body: list[ast.stmt]) -> bool:
     )
 
 
-def _classifies_failure(body: list[ast.stmt]) -> bool:
-    """The fabric test: the handler re-raises or calls ``classify_failure``."""
-    for node in _runs_in_handler(body):
-        if isinstance(node, ast.Raise):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "classify_failure":
-                return True
-            if isinstance(func, ast.Name) and func.id == "classify_failure":
-                return True
-    return False
-
-
 @register_rule
 class ExceptionSwallowRule(Rule):
     rule_id = "RPR007"
@@ -112,12 +78,6 @@ class ExceptionSwallowRule(Rule):
         "annotate deliberate swallows with `# repro: ignore[RPR007]`"
     )
 
-    #: Whether the current file is a fabric module (stricter test).
-    _fabric: bool = False
-
-    def setup(self, ctx: FileContext) -> None:
-        self._fabric = "serve" in ctx.parts and ctx.path.name in _FABRIC_FILES
-
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
         if node.type is None:
             self.report(
@@ -127,16 +87,7 @@ class ExceptionSwallowRule(Rule):
             )
         elif _is_broad(node.type):
             caught = dotted_name(node.type) or "a broad exception tuple"
-            if self._fabric:
-                if not _classifies_failure(node.body):
-                    self.report(
-                        node,
-                        f"`except {caught}` on a shard RPC path neither "
-                        "re-raises nor calls classify_failure — peer "
-                        "failures vanish instead of tripping the breaker",
-                        hint=_FABRIC_HINT,
-                    )
-            elif not _acts_on_failure(node.body):
+            if not _acts_on_failure(node.body):
                 self.report(
                     node,
                     f"`except {caught}` swallows the failure without "

@@ -68,38 +68,26 @@ Commands
     ``BENCH_curves.json`` and ``BENCH_serve.json`` are the perf
     trajectories of record).
 ``serve [--host H] [--port P] [--cache-dir DIR] [--max-inflight N]
-[--queue-limit N] [--deadline S] [--shards N] [--hedge]
-[--warm MANIFEST]``
-    Run the asyncio characterization service (:mod:`repro.serve`):
-    digest-keyed scenario results over HTTP from a memory LRU in front
-    of the result cache, single-flight request coalescing, backpressure
-    (429/503) and per-request deadlines (504). Routes: ``/healthz``,
-    ``/metrics`` (Prometheus), ``/stats``, ``GET /v1/result/<digest>``
-    and ``POST /v1/{characterize,simulate,profile}``. ``--warm``
-    pre-seeds the cache from a ``repro run`` manifest before the
-    socket opens. With ``--shards N`` it becomes a cluster: N shard
-    processes on ports ``P+1..P+N`` (sharing ``--cache-dir``) behind a
-    digest-range router on ``P`` with health probing, per-shard
-    circuit breakers and failover (:mod:`repro.serve.cluster`). Runs
+[--queue-limit N] [--deadline S] [--warm MANIFEST]``
+    Run the asyncio characterization service (:mod:`repro.serve`) in
+    one process: digest-keyed scenario results over HTTP from a memory
+    LRU in front of the result cache, single-flight request
+    coalescing, backpressure (429/503) and per-request deadlines
+    (504). Routes: ``/healthz``, ``/metrics`` (Prometheus), ``/stats``,
+    ``GET /v1/result/<digest>`` and ``POST
+    /v1/{characterize,simulate,profile}``. ``--warm`` pre-seeds the
+    cache from a ``repro run`` manifest before the socket opens. Runs
     until interrupted; SIGTERM drains gracefully and exits 0.
-``route --shard URL [--shard URL ...] [--host H] [--port P] [--hedge]
-[--hedge-delay-ms MS] [--max-inflight N] [--queue-limit N]
-[--deadline S]``
-    Run only the cluster router over already-running ``repro serve``
-    shards — the deployment shape where shards and router live on
-    different machines. Same routes and drain behaviour as ``serve``.
 ``loadgen [--scenarios K] [--requests N] [--clients C] [--passes P]
-[--seed S] [--cache-dir DIR] [--url URL]
-[--shards N] [--hedge] [--json PATH] [--assert-hit-ratio X]
-[--assert-p99-ms MS]``
+[--seed S] [--cache-dir DIR] [--url URL] [--json PATH]
+[--assert-hit-ratio X] [--assert-p99-ms MS]``
     Replay a deterministic request schedule against a serve endpoint —
     an in-process server by default, a running ``repro serve`` via
-    ``--url``, or a private in-process N-shard cluster via
-    ``--shards`` — and report per-pass hit ratios, coalescing counts
-    and p50/p99 latency. ``--assert-hit-ratio`` / ``--assert-p99-ms``
-    gate the final pass (exit 1 on violation; CI's serve-smoke and
-    cluster-smoke jobs use both); result digests are cross-checked
-    against each other and exit 1 on any mismatch.
+    ``--url`` — and report per-pass hit ratios, coalescing counts and
+    p50/p99 latency. ``--assert-hit-ratio`` / ``--assert-p99-ms`` gate
+    the final pass (exit 1 on violation; CI's serve-smoke job uses
+    both); result digests are cross-checked against each other and
+    exit 1 on any mismatch.
 """
 
 from __future__ import annotations
@@ -422,9 +410,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.http import serve as serve_async
     from .serve.service import ServiceConfig
 
-    if args.shards:
-        return _serve_cluster(args)
-
     config = ServiceConfig(
         cache_dir=args.cache_dir,
         max_inflight=args.max_inflight,
@@ -454,125 +439,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _serve_cluster(args: argparse.Namespace) -> int:
-    """``repro serve --shards N``: N shard processes behind a router.
-
-    Shard ``i`` is a child ``repro serve`` on ``port + 1 + i`` sharing
-    the cluster's ``--cache-dir``; the router listens on ``--port``.
-    Shard pids are printed so an operator (or the CI chaos job) can
-    SIGKILL one and watch the fabric fail over.
-    """
-    import asyncio
-    import subprocess
-    import time as time_mod
-
-    from .serve.cluster import ClusterConfig, ClusterRouter, spawn_shards
-    from .serve.http import serve_service
-
-    extra = [
-        "--queue-limit", str(args.queue_limit),
-        "--deadline", str(args.deadline),
-    ]
-    if args.warm is not None:
-        extra += ["--warm", args.warm]
-    processes = spawn_shards(
-        args.shards,
-        args.port + 1,
-        host=args.host,
-        cache_dir=args.cache_dir,
-        max_inflight=args.max_inflight,
-        extra_args=extra,
-    )
-    urls = [
-        f"http://{args.host}:{args.port + 1 + index}"
-        for index in range(args.shards)
-    ]
-    for process, url in zip(processes, urls):
-        print(f"shard pid={process.pid} url={url}", flush=True)
-
-    async def main() -> None:
-        from .errors import MessError
-        from .serve.client import ServiceClient
-
-        deadline = time_mod.monotonic() + 60.0
-        for url in urls:
-            client = ServiceClient(url)
-            try:
-                while True:
-                    try:
-                        await client.healthz()
-                        break
-                    except (ConnectionError, OSError, MessError):
-                        if time_mod.monotonic() > deadline:
-                            raise
-                        await asyncio.sleep(0.1)
-            finally:
-                await client.close()
-        router = ClusterRouter(
-            urls,
-            ClusterConfig(
-                hedge=args.hedge,
-                deadline_s=args.deadline,
-                queue_limit=args.queue_limit,
-            ),
-        )
-
-        def ready(server) -> None:
-            print(
-                f"routing on {server.url} over {len(urls)} shards "
-                f"(hedge {args.hedge})",
-                flush=True,
-            )
-
-        await serve_service(router, host=args.host, port=args.port, ready=ready)
-
-    try:
-        asyncio.run(main())
-    except KeyboardInterrupt:
-        print("shutting down")
-    finally:
-        for process in processes:
-            process.terminate()
-        for process in processes:
-            try:
-                process.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                process.kill()
-    return 0
-
-
-def _cmd_route(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from .serve.cluster import ClusterConfig, ClusterRouter
-    from .serve.http import serve_service
-
-    router = ClusterRouter(
-        args.shard,
-        ClusterConfig(
-            hedge=args.hedge,
-            hedge_delay_ms=args.hedge_delay_ms,
-            max_inflight=args.max_inflight,
-            queue_limit=args.queue_limit,
-            deadline_s=args.deadline,
-        ),
-    )
-
-    def ready(server) -> None:
-        print(
-            f"routing on {server.url} over {len(args.shard)} shards",
-            flush=True,
-        )
-
-    try:
-        asyncio.run(
-            serve_service(router, host=args.host, port=args.port, ready=ready)
-        )
-    except KeyboardInterrupt:
-        print("shutting down")
-    return 0
-
-
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     from .serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -585,8 +451,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         url=args.url,
         max_inflight=args.max_inflight,
-        shards=args.shards,
-        hedge=args.hedge,
     )
     report = run_loadgen(config)
     for entry in report["passes"]:
@@ -1011,83 +875,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request deadline; exceeded requests get 504 (default 60)",
     )
     serve_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "boot a cluster: N shard processes on ports PORT+1..PORT+N "
-            "behind a digest-range router on PORT (default 0 = one process)"
-        ),
-    )
-    serve_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="with --shards: race a second shard after the p99-derived delay",
-    )
-    serve_parser.add_argument(
         "--warm",
         default=None,
         metavar="MANIFEST",
         help="pre-seed the cache from a `repro run` manifest before serving",
     )
     serve_parser.set_defaults(func=_cmd_serve)
-
-    route_parser = commands.add_parser(
-        "route",
-        help="route requests across running serve shards by digest range",
-    )
-    route_parser.add_argument(
-        "--shard",
-        action="append",
-        required=True,
-        metavar="URL",
-        help="shard base URL; repeat once per shard (order fixes the ring)",
-    )
-    route_parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    route_parser.add_argument(
-        "--port",
-        type=int,
-        default=8650,
-        metavar="P",
-        help="listen port (default 8650; 0 picks an ephemeral port)",
-    )
-    route_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="race a second shard after the hedge delay",
-    )
-    route_parser.add_argument(
-        "--hedge-delay-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="fixed hedge delay (default: derived from observed p99)",
-    )
-    route_parser.add_argument(
-        "--max-inflight",
-        type=int,
-        default=32,
-        metavar="N",
-        help="concurrent forwarded requests (default 32)",
-    )
-    route_parser.add_argument(
-        "--queue-limit",
-        type=int,
-        default=256,
-        metavar="N",
-        help="waiting requests before rejecting with 429 (default 256)",
-    )
-    route_parser.add_argument(
-        "--deadline",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="per-request deadline; exceeded requests get 504 (default 60)",
-    )
-    route_parser.set_defaults(func=_cmd_route)
 
     loadgen_parser = commands.add_parser(
         "loadgen",
@@ -1144,21 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="URL",
         help="replay against a running `repro serve` instead",
-    )
-    loadgen_parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help=(
-            "replay against a private in-process N-shard cluster "
-            "(default 0 = single in-process server)"
-        ),
-    )
-    loadgen_parser.add_argument(
-        "--hedge",
-        action="store_true",
-        help="with --shards: enable hedged reads on the router",
     )
     loadgen_parser.add_argument(
         "--json",

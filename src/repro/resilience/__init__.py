@@ -9,9 +9,8 @@ loop — and proves the hardening with deterministic fault injection:
   activatable via ``repro run --inject-faults PLAN.json`` and driving
   the chaos test suite;
 - :mod:`repro.resilience.failures` — the typed failure taxonomy
-  (``crash`` / ``timeout`` / ``model-error`` / ``cache-error`` /
-  ``unavailable``) and the total classifier every recorded failure
-  goes through;
+  (``crash`` / ``timeout`` / ``model-error`` / ``cache-error``) and
+  the total classifier every recorded failure goes through;
 - :mod:`repro.resilience.retry` — :class:`RetryPolicy`, exponential
   backoff with deterministic jitter for transient failures.
 
@@ -27,7 +26,6 @@ from .failures import (
     FAILURE_KINDS,
     TRANSIENT_KINDS,
     DeadlineExceededError,
-    ShardUnavailableError,
     WorkerCrashError,
     classify_failure,
     is_transient,
@@ -49,7 +47,6 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "RetryPolicy",
-    "ShardUnavailableError",
     "WorkerCrashError",
     "activation",
     "classify_failure",

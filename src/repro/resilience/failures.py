@@ -2,7 +2,7 @@
 
 A sweep that dies with one opaque ``Exception`` string cannot be
 triaged, retried or resumed sensibly. Every failure the runner records
-is therefore classified into exactly one of five kinds:
+is therefore classified into exactly one of four kinds:
 
 - ``crash`` — the worker process died (segfault, ``os._exit``, OOM
   kill); surfaces as :class:`BrokenProcessPool` in the parent or as
@@ -11,11 +11,6 @@ is therefore classified into exactly one of five kinds:
   terminated (:class:`DeadlineExceededError`).
 - ``cache-error`` — the result cache failed in a way that was surfaced
   rather than degraded (:class:`repro.errors.CacheError`).
-- ``unavailable`` — a remote peer could not be reached or dropped the
-  connection mid-exchange (:class:`ConnectionError`,
-  :class:`ShardUnavailableError`): the serving fabric's RPC failures.
-  Transient by nature — the peer may be restarting, draining, or
-  briefly partitioned.
 - ``model-error`` — the experiment itself raised: bad options, a
   simulator invariant violation, a bug. Deterministic, so never
   retried.
@@ -36,13 +31,12 @@ FAILURE_KINDS = (
     "timeout",
     "model-error",
     "cache-error",
-    "unavailable",
 )
 
 #: Kinds that are transient by nature and therefore safe to retry.
 #: A model-error is deterministic — the same inputs will fail the same
 #: way — so retrying it only burns time.
-TRANSIENT_KINDS = ("crash", "timeout", "cache-error", "unavailable")
+TRANSIENT_KINDS = ("crash", "timeout", "cache-error")
 
 
 class WorkerCrashError(MessError):
@@ -62,20 +56,6 @@ class DeadlineExceededError(MessError):
     """
 
 
-class ShardUnavailableError(MessError):
-    """A shard of the serving fabric cannot take this request.
-
-    Raised by the cluster router when a shard's circuit breaker is
-    open, its health probe has marked it down, or an RPC to it failed
-    in a way that says "peer gone" rather than "request bad". Carries
-    an HTTP-style 503 so the transport layer maps it without a lookup
-    table. Classified ``unavailable`` — transient, safe to retry or
-    fail over.
-    """
-
-    status = 503
-
-
 def classify_failure(exc: BaseException) -> str:
     """Map any exception to exactly one failure kind.
 
@@ -93,14 +73,6 @@ def classify_failure(exc: BaseException) -> str:
         return "crash"
     if isinstance(exc, CacheError):
         return "cache-error"
-    if isinstance(exc, (ShardUnavailableError, ConnectionError)):
-        return "unavailable"
-    # an HTTP peer answering 5xx is the peer failing, not the request:
-    # duck-typed on `status` so this module never imports the serve
-    # layer (resilience sits below it)
-    status = getattr(exc, "status", None)
-    if isinstance(status, int) and status >= 500:
-        return "unavailable"
     return "model-error"
 
 

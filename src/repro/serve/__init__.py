@@ -5,11 +5,10 @@ this package turns that into a read-mostly service: a memory LRU in
 front of the runner's directory cache (:mod:`.backends`), single-flight
 request coalescing (:mod:`.singleflight`), the transport-independent
 service core with backpressure/deadlines/retries (:mod:`.service`), a
-stdlib asyncio HTTP front end and pooled client (:mod:`.http`,
-:mod:`.client`), a deterministic load generator (:mod:`.loadgen`), and
-the sharded fabric — health probing (:mod:`.health`), per-shard circuit
-breakers (:mod:`.breaker`) and the digest-range router
-(:mod:`.cluster`).
+stdlib asyncio HTTP front end and keep-alive client (:mod:`.http`,
+:mod:`.client`), and a deterministic load generator (:mod:`.loadgen`).
+One ``repro serve`` process fronts one service: front door → service →
+executor.
 
 Only the backends and :mod:`.singleflight` are imported eagerly; the
 backends need nothing beyond the runner's cache module, which holds
@@ -35,20 +34,10 @@ _LAZY = {
     "ServiceConfig": "service",
     "warm_from_manifest": "service",
     "HttpServer": "http",
-    "serve_service": "http",
     "ServiceClient": "client",
-    "ConnectionPool": "client",
     "LoadgenConfig": "loadgen",
     "run_loadgen": "loadgen",
     "loadgen_scenarios": "loadgen",
-    "CircuitBreaker": "breaker",
-    "HealthMonitor": "health",
-    "ShardHealth": "health",
-    "ClusterConfig": "cluster",
-    "ClusterRouter": "cluster",
-    "LocalCluster": "cluster",
-    "owner_shard": "cluster",
-    "spawn_shards": "cluster",
 }
 
 __all__ = [

@@ -4,8 +4,11 @@ Stdlib-only by project rule, so this is a small, deliberate subset of
 HTTP/1.1 built directly on :func:`asyncio.start_server`: request line,
 headers, ``Content-Length`` bodies, keep-alive. That subset is exactly
 what ``curl``, the bundled :mod:`repro.serve.client` and the load
-generator speak; anything outside it (chunked uploads, expect/continue,
-TLS) is answered with a clean 4xx/close rather than emulated.
+generator speak. A request the server cannot frame — a malformed
+request line, a bad ``Content-Length``, a header block or body over
+its bound — is answered with a JSON 400/413 and the connection closed,
+never dropped unanswered; chunked uploads, expect/continue and TLS are
+not emulated.
 
 Routes::
 
@@ -21,20 +24,17 @@ Typed service errors carry their own HTTP status
 (:func:`repro.serve.service.error_status`); anything unexpected is a
 500 with the exception type named, never a dropped connection.
 
-The server fronts anything that implements the service protocol —
-``start`` / ``close`` / ``submit`` / ``lookup`` / ``stats`` / a
-``telemetry`` registry — so the same transport serves a single-process
-:class:`~repro.serve.service.CharacterizationService` shard and the
-:class:`~repro.serve.cluster.ClusterRouter`. ``/healthz`` consults the
-service's ``health_payload()`` when it has one, answering 503 with
-``ok: false`` while draining so load balancers and the cluster health
-monitor stop routing here before the socket closes.
+One server fronts one
+:class:`~repro.serve.service.CharacterizationService`. ``/healthz``
+answers the service's ``health_payload()``: 503 with ``ok: false``
+while draining, so a load balancer stops sending traffic here before
+the socket closes.
 
 Graceful drain (:meth:`HttpServer.drain`, wired to SIGTERM by
 :func:`serve`): stop accepting connections, wait for requests already
 being handled, drain the service (which waits out its queue and
-running computes), then exit 0 — killing a shard costs availability of
-its digest range for a probe interval, never a lost in-flight response.
+running computes), then exit 0 — a SIGTERM never loses an in-flight
+response.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import signal
 import time
 from typing import Callable
 
+from ..errors import ServeError
 from ..telemetry.exporters import prometheus_text
 from .service import (
     BadRequestError,
@@ -53,6 +54,7 @@ from .service import (
     NotFoundError,
     ServiceConfig,
     error_status,
+    warm_from_manifest,
 )
 
 #: Largest accepted request body / header block, bytes. Scenario specs
@@ -71,6 +73,14 @@ _STATUS_TEXT = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+class _FramingError(ServeError):
+    """A request the server cannot frame: answered with ``status``, then closed."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
 
 class HttpServer:
@@ -124,13 +134,11 @@ class HttpServer:
         transport was still handling.
         """
         if self._server is not None:
+            # close the listener only: from Python 3.12, wait_closed()
+            # also waits for every kept-alive connection to drop
             self._server.close()
-            await self._server.wait_closed()
             self._server = None
-        summary: dict = {"drained": True}
-        service_drain = getattr(self.service, "drain", None)
-        if service_drain is not None:
-            summary = await service_drain(timeout_s=timeout_s)
+        summary = await self.service.drain(timeout_s=timeout_s)
         deadline = (
             None if timeout_s is None
             else time.monotonic() + max(0.0, timeout_s)
@@ -157,7 +165,12 @@ class HttpServer:
     ) -> None:
         try:
             while True:
-                request = await _read_request(reader)
+                try:
+                    request = await _read_request(reader)
+                except _FramingError as exc:
+                    status, payload = _error_payload(exc.status, str(exc))
+                    await _write_response(writer, status, payload, False)
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
@@ -200,8 +213,7 @@ class HttpServer:
 
     async def _dispatch_get(self, path: str) -> "tuple[int, bytes]":
         if path == "/healthz":
-            health = getattr(self.service, "health_payload", None)
-            payload = health() if health is not None else {"ok": True}
+            payload = self.service.health_payload()
             status = 200 if payload.get("ok") else 503
             return status, _json_bytes(payload)
         if path == "/metrics":
@@ -230,7 +242,12 @@ class HttpServer:
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> "tuple[str, str, dict[str, str], bytes] | None":
-    """Parse one request; None on clean EOF before a request line."""
+    """Parse one request; None on clean EOF before a request line.
+
+    A request that cannot be framed raises :class:`_FramingError` with
+    its 400/413 status; a peer that hangs up mid-request raises
+    :class:`asyncio.IncompleteReadError`.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -238,13 +255,13 @@ async def _read_request(
             return None
         raise
     except asyncio.LimitOverrunError as exc:
-        raise ConnectionError("header block too large") from exc
+        raise _FramingError(413, "header block too large") from exc
     if len(head) > MAX_HEADER_BYTES:
-        raise ConnectionError("header block too large")
+        raise _FramingError(413, "header block too large")
     lines = head.decode("latin-1").split("\r\n")
     parts = lines[0].split(" ")
     if len(parts) != 3:
-        raise ConnectionError(f"malformed request line: {lines[0]!r}")
+        raise _FramingError(400, f"malformed request line: {lines[0]!r}")
     method, path, _version = parts
     headers: dict[str, str] = {}
     for line in lines[1:]:
@@ -255,9 +272,13 @@ async def _read_request(
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError as exc:
-        raise ConnectionError("bad Content-Length") from exc
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise ConnectionError(f"body of {length} bytes refused")
+        raise _FramingError(400, "bad Content-Length") from exc
+    if length < 0:
+        raise _FramingError(400, f"negative Content-Length {length}")
+    if length > MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
     body = await reader.readexactly(length) if length else b""
     return method, path, headers, body
 
@@ -293,22 +314,30 @@ def _error_payload(status: int, detail: str) -> "tuple[int, bytes]":
     return status, _json_bytes({"error": detail, "status": status})
 
 
-async def serve_service(
-    service: CharacterizationService,
+async def serve(
+    config: "ServiceConfig | None" = None,
     host: str = "127.0.0.1",
     port: int = 8650,
     ready: "Callable[[HttpServer], None] | None" = None,
-    drain_timeout_s: float = 30.0,
-    install_signals: bool = True,
+    warm_manifest: "str | None" = None,
 ) -> None:
-    """Front ``service`` with HTTP until stopped; drain on SIGTERM.
+    """Serve until stopped; drain on SIGTERM (``repro serve``'s entry point).
 
-    The shared run loop behind ``repro serve`` and ``repro route``:
-    accepts any service-protocol object (a shard service or a cluster
-    router). On SIGTERM/SIGINT the server drains — stops accepting and
-    finishes in-flight work — and this coroutine returns normally, so
-    the process exits 0.
+    ``warm_manifest`` pre-seeds the cache backend from a ``repro run``
+    manifest before the listening socket opens, so the first request
+    wave hits a hot cache. On SIGTERM/SIGINT the server drains — stops
+    accepting and finishes in-flight work — and this coroutine returns
+    normally, so the process exits 0.
     """
+    service = CharacterizationService(config)
+    if warm_manifest is not None:
+        counts = warm_from_manifest(service.backend, warm_manifest)
+        print(
+            f"warm: {counts['warmed']} warmed, "
+            f"{counts['already_present']} already present, "
+            f"{counts['missing']} missing of {counts['records']} records",
+            flush=True,
+        )
     server = HttpServer(service, host=host, port=port)
     await server.start()
     if ready is not None:
@@ -316,14 +345,13 @@ async def serve_service(
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     installed: list[signal.Signals] = []
-    if install_signals:
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-                installed.append(signum)
-            except (NotImplementedError, RuntimeError):
-                # non-unix loops: fall back to KeyboardInterrupt
-                continue
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+            installed.append(signum)
+        except (NotImplementedError, RuntimeError):
+            # non-unix loops: fall back to KeyboardInterrupt
+            continue
     forever = asyncio.ensure_future(server.serve_forever())
     stopper = asyncio.ensure_future(stop.wait())
     try:
@@ -331,7 +359,7 @@ async def serve_service(
             {forever, stopper}, return_when=asyncio.FIRST_COMPLETED
         )
         if stop.is_set():
-            summary = await server.drain(timeout_s=drain_timeout_s)
+            summary = await server.drain()
             if ready is not None:  # only log when interactive
                 print(f"drained: {summary}", flush=True)
     except asyncio.CancelledError:
@@ -346,30 +374,3 @@ async def serve_service(
             ):
                 await task
         await server.close()
-
-
-async def serve(
-    config: "ServiceConfig | None" = None,
-    host: str = "127.0.0.1",
-    port: int = 8650,
-    ready: "Callable[[HttpServer], None] | None" = None,
-    warm_manifest: "str | None" = None,
-) -> None:
-    """Run a shard server until stopped (the ``repro serve`` entry point).
-
-    ``warm_manifest`` pre-seeds the cache backend from a ``repro run``
-    manifest before the listening socket opens, so the first request
-    wave hits a hot cache.
-    """
-    service = CharacterizationService(config)
-    if warm_manifest is not None:
-        from .service import warm_from_manifest
-
-        counts = warm_from_manifest(service.backend, warm_manifest)
-        print(
-            f"warm: {counts['warmed']} warmed, "
-            f"{counts['already_present']} already present, "
-            f"{counts['missing']} missing of {counts['records']} records",
-            flush=True,
-        )
-    await serve_service(service, host=host, port=port, ready=ready)

@@ -1,10 +1,10 @@
-"""Load generator: the "millions of users" story made measurable.
+"""Load generator: a replayable request load against one service.
 
 Replays a schedule of mixed cached/uncached scenario requests against
 a characterization service — either an in-process server started just
 for the run (the default; measures the full HTTP + service + cache
-path with zero setup) or a remote ``--url`` endpoint — and reports
-per-pass hit ratios and p50/p99 latency.
+path with zero setup) or a running ``repro serve`` at ``--url`` — and
+reports per-pass hit ratios and p50/p99 latency.
 
 The schedule is deterministic: request *i* of pass *p* picks its
 scenario through :func:`~repro.resilience.retry.deterministic_fraction`
@@ -51,10 +51,7 @@ class LoadgenConfig:
     pass by ``clients`` concurrent keep-alive connections, ``passes``
     times over. ``url=None`` boots a private in-process server with
     the given ``backend``/``cache_dir``/``max_inflight``; a non-None
-    ``url`` replays against a running ``repro serve``. ``shards >= 1``
-    boots a :class:`~repro.serve.cluster.LocalCluster` instead — that
-    many shard servers behind a router — so the report measures the
-    routed path (``hedge`` enables hedged reads on it).
+    ``url`` replays against a running ``repro serve``.
     """
 
     scenarios: int = 6
@@ -67,8 +64,6 @@ class LoadgenConfig:
     url: "str | None" = None
     max_inflight: int = 4
     deadline_s: float = 120.0
-    shards: int = 0
-    hedge: bool = False
 
     def __post_init__(self) -> None:
         for name in ("scenarios", "requests", "clients", "passes"):
@@ -77,16 +72,6 @@ class LoadgenConfig:
                 raise ConfigurationError(
                     f"loadgen {name} must be a positive integer, got {value!r}"
                 )
-        if not isinstance(self.shards, int) or self.shards < 0:
-            raise ConfigurationError(
-                f"loadgen shards must be a non-negative integer, "
-                f"got {self.shards!r}"
-            )
-        if self.shards and self.url is not None:
-            raise ConfigurationError(
-                "shards boots a private in-process cluster; it cannot be "
-                "combined with url"
-            )
 
 
 def loadgen_scenarios(count: int, seed: int = 0) -> list:
@@ -225,33 +210,17 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
     specs = [scenario.to_spec() for scenario in scenarios]
 
     server: "HttpServer | None" = None
-    cluster = None
-    service_config = ServiceConfig(
-        backend=config.backend,
-        cache_dir=config.cache_dir,
-        max_inflight=config.max_inflight,
-        deadline_s=config.deadline_s,
-        queue_limit=max(64, config.clients * 2),
-        retry=RetryPolicy(max_attempts=2, base_delay_s=0.05),
-    )
     if config.url is not None:
         url = config.url
-    elif config.shards:
-        from .cluster import ClusterConfig, LocalCluster
-
-        cluster = LocalCluster(
-            config.shards,
-            service_config=service_config,
-            cluster_config=ClusterConfig(
-                hedge=config.hedge,
-                deadline_s=config.deadline_s,
-                max_inflight=max(config.max_inflight, config.clients),
-                queue_limit=max(64, config.clients * 2),
-            ),
-        )
-        await cluster.start()
-        url = cluster.url
     else:
+        service_config = ServiceConfig(
+            backend=config.backend,
+            cache_dir=config.cache_dir,
+            max_inflight=config.max_inflight,
+            deadline_s=config.deadline_s,
+            queue_limit=max(64, config.clients * 2),
+            retry=RetryPolicy(max_attempts=2, base_delay_s=0.05),
+        )
         server = HttpServer(CharacterizationService(service_config), port=0)
         await server.start()
         url = server.url
@@ -285,17 +254,10 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
                 if previous != result_digest:
                     consistent = False
             passes.append(report)
-        if cluster is not None and cluster.router is not None:
-            server_stats = cluster.router.stats()
-        elif server is not None:
-            server_stats = server.service.stats()
-        else:
-            server_stats = None
+        server_stats = server.service.stats() if server is not None else None
     finally:
         if server is not None:
             await server.close()
-        if cluster is not None:
-            await cluster.close()
 
     return {
         FORMAT_KEY: FORMAT_VERSION,
@@ -307,8 +269,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
             "seed": config.seed,
             "backend": config.backend if config.url is None else None,
             "url": config.url,
-            "shards": config.shards,
-            "hedge": config.hedge,
         },
         "passes": passes,
         "hit_ratio_trajectory": [entry["hit_ratio"] for entry in passes],

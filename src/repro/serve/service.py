@@ -119,9 +119,8 @@ def error_status(exc: BaseException) -> int:
 def parse_request(verb: str, spec_payload: Mapping) -> Any:
     """Parse + validate a spec against ``verb``; 400 on any problem.
 
-    Shared by the single-process service and the cluster router — both
-    must agree on what a request *is* (and on the digest it keys) for
-    a routed request to land in the same cache entry either way.
+    The digest of the returned scenario is the request's cache key —
+    the same key ``repro run`` stores the scenario's result under.
     """
     from ..scenario.core import Scenario
 
@@ -287,9 +286,9 @@ class CharacterizationService:
     def health_payload(self) -> dict:
         """The ``/healthz`` body: ``ok`` flips false while draining.
 
-        A draining instance answers probes before it stops answering
-        traffic, so the router's health monitor pulls its digest range
-        without a single dropped request.
+        A draining instance fails its health probe before it stops
+        answering traffic, so a load balancer in front of it stops
+        sending requests without a single dropped one.
         """
         return {"ok": self.accepting, "draining": self._draining}
 
@@ -342,10 +341,6 @@ class CharacterizationService:
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
-
-    def _parse(self, verb: str, spec_payload: Mapping) -> Any:
-        """Parse + validate a spec against ``verb``; 400 on any problem."""
-        return parse_request(verb, spec_payload)
 
     def _compute_sync(self, scenario: Any, key: str) -> "dict | list":
         """Cache-or-compute one scenario on an executor thread.
@@ -427,7 +422,7 @@ class CharacterizationService:
             )
         self._active += 1
         try:
-            scenario = self._parse(verb, spec_payload)
+            scenario = parse_request(verb, spec_payload)
             key = scenario.digest()
             payload = await self._offload(self.backend.get, key)
             cached = payload is not None
@@ -498,7 +493,6 @@ class CharacterizationService:
         """JSON-ready operational snapshot (the ``/stats`` endpoint)."""
         summary = self.telemetry.summary()
         return {
-            "role": "shard",
             "accepting": self.accepting,
             "draining": self._draining,
             "in_flight": self._active,

@@ -291,10 +291,12 @@ class TestManifestFailureTaxonomy:
         assert check_manifest(self.failed_payload()) == []
 
     def test_fires_on_unknown_failure_kind(self):
-        payload = self.failed_payload()
-        payload["experiments"][0]["failure_kind"] = "gremlin"
-        messages = " ".join(f.message for f in check_manifest(payload))
-        assert "failure_kind" in messages and "gremlin" in messages
+        # "unavailable" was the retired serving fabric's kind
+        for kind in ("gremlin", "unavailable"):
+            payload = self.failed_payload()
+            payload["experiments"][0]["failure_kind"] = kind
+            messages = " ".join(f.message for f in check_manifest(payload))
+            assert "failure_kind" in messages and kind in messages
 
     def test_fires_on_non_positive_attempts(self):
         payload = self.failed_payload()

@@ -1,4 +1,4 @@
-"""End-to-end: HTTP transport, client, and the load generator."""
+"""End-to-end: HTTP transport, client, drain, and the load generator."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from repro.experiments.base import ExperimentResult
 from repro.serve.backends import MemoryLRUBackend
 from repro.serve.client import ResponseError, ServiceClient
 from repro.serve.http import HttpServer
@@ -16,7 +17,11 @@ from repro.serve.loadgen import (
     run_loadgen,
     _schedule,
 )
-from repro.serve.service import CharacterizationService
+from repro.serve.service import (
+    CharacterizationService,
+    ServiceUnavailableError,
+    error_status,
+)
 
 
 def with_server(coro_factory, config=None):
@@ -36,6 +41,17 @@ def with_server(coro_factory, config=None):
             await server.close()
 
     return asyncio.run(driver())
+
+
+async def read_response(reader: asyncio.StreamReader) -> "tuple[str, bytes]":
+    """Status line and body of one raw HTTP response."""
+    head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+    length = next(
+        int(line.split(":", 1)[1])
+        for line in head.split("\r\n")
+        if line.lower().startswith("content-length:")
+    )
+    return head.splitlines()[0], await reader.readexactly(length)
 
 
 class TestHttp:
@@ -103,24 +119,169 @@ class TestHttp:
         assert "200 OK" in text.splitlines()[0]
         assert "repro_serve_requests_total" in text
 
-    def test_non_json_body_is_a_400_not_a_drop(self):
+    @pytest.mark.parametrize(
+        "raw, status",
+        [
+            pytest.param(
+                b"POST /v1/characterize HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 16\r\n\r\nthis is not json",
+                400,
+                id="non-json-body",
+            ),
+            pytest.param(
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                b"Content-Length: 2000000\r\n\r\n",
+                413,
+                id="body-over-limit",
+            ),
+            pytest.param(
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                b"Content-Length: abc\r\n\r\n",
+                400,
+                id="non-numeric-content-length",
+            ),
+            pytest.param(
+                b"POST /v1/characterize HTTP/1.1\r\n"
+                b"Content-Length: -5\r\n\r\n",
+                400,
+                id="negative-content-length",
+            ),
+            pytest.param(
+                b"GET /healthz\r\n\r\n", 400, id="two-part-request-line"
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                + b"a" * 70_000
+                + b"\r\n\r\n",
+                413,
+                id="header-block-over-limit",
+            ),
+        ],
+    )
+    def test_non_json_body_is_a_400_not_a_drop(self, raw, status):
         async def exercise(server, client):
             reader, writer = await asyncio.open_connection(
                 server.host, server.port
             )
-            body = b"this is not json"
-            writer.write(
-                b"POST /v1/characterize HTTP/1.1\r\nHost: x\r\n"
-                + f"Content-Length: {len(body)}\r\n\r\n".encode()
-                + body
-            )
+            writer.write(raw)
             await writer.drain()
-            head = await reader.readuntil(b"\r\n\r\n")
+            status_line, body = await read_response(reader)
             writer.close()
-            return head.decode("latin-1")
+            return status_line, json.loads(body)
 
-        head = with_server(exercise)
-        assert " 400 " in head.splitlines()[0]
+        status_line, body = with_server(exercise)
+        assert f" {status} " in status_line
+        assert set(body) == {"error", "status"}
+        assert body["status"] == status
+
+
+class TestServiceClient:
+    def count_dials(self, monkeypatch) -> list:
+        dials = []
+        open_connection = asyncio.open_connection
+
+        async def counting(*args, **kwargs):
+            dials.append(args)
+            return await open_connection(*args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "open_connection", counting)
+        return dials
+
+    def test_keep_alive_reuses_one_connection(self, monkeypatch):
+        dials = self.count_dials(monkeypatch)
+        spec = loadgen_scenarios(1)[0].to_spec()
+
+        async def exercise(server, client):
+            await client.healthz()
+            for _ in range(3):
+                await client.submit("characterize", spec)
+            await client.stats()
+
+        with_server(exercise)
+        assert len(dials) == 1
+
+    def test_stale_connection_is_redialed(self, monkeypatch):
+        dials = self.count_dials(monkeypatch)
+
+        async def exercise():
+            server = HttpServer(
+                CharacterizationService(backend=MemoryLRUBackend()), port=0
+            )
+            # record the server's end of every connection it accepts
+            server_ends = []
+            serve_connection = server._serve_connection
+
+            async def tracking(reader, writer):
+                server_ends.append(writer)
+                await serve_connection(reader, writer)
+
+            server._serve_connection = tracking
+            await server.start()
+            client = ServiceClient(server.url)
+            try:
+                first = await client.healthz()
+                # the server hangs up the idle keep-alive connection
+                server_ends[0].close()
+                await asyncio.sleep(0.05)
+                second = await client.healthz()
+                await client.close()
+                # a closed client dials again on its next request
+                third = await client.healthz()
+            finally:
+                await client.close()
+                await server.close()
+            return first, second, third
+
+        first, second, third = asyncio.run(exercise())
+        assert first == second == third == {"ok": True, "draining": False}
+        assert len(dials) == 3
+
+
+class TestDrain:
+    def test_drain_finishes_in_flight_work_then_refuses(self):
+        scenario = loadgen_scenarios(1)[0]
+        spec = scenario.to_spec()
+        local_digest = scenario.run().digest()
+
+        async def exercise(server, client):
+            service = server.service
+            # a keep-alive connection opened (and used) before the drain
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+
+            async def probe() -> "tuple[str, bytes]":
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                return await read_response(reader)
+
+            assert " 200 " in (await probe())[0]
+            submitted = asyncio.ensure_future(
+                client.submit("characterize", spec)
+            )
+            while service.flights.in_flight == 0 and not submitted.done():
+                await asyncio.sleep(0.001)
+            assert service.flights.in_flight == 1
+
+            summary = await server.drain(timeout_s=30.0)
+            assert summary["drained"] is True
+            assert summary["abandoned_in_flight"] == 0
+            assert summary["transport_in_flight"] == 0
+            response = await submitted
+            assert response["digest"] == scenario.digest()
+            served = ExperimentResult.from_dict(response["result"])
+            assert served.digest() == local_digest
+
+            status_line, body = await probe()
+            writer.close()
+            assert " 503 " in status_line
+            assert json.loads(body) == {"ok": False, "draining": True}
+            with pytest.raises(ServiceUnavailableError) as refused:
+                await service.submit("characterize", spec)
+            assert error_status(refused.value) == 503
+            assert service.stats()["counters"]["serve.rejected"] == 1
+
+        with_server(exercise)
 
 
 class TestLoadgen:

@@ -1,4 +1,4 @@
-"""The service core: coalescing, backpressure, deadlines, digest parity."""
+"""The service core: coalescing, backpressure, deadlines, digest parity, warm-up."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ import pytest
 from repro.errors import ConfigurationError, MessError
 from repro.experiments.base import ExperimentResult
 from repro.resilience.failures import DeadlineExceededError
-from repro.serve.backends import MemoryLRUBackend
+from repro.runner.manifest import ExperimentRecord, RunManifest
+from repro.serve.backends import DirectoryBackend, MemoryLRUBackend
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import (
     BadRequestError,
@@ -18,6 +19,7 @@ from repro.serve.service import (
     QueueFullError,
     ServiceConfig,
     error_status,
+    warm_from_manifest,
 )
 
 
@@ -191,3 +193,56 @@ class TestConfigAndStats:
         stats = run_service(scenario, backend=MemoryLRUBackend())
         assert {"counters", "gauges", "histograms", "singleflight", "backend", "config"} <= set(stats)
         assert stats["backend"]["backend"] == "memory"
+
+
+class TestWarm:
+    def test_warm_from_manifest_preseeds_the_backend(self, tmp_path):
+        scenario = loadgen_scenarios(1)[0]
+        digest = scenario.digest()
+        # the run used its own cache dir, not the (empty) default one
+        runner_cache = tmp_path / "runner-cache"
+        source = DirectoryBackend(runner_cache)
+        source.put(digest, scenario.run().to_dict(), kind="scenario-result")
+        manifest = RunManifest(
+            jobs=1, package_version="test", cache_dir=str(runner_cache)
+        )
+        manifest.records.append(
+            ExperimentRecord(
+                experiment_id=f"scenario:{scenario.name}",
+                status="ok",
+                scenario_spec=scenario.to_spec(),
+            )
+        )
+        manifest.records.append(
+            ExperimentRecord(experiment_id="scenario:crashed", status="error")
+        )
+        path = tmp_path / "MANIFEST.json"
+        manifest.write(path)
+
+        backend = MemoryLRUBackend()
+        summary = warm_from_manifest(backend, path)
+        assert summary["warmed"] == 1
+        assert summary["missing"] == 0
+        assert backend.get(digest) is not None
+        # idempotent: a second warm finds everything already present
+        again = warm_from_manifest(backend, path)
+        assert again["already_present"] == 1
+        assert again["warmed"] == 0
+
+    def test_warm_counts_missing_payloads(self, tmp_path):
+        scenario = loadgen_scenarios(1)[0]
+        manifest = RunManifest(
+            jobs=1, package_version="test", cache_dir=str(tmp_path / "empty")
+        )
+        manifest.records.append(
+            ExperimentRecord(
+                experiment_id=f"scenario:{scenario.name}",
+                status="ok",
+                scenario_spec=scenario.to_spec(),
+            )
+        )
+        path = tmp_path / "MANIFEST.json"
+        manifest.write(path)
+        summary = warm_from_manifest(MemoryLRUBackend(), path)
+        assert summary["missing"] == 1
+        assert summary["warmed"] == 0

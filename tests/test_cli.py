@@ -379,18 +379,28 @@ class TestParser:
             parser.parse_args([])
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["cache", "info", "--backend", "dir"],
-            ["serve", "--ttl", "60"],
-            ["loadgen", "--backend", "memory"],
+            pytest.param(argv, message, id=f"argv{index}")
+            for index, (argv, message) in enumerate(
+                [
+                    (["cache", "info", "--backend", "dir"], "unrecognized arguments"),
+                    (["serve", "--ttl", "60"], "unrecognized arguments"),
+                    (["loadgen", "--backend", "memory"], "unrecognized arguments"),
+                    (["serve", "--shards", "3"], "unrecognized arguments"),
+                    (["serve", "--hedge"], "unrecognized arguments"),
+                    (["loadgen", "--shards", "2"], "unrecognized arguments"),
+                    (["loadgen", "--hedge"], "unrecognized arguments"),
+                    (["route", "--shard", "http://127.0.0.1:1"], "invalid choice"),
+                ]
+            )
         ],
     )
-    def test_removed_store_flags_are_usage_errors(self, capsys, argv):
+    def test_removed_store_flags_are_usage_errors(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 class TestRunResilience:
