@@ -55,8 +55,15 @@ class ProbeConfig(SpecConvertible):
                 raise BenchmarkError(f"read ratio {ratio} outside [0, 1]")
         if any(gap <= 0 for gap in self.gaps_ns):
             raise BenchmarkError("issue gaps must be positive")
+        if self.warmup_ops < 0:
+            raise BenchmarkError(f"warmup_ops must be >= 0, got {self.warmup_ops}")
         if self.ops_per_point <= self.warmup_ops:
             raise BenchmarkError("ops_per_point must exceed warmup_ops")
+        if self.stream_bytes < CACHE_LINE_BYTES:
+            raise BenchmarkError(
+                f"stream_bytes must hold at least one {CACHE_LINE_BYTES}-byte "
+                f"line, got {self.stream_bytes}"
+            )
         if self.streams < 1 or self.max_outstanding < 1:
             raise BenchmarkError("streams and max_outstanding must be >= 1")
 

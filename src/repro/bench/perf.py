@@ -9,8 +9,8 @@ and the inner loops (the model probe, the Mess window drive, the cache
 hierarchy walk, the serving path) have dedicated benches tagged
 ``curves`` / ``probe`` / ``mess`` / ``hierarchy`` / ``serve``.
 
-``repro bench --filter curves,hierarchy --json BENCH_curves.json`` is
-the CI smoke invocation; the committed ``BENCH_*.json`` files are the
+``repro bench --filter curves,hierarchy,probe --json BENCH_curves.json``
+is the CI smoke invocation; the committed ``BENCH_*.json`` files are the
 trajectory of record.
 
 Output schema (``--json``)::

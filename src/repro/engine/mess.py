@@ -71,7 +71,7 @@ def _window_fast_path(
 ) -> bool:
     """Execute one window segment in batch; False to replay it."""
     pipe = simulator._pipe
-    if pipe.backlog_ns > t[0]:
+    if pipe.free_at_ns > t[0]:
         return False
     if t.size >= 2 and not bool(np.all(np.diff(t) >= pipe.service_ns)):
         return False

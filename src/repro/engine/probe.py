@@ -11,9 +11,11 @@ arithmetic:
 - the Bresenham schedule is closed-form: request ``i`` is a read iff
   ``round((i + 1) * ratio)`` exceeds ``round(i * ratio)``, with
   ``np.round`` matching Python's banker's rounding on floats;
+- the round-robin stream addresses are closed-form: request ``i`` is
+  in stream ``i % streams`` at line ``(i // streams) % stream_lines``;
 - the model's latencies come from a batch kernel
-  (:mod:`repro.engine.kernels`) whose preconditions guarantee scalar
-  equality;
+  (:mod:`repro.engine.kernels`) that repeats the scalar model's
+  operations, with exact scans for its sequential state;
 - the closed-loop cap is *verified* rather than simulated: with ``M``
   outstanding allowed, the pop at request ``i`` can only stall when
   some completion among the first ``i - M + 1`` exceeds ``t[i]``; if
@@ -21,9 +23,9 @@ arithmetic:
   heap never advances ``now`` and the candidate schedule *is* the
   schedule.
 
-Any point that fails a precondition is measured by the scalar probe
-instead, so ``characterize_model`` is exact by construction and fast
-on the analytic-model points whose preconditions hold.
+A point whose model has no kernel, or whose schedule stalls on the
+cap, is measured by the scalar probe instead, so ``characterize_model``
+is exact by construction and fast on every other point.
 """
 
 from __future__ import annotations
@@ -60,6 +62,21 @@ def bresenham_reads(ops: int, read_ratio: float) -> np.ndarray:
     targets = np.round(np.arange(1, ops + 1, dtype=float) * read_ratio)
     previous = np.concatenate(([0.0], targets[:-1]))
     return targets > previous
+
+
+def stream_addresses(ops: int, streams: int, stream_bytes: int) -> np.ndarray:
+    """Addresses of the scalar probe's round-robin sequential streams.
+
+    Request ``i`` belongs to stream ``i % streams`` and touches that
+    stream's line ``(i // streams) % stream_lines``, the position the
+    scalar probe's per-stream counter holds at that request. Laid out
+    as a grid, row ``j`` holds line ``j`` of every stream in stream
+    order, so the flattened grid is the request order.
+    """
+    stream_lines = stream_bytes // CACHE_LINE_BYTES
+    lines = np.arange(-(-ops // streams), dtype=np.int64) % stream_lines
+    bases = np.arange(streams, dtype=np.int64) * stream_bytes
+    return (lines[:, None] * CACHE_LINE_BYTES + bases).ravel()[:ops]
 
 
 def cap_never_stalls(
@@ -107,7 +124,8 @@ def probe_point_vectorized(model, read_ratio: float, gap_ns: float, config):
     ops = config.ops_per_point
     t = issue_schedule(ops, gap_ns)
     is_read = bresenham_reads(ops, read_ratio)
-    latencies = batch_latencies(model, t, is_read)
+    addresses = stream_addresses(ops, config.streams, config.stream_bytes)
+    latencies = batch_latencies(model, t, is_read, addresses)
     if latencies is None:
         return None
     completions = t + latencies
@@ -144,4 +162,5 @@ __all__ = [
     "issue_schedule",
     "probe_point_vectorized",
     "sequential_sum",
+    "stream_addresses",
 ]

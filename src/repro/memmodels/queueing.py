@@ -28,8 +28,11 @@ class SingleServerQueue:
         return start - arrival_ns
 
     @property
-    def backlog_ns(self) -> float:
-        """Time until the server frees, measured from the last admit."""
+    def free_at_ns(self) -> float:
+        """Absolute time at which the server finishes its admitted work.
+
+        An arrival at or after this time starts service immediately.
+        """
         return self._free_at_ns
 
     def reset(self) -> None:

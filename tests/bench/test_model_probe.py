@@ -37,6 +37,17 @@ class TestConfigValidation:
         with pytest.raises(BenchmarkError):
             ProbeConfig(ops_per_point=100, warmup_ops=100)
 
+    def test_negative_warmup(self):
+        # the batched probe would measure from the end of the schedule
+        # and the scalar one from request 0
+        with pytest.raises(BenchmarkError, match="warmup_ops"):
+            ProbeConfig(ops_per_point=400, warmup_ops=-5)
+
+    def test_stream_below_one_line(self):
+        # zero lines per stream: the position counter divides by it
+        with pytest.raises(BenchmarkError, match="stream_bytes"):
+            ProbeConfig(stream_bytes=32)
+
 
 class TestProbePoint:
     def test_fixed_model_measures_its_latency(self, quick_config):

@@ -15,6 +15,7 @@ experiments can be compared against an all-scalar run.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from typing import Iterator
 from unittest import mock
@@ -49,6 +50,52 @@ def bresenham_reads(ops: int, read_ratio: float) -> np.ndarray:
         if out[index]:
             reads_acc += 1
     return out
+
+
+def stream_addresses(ops: int, streams: int, stream_bytes: int) -> np.ndarray:
+    """The scalar probe's per-stream position counters, one step per request."""
+    stream_lines = stream_bytes // CACHE_LINE_BYTES
+    positions = [0] * streams
+    out = np.empty(ops, dtype=np.int64)
+    for index in range(ops):
+        stream = index % streams
+        out[index] = stream * stream_bytes + positions[stream] * CACHE_LINE_BYTES
+        positions[stream] = (positions[stream] + 1) % stream_lines
+    return out
+
+
+def queue_waits(pipe, t: np.ndarray, service: np.ndarray | None = None) -> np.ndarray:
+    """``admit`` per arrival, on a copy of the pipe."""
+    queue = copy.copy(pipe)
+    if service is None:
+        return np.array([queue.admit(arrival) for arrival in t.tolist()])
+    return np.array(
+        [
+            queue.admit(arrival, service_ns=busy)
+            for arrival, busy in zip(t.tolist(), service.tolist())
+        ]
+    )
+
+
+def batch_latencies(
+    model, t: np.ndarray, is_read: np.ndarray, addresses: np.ndarray
+) -> np.ndarray:
+    """``model.access`` per request, on a copy of the model."""
+    model = copy.deepcopy(model)
+    return np.array(
+        [
+            model.access(
+                MemoryRequest(
+                    address=address,
+                    access_type=AccessType.READ if read else AccessType.WRITE,
+                    issue_time_ns=issue,
+                )
+            )
+            for issue, read, address in zip(
+                t.tolist(), is_read.tolist(), addresses.tolist()
+            )
+        ]
+    )
 
 
 def cap_never_stalls(
