@@ -115,6 +115,7 @@ from .platforms.presets import (
 )
 from .resilience import RetryPolicy, load_fault_plan
 from .runner import ResultCache, RunManifest, resume_run, run_many
+from .runner.pool import ProgressCallback
 from .scenario import (
     Scenario,
     load_scenario,
@@ -246,19 +247,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     labels = ids + [f"scenario:{scenario.name}" for scenario in scenarios]
     total = len(labels)
-    done = 0
-
-    def progress(record) -> None:
-        nonlocal done
-        done += 1
-        status = "ok" if record.status == "ok" else f"ERROR ({record.error})"
-        print(
-            f"[{done}/{total}] {record.experiment_id:10s} {status}  "
-            f"{record.duration_s:6.2f}s  rows={record.rows}  "
-            f"cache_hits={record.cache_hits}",
-            flush=True,
-        )
-
     retry, fault_plan = _run_resilience_options(args)
     collect_telemetry = bool(args.trace or args.metrics)
     outcome = run_many(
@@ -269,7 +257,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenarios=scenarios or None,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        progress=progress,
+        progress=_progress_printer(total),
         collect_telemetry=collect_telemetry,
         deadline_s=args.deadline,
         retry=retry,
@@ -288,6 +276,34 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if result is not None:
             result.to_csv(args.csv)
             print(f"rows written to {args.csv}")
+    _write_telemetry(outcome, args)
+    manifest_path = args.manifest or ("run-manifest.json" if args.all else None)
+    if manifest_path:
+        outcome.manifest.write(manifest_path)
+        print(f"manifest written to {manifest_path}")
+    return _finish_run(outcome)
+
+
+def _progress_printer(total: int) -> ProgressCallback:
+    """A ``run_many`` progress callback printing one line per record."""
+    done = 0
+
+    def progress(record) -> None:
+        nonlocal done
+        done += 1
+        status = "ok" if record.status == "ok" else f"ERROR ({record.error})"
+        print(
+            f"[{done}/{total}] {record.experiment_id:10s} {status}  "
+            f"{record.duration_s:6.2f}s  rows={record.rows}  "
+            f"cache_hits={record.cache_hits}",
+            flush=True,
+        )
+
+    return progress
+
+
+def _write_telemetry(outcome, args: argparse.Namespace) -> None:
+    """Write the run's Chrome trace and Prometheus metrics, if asked."""
     if outcome.telemetry is not None:
         if args.trace:
             telemetry.write_chrome_trace(outcome.telemetry, args.trace)
@@ -295,11 +311,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.metrics:
             telemetry.write_prometheus(outcome.telemetry, args.metrics)
             print(f"metrics written to {args.metrics}")
-    manifest_path = args.manifest or ("run-manifest.json" if args.all else None)
-    if manifest_path:
-        outcome.manifest.write(manifest_path)
-        print(f"manifest written to {manifest_path}")
-    return _finish_run(outcome)
 
 
 def _finish_run(outcome) -> int:
@@ -321,27 +332,13 @@ def _run_resume(args: argparse.Namespace) -> int:
     if not pending:
         print(f"{args.resume}: nothing to resume ({checkpoint.summary()})")
         return 0
-    total = len(pending)
-    done = 0
-
-    def progress(record) -> None:
-        nonlocal done
-        done += 1
-        status = "ok" if record.status == "ok" else f"ERROR ({record.error})"
-        print(
-            f"[{done}/{total}] {record.experiment_id:10s} {status}  "
-            f"{record.duration_s:6.2f}s  rows={record.rows}  "
-            f"cache_hits={record.cache_hits}",
-            flush=True,
-        )
-
     collect_telemetry = bool(args.trace or args.metrics)
     outcome = resume_run(
         args.resume,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        progress=progress,
+        progress=_progress_printer(len(pending)),
         collect_telemetry=collect_telemetry,
         deadline_s=args.deadline,
         retry=retry,
@@ -350,13 +347,7 @@ def _run_resume(args: argparse.Namespace) -> int:
     for label in sorted(outcome.results):
         print()
         print(outcome.results[label].format_table())
-    if outcome.telemetry is not None:
-        if args.trace:
-            telemetry.write_chrome_trace(outcome.telemetry, args.trace)
-            print(f"trace written to {args.trace}")
-        if args.metrics:
-            telemetry.write_prometheus(outcome.telemetry, args.metrics)
-            print(f"metrics written to {args.metrics}")
+    _write_telemetry(outcome, args)
     # the merged manifest replaces the checkpoint, so resume is
     # repeatable: each pass re-runs only what is still unfinished
     manifest_path = args.manifest or args.resume

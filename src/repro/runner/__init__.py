@@ -4,7 +4,8 @@ Three pieces:
 
 - :mod:`repro.runner.cache` — an on-disk, content-addressed cache for
   characterization sweeps and experiment results (atomic writes,
-  corruption-tolerant reads), plus the process-global activation switch
+  corruption-tolerant reads), the cache-or-compute core ``repro run``
+  and ``repro serve`` share, and the process-global activation switch
   the benchmark harness consults;
 - :mod:`repro.runner.pool` — :func:`run_many`, the process-pool fan-out
   used by ``python -m repro run --all --jobs N``, with per-experiment

@@ -17,6 +17,12 @@ read and write the same entries; :mod:`repro.serve.backends` only puts
 a memory LRU in front of this store, and imports it from here, so
 importing the runner never loads the serving stack.
 
+It also holds the one cache-or-compute core: :func:`cached_result`
+(the validated read) and :func:`compute_result` (run, JSON round-trip,
+store). ``repro run`` experiments, scenario files and ``repro serve``
+all go through these two, so one scenario digest stores one entry,
+byte for byte, whichever path wrote it.
+
 Contract rules (kept by every backend):
 
 - **get never raises.** A missing, unreadable or corrupt entry is a
@@ -39,9 +45,13 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
+from ..errors import MessError
 from ..telemetry import registry as telemetry_mod
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..scenario.core import Scenario
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -384,6 +394,58 @@ class ResultCache(DirectoryBackend):
         return stable_digest(
             {"kind": kind, "config": config, "version": _package_version()}
         )
+
+
+# ----------------------------------------------------------------------
+# Cache-or-compute
+# ----------------------------------------------------------------------
+#
+# ``repro.experiments`` is imported lazily: its package init imports
+# every experiment module, which booting ``repro serve`` must not pay for.
+
+
+def result_kind(scenario: "Scenario") -> str:
+    """The entry kind a scenario's result is stored under.
+
+    ``result`` for an experiment workload, ``scenario-result``
+    otherwise — derived from the scenario, so every path that stores
+    one digest writes the same bytes.
+    """
+    return "result" if scenario.workload_kind == "experiment" else "scenario-result"
+
+
+def cached_result(store: CacheBackend, key: str) -> "dict | None":
+    """The result payload stored under ``key``, validated, or ``None``.
+
+    A payload that does not rebuild as an ``ExperimentResult`` is
+    discarded and reads as a miss, so the caller recomputes it.
+    """
+    payload = store.get(key)
+    if payload is None:
+        return None
+    from ..experiments.base import ExperimentResult
+
+    if isinstance(payload, dict):
+        try:
+            ExperimentResult.from_dict(payload)
+            return payload
+        except MessError:
+            pass
+    store.discard(key)
+    return None
+
+
+def compute_result(store: "CacheBackend | None", scenario: "Scenario") -> dict:
+    """Run ``scenario`` and store its result under the scenario digest.
+
+    One JSON round-trip gives cached and fresh results identically-typed
+    rows (tuples become lists either way). ``store`` may be ``None``
+    (caching disabled): the normalized payload is still returned.
+    """
+    payload: dict = json.loads(json.dumps(scenario.run().to_dict()))
+    if store is not None:
+        store.put(scenario.digest(), payload, kind=result_kind(scenario))
+    return payload
 
 
 # ----------------------------------------------------------------------

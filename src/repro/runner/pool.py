@@ -8,6 +8,14 @@ experiment telemetry record to an optional progress callback as each
 one finishes, and returns every result plus a
 :class:`~repro.runner.manifest.RunManifest`.
 
+One unit of work is one scenario: an experiment id becomes the
+scenario :meth:`~repro.scenario.core.Scenario.for_experiment` builds,
+and a scenario file is its own. :func:`_execute` runs either, reading
+and storing the result through :func:`~repro.runner.cache.cached_result`
+and :func:`~repro.runner.cache.compute_result` — the two functions
+``repro serve`` calls too — so the entry for a digest is the same bytes
+whichever path wrote it.
+
 Determinism: each experiment runs entirely inside one process with
 fixed seeds, and every result — cold, cached, serial or parallel — is
 normalized through the same JSON round-trip, so ``--jobs 1`` and
@@ -26,7 +34,7 @@ records as unfinished. Fault injection for all of the above comes from
 
 from __future__ import annotations
 
-import json
+import functools
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -103,130 +111,39 @@ def _scoped_plan(
     return plan if plan.faults else None
 
 
-def _execute_one(
-    experiment_id: str,
-    scale: float,
-    options: dict,
+def _execute(
+    label: str,
+    spec: dict,
     cache_dir: str | None,
     use_cache: bool,
     collect_telemetry: bool = False,
     fault_payload: dict | None = None,
     attempt: int = 1,
 ) -> dict:
-    """Run one experiment (in a worker or inline) and report telemetry.
+    """Run one unit (in a worker or inline) and report telemetry.
 
-    Module-level so it pickles for the process pool. The whole
-    experiment result is memoized in the content-addressed cache; on a
-    miss the run still benefits from the harness-level characterization
-    cache underneath.
+    Module-level so it pickles for the process pool; ``spec`` is the
+    unit's scenario spec, plain JSON-typed data. The result is memoized
+    under the scenario digest; on a miss the run still benefits from
+    the harness-level characterization cache underneath.
 
     With ``collect_telemetry``, a fresh registry is activated around the
-    experiment so simulators/controllers built inside it bind their
+    unit so simulators/controllers built inside it bind their
     instruments to it; the registry travels back to the parent as JSON
-    (``telemetry_data``) plus a compact summary for the manifest.
+    (``telemetry_data``) plus a compact summary for the manifest. The
+    compute runs in a ``runner.scenario`` span (id: the scenario name)
+    for a scenario file and a ``runner.experiment`` span (id: the
+    experiment id) otherwise; a hit emits ``runner.result_cache_hit``.
 
     ``fault_payload`` is a serialized :class:`FaultPlan`; it is scoped
-    to this (experiment, attempt) and activated for the duration, with
+    to this (label, attempt) and activated for the duration, with
     entry faults fired first and cache corruption injected just before
     the result-cache read.
     """
     from ..core import simulator as simulator_mod
-    from ..experiments.base import ExperimentResult
-    from ..experiments.registry import run_experiment
-
-    plan = _scoped_plan(fault_payload, experiment_id, attempt)
-    registry = None
-    previous = telemetry_mod.active()
-    if collect_telemetry:
-        registry = telemetry_mod.activate(TelemetryRegistry())
-    try:
-        with faults_mod.activation(plan):
-            if plan is not None:
-                plan.fire_entry_faults(experiment_id)
-            cache = _ensure_cache(cache_dir, use_cache)
-            hits_before = cache.hits if cache else 0
-            misses_before = cache.misses if cache else 0
-            degraded_before = simulator_mod.degraded_total()
-            start = time.perf_counter()
-
-            key = None
-            payload = None
-            if cache is not None:
-                # the scenario digest IS the cache identity: the same key a
-                # scenario file for this run would produce (see repro.scenario)
-                from ..scenario.core import Scenario
-
-                key = Scenario.for_experiment(
-                    experiment_id, scale=scale, options=options
-                ).digest()
-                if plan is not None:
-                    plan.corrupt_cache_entry(cache, key)
-                payload = cache.get(key)
-                if payload is not None:
-                    try:
-                        ExperimentResult.from_dict(payload)
-                    except MessError:
-                        cache.discard(key)
-                        payload = None
-            if payload is None:
-                if registry is not None:
-                    with registry.span(
-                        "runner.experiment", category="runner", id=experiment_id
-                    ):
-                        result = run_experiment(
-                            experiment_id, scale=scale, **options
-                        )
-                else:
-                    result = run_experiment(experiment_id, scale=scale, **options)
-                # one JSON round-trip so cached and fresh results carry
-                # identically-typed rows (e.g. tuples become lists either way)
-                payload = json.loads(json.dumps(result.to_dict()))
-                if cache is not None and key is not None:
-                    cache.put(key, payload, kind="result")
-            elif registry is not None:
-                registry.event(
-                    "runner.result_cache_hit", category="runner", id=experiment_id
-                )
-
-            return {
-                "experiment_id": experiment_id,
-                "payload": payload,
-                "duration_s": time.perf_counter() - start,
-                "cache_hits": (cache.hits - hits_before) if cache else 0,
-                "cache_misses": (cache.misses - misses_before) if cache else 0,
-                "degraded": simulator_mod.degraded_total() > degraded_before,
-                "telemetry_summary": registry.summary() if registry else None,
-                "telemetry_data": registry.to_dict() if registry else None,
-            }
-    finally:
-        if collect_telemetry:
-            if previous is not None:
-                telemetry_mod.activate(previous)
-            else:
-                telemetry_mod.deactivate()
-
-
-def _execute_scenario(
-    spec_payload: dict,
-    cache_dir: str | None,
-    use_cache: bool,
-    collect_telemetry: bool = False,
-    fault_payload: dict | None = None,
-    attempt: int = 1,
-) -> dict:
-    """Run one scenario file (in a worker or inline).
-
-    Mirrors :func:`_execute_one` exactly — digest-keyed result cache,
-    JSON round-trip normalization, telemetry registry, fault scoping —
-    but the unit of work is a :class:`~repro.scenario.core.Scenario`
-    spec rather than a registered experiment id. Module-level so it
-    pickles; the spec payload is plain JSON-typed data.
-    """
-    from ..core import simulator as simulator_mod
     from ..scenario.core import Scenario
 
-    scenario = Scenario.from_spec(spec_payload)
-    label = f"scenario:{scenario.name}"
+    scenario = Scenario.from_spec(spec)
     plan = _scoped_plan(fault_payload, label, attempt)
     registry = None
     previous = telemetry_mod.active()
@@ -242,31 +159,23 @@ def _execute_scenario(
             degraded_before = simulator_mod.degraded_total()
             start = time.perf_counter()
 
-            key = scenario.digest()
             payload = None
             if cache is not None:
+                key = scenario.digest()
                 if plan is not None:
                     plan.corrupt_cache_entry(cache, key)
-                payload = cache.get(key)
-                if payload is not None:
-                    from ..experiments.base import ExperimentResult
-
-                    try:
-                        ExperimentResult.from_dict(payload)
-                    except MessError:
-                        cache.discard(key)
-                        payload = None
+                payload = cache_mod.cached_result(cache, key)
             if payload is None:
-                if registry is not None:
-                    with registry.span(
-                        "runner.scenario", category="runner", id=scenario.name
-                    ):
-                        result = scenario.run()
+                if registry is None:
+                    payload = cache_mod.compute_result(cache, scenario)
                 else:
-                    result = scenario.run()
-                payload = json.loads(json.dumps(result.to_dict()))
-                if cache is not None:
-                    cache.put(key, payload, kind="scenario-result")
+                    span, span_id = (
+                        ("runner.scenario", scenario.name)
+                        if label.startswith("scenario:")
+                        else ("runner.experiment", label)
+                    )
+                    with registry.span(span, category="runner", id=span_id):
+                        payload = cache_mod.compute_result(cache, scenario)
             elif registry is not None:
                 registry.event(
                     "runner.result_cache_hit", category="runner", id=label
@@ -275,7 +184,6 @@ def _execute_scenario(
             return {
                 "experiment_id": label,
                 "payload": payload,
-                "scenario_spec": spec_payload,
                 "duration_s": time.perf_counter() - start,
                 "cache_hits": (cache.hits - hits_before) if cache else 0,
                 "cache_misses": (cache.misses - misses_before) if cache else 0,
@@ -293,13 +201,16 @@ def _execute_scenario(
 
 @dataclass
 class _Unit:
-    """One schedulable piece of work (experiment or scenario)."""
+    """One schedulable piece of work: a label and the scenario it runs."""
 
     label: str
-    func: Callable[..., dict]
-    args: tuple
+    spec: dict
     opts: dict
-    scenario_spec: dict | None = None
+
+    @property
+    def scenario_spec(self) -> dict | None:
+        """The spec a ``scenario:`` record carries; experiment records carry none."""
+        return self.spec if self.label.startswith("scenario:") else None
 
 
 @dataclass
@@ -312,7 +223,7 @@ class _Pending:
 
 
 def _record_from(
-    raw: dict, scale: float, options: dict, *, attempts: int = 1
+    raw: dict, unit: _Unit, scale: float, attempts: int
 ) -> "tuple[ExperimentRecord, ExperimentResult]":
     from ..experiments.base import ExperimentResult
 
@@ -326,24 +237,21 @@ def _record_from(
         cache_misses=raw["cache_misses"],
         result_digest=result.digest(),
         scale=scale,
-        options=dict(options),
+        options=dict(unit.opts),
         telemetry=raw.get("telemetry_summary"),
         attempts=attempts,
         degraded=bool(raw.get("degraded", False)),
-        scenario_spec=raw.get("scenario_spec"),
+        scenario_spec=unit.scenario_spec,
     )
     return record, result
 
 
 def _error_record(
-    experiment_id: str,
+    unit: _Unit,
     exc: BaseException,
     duration_s: float,
     scale: float,
-    options: dict,
-    *,
-    attempts: int = 1,
-    scenario_spec: dict | None = None,
+    attempts: int,
 ) -> ExperimentRecord:
     """A failure record: one-line summary, typed kind, full traceback.
 
@@ -358,16 +266,16 @@ def _error_record(
         traceback.format_exception(type(exc), exc, exc.__traceback__)
     ).strip()
     return ExperimentRecord(
-        experiment_id=experiment_id,
+        experiment_id=unit.label,
         status="error",
         duration_s=duration_s,
         scale=scale,
-        options=dict(options),
+        options=dict(unit.opts),
         error=detail,
         failure_kind=classify_failure(exc),
         attempts=attempts,
         traceback=full,
-        scenario_spec=scenario_spec,
+        scenario_spec=unit.scenario_spec,
     )
 
 
@@ -549,40 +457,38 @@ def run_many(
         if outcome.telemetry is not None and data is not None:
             outcome.telemetry.merge_dict(data)
 
-    # experiments and scenarios flow through the same loop from here on
+    # an experiment id is just the scenario for_experiment builds, so
+    # experiments and scenario files flow through one worker from here on
     units: list[_Unit] = [
         _Unit(
             label=experiment_id,
-            func=_execute_one,
-            args=(
+            spec=Scenario.for_experiment(
                 experiment_id,
-                scale,
-                per_experiment.get(experiment_id, {}),
-                cache_dir_str,
-                use_cache,
-                collect_telemetry,
-            ),
+                scale=scale,
+                options=per_experiment.get(experiment_id, {}),
+            ).to_spec(),
             opts=per_experiment.get(experiment_id, {}),
         )
         for experiment_id in ids
     ] + [
-        _Unit(
-            label=label,
-            func=_execute_scenario,
-            args=(scenario.to_spec(), cache_dir_str, use_cache, collect_telemetry),
-            opts={},
-            scenario_spec=scenario.to_spec(),
-        )
+        _Unit(label=label, spec=scenario.to_spec(), opts={})
         for label, scenario in zip(labels, scenario_list)
     ]
+    execute = functools.partial(
+        _execute,
+        cache_dir=cache_dir_str,
+        use_cache=use_cache,
+        collect_telemetry=collect_telemetry,
+        fault_payload=plan_payload,
+    )
 
     inline = (jobs == 1 or len(units) == 1) and deadline_s is None
     if inline:
-        _run_inline(units, plan_payload, policy, scale, outcome, absorb, finish)
+        _run_inline(units, execute, policy, scale, outcome, absorb, finish)
     else:
         _run_pooled(
             units,
-            plan_payload,
+            execute,
             policy,
             scale,
             min(max(jobs, 1), len(units)),
@@ -599,7 +505,7 @@ def run_many(
 
 def _run_inline(
     units: list[_Unit],
-    plan_payload: dict | None,
+    execute: Callable[..., dict],
     policy: RetryPolicy,
     scale: float,
     outcome: RunOutcome,
@@ -612,7 +518,7 @@ def _run_inline(
         while True:
             step_start = time.perf_counter()
             try:
-                raw = unit.func(*unit.args, plan_payload, attempt)
+                raw = execute(unit.label, unit.spec, attempt=attempt)
             except MessError as exc:
                 kind = classify_failure(exc)
                 if policy.should_retry(kind, attempt):
@@ -622,19 +528,11 @@ def _run_inline(
                     attempt += 1
                     continue
                 record = _error_record(
-                    unit.label,
-                    exc,
-                    time.perf_counter() - step_start,
-                    scale,
-                    unit.opts,
-                    attempts=attempt,
-                    scenario_spec=unit.scenario_spec,
+                    unit, exc, time.perf_counter() - step_start, scale, attempt
                 )
                 break
             absorb(raw)
-            record, result = _record_from(
-                raw, scale, unit.opts, attempts=attempt
-            )
+            record, result = _record_from(raw, unit, scale, attempt)
             outcome.results[unit.label] = result
             break
         finish(unit.label, record)
@@ -642,7 +540,7 @@ def _run_inline(
 
 def _run_pooled(
     units: list[_Unit],
-    plan_payload: dict | None,
+    execute: Callable[..., dict],
     policy: RetryPolicy,
     scale: float,
     workers: int,
@@ -681,15 +579,7 @@ def _run_pooled(
             return
         finish(
             pending.unit.label,
-            _error_record(
-                pending.unit.label,
-                exc,
-                0.0,
-                scale,
-                pending.unit.opts,
-                attempts=pending.attempt,
-                scenario_spec=pending.unit.scenario_spec,
-            ),
+            _error_record(pending.unit, exc, 0.0, scale, pending.attempt),
         )
 
     try:
@@ -703,7 +593,7 @@ def _run_pooled(
                     break
                 queue.remove(ready)
                 future = pool.submit(
-                    ready.unit.func, *ready.unit.args, plan_payload, ready.attempt
+                    execute, ready.unit.label, ready.unit.spec, attempt=ready.attempt
                 )
                 inflight[future] = (ready, time.monotonic())
 
@@ -745,7 +635,7 @@ def _run_pooled(
                 else:
                     absorb(raw)
                     record, result = _record_from(
-                        raw, scale, pending.unit.opts, attempts=pending.attempt
+                        raw, pending.unit, scale, pending.attempt
                     )
                     outcome.results[pending.unit.label] = result
                     finish(pending.unit.label, record)

@@ -11,13 +11,18 @@ The request path, in order:
 1. **Parse and validate** the spec into a frozen
    :class:`~repro.scenario.core.Scenario` (malformed specs are a 400,
    computed on the event loop — validation is cheap).
-2. **Cache lookup** through the configured
-   :class:`~repro.runner.cache.CacheBackend`, offloaded to the
-   executor (backend I/O is blocking; RPR009 enforces the offload).
+2. **Cache lookup** through :func:`~repro.runner.cache.cached_result`
+   on the configured :class:`~repro.runner.cache.CacheBackend`,
+   offloaded to the executor (backend I/O is blocking; RPR009 enforces
+   the offload). The read is validated: a payload that does not
+   rebuild as a result is discarded and counts as a miss.
 3. **Coalesce** misses per digest through
    :class:`~repro.serve.singleflight.SingleFlight`: a thundering herd
    on one uncached digest computes once, followers await the shared
-   flight.
+   flight. The flight re-reads the cache and, on a miss, computes
+   through :func:`~repro.runner.cache.compute_result` — the two
+   functions ``repro run`` calls too, so both paths store one digest as
+   the same bytes.
 4. **Backpressure**: leaders queue on a bounded semaphore
    (``max_inflight`` computes at once); when more than ``queue_limit``
    requests are already waiting the request is refused with a typed
@@ -41,7 +46,6 @@ the HTTP layer exports it at ``/metrics`` in Prometheus format.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,6 +57,7 @@ from ..resilience.failures import (
     classify_failure,
 )
 from ..resilience.retry import RetryPolicy
+from ..runner.cache import ResultCache, cached_result, compute_result, result_kind
 from ..telemetry.registry import TelemetryRegistry
 from .backends import BACKEND_NAMES, CacheBackend, make_backend
 from .singleflight import SingleFlight
@@ -342,30 +347,13 @@ class CharacterizationService:
     # Request handling
     # ------------------------------------------------------------------
 
-    def _compute_sync(self, scenario: Any, key: str) -> "dict | list":
-        """Cache-or-compute one scenario on an executor thread.
+    async def _fly(self, scenario: Any, key: str) -> dict:
+        """The flight body: backpressure, compute slot, retries.
 
-        Mirrors the runner's ``_execute_scenario`` exactly — re-check
-        the cache (another process or flight may have landed the entry
-        since the event-loop lookup), run, JSON-round-trip normalize so
-        cached and fresh results carry identically-typed rows, store.
+        Inside the slot the cache is read again (another process or
+        flight may have landed the entry since the event-loop lookup)
+        before the scenario is computed and stored.
         """
-        from ..experiments.base import ExperimentResult
-
-        payload = self.backend.get(key)
-        if payload is not None:
-            try:
-                ExperimentResult.from_dict(payload)
-                return payload
-            except MessError:
-                self.backend.discard(key)
-        result = scenario.run()
-        payload = json.loads(json.dumps(result.to_dict()))
-        self.backend.put(key, payload, kind="scenario-result")
-        return payload
-
-    async def _fly(self, scenario: Any, key: str) -> "dict | list":
-        """The flight body: backpressure, compute slot, retries."""
         if self.config.queue_limit and self._waiting >= self.config.queue_limit:
             self._rejected.inc()
             raise QueueFullError(
@@ -385,8 +373,12 @@ class CharacterizationService:
                     tick = time.perf_counter()
                     try:
                         payload = await self._offload(
-                            self._compute_sync, scenario, key
+                            cached_result, self.backend, key
                         )
+                        if payload is None:
+                            payload = await self._offload(
+                                compute_result, self.backend, scenario
+                            )
                     except Exception as exc:
                         kind = classify_failure(exc)
                         if not policy.should_retry(kind, attempt):
@@ -424,7 +416,7 @@ class CharacterizationService:
         try:
             scenario = parse_request(verb, spec_payload)
             key = scenario.digest()
-            payload = await self._offload(self.backend.get, key)
+            payload = await self._offload(cached_result, self.backend, key)
             cached = payload is not None
             coalesced = False
             if payload is None:
@@ -480,7 +472,7 @@ class CharacterizationService:
             raise BadRequestError(f"not a hex digest: {digest!r}")
         self._active += 1
         try:
-            payload = await self._offload(self.backend.get, digest)
+            payload = await self._offload(cached_result, self.backend, digest)
             if payload is None:
                 self._misses.inc()
                 raise NotFoundError(f"no cached result for digest {digest}")
@@ -524,14 +516,16 @@ def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dic
     from ``experiment_id``/``scale``/``options`` for experiment
     records), reads the payload from the manifest's ``cache_dir`` (the
     default cache directory when the run recorded none) and writes it
-    through ``backend`` — so the first request wave after a deploy hits
-    a hot cache instead of a compute storm.
+    through ``backend`` with the kind ``repro run`` stores — so the
+    first request wave after a deploy hits a hot cache instead of a
+    compute storm. Both stores are read through
+    :func:`~repro.runner.cache.cached_result`: a malformed payload is
+    discarded and counts as missing.
 
     Synchronous and blocking by design: it runs *before* the server
     starts accepting traffic. Returns
     ``{"records", "warmed", "already_present", "missing", "failed"}``.
     """
-    from ..runner.cache import ResultCache
     from ..runner.manifest import RunManifest
     from ..scenario.core import Scenario
 
@@ -554,14 +548,14 @@ def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dic
         except MessError:
             failed += 1
             continue
-        if backend.get(key) is not None:
+        if cached_result(backend, key) is not None:
             present += 1
             continue
-        payload = source.get(key)
+        payload = cached_result(source, key)
         if payload is None:
             missing += 1
             continue
-        if backend.put(key, payload, kind="scenario-result"):
+        if backend.put(key, payload, kind=result_kind(scenario)):
             warmed += 1
         else:
             failed += 1

@@ -9,7 +9,9 @@ import pytest
 from repro.errors import ConfigurationError, MessError
 from repro.experiments.base import ExperimentResult
 from repro.resilience.failures import DeadlineExceededError
+from repro.runner import run_many
 from repro.runner.manifest import ExperimentRecord, RunManifest
+from repro.scenario.core import Scenario
 from repro.serve.backends import DirectoryBackend, MemoryLRUBackend
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import (
@@ -169,6 +171,69 @@ class TestLookup:
 
         submitted, found = run_service(scenario, backend=MemoryLRUBackend())
         assert found["result"] == submitted["result"]
+
+
+class TestMalformedEntry:
+    """A stored payload that is not a result reads as a miss, as in ``repro run``."""
+
+    BOGUS = {"bogus": 1}
+
+    def test_submit_recomputes_a_malformed_entry(self):
+        fig2 = Scenario.for_experiment("fig2", scale=0.2)
+        backend = MemoryLRUBackend()
+        backend.put(fig2.digest(), self.BOGUS, kind="result")
+
+        async def scenario(service):
+            return await service.submit("simulate", fig2.to_spec())
+
+        served = run_service(scenario, backend=backend)
+        assert served["cached"] is False
+        assert (
+            ExperimentResult.from_dict(served["result"]).digest()
+            == fig2.run().digest()
+        )
+
+    def test_lookup_404s_and_drops_a_malformed_entry(self, tmp_path):
+        digest = Scenario.for_experiment("fig2", scale=0.2).digest()
+        backend = DirectoryBackend(tmp_path / "cache")
+        backend.put(digest, self.BOGUS, kind="result")
+
+        async def scenario(service):
+            with pytest.raises(NotFoundError):
+                await service.lookup(digest)
+
+        run_service(scenario, backend=backend)
+        assert not backend.path_for(digest).exists()
+        assert backend.get(digest) is None
+
+
+class TestOneEntryPerDigest:
+    @pytest.mark.parametrize("case", ["fig2", "characterize"])
+    def test_run_serve_and_warm_write_identical_entries(self, case, tmp_path):
+        if case == "fig2":
+            scenario_obj = Scenario.for_experiment("fig2", scale=0.2)
+            verb, selection = "simulate", {"experiment_ids": ["fig2"], "scale": 0.2}
+        else:
+            scenario_obj = loadgen_scenarios(1)[0]
+            verb, selection = "characterize", {"scenarios": [scenario_obj]}
+        digest = scenario_obj.digest()
+
+        async def serve(service):
+            return await service.submit(verb, scenario_obj.to_spec())
+
+        config = ServiceConfig(backend="dir", cache_dir=str(tmp_path / "B"))
+        assert run_service(serve, config=config)["cached"] is False
+        outcome = run_many(cache_dir=tmp_path / "A", **selection)
+        manifest = tmp_path / "MANIFEST.json"
+        outcome.manifest.write(manifest)
+        summary = warm_from_manifest(DirectoryBackend(tmp_path / "C"), manifest)
+        assert summary["warmed"] == 1
+
+        entries = [
+            DirectoryBackend(tmp_path / name).path_for(digest).read_bytes()
+            for name in "ABC"
+        ]
+        assert entries[0] == entries[1] == entries[2]
 
 
 class TestConfigAndStats:
