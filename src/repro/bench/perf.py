@@ -2,16 +2,20 @@
 
 One named bench is a deterministic workload; the harness times it
 best-of-``repeat`` and records a digest of its result, so a payload
-says both how long the workload took and what it computed. The
-registry replaces the copy-pasted ``benchmarks/bench_fig*.py`` bodies:
-every paper experiment is registered here under ``experiment.<id>``,
-and the inner loops (the model probe, the Mess window drive, the cache
-hierarchy walk, the serving path) have dedicated benches tagged
-``curves`` / ``probe`` / ``mess`` / ``hierarchy`` / ``serve``.
+says both how long the workload took and what it computed. This is the
+project's one bench mechanism. Every paper experiment is registered
+here under ``experiment.<id>`` (``repro run ID --csv PATH`` saves an
+experiment's data series), and the inner loops have dedicated benches
+tagged ``curves`` / ``probe`` / ``mess`` / ``dram`` / ``hierarchy`` /
+``serve``: the curve lookup, the model probe, the Mess simulator's
+access path (telemetry off and on) and window drive, the DRAM
+controller, the cache-hierarchy walk and the serving path.
 
-``repro bench --filter curves,hierarchy,probe --json BENCH_curves.json``
-is the CI smoke invocation; the committed ``BENCH_*.json`` files are the
-trajectory of record.
+``repro bench --filter curves,hierarchy,probe,mess,dram --json
+BENCH_curves.json`` is the CI smoke invocation;
+``repro bench --filter experiment --json BENCH_experiments.json``
+records every experiment's digest. The committed ``BENCH_*.json``
+files are the trajectory of record.
 
 Output schema (``--json``)::
 
@@ -84,13 +88,14 @@ def bench_names(filter: str | None = None) -> list[str]:
 
     ``filter`` is a comma-separated list of terms; a bench is kept when
     any term is a substring of its name or exactly one of its tags
-    (``"curves,hierarchy"`` unions two families).
+    (``"curves,hierarchy"`` unions two families). A filter that keeps
+    nothing is a :class:`ConfigurationError`.
     """
     _register_experiment_benches()
     names = sorted(_REGISTRY)
     if filter:
         terms = [term for term in filter.split(",") if term]
-        names = [
+        kept = [
             name
             for name in names
             if any(
@@ -98,6 +103,11 @@ def bench_names(filter: str | None = None) -> list[str]:
                 for term in terms
             )
         ]
+        if not kept:
+            raise ConfigurationError(
+                f"no benches match {filter!r}; available: {names}"
+            )
+        names = kept
     return names
 
 
@@ -125,13 +135,8 @@ def run_benches(
     progress: Callable[[dict], None] | None = None,
 ) -> dict:
     """Run every (filtered) bench; returns the full JSON payload."""
-    names = bench_names(filter)
-    if not names:
-        raise ConfigurationError(
-            f"no benches match {filter!r}; available: {bench_names()}"
-        )
     benches = []
-    for name in names:
+    for name in bench_names(filter):
         entry = run_bench(_REGISTRY[name], repeat=repeat)
         benches.append(entry)
         if progress is not None:
@@ -202,6 +207,116 @@ def _bench_characterize_dramsim3():
     from ..memmodels.flawed import DRAMsim3Analog
 
     return _probe_bench(lambda: DRAMsim3Analog(theoretical_gbps=128.0), 128.0)
+
+
+@register("curves.latency_at", "curves")
+def _bench_latency_at():
+    """Curve-family lookups: the Mess controller's per-window query.
+
+    10k bilinear (bandwidth, read-ratio) interpolations on the Skylake
+    family, sweeping 0-110% of its saturated bandwidth at every read
+    ratio between its curves.
+    """
+    from ..platforms.presets import INTEL_SKYLAKE, family
+
+    fam = family(INTEL_SKYLAKE)
+    top = fam.max_bandwidth_gbps * 1.1
+    queries = [
+        (top * (index % 1000) / 1000, 0.5 + (index % 51) / 100)
+        for index in range(10_000)
+    ]
+
+    def work() -> list[float]:
+        return [fam.latency_at(bandwidth, ratio) for bandwidth, ratio in queries]
+
+    def summarize(latencies: list[float]) -> dict:
+        return {"digest": spec_digest(latencies), "ops": len(latencies)}
+
+    return work, summarize
+
+
+def _mess_access_bench(collect: bool):
+    """50k reads, 1 ns apart, through ``MessMemorySimulator.access``.
+
+    With ``collect`` a fresh telemetry registry is active for the run
+    (and deactivated after it), so the pair of benches times the
+    instrumented hot path off and on. Telemetry only observes: both
+    report the same stats digest.
+    """
+    from ..core.simulator import MessMemorySimulator
+    from ..platforms.presets import INTEL_SKYLAKE, family
+    from ..request import AccessType, MemoryRequest
+    from ..telemetry import registry as telemetry
+
+    fam = family(INTEL_SKYLAKE)
+    requests = [
+        MemoryRequest((index % 65536) * 64, AccessType.READ, float(index))
+        for index in range(50_000)
+    ]
+
+    def drive() -> MessMemorySimulator:
+        simulator = MessMemorySimulator(fam)
+        for request in requests:
+            simulator.access(request)
+        return simulator
+
+    def collecting() -> MessMemorySimulator:
+        telemetry.activate()
+        try:
+            return drive()
+        finally:
+            telemetry.deactivate()
+
+    def summarize(simulator) -> dict:
+        return {"digest": spec_digest(simulator.stats), "ops": len(requests)}
+
+    return (collecting if collect else drive), summarize
+
+
+@register("mess.access", "mess")
+def _bench_mess_access():
+    """The Mess simulator's per-request path, telemetry off."""
+    return _mess_access_bench(collect=False)
+
+
+@register("mess.access_telemetry", "mess", "telemetry")
+def _bench_mess_access_telemetry():
+    """The Mess simulator's per-request path under an active registry."""
+    return _mess_access_bench(collect=True)
+
+
+@register("dram.submit", "dram")
+def _bench_dram_submit():
+    """20k mixed requests through the cycle-level DDR4 controller.
+
+    Sequential lines 1 ns apart on six DDR4-2666 channels, every third
+    one a write: row hits, write-queue drains and refreshes all occur.
+    The digest covers the controller census and the summed latency.
+    """
+    from ..dram.controller import DramController
+    from ..dram.timing import DDR4_2666
+    from ..request import AccessType, MemoryRequest
+
+    requests = [
+        MemoryRequest(
+            index * 64,
+            AccessType.WRITE if index % 3 == 0 else AccessType.READ,
+            float(index),
+        )
+        for index in range(20_000)
+    ]
+
+    def work() -> dict:
+        controller = DramController(DDR4_2666, channels=6)
+        latency_ns = 0.0
+        for request in requests:
+            latency_ns += controller.submit(request).latency_ns
+        return {"stats": controller.stats.to_dict(), "total_latency_ns": latency_ns}
+
+    def summarize(census: dict) -> dict:
+        return {"digest": spec_digest(census), "ops": len(requests)}
+
+    return work, summarize
 
 
 @register("mess.drive_fixed_rate", "mess")
@@ -394,53 +509,31 @@ def deterministic_digest(result) -> str:
 _EXPERIMENTS_REGISTERED = False
 
 
-def _experiment_bench(
-    experiment_id: str, scale: float | None = None
-) -> Callable:
+def _bench_experiment(experiment_id: str) -> Callable:
+    scale = _EXPERIMENT_SCALES.get(experiment_id, 1.0)
+
     def make():
-        from ..experiments import common as experiments_common
+        from ..experiments import common
         from ..experiments.registry import run_experiment
         from ..runner import cache as result_cache
-
-        effective_scale = (
-            _EXPERIMENT_SCALES.get(experiment_id, 1.0)
-            if scale is None
-            else scale
-        )
 
         def work():
             # a real regeneration: no disk cache, no family memoization
             # left over from an earlier run
             result_cache.deactivate()
-            experiments_common._FAMILY_CACHE.clear()
-            return run_experiment(experiment_id, scale=effective_scale)
+            common._FAMILY_CACHE.clear()
+            return run_experiment(experiment_id, scale=scale)
 
         def summarize(result) -> dict:
             return {
                 "digest": deterministic_digest(result),
                 "rows": len(result.rows),
-                "scale": effective_scale,
+                "scale": scale,
             }
 
         return work, summarize
 
     return make
-
-
-def experiment_bench(
-    experiment_id: str, scale: float | None = None
-) -> BenchSpec:
-    """An unregistered :class:`BenchSpec` regenerating one experiment.
-
-    The ``benchmarks/bench_<id>.py`` script shims use this to run the
-    exact harness ``repro bench`` runs, but at a caller-chosen ``scale``
-    (``None`` keeps the registry's per-experiment default).
-    """
-    return BenchSpec(
-        name=f"experiment.{experiment_id}",
-        tags=("experiment", experiment_id),
-        make=_experiment_bench(experiment_id, scale),
-    )
 
 
 def _register_experiment_benches() -> None:
@@ -457,7 +550,7 @@ def _register_experiment_benches() -> None:
 
     for experiment_id in experiment_ids():
         register(f"experiment.{experiment_id}", "experiment", experiment_id)(
-            _experiment_bench(experiment_id)
+            _bench_experiment(experiment_id)
         )
 
 
@@ -468,7 +561,6 @@ __all__ = [
     "NONDETERMINISTIC_COLUMNS",
     "bench_names",
     "deterministic_digest",
-    "experiment_bench",
     "register",
     "run_bench",
     "run_benches",

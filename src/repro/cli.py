@@ -65,8 +65,9 @@ Commands
     ``experiment.<id>`` bench per figure), best of ``--repeat`` runs
     each, and print each bench's time and result digest. ``--json``
     writes the ``repro_bench`` payload (the committed
-    ``BENCH_curves.json`` and ``BENCH_serve.json`` are the perf
-    trajectories of record).
+    ``BENCH_curves.json``, ``BENCH_experiments.json`` and
+    ``BENCH_serve.json`` are the perf trajectories of record). A filter
+    that matches no bench exits 1, with or without ``--list``.
 ``serve [--host H] [--port P] [--cache-dir DIR] [--max-inflight N]
 [--queue-limit N] [--deadline S] [--warm MANIFEST]``
     Run the asyncio characterization service (:mod:`repro.serve`) in

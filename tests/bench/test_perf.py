@@ -7,6 +7,7 @@ import pytest
 from repro.bench import perf
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
+from repro.telemetry import registry as telemetry
 
 
 def _constant_spec(name="t.constant", payload="same", calls=None):
@@ -64,13 +65,25 @@ class TestRegistry:
         with pytest.raises(ConfigurationError, match="no benches match"):
             perf.run_benches(filter="no-such-bench")
 
-    def test_experiment_bench_scale_override(self):
-        spec = perf.experiment_bench("fig17", scale=0.5)
-        work, summarize = spec.make()
+    def test_registered_experiment_row(self):
+        [name] = perf.bench_names("experiment.fig17")
+        work, summarize = perf._REGISTRY[name].make()
         result = work()
         meta = summarize(result)
-        assert meta["scale"] == 0.5
+        assert meta["scale"] == 1.0
         assert meta["rows"] == len(result.rows)
+        assert meta["digest"] == perf.deterministic_digest(result)
+
+
+class TestComponentBenches:
+    def test_mess_access_digest_is_independent_of_telemetry(self):
+        off, on = (
+            perf.run_bench(perf._REGISTRY[name])
+            for name in ("mess.access", "mess.access_telemetry")
+        )
+        assert off["meta"] == on["meta"]
+        # a leaked registry would push the next bench onto the scalar path
+        assert telemetry.active() is None
 
 
 class TestPayload:

@@ -7,21 +7,22 @@ import pytest
 from repro.core.simulator import MessMemorySimulator
 from repro.errors import ConfigurationError
 from repro.request import AccessType, MemoryRequest
+from repro.telemetry import registry as telemetry
 
 
 def drive(simulator, gap_ns, ops, read_every=1):
-    """Open-loop fixed-rate request stream; returns last latency."""
+    """Open-loop fixed-rate request stream; returns every latency."""
     now = 0.0
-    latency = 0.0
+    latencies = []
     for index in range(ops):
         access = (
             AccessType.READ if index % read_every == 0 else AccessType.WRITE
         )
-        latency = simulator.access(
-            MemoryRequest((index % 4096) * 64, access, now)
+        latencies.append(
+            simulator.access(MemoryRequest((index % 4096) * 64, access, now))
         )
         now += gap_ns
-    return latency
+    return latencies
 
 
 class TestConfiguration:
@@ -140,3 +141,31 @@ class TestFeedbackLoop:
         for index in range(20):  # all at the same instant
             simulator.access(MemoryRequest(index * 64, AccessType.READ, 0.0))
         assert simulator.stats.accesses == 20
+
+
+class TestTelemetry:
+    def test_null_sink_without_active_registry(self, small_family):
+        assert telemetry.active() is None
+        assert MessMemorySimulator(small_family)._tel is None
+
+    def test_active_registry_counts_without_changing_results(
+        self, small_family
+    ):
+        def run():
+            simulator = MessMemorySimulator(
+                small_family, window_ops=100, keep_history=True
+            )
+            return simulator, drive(simulator, 0.5, 1000, read_every=3)
+
+        plain, plain_latencies = run()
+        registry = telemetry.activate()
+        try:
+            observed, observed_latencies = run()
+        finally:
+            telemetry.deactivate()
+        assert observed._tel is registry
+        assert registry.counter("sim.requests").value == 1000
+        assert registry.counter("sim.windows").value == len(observed.history)
+        assert len(observed.history) == 10
+        assert observed_latencies == plain_latencies
+        assert observed.stats == plain.stats

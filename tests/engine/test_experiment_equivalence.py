@@ -29,7 +29,7 @@ import pytest
 from repro.bench.model_probe import characterize_model
 from repro.bench.perf import deterministic_digest
 from repro.engine.mess import drive_fixed_rate
-from repro.experiments import common as experiments_common
+from repro.experiments import common
 from repro.experiments.registry import SPECS, experiment_ids, run_experiment
 from repro.runner import cache as result_cache
 
@@ -59,7 +59,7 @@ def _fast_path_callers() -> list[str]:
 
 def _digest(experiment_id: str, scalar: bool) -> str:
     result_cache.deactivate()
-    experiments_common._FAMILY_CACHE.clear()
+    common._FAMILY_CACHE.clear()
     with oracle.forced_scalar() if scalar else nullcontext():
         result = run_experiment(experiment_id, scale=_SCALE)
     return deterministic_digest(result)

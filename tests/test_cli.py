@@ -372,6 +372,40 @@ class TestCharacterize:
             main(["characterize", "--preset", "DDR9"])
 
 
+class TestBench:
+    def test_list_shows_component_and_experiment_benches(self, capsys):
+        assert main(["bench", "--list"]) == 0
+        names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        for name in (
+            "curves.latency_at",
+            "mess.access",
+            "mess.access_telemetry",
+            "dram.submit",
+            "experiment.fig17",
+        ):
+            assert name in names
+
+    @pytest.mark.parametrize("listing", [["--list"], []])
+    def test_filter_matching_nothing_is_an_error(self, capsys, listing):
+        assert main(["bench", *listing, "--filter", "nosuch"]) == 1
+        captured = capsys.readouterr()
+        assert "no benches match 'nosuch'" in captured.err
+        assert captured.out == ""
+
+    def test_json_writes_a_v2_payload(self, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        argv = ["bench", "--filter", "curves.characterize_fixed_latency"]
+        assert main([*argv, "--json", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["repro_bench"] == 2
+        [entry] = payload["benches"]
+        assert entry["name"] == "curves.characterize_fixed_latency"
+        assert entry["time_s"] > 0
+        printed = capsys.readouterr().out
+        assert f"digest={entry['meta']['digest'][:12]}" in printed
+        assert f"bench payload written to {out}" in printed
+
+
 class TestParser:
     def test_command_required(self):
         parser = build_parser()
