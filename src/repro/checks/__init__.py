@@ -3,9 +3,8 @@
 Three layers:
 
 - an AST rule engine (:mod:`.engine`) with one module per per-file
-  rule family — RPR001 unit safety (:mod:`.rules_units`), RPR002
-  determinism (:mod:`.rules_determinism`), RPR003 telemetry hot path
-  (:mod:`.rules_hotpath`), RPR004 registry hygiene
+  rule family — RPR001 unit safety (:mod:`.rules_units`), RPR003
+  telemetry hot path (:mod:`.rules_hotpath`), RPR004 registry hygiene
   (:mod:`.rules_registry`), RPR005 float equality
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
   (:mod:`.rules_scenario`), RPR007 exception swallowing
@@ -13,10 +12,11 @@ Three layers:
   blocking I/O on the serving event loop (:mod:`.rules_serve`);
 - a whole-program layer — an import + approximate call graph
   (:mod:`.graph`) and reachability walks (:mod:`.dataflow`) feeding
-  the interprocedural rules: RPR010 digest-determinism taint
-  (:mod:`.rules_taint`) and RPR011 shared-state races across the
-  serve event loop and the process-pool boundary
-  (:mod:`.rules_races`);
+  the interprocedural rules: RPR010 determinism of everything the
+  digest surface or the simulation core reaches, the core's own
+  module-level code included (:mod:`.rules_taint`), and RPR011
+  shared-state races across the serve event loop and the
+  process-pool boundary (:mod:`.rules_races`);
 - declarative invariant validators for data artifacts
   (:mod:`.invariants`): platform specs (RPR101), curve families
   (RPR102), run manifests (RPR103), scenario files (RPR104) and
@@ -46,7 +46,6 @@ from .engine import (
 
 # Importing the rule modules populates RULE_CLASSES as a side effect —
 # same pattern as the experiment registry.
-from . import rules_determinism  # noqa: F401
 from . import rules_floats  # noqa: F401
 from . import rules_hotpath  # noqa: F401
 from . import rules_races  # noqa: F401
@@ -59,13 +58,10 @@ from . import rules_units  # noqa: F401
 from .invariants import (
     check_curve_family,
     check_fault_plan,
-    check_fault_plan_file,
     check_json_file,
     check_manifest,
-    check_manifest_file,
     check_platform_spec,
     check_scenario,
-    check_scenario_file,
 )
 from .sarif import render_sarif, to_sarif
 
@@ -77,14 +73,11 @@ __all__ = [
     "available_rules",
     "check_curve_family",
     "check_fault_plan",
-    "check_fault_plan_file",
     "check_json_file",
     "check_manifest",
-    "check_manifest_file",
     "check_paths",
     "check_platform_spec",
     "check_scenario",
-    "check_scenario_file",
     "check_source",
     "check_sources",
     "register_rule",

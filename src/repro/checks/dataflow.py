@@ -16,9 +16,9 @@ neither reports its own facts nor forwards taint to its callees.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
-from .graph import FunctionSummary, ProgramGraph
+from .graph import ProgramGraph
 
 #: Maximum call-chain hops printed in a finding message.
 CHAIN_DISPLAY_LIMIT = 6
@@ -61,7 +61,11 @@ class ReachabilityWalk:
 
     def chain(self, fid: str) -> list[str]:
         """Witness path from a root to ``fid`` (inclusive)."""
-        return self.graph.chain(self.parents, fid)
+        path = [fid]
+        while path[-1] in self.parents:
+            path.append(self.parents[path[-1]])
+        path.reverse()
+        return path
 
     def describe_chain(self, fid: str) -> str:
         """``root -> hop -> target`` rendered for a finding message."""
@@ -70,28 +74,6 @@ class ReachabilityWalk:
             head = chain[: CHAIN_DISPLAY_LIMIT - 2]
             chain = head + [f"... ({len(chain) - len(head) - 1} more)", chain[-1]]
         return " -> ".join(chain)
-
-    def reached_functions(self) -> Iterable[tuple[str, FunctionSummary]]:
-        """(function id, summary) pairs for every reached function."""
-        for fid in sorted(self.reached):
-            yield fid, self.graph.functions[fid]
-
-
-def functions_in(
-    graph: ProgramGraph, predicate: Callable[[str], bool]
-) -> list[str]:
-    """Function ids whose owning module satisfies ``predicate``."""
-    return [
-        fid
-        for fid, owner in sorted(graph.owner.items())
-        if predicate(owner)
-    ]
-
-
-def module_parts(graph: ProgramGraph, fid: str) -> frozenset[str]:
-    """Lowercased display-path components of a function's module."""
-    module = graph.modules.get(graph.owner.get(fid, ""), None)
-    return module.parts if module is not None else frozenset()
 
 
 def resolve_submitted(graph: ProgramGraph) -> list[str]:
@@ -113,22 +95,8 @@ def resolve_submitted(graph: ProgramGraph) -> list[str]:
     return targets
 
 
-def witness(
-    walk: ReachabilityWalk, fid: str, site_text: str
-) -> Mapping[str, str]:
-    """Uniform chain description fields for finding messages."""
-    return {
-        "chain": walk.describe_chain(fid),
-        "site": site_text,
-        "root": walk.graph.display(walk.chain(fid)[0]),
-    }
-
-
 __all__ = [
     "CHAIN_DISPLAY_LIMIT",
     "ReachabilityWalk",
-    "functions_in",
-    "module_parts",
     "resolve_submitted",
-    "witness",
 ]

@@ -1,12 +1,13 @@
 """AST rule engine for the project-specific static-analysis pass.
 
 Generic linters cannot see the invariants this reproduction depends on:
-unit discipline funneled through :mod:`repro.units`, determinism of the
-simulation core (the content-addressed result cache is only sound if the
-same inputs produce the same tables), the telemetry hot-path binding
-discipline, and the experiment-registry contract. Each of those is a
-:class:`Rule` here; the engine parses files once and runs every selected
-rule over the tree.
+unit discipline funneled through :mod:`repro.units`, the telemetry
+hot-path binding discipline and the experiment-registry contract, each
+visible in one file, plus determinism of the simulation core (the
+content-addressed result cache is only sound if the same inputs produce
+the same tables), which spans files. The first kind is a :class:`Rule`,
+the second a :class:`ProgramRule` over the program graph; the engine
+parses files once and runs every selected rule over the tree.
 
 A rule is an :class:`ast.NodeVisitor` subclass with a ``rule_id``
 (``RPR001`` ...), a one-line ``title`` and a ``hint`` users see next to
@@ -36,13 +37,13 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..errors import CheckError
-from .graph import ModuleSummary, ProgramGraph, extract_summary
-
-#: Directories whose contents feed the content-addressed cache and must
-#: therefore stay deterministic (RPR002's scope).
-DETERMINISTIC_PACKAGES = frozenset({"core", "dram", "cpu", "memmodels"})
-
-_SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
+from .graph import (
+    ModuleSummary,
+    ProgramGraph,
+    extract_summary,
+    site_suppressed,
+    suppression,
+)
 
 
 @dataclass(frozen=True)
@@ -89,21 +90,13 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=self.display_path)
         #: Lowercased path components, used by rules to decide scope
-        #: (``core``/``dram``/... for determinism, ``experiments`` for
-        #: registry hygiene, ``telemetry`` for hot-path exemption).
+        #: (``experiments`` for registry hygiene, ``serve`` for the
+        #: event-loop rule, ``telemetry`` for hot-path exemption).
         self.parts = frozenset(part.lower() for part in path.parts)
 
     def suppressed(self, line: int, rule_id: str) -> bool:
         """Whether a ``# repro: ignore`` comment covers this finding."""
-        if not 1 <= line <= len(self.lines):
-            return False
-        match = _SUPPRESS_RE.search(self.lines[line - 1])
-        if match is None:
-            return False
-        listed = match.group(1)
-        if listed is None:
-            return True
-        return rule_id in {item.strip() for item in listed.split(",")}
+        return site_suppressed(suppression(self.lines, line), rule_id)
 
 
 class Rule(ast.NodeVisitor):
@@ -291,24 +284,34 @@ def _select_rules(
 
 
 def _collect_files(paths: Iterable[str | Path]) -> tuple[list[Path], list[Path]]:
-    """Split the given paths into Python sources and JSON artifacts."""
+    """Split the given paths into Python sources and JSON artifacts.
+
+    A file named twice (``DIR`` and ``DIR/x.py``) is kept once, in
+    first-seen order and under the first spelling that reached it.
+    """
     python_files: list[Path] = []
     json_files: list[Path] = []
+    seen: set[Path] = set()
+
+    def add(files: list[Path], path: Path) -> None:
+        resolved = path.resolve()
+        if resolved not in seen:
+            seen.add(resolved)
+            files.append(path)
+
     for raw in paths:
         path = Path(raw)
         if not path.exists():
             raise CheckError(f"no such path: {path}")
         if path.is_dir():
-            python_files.extend(
-                candidate
-                for candidate in sorted(path.rglob("*.py"))
-                if "__pycache__" not in candidate.parts
-            )
+            for candidate in sorted(path.rglob("*.py")):
+                if "__pycache__" not in candidate.parts:
+                    add(python_files, candidate)
             continue
         if path.suffix == ".py":
-            python_files.append(path)
+            add(python_files, path)
         elif path.suffix == ".json":
-            json_files.append(path)
+            add(json_files, path)
         else:
             raise CheckError(
                 f"cannot check {path}: expected a directory, .py or .json file"
@@ -427,18 +430,6 @@ def check_paths(
 # ----------------------------------------------------------------------
 # Shared AST helpers used by several rule modules
 # ----------------------------------------------------------------------
-
-def dotted_name(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
 
 def value_name(node: ast.AST) -> str | None:
     """The identifier a value expression reads from, if any.

@@ -1,16 +1,19 @@
 """Whole-program substrate: import graph + approximate call graph.
 
-The per-file rules (RPR001–009) each see one AST at a time, so an
-invariant that spans a module boundary — ``Scenario.digest()`` calling
-into a helper that calls ``time.time()`` two modules away — is
-invisible to them. This module builds the program-level view the
-interprocedural rules (RPR010–012) walk:
+The per-file rules each see one AST at a time, so an invariant that
+spans a module boundary — ``Scenario.digest()`` calling into a helper
+that calls ``time.time()`` two modules away — is invisible to them.
+This module builds the program-level view the interprocedural rules
+(RPR010, RPR011) walk:
 
 - :func:`extract_summary` distills one parsed file into a
-  :class:`ModuleSummary`: imports as written, every function with the
-  calls it makes, the determinism-relevant *sink* sites it contains,
-  the module-level state it writes, the callables it hands to
-  executors, and its public signature surface.
+  :class:`ModuleSummary`: imports as written, its classes and
+  module-level bindings, and every function with the calls it makes,
+  the determinism-relevant *sink* sites it contains (entropy imports
+  included), the module-level state it writes and the callables it
+  hands to executors. Code outside every ``def`` body — the module top
+  level and class bodies — is summarized as one ``<module>``
+  pseudo-function per module.
 - :class:`ProgramGraph` binds summaries to dotted module names,
   resolves imports (absolute, relative, aliased; ``import x as y``)
   and builds an approximate call graph: calls through imported names
@@ -18,9 +21,9 @@ interprocedural rules (RPR010–012) walk:
   fall back to linking every program class that defines a method of
   that name (minus a blocklist of builtin-container method names).
   Dynamic imports and computed calls degrade gracefully — they simply
-  contribute no edges. Reachability queries (:meth:`ProgramGraph.
-  reachable`) return parent links so rules can print a call chain with
-  every finding.
+  contribute no edges. :class:`~repro.checks.dataflow.ReachabilityWalk`
+  walks the edges and keeps parent links, so rules can print a call
+  chain with every finding.
 
 The approximation is deliberately *over*-linking for the taint rules
 (an edge too many surfaces a finding a human dismisses with an
@@ -33,7 +36,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Sequence
 
 #: Call targets that read wall-clock state.
 WALLCLOCK_CALLS = frozenset(
@@ -153,10 +156,17 @@ _FALLBACK_BLOCKLIST = frozenset(
     }
 )
 
+#: Root modules whose import alone is a determinism sink.
+ENTROPY_MODULES = frozenset({"random", "secrets", "uuid"})
+
+#: Qualname of the pseudo-function holding a module's code outside
+#: every ``def`` body (the top level and class bodies).
+MODULE_QUALNAME = "<module>"
+
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore(?:\[([A-Z0-9,\s]+)\])?")
 
 
-def _suppression(lines: Sequence[str], lineno: int) -> str | None:
+def suppression(lines: Sequence[str], lineno: int) -> str | None:
     """``"*"`` (all rules), ``"RPR010,RPR011"`` or None for a line."""
     if not 1 <= lineno <= len(lines):
         return None
@@ -185,9 +195,6 @@ class CallSite:
     spelling: str
     lineno: int
     col: int
-    #: positional-argument count (used to distinguish seeded/unseeded
-    #: RNG factories and similar arity-sensitive sinks)
-    args: int = 0
 
 
 @dataclass
@@ -219,15 +226,7 @@ class FunctionSummary:
     qualname: str  # "func" or "Class.method", unique within the module
     name: str
     cls: str | None
-    lineno: int
-    col: int
     is_async: bool
-    params: list[str] = field(default_factory=list)
-    kwonly: list[str] = field(default_factory=list)
-    has_vararg: bool = False
-    has_kwarg: bool = False
-    #: suppression marker on the ``def`` line, for def-anchored findings
-    suppress: str | None = None
     calls: list[CallSite] = field(default_factory=list)
     sinks: list[SinkSite] = field(default_factory=list)
     global_writes: list[GlobalWrite] = field(default_factory=list)
@@ -257,12 +256,10 @@ class ModuleSummary:
     imports: list[ImportEntry] = field(default_factory=list)
     star_imports: list[str] = field(default_factory=list)
     functions: list[FunctionSummary] = field(default_factory=list)
-    #: class name -> method names (for self-call and fallback linking)
-    classes: dict[str, list[str]] = field(default_factory=dict)
-    #: module-level binding -> (lineno, looks-mutable)
-    globals: dict[str, tuple[int, bool]] = field(default_factory=dict)
-    exports: list[str] | None = None
-    parse_error: str | None = None
+    #: names of top-level classes (``C()`` links to ``C.__init__``)
+    classes: set[str] = field(default_factory=set)
+    #: names bound at module level (the state RPR011 guards)
+    globals: set[str] = field(default_factory=set)
 
     # bound at graph-build time
     module: str = ""
@@ -276,7 +273,8 @@ class ModuleSummary:
 # ----------------------------------------------------------------------
 
 
-def _dotted(node: ast.AST) -> str | None:
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: list[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -288,24 +286,25 @@ def _dotted(node: ast.AST) -> str | None:
 
 
 class _FunctionVisitor(ast.NodeVisitor):
-    """Collects calls, sinks and global writes from one function body.
+    """Collects calls, sinks and global writes from one function body
+    (or, for ``<module>``, from a module's code outside them).
 
-    Nested functions and lambdas fold into the enclosing function: a
-    closure that calls ``time.time()`` taints its definer, which is the
-    conservative direction for the taint rules.
+    Nested functions, classes and lambdas fold into the enclosing
+    function: a closure that calls ``time.time()`` taints its definer,
+    which is the conservative direction for the taint rules.
     """
 
     def __init__(
         self,
         summary: FunctionSummary,
-        module_globals: Mapping[str, tuple[int, bool]],
+        module_globals: AbstractSet[str],
         lines: Sequence[str],
     ) -> None:
         self.summary = summary
         self.module_globals = module_globals
         self.lines = lines
         self.global_decls: set[str] = set()
-        self.local_names: set[str] = set(summary.params) | set(summary.kwonly)
+        self.local_names: set[str] = set()
 
     # -- scope bookkeeping ---------------------------------------------
 
@@ -335,7 +334,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                 kind=kind,
                 lineno=lineno,
                 col=getattr(node, "col_offset", 0) + 1,
-                suppress=_suppression(self.lines, lineno),
+                suppress=suppression(self.lines, lineno),
             )
         )
 
@@ -350,7 +349,7 @@ class _FunctionVisitor(ast.NodeVisitor):
             if isinstance(base, ast.Name) and self._is_module_global(base.id):
                 self._record_write(base.id, "mutate", node)
             elif isinstance(base, ast.Attribute):
-                spelling = _dotted(target)
+                spelling = dotted_name(target)
                 # "alias.GLOBAL = v" cross-module rebinds resolve later
                 if spelling is not None and spelling.count(".") == 1:
                     self._record_write(spelling, "rebind", node)
@@ -430,33 +429,43 @@ class _FunctionVisitor(ast.NodeVisitor):
                 detail=detail,
                 lineno=lineno,
                 col=getattr(node, "col_offset", 0) + 1,
-                suppress=_suppression(self.lines, lineno),
+                suppress=suppression(self.lines, lineno),
             )
         )
 
     def _sink_set_iteration(self, node: ast.AST, iterable: ast.AST) -> None:
         if isinstance(iterable, (ast.Set, ast.SetComp)):
             self._sink("set-iteration", "set display", node)
-        elif isinstance(iterable, ast.Call) and _dotted(iterable.func) in (
+        elif isinstance(iterable, ast.Call) and dotted_name(iterable.func) in (
             "set",
             "frozenset",
         ):
-            self._sink("set-iteration", f"{_dotted(iterable.func)}(...)", node)
+            self._sink("set-iteration", f"{dotted_name(iterable.func)}(...)", node)
+
+    def visit_Import(self, node: ast.Import) -> None:
+        for alias in node.names:
+            if alias.name.split(".")[0] in ENTROPY_MODULES:
+                self._sink("entropy", f"import {alias.name}", node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        # ``from uuid import UUID`` is harmless: only uuid4() reads entropy
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] in ("random", "secrets"):
+            self._sink("entropy", f"from {module} import", node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if _dotted(node) == "os.environ":
+        if dotted_name(node) == "os.environ":
             self._sink("environment", "os.environ", node)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        spelling = _dotted(node.func)
+        spelling = dotted_name(node.func)
         if spelling is not None:
             self.summary.calls.append(
                 CallSite(
                     spelling=spelling,
                     lineno=node.lineno,
                     col=node.col_offset + 1,
-                    args=len(node.args),
                 )
             )
             self._classify_call(spelling, node)
@@ -497,7 +506,7 @@ class _FunctionVisitor(ast.NodeVisitor):
                 target = keyword.value
         if target is None:
             return
-        target_spelling = _dotted(target)
+        target_spelling = dotted_name(target)
         if target_spelling is None:
             return
         self.summary.submits.append(
@@ -512,51 +521,60 @@ class _FunctionVisitor(ast.NodeVisitor):
 def _function_summary(
     node: ast.FunctionDef | ast.AsyncFunctionDef,
     cls: str | None,
-    module_globals: Mapping[str, tuple[int, bool]],
+    module_globals: AbstractSet[str],
     lines: Sequence[str],
 ) -> FunctionSummary:
-    args = node.args
-    params = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
     summary = FunctionSummary(
         qualname=f"{cls}.{node.name}" if cls else node.name,
         name=node.name,
         cls=cls,
-        lineno=node.lineno,
-        col=node.col_offset + 1,
         is_async=isinstance(node, ast.AsyncFunctionDef),
-        params=params,
-        kwonly=[a.arg for a in args.kwonlyargs],
-        has_vararg=args.vararg is not None,
-        has_kwarg=args.kwarg is not None,
-        suppress=_suppression(lines, node.lineno),
     )
     visitor = _FunctionVisitor(summary, module_globals, lines)
-    if args.vararg is not None:
-        visitor.local_names.add(args.vararg.arg)
-    if args.kwarg is not None:
-        visitor.local_names.add(args.kwarg.arg)
+    args = node.args
+    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
+        visitor.local_names.add(arg.arg)
+    for star in (args.vararg, args.kwarg):
+        if star is not None:
+            visitor.local_names.add(star.arg)
     for stmt in node.body:
         visitor.visit(stmt)
     return summary
 
 
-def _looks_mutable(value: ast.AST | None) -> bool:
-    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp)):
-        return True
-    if isinstance(value, ast.Call):
-        name = _dotted(value.func)
-        return name in (
-            "list",
-            "dict",
-            "set",
-            "collections.defaultdict",
-            "defaultdict",
-            "collections.deque",
-            "deque",
-            "collections.OrderedDict",
-            "OrderedDict",
-        )
-    return False
+def _module_summary(
+    tree: ast.Module,
+    module_globals: AbstractSet[str],
+    lines: Sequence[str],
+) -> FunctionSummary:
+    """The ``<module>`` pseudo-function: code outside every def body.
+
+    Covers the top level and the bodies of top-level classes, plus the
+    decorators and defaults those levels evaluate; the bodies of
+    top-level functions and methods have summaries of their own.
+    """
+    summary = FunctionSummary(
+        qualname=MODULE_QUALNAME,
+        name=MODULE_QUALNAME,
+        cls=None,
+        is_async=False,
+    )
+    visitor = _FunctionVisitor(summary, module_globals, lines)
+    for stmt in tree.body:
+        nodes: list[ast.stmt] = [stmt]
+        if isinstance(stmt, ast.ClassDef):
+            for part in (*stmt.decorator_list, *stmt.bases, *stmt.keywords):
+                visitor.visit(part)
+            nodes = stmt.body
+        for node in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visitor.visit(node)
+                continue
+            args = node.args
+            for expr in (*node.decorator_list, *args.defaults, *args.kw_defaults):
+                if expr is not None:
+                    visitor.visit(expr)
+    return summary
 
 
 def extract_summary(tree: ast.Module, source: str) -> ModuleSummary:
@@ -570,35 +588,11 @@ def extract_summary(tree: ast.Module, source: str) -> ModuleSummary:
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, ast.Name):
-                    summary.globals[target.id] = (
-                        stmt.lineno,
-                        _looks_mutable(stmt.value),
-                    )
+                    summary.globals.add(target.id)
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            summary.globals[stmt.target.id] = (
-                stmt.lineno,
-                _looks_mutable(stmt.value),
-            )
+            summary.globals.add(stmt.target.id)
 
-    exports = summary.globals.get("__all__")
-    if exports is not None:
-        for stmt in tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in stmt.targets
-                )
-                and isinstance(stmt.value, (ast.List, ast.Tuple))
-            ):
-                summary.exports = [
-                    element.value
-                    for element in stmt.value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                ]
-
-    # pass 2: imports, functions, classes
+    # pass 2: imports, functions, classes, then the module's own code
     for stmt in tree.body:
         if isinstance(stmt, ast.Import):
             for alias in stmt.names:
@@ -626,26 +620,14 @@ def extract_summary(tree: ast.Module, source: str) -> ModuleSummary:
                 _function_summary(stmt, None, summary.globals, lines)
             )
         elif isinstance(stmt, ast.ClassDef):
-            methods: list[str] = []
+            summary.classes.add(stmt.name)
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods.append(item.name)
                     summary.functions.append(
                         _function_summary(item, stmt.name, summary.globals, lines)
                     )
-            summary.classes[stmt.name] = methods
+    summary.functions.append(_module_summary(tree, summary.globals, lines))
     return summary
-
-
-def summarize_source(source: str) -> ModuleSummary:
-    """Parse and summarize; parse failures become ``parse_error``."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return ModuleSummary(
-            parse_error=f"line {exc.lineno or 0}: {exc.msg or 'syntax error'}"
-        )
-    return extract_summary(tree, source)
 
 
 # ----------------------------------------------------------------------
@@ -894,45 +876,6 @@ class ProgramGraph:
 
     # -- queries ---------------------------------------------------------
 
-    def reachable(
-        self, seeds: Iterable[str], reverse: bool = False
-    ) -> tuple[set[str], dict[str, str]]:
-        """Transitive closure from ``seeds``; returns (set, parent map).
-
-        ``reverse`` walks caller-ward instead of callee-ward. The parent
-        map lets rules reconstruct one witness chain per function.
-        """
-        edges = self.edges
-        if reverse:
-            reversed_edges: dict[str, list[str]] = {}
-            for src, dsts in self.edges.items():
-                for dst in dsts:
-                    reversed_edges.setdefault(dst, []).append(src)
-            edges = reversed_edges
-        parents: dict[str, str] = {}
-        seen: set[str] = set()
-        frontier: list[str] = []
-        for seed in seeds:
-            if seed in self.functions and seed not in seen:
-                seen.add(seed)
-                frontier.append(seed)
-        while frontier:
-            current = frontier.pop()
-            for nxt in edges.get(current, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parents[nxt] = current
-                    frontier.append(nxt)
-        return seen, parents
-
-    def chain(self, parents: Mapping[str, str], target: str) -> list[str]:
-        """Witness path from a seed to ``target`` via a parent map."""
-        path = [target]
-        while path[-1] in parents:
-            path.append(parents[path[-1]])
-        path.reverse()
-        return path
-
     def display(self, fid: str) -> str:
         """Human form of a function id: ``module.qualname``."""
         module, _, qualname = fid.partition(":")
@@ -947,8 +890,9 @@ __all__ = [
     "ModuleSummary",
     "ProgramGraph",
     "SinkSite",
+    "dotted_name",
     "extract_summary",
     "module_names_for",
     "site_suppressed",
-    "summarize_source",
+    "suppression",
 ]

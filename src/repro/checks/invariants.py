@@ -1,7 +1,7 @@
 """Declarative invariant validation for data artifacts.
 
 The AST rules guard the *code*; this module guards the *data* the code
-produces and consumes. Three artifact families, one id each:
+produces and consumes. Five artifact families, one id each:
 
 - **RPR101** — platform specifications (:class:`repro.platforms.spec
   .PlatformSpec`): Table I headline metrics consistent, waveform shape
@@ -207,18 +207,11 @@ def check_curve_family(
 _VALID_STATUSES = ("ok", "error")
 _ENVIRONMENT_KEYS = ("python_version", "platform")
 
-# mirrored from repro.resilience.failures.FAILURE_KINDS; kept literal so
-# validating a manifest does not import the execution layer
-_FAILURE_KINDS = (
-    "crash",
-    "timeout",
-    "model-error",
-    "cache-error",
-)
-
 
 def check_manifest(payload: Mapping, source: str = "<manifest>") -> list[Finding]:
     """Validate a run-manifest document (parsed JSON)."""
+    from ..resilience.failures import FAILURE_KINDS
+
     findings: list[Finding] = []
     if not isinstance(payload, Mapping):
         return [_finding(source, "RPR103", "manifest is not a JSON object")]
@@ -282,13 +275,13 @@ def check_manifest(payload: Mapping, source: str = "<manifest>") -> list[Finding
                 )
             )
         failure_kind = record.get("failure_kind")
-        if failure_kind is not None and failure_kind not in _FAILURE_KINDS:
+        if failure_kind is not None and failure_kind not in FAILURE_KINDS:
             findings.append(
                 _finding(
                     source,
                     "RPR103",
                     f"{where}: failure_kind must be one of "
-                    f"{list(_FAILURE_KINDS)}, got {failure_kind!r}",
+                    f"{list(FAILURE_KINDS)}, got {failure_kind!r}",
                     hint="see repro.resilience.failures.FAILURE_KINDS",
                 )
             )
@@ -327,16 +320,6 @@ def check_manifest(payload: Mapping, source: str = "<manifest>") -> list[Finding
                     )
                 )
     return findings
-
-
-def check_manifest_file(path: str | Path) -> list[Finding]:
-    """Read and validate one manifest JSON file."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return [_finding(str(path), "RPR103", f"cannot read manifest: {exc}")]
-    return check_manifest(payload, source=str(path))
 
 
 # ----------------------------------------------------------------------
@@ -442,16 +425,6 @@ def check_cache_geometry(system: object, source: str) -> list[Finding]:
     return findings
 
 
-def check_scenario_file(path: str | Path) -> list[Finding]:
-    """Read and validate one scenario JSON file."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return [_finding(str(path), "RPR104", f"cannot read scenario: {exc}")]
-    return check_scenario(payload, source=str(path))
-
-
 # ----------------------------------------------------------------------
 # RPR105 — fault plans
 # ----------------------------------------------------------------------
@@ -487,16 +460,6 @@ def check_fault_plan(payload: Mapping, source: str = "<fault-plan>") -> list[Fin
             )
         ]
     return []
-
-
-def check_fault_plan_file(path: str | Path) -> list[Finding]:
-    """Read and validate one fault-plan JSON file."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
-        return [_finding(str(path), "RPR105", f"cannot read fault plan: {exc}")]
-    return check_fault_plan(payload, source=str(path))
 
 
 def check_json_file(path: str | Path) -> list[Finding]:

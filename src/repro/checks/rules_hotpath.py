@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import ast
 
-from .engine import FileContext, Rule, dotted_name, register_rule
+from .engine import FileContext, Rule, register_rule
+from .graph import dotted_name
 
 _INSTRUMENT_FACTORIES = frozenset({"counter", "gauge", "histogram"})
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .engine import Rule, dotted_name, register_rule
+from .engine import Rule, register_rule
+from .graph import dotted_name
 
 #: Exception names considered "broad": catching these without acting on
 #: the failure swallows every possible error indiscriminately.

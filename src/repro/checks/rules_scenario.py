@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import ast
 
-from .engine import FileContext, Rule, dotted_name, register_rule
+from .engine import FileContext, Rule, register_rule
+from .graph import dotted_name
 
 #: Constructors owned by the scenario layer; experiments declare these
 #: through specs (characterization/substrate/bench_system/memory_factory).

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import ast
 
-from .engine import FileContext, Rule, dotted_name, register_rule
+from .engine import FileContext, Rule, register_rule
+from .graph import dotted_name
 
 #: Exact dotted calls that block the calling thread.
 _BLOCKING_DOTTED = frozenset(

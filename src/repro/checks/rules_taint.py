@@ -1,27 +1,26 @@
-"""RPR010 — interprocedural digest-determinism taint.
+"""RPR010 — digest determinism, interprocedurally.
 
-RPR002 flags entropy and wall-clock reads *inside* the simulation-core
-packages, one file at a time. But the invariant the content-addressed
-cache and the golden-digest table actually rely on is interprocedural:
-*anything transitively reachable* from ``Scenario.digest()`` / the
-canonical spec encoding, or from the deterministic simulation core,
-must stay deterministic — including helpers that live outside
-``core/dram/cpu/memmodels`` where RPR002 never looks.
+The content-addressed cache and the golden-digest table equate "same
+digest" with "same table". That holds only if *anything transitively
+reachable* from ``Scenario.digest()`` / the canonical spec encoding, or
+from the simulation core itself, is a pure function of its inputs —
+including helpers that live outside ``core/dram/cpu/memmodels``.
 
 This rule walks the approximate call graph from two root sets:
 
 - **digest roots** — every function named ``digest``, ``spec_digest``,
   ``canonical_json`` or ``to_spec`` (the cache-identity surface); and
 - **core roots** — every function defined inside
-  :data:`~repro.checks.engine.DETERMINISTIC_PACKAGES`.
+  :data:`DETERMINISTIC_PACKAGES`, including each module's ``<module>``
+  pseudo-function (its top level and class bodies).
 
-Any reached function containing a determinism sink — wall-clock or
-entropy calls, ``os.environ`` reads, iteration over an unsorted set,
-or (for digest roots only) ``repr()`` of a non-string value, whose
-output must never feed a canonical encoding — is reported with a
-witness call chain. Sinks *inside* the deterministic packages are
-RPR002's per-file territory and are skipped here, so each violation is
-reported exactly once.
+Any reached function containing a determinism sink is reported once,
+with a witness call chain: wall-clock or entropy calls, imports of
+``random``/``secrets``/``uuid``, ``os.environ``/``os.getenv`` reads,
+iteration over an unsorted set, or (for digest roots only) ``repr()``
+of a non-string value, whose output must never feed a canonical
+encoding. A sink inside the deterministic packages is its own root, so
+it is reported even when nothing calls it.
 
 Taint never enters the telemetry package (wall-clock by design: its
 records are not digest inputs), the checks package itself, or test
@@ -31,8 +30,12 @@ code.
 from __future__ import annotations
 
 from .dataflow import ReachabilityWalk
-from .engine import DETERMINISTIC_PACKAGES, Finding, ProgramRule, register_rule
+from .engine import Finding, ProgramRule, register_rule
 from .graph import ProgramGraph, site_suppressed
+
+#: Directories whose contents feed the content-addressed cache and must
+#: therefore stay deterministic (the core root set).
+DETERMINISTIC_PACKAGES = frozenset({"core", "dram", "cpu", "memmodels"})
 
 #: Function names forming the cache-identity (digest) root set.
 DIGEST_ROOT_NAMES = frozenset(
@@ -54,49 +57,41 @@ class DigestDeterminismTaintRule(ProgramRule):
         "# repro: ignore[RPR010]"
     )
 
-    def _exempt(self, graph: ProgramGraph, fid: str) -> bool:
+    def _module_in(self, graph: ProgramGraph, fid: str, parts: frozenset[str]) -> bool:
+        """Whether the module defining ``fid`` lies under one of ``parts``."""
         module = graph.modules.get(graph.owner.get(fid, ""))
-        return module is not None and bool(module.parts & EXEMPT_PARTS)
+        return module is not None and bool(module.parts & parts)
 
     def run_program(self, graph: ProgramGraph) -> list[Finding]:
         digest_roots = [
             fid
             for fid, fn in graph.functions.items()
             if fn.name in DIGEST_ROOT_NAMES
-            and not self._exempt(graph, fid)
         ]
         core_roots = [
             fid
             for fid in graph.functions
-            if self._core_module(graph, fid)
+            if self._module_in(graph, fid, DETERMINISTIC_PACKAGES)
         ]
-        stop = lambda fid: self._exempt(graph, fid)  # noqa: E731
+        stop = lambda fid: self._module_in(graph, fid, EXEMPT_PARTS)  # noqa: E731
         digest_walk = ReachabilityWalk(graph, sorted(digest_roots), stop=stop)
         core_walk = ReachabilityWalk(graph, sorted(core_roots), stop=stop)
 
         findings: list[Finding] = []
-        seen: set[tuple[str, int, int, str]] = set()
         for fid in sorted(digest_walk.reached | core_walk.reached):
-            if self._core_module(graph, fid):
-                continue  # RPR002's per-file territory
-            fn = graph.functions[fid]
             module = graph.modules[graph.owner[fid]]
-            for sink in fn.sinks:
-                from_digest = fid in digest_walk.reached
+            from_digest = fid in digest_walk.reached
+            walk = digest_walk if from_digest else core_walk
+            root_kind = (
+                "the digest/canonical-encoding surface"
+                if from_digest
+                else "the deterministic simulation core"
+            )
+            for sink in graph.functions[fid].sinks:
                 if sink.kind == "float-repr" and not from_digest:
                     continue
                 if site_suppressed(sink.suppress, self.rule_id):
                     continue
-                key = (module.display_path, sink.lineno, sink.col, sink.kind)
-                if key in seen:
-                    continue
-                seen.add(key)
-                walk = digest_walk if from_digest else core_walk
-                root_kind = (
-                    "the digest/canonical-encoding surface"
-                    if from_digest
-                    else "the deterministic simulation core"
-                )
                 findings.append(
                     self.finding(
                         path=module.display_path,
@@ -109,9 +104,3 @@ class DigestDeterminismTaintRule(ProgramRule):
                     )
                 )
         return findings
-
-    def _core_module(self, graph: ProgramGraph, fid: str) -> bool:
-        module = graph.modules.get(graph.owner.get(fid, ""))
-        return module is not None and bool(
-            module.parts & DETERMINISTIC_PACKAGES
-        )

@@ -15,6 +15,7 @@ further *reduces* the achieved bandwidth while latency keeps climbing
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -123,6 +124,9 @@ class BandwidthLatencyCurve:
         bandwidth and is not a function of bandwidth. Ties are resolved
         by keeping the highest latency seen at each bandwidth, which is
         the conservative choice for a simulator querying the curve.
+        Bandwidths so close (subnormal gaps) that the latency slope
+        between them overflows count as ties too: ``np.interp`` would
+        otherwise return an infinite latency between them.
         """
         if self._ascending_bw is not None:
             return self._ascending_bw, self._ascending_lat
@@ -131,15 +135,21 @@ class BandwidthLatencyCurve:
         lat = self.latency_ns[: peak + 1]
         order = np.argsort(bw, kind="stable")
         bw, lat = bw[order], lat[order]
-        # collapse duplicate bandwidths to their max latency
+        # collapse tied bandwidths to their max latency
         keep_bw: list[float] = []
         keep_lat: list[float] = []
-        for b, l in zip(bw, lat):
-            if keep_bw and b == keep_bw[-1]:
-                keep_lat[-1] = max(keep_lat[-1], l)
-            else:
-                keep_bw.append(float(b))
-                keep_lat.append(float(l))
+        for b, l in zip(bw.tolist(), lat.tolist()):
+            keep_bw.append(b)
+            keep_lat.append(l)
+            while len(keep_bw) > 1 and (
+                keep_bw[-1] == keep_bw[-2]
+                or not math.isfinite(
+                    (keep_lat[-1] - keep_lat[-2]) / (keep_bw[-1] - keep_bw[-2])
+                )
+            ):
+                keep_bw.pop()
+                tied = keep_lat.pop()
+                keep_lat[-1] = max(keep_lat[-1], tied)
         self._ascending_bw = np.asarray(keep_bw)
         self._ascending_lat = np.asarray(keep_lat)
         return self._ascending_bw, self._ascending_lat

@@ -7,8 +7,8 @@ line's *slot* is ``set * ways + way``. The cache calls
 the set is full, and ``forget(set, way)`` when a line is invalidated.
 State lives in slot- or set-indexed lists and integers — never in dict
 or set iteration order — so victim choice is bit-reproducible across
-processes and hash seeds (the same fence RPR002/RPR010 enforce for the
-rest of the simulator). The ``random`` policy uses a splitmix64-style
+processes and hash seeds (the same fence RPR010 enforces for the rest
+of the simulator). The ``random`` policy uses a splitmix64-style
 counter mix seeded from the scenario digest, never :mod:`random` or
 ``hash()``.
 

@@ -18,6 +18,21 @@ def test_parse_failure_is_a_finding_not_an_abort(tmp_path):
     assert "broken.py" in rpr000.path
 
 
+def test_overlapping_paths_are_analysed_once(tmp_path):
+    # A file reached twice (through its directory and by name) is one
+    # file: one finding, under the spelling that reached it first.
+    core = tmp_path / "core"
+    core.mkdir()
+    (core / "bad.py").write_text("import random\n" + DIRTY)
+    again = tmp_path / "core" / ".." / "core" / "bad.py"
+    findings = check_paths([tmp_path, again, core])
+    assert [(f.rule_id, f.path) for f in findings] == [
+        ("RPR010", str(core / "bad.py")),
+        ("RPR001", str(core / "bad.py")),
+    ]
+    assert check_paths([again, tmp_path])[0].path == str(again)
+
+
 def test_cross_file_duplicate_ids_are_found(tmp_path):
     # RPR004's duplicate-experiment-id check spans files.
     experiments = tmp_path / "experiments"

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from repro.checks.graph import (
-    ProgramGraph,
-    module_names_for,
-    summarize_source,
-)
+import ast
+
+from repro.checks.dataflow import ReachabilityWalk
+from repro.checks.graph import ProgramGraph, extract_summary, module_names_for
 
 
 def build(files: dict[str, str]) -> ProgramGraph:
     paths = list(files)
-    summaries = [summarize_source(files[path]) for path in paths]
+    summaries = [
+        extract_summary(ast.parse(files[path]), files[path]) for path in paths
+    ]
     return ProgramGraph.build(summaries, paths)
 
 
@@ -115,8 +116,9 @@ class TestCallResolution:
                 "pkg/b.py": "from pkg.a import f\ndef g():\n    f()\n",
             }
         )
-        reached, _ = g.reachable(["pkg.a:f"])
-        assert reached == {"pkg.a:f", "pkg.b:g", "pkg.a:f"} | {"pkg.b:g"}
+        walk = ReachabilityWalk(g, ["pkg.a:f"])
+        assert walk.reached == {"pkg.a:f", "pkg.b:g"}
+        assert walk.chain("pkg.b:g") == ["pkg.a:f", "pkg.b:g"]
 
     def test_dynamic_calls_degrade_to_no_edge(self):
         # getattr dispatch and dict-of-functions patterns must not
@@ -147,32 +149,47 @@ class TestCallResolution:
         assert g.edges["pkg.a:f"] == ["pkg.b:Curve.latency_at"]
 
     def test_builtin_container_methods_are_not_fallback_linked(self):
-        g = build(
-            {
-                "pkg/a.py": "def f(seen):\n    seen.update([1])\n",
-                "pkg/b.py": (
-                    "class Registry:\n"
-                    "    def update(self, items):\n"
-                    "        pass\n"
-                ),
-            }
-        )
-        assert g.edges["pkg.a:f"] == []
+        # ``submit`` must stay blocked: linked by name, a memory backend's
+        # ``backend.submit(request)`` reaches the serve layer's ``submit``
+        # methods and, through them, its wall-clock reads.
+        for method in ("update", "submit"):
+            g = build(
+                {
+                    "pkg/a.py": f"def f(seen):\n    seen.{method}([1])\n",
+                    "pkg/b.py": (
+                        "class Registry:\n"
+                        f"    def {method}(self, items):\n"
+                        "        pass\n"
+                    ),
+                }
+            )
+            assert g.edges["pkg.a:f"] == [], method
 
 
-class TestParseFailures:
-    def test_syntax_error_becomes_parse_error_summary(self):
-        summary = summarize_source("def broken(:\n")
-        assert summary.parse_error is not None
-        assert "line 1" in summary.parse_error
-        assert summary.functions == []
+class TestModuleCode:
+    SOURCE = (
+        "import random\n"
+        "from pkg.b import helper\n"
+        "x = helper()\n"
+        "class C:\n"
+        "    for y in {1, 2}:\n"
+        "        pass\n"
+        "    def m(self, t=helper()):\n"
+        "        return random.random()\n"
+    )
 
-    def test_graph_builds_around_a_broken_module(self):
-        g = build(
-            {
-                "pkg/a.py": "def f():\n    pass\n",
-                "pkg/broken.py": "def broken(:\n",
-            }
-        )
-        assert "pkg.a:f" in g.functions
-        assert g.modules["pkg.broken"].parse_error is not None
+    def test_top_level_and_class_bodies_form_the_module_function(self):
+        g = build({"pkg/a.py": self.SOURCE, "pkg/b.py": "def helper():\n    pass\n"})
+        module = g.functions["pkg.a:<module>"]
+        assert [(s.kind, s.lineno) for s in module.sinks] == [
+            ("entropy", 1),
+            ("set-iteration", 5),
+        ]
+        # the default ``t=helper()`` runs at class-definition time
+        assert [c.lineno for c in module.calls] == [3, 7]
+        assert g.edges["pkg.a:<module>"] == ["pkg.b:helper"]
+
+    def test_method_bodies_stay_with_their_method(self):
+        g = build({"pkg/a.py": self.SOURCE, "pkg/b.py": ""})
+        method = g.functions["pkg.a:C.m"]
+        assert [(s.kind, s.lineno) for s in method.sinks] == [("entropy", 8)]

@@ -7,10 +7,8 @@ import json
 from repro.checks import (
     check_curve_family,
     check_fault_plan,
-    check_fault_plan_file,
     check_json_file,
     check_manifest,
-    check_manifest_file,
     check_platform_spec,
     check_scenario,
 )
@@ -160,10 +158,10 @@ class TestManifestRPR103:
     def test_manifest_file_roundtrip_and_corruption(self, tmp_path):
         good = tmp_path / "manifest.json"
         good.write_text(json.dumps(self.manifest_payload()))
-        assert check_manifest_file(good) == []
+        assert check_json_file(good) == []
         bad = tmp_path / "broken.json"
         bad.write_text("{not json")
-        findings = check_manifest_file(bad)
+        findings = check_json_file(bad)
         assert findings and findings[0].rule_id == "RPR103"
 
 
@@ -340,10 +338,4 @@ class TestFaultPlanRPR105:
         payload["faults"][0]["probability"] = 2.0
         path.write_text(json.dumps(payload))
         findings = check_json_file(path)
-        assert findings and findings[0].rule_id == "RPR105"
-
-    def test_fault_plan_file_reports_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        findings = check_fault_plan_file(path)
         assert findings and findings[0].rule_id == "RPR105"

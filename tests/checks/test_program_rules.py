@@ -97,18 +97,21 @@ class TestDigestTaintRPR010:
         }
         assert rule_ids(files, rules=["RPR010"]) == ["RPR010"]
 
-    def test_core_internal_sinks_stay_rpr002_territory(self):
-        # Inside core, RPR002 reports per-file; RPR010 must not
-        # double-report the same line.
+    def test_core_internal_sink_is_reported_once(self):
+        # step() is a core root and is also reached from a digest root;
+        # its sink is still reported once, with the digest chain.
         files = {
             "repro/core/model.py": (
                 "import time\n"
+                "def digest(x):\n"
+                "    return step(x)\n"
                 "def step(x):\n"
                 "    return time.time()\n"
             ),
         }
-        assert rule_ids(files, rules=["RPR010"]) == []
-        assert rule_ids(files, rules=["RPR002"]) == ["RPR002"]
+        findings = check_sources(files)
+        assert [(f.rule_id, f.line) for f in findings] == [("RPR010", 5)]
+        assert "digest -> repro.core.model.step" in findings[0].message
 
 
 class TestSharedStateRacesRPR011:

@@ -53,23 +53,43 @@ class TestUnitSafetyRPR001:
         assert rule_ids(src) == ["RPR001"]
 
 
-class TestDeterminismRPR002:
+class TestDeterminismRPR010:
+    """The simulation core's own code, one file at a time; the
+    interprocedural cases live in ``test_program_rules.py``."""
+
     def test_fires_on_random_import_in_core(self):
-        assert rule_ids("import random\n", "core/sim.py") == ["RPR002"]
+        assert rule_ids("import random\n", "core/sim.py") == ["RPR010"]
 
     def test_fires_on_wall_clock_in_dram(self):
         src = "import time\nnow = time.time()\n"
-        assert rule_ids(src, "dram/ctl.py") == ["RPR002"]
+        assert rule_ids(src, "dram/ctl.py") == ["RPR010"]
 
     def test_fires_on_unseeded_rng_in_memmodels(self):
         src = "import numpy as np\nrng = np.random.default_rng()\n"
-        assert rule_ids(src, "memmodels/model.py") == ["RPR002"]
+        assert rule_ids(src, "memmodels/model.py") == ["RPR010"]
 
     def test_fires_on_set_iteration_in_cpu(self):
         src = "for bank in {1, 2, 3}:\n    pass\n"
-        assert rule_ids(src, "cpu/core.py") == ["RPR002"]
+        assert rule_ids(src, "cpu/core.py") == ["RPR010"]
         src = "order = [b for b in set(banks)]\n"
-        assert rule_ids(src, "cpu/core.py") == ["RPR002"]
+        assert rule_ids(src, "cpu/core.py") == ["RPR010"]
+
+    def test_fires_on_environ_get_in_core_function(self):
+        src = "import os\ndef f():\n    return os.environ.get('REPRO_X')\n"
+        assert rule_ids(src, "core/sim.py") == ["RPR010"]
+
+    def test_fires_on_getenv_at_core_module_level(self):
+        src = "import os\nmode = os.getenv('REPRO_MODE')\n"
+        assert rule_ids(src, "core/sim.py") == ["RPR010"]
+
+    def test_fires_on_process_time_in_core_function(self):
+        src = "import time\ndef f():\n    return time.process_time()\n"
+        assert rule_ids(src, "core/sim.py") == ["RPR010"]
+
+    def test_fires_on_sink_in_core_class_body(self):
+        src = "import os\nclass Model:\n    mode = os.getenv('REPRO_MODE')\n"
+        found = check_source(src, filename="core/sim.py")
+        assert [(f.rule_id, f.line) for f in found] == [("RPR010", 3)]
 
     def test_silent_on_seeded_rng(self):
         src = "import numpy as np\nrng = np.random.default_rng(42)\n"
@@ -196,7 +216,8 @@ class TestEngine:
 
     def test_rule_selection_limits_findings(self):
         src = "import random\nx = a_ns + b_cycles\n"
-        assert rule_ids(src, "core/sim.py", rules=["RPR002"]) == ["RPR002"]
+        assert rule_ids(src, "core/sim.py", rules=["RPR010"]) == ["RPR010"]
+        assert rule_ids(src, "core/sim.py", rules=["RPR001"]) == ["RPR001"]
 
     def test_syntax_error_is_a_check_error(self):
         with pytest.raises(CheckError):

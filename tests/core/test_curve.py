@@ -89,6 +89,13 @@ class TestInterpolation:
         lats = [simple_curve.latency_at(float(b)) for b in grid]
         assert all(b >= a - 1e-9 for a, b in zip(lats, lats[1:]))
 
+    def test_subnormal_bandwidth_gap_stays_finite(self):
+        # the latency slope across a subnormal gap overflows to inf;
+        # such points are collapsed like exact bandwidth ties
+        curve = BandwidthLatencyCurve(0.0, [0.0, 0.0, 1e-310, 1e-309], [1, 2, 3, 5])
+        for bandwidth in (0.0, 2.2250738585e-313, 5e-311, 5e-310):
+            assert 1.0 <= curve.latency_at(bandwidth) <= 5.0
+
 
 class TestInclination:
     def test_flat_region_small_slope(self, simple_curve):

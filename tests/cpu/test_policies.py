@@ -3,8 +3,8 @@
 The policies are the innermost loop of the cache model, so the tests
 pin *exact* victim sequences (not just statistics): any change to the
 update rules would silently shift every non-default scenario digest.
-The final class is the RPR010-style determinism fence — the policy and
-cache sources themselves must pass the RPR002 entropy scan.
+The final class is the determinism fence — the policy and cache
+sources themselves must pass RPR010's scan of the simulation core.
 """
 
 from __future__ import annotations
@@ -137,10 +137,10 @@ class TestMix64:
 
 
 class TestDeterminismFence:
-    """RPR010-style fence: replacement order must never depend on
-    set/dict iteration order or ambient entropy. The RPR002 scanner
-    covers entropy imports, wall-clock reads and set iteration; run it
-    over the real sources so a regression cannot land silently.
+    """Replacement order must never depend on set/dict iteration order
+    or ambient entropy. RPR010 covers entropy imports, wall-clock and
+    environment reads and set iteration anywhere in a ``cpu/`` file;
+    run it over the real sources so a regression cannot land silently.
     """
 
     @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ class TestDeterminismFence:
         findings = [
             finding
             for finding in check_source(source, filename=filename)
-            if finding.rule_id == "RPR002"
+            if finding.rule_id == "RPR010"
         ]
         assert findings == []
 
