@@ -114,9 +114,7 @@ def probe_point(
         if is_read:
             reads_acc += 1
         request = MemoryRequest(
-            address=address,
-            access_type=AccessType.READ if is_read else AccessType.WRITE,
-            issue_time_ns=now,
+            address, AccessType.READ if is_read else AccessType.WRITE, now
         )
         latency = model.access(request)
         completion = now + latency

@@ -31,7 +31,10 @@ Output schema (``--json``)::
       ]
     }
 
-``time_s`` is the best of ``repeat`` timed runs of the workload.
+``time_s`` is the best of ``repeat`` timed runs of the workload. A run
+that includes experiment benches ends with one more row,
+``experiment.total``: the sum of their ``time_s``, with their count and
+a digest over their digests in its ``meta``.
 """
 
 from __future__ import annotations
@@ -141,7 +144,31 @@ def run_benches(
         benches.append(entry)
         if progress is not None:
             progress(entry)
+    experiments = [entry for entry in benches if "experiment" in entry["tags"]]
+    if experiments:
+        total = _total_row(experiments)
+        benches.append(total)
+        if progress is not None:
+            progress(total)
     return {FORMAT_KEY: FORMAT_VERSION, "benches": benches}
+
+
+def _total_row(experiments: list[dict]) -> dict:
+    """The ``experiment.total`` row over a run's ``experiment.<id>`` rows.
+
+    Its ``time_s`` is the sum of theirs: the time to regenerate those
+    experiments once each. Its digest covers their digests in run order,
+    so it moves when any of their results does.
+    """
+    return {
+        "name": "experiment.total",
+        "tags": ["experiment", "total"],
+        "time_s": sum(entry["time_s"] for entry in experiments),
+        "meta": {
+            "digest": spec_digest([entry["meta"]["digest"] for entry in experiments]),
+            "experiments": len(experiments),
+        },
+    }
 
 
 def write_payload(payload: dict, path: str | Path) -> None:

@@ -48,9 +48,6 @@ def pointer_chase_ops(
         for index in rng.integers(0, lines, size=batch):
             if max_ops is not None and issued >= max_ops:
                 return
-            yield MemOp(
-                address=base_address + int(index) * CACHE_LINE_BYTES,
-                is_store=False,
-                dependent=True,
-            )
+            # (address, is_store, dependent) by position
+            yield MemOp(base_address + int(index) * CACHE_LINE_BYTES, False, True)
             issued += 1

@@ -134,18 +134,18 @@ def traffic_gen_ops(
                 and (slot * stores_per_burst) // config.ops_per_burst
                 != ((slot + 1) * stores_per_burst) // config.ops_per_burst
             )
+            # fields by position: (address, is_store, dependent,
+            # non_temporal); one op is built per simulated access
             if is_store:
                 yield MemOp(
-                    address=store_base + store_line * CACHE_LINE_BYTES,
-                    is_store=True,
-                    non_temporal=config.non_temporal_stores,
+                    store_base + store_line * CACHE_LINE_BYTES,
+                    True,
+                    False,
+                    config.non_temporal_stores,
                 )
                 store_line = (store_line + config.stride_lines) % lines
             else:
-                yield MemOp(
-                    address=load_base + load_line * CACHE_LINE_BYTES,
-                    is_store=False,
-                )
+                yield MemOp(load_base + load_line * CACHE_LINE_BYTES)
                 load_line = (load_line + config.stride_lines) % lines
         if config.pause_ns > 0:
             yield Delay(config.pause_ns)

@@ -63,7 +63,8 @@ Commands
 ``bench [--filter NAME|TAG] [--repeat N] [--json PATH] [--list]``
     Time registered perf benches (component inner loops plus one
     ``experiment.<id>`` bench per figure), best of ``--repeat`` runs
-    each, and print each bench's time and result digest. ``--json``
+    each, and print each bench's time and result digest; a run with
+    experiment benches ends with their ``experiment.total``. ``--json``
     writes the ``repro_bench`` payload (the committed
     ``BENCH_curves.json``, ``BENCH_experiments.json`` and
     ``BENCH_serve.json`` are the perf trajectories of record). A filter

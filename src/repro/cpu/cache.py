@@ -15,22 +15,28 @@ tag, and an evicted line's address is ``line * line_bytes``). The dict
 is only ever looked up, never iterated, so victim choice cannot depend
 on dict ordering. Empty ways fill lowest-first from a per-set fill
 counter, after any ways freed by back-invalidation, most recently freed
-first. Replacement is delegated to a whole-cache policy from
+first. Replacement state belongs to a whole-cache policy from
 :mod:`repro.cpu.policies` (``lru``, ``plru``, ``random``) over the same
-slots. The default configuration (``lru``, 64-byte lines, write-back)
-is bit-exact with the historical ``OrderedDict`` implementation.
+slots. The ``plru`` and ``random`` policies are called through their
+``touch``/``victim`` methods. The default ``lru`` is not: on every fill
+and every hit of :meth:`Cache.access` the cache reads and writes the
+policy's stamps and clock inline, which saves a method call per access
+in the closed-loop experiments. The default configuration (``lru``,
+64-byte lines, write-back) is bit-exact with the historical
+``OrderedDict`` implementation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError
 from ..specs import SpecConvertible
 from ..units import CACHE_LINE_BYTES
-from .policies import make_policy
+from .policies import LruPolicy, make_policy
 
 
 @dataclass
@@ -52,8 +58,7 @@ class CacheStats:
         return self.hits / self.accesses if self.accesses else 0.0
 
 
-@dataclass(frozen=True)
-class AccessOutcome:
+class AccessOutcome(NamedTuple):
     """Result of one cache lookup.
 
     ``writeback_address`` is the base address of a dirty line this
@@ -148,6 +153,9 @@ class Cache:
         self._policy = make_policy(
             self.policy, self.num_sets, self.ways, self.policy_seed
         )
+        # the LRU policy whose state the hit and fill paths update
+        # inline; None sends them through the policy's methods
+        self._lru = self._policy if isinstance(self._policy, LruPolicy) else None
         self.stats = CacheStats()
 
     def _fill(self, line: int, dirty: bool) -> tuple[int, bool] | None:
@@ -156,26 +164,38 @@ class Cache:
         Returns ``(victim_line, victim_dirty)``, or ``None`` when a free
         way absorbed the fill.
         """
+        ways = self.ways
         set_index = line % self.num_sets
-        base = set_index * self.ways
+        base = set_index * ways
         freed = self._freed.get(set_index)
+        lru = self._lru
         evicted = None
         if freed:
             slot = base + freed.pop()
             if not freed:
                 del self._freed[set_index]
-        elif self._filled[set_index] < self.ways:
+        elif self._filled[set_index] < ways:
             slot = base + self._filled[set_index]
             self._filled[set_index] += 1
         else:
-            slot = base + self._policy.victim(set_index)
+            if lru is None:
+                slot = base + self._policy.victim(set_index)
+            else:
+                # LruPolicy.victim: the oldest stamp in the set
+                stamps = lru.stamps[base : base + ways]
+                slot = base + stamps.index(min(stamps))
             victim = self._lines[slot]
             evicted = (victim, bool(self._dirty[slot]))
             del self._slot_of[victim]
         self._lines[slot] = line
         self._dirty[slot] = dirty
         self._slot_of[line] = slot
-        self._policy.touch(set_index, slot)
+        if lru is None:
+            self._policy.touch(set_index, slot)
+        else:
+            # LruPolicy.touch
+            lru.stamps[slot] = lru.clock
+            lru.clock += 1
         return evicted
 
     def access(self, address: int, is_store: bool) -> AccessOutcome:
@@ -190,7 +210,13 @@ class Cache:
         dirties = is_store and not self.write_through
         if slot is not None:
             self.stats.hits += 1
-            self._policy.touch(line % self.num_sets, slot)
+            lru = self._lru
+            if lru is None:
+                self._policy.touch(line % self.num_sets, slot)
+            else:
+                # LruPolicy.touch
+                lru.stamps[slot] = lru.clock
+                lru.clock += 1
             if dirties:
                 self._dirty[slot] = True
             return _HIT
@@ -201,13 +227,9 @@ class Cache:
         victim, victim_dirty = evicted
         if victim_dirty:
             self.stats.writebacks += 1
-            return AccessOutcome(
-                hit=False, writeback_address=victim * self.line_bytes
-            )
+            return AccessOutcome(False, victim * self.line_bytes)
         self.stats.clean_evictions += 1
-        return AccessOutcome(
-            hit=False, clean_eviction_address=victim * self.line_bytes
-        )
+        return AccessOutcome(False, None, victim * self.line_bytes)
 
     def contains(self, address: int) -> bool:
         """Whether the line holding ``address`` is resident (no policy touch)."""

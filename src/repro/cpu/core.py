@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from ..errors import ConfigurationError, SimulationError
 from ..telemetry import registry as telemetry
@@ -24,8 +24,7 @@ from .engine import Engine
 from .hierarchy import MemoryHierarchy
 
 
-@dataclass(frozen=True)
-class MemOp:
+class MemOp(NamedTuple):
     """One load or store instruction reaching the cache hierarchy.
 
     ``non_temporal`` marks a streaming (non-temporal) store: it bypasses
@@ -40,8 +39,7 @@ class MemOp:
     non_temporal: bool = False
 
 
-@dataclass(frozen=True)
-class Delay:
+class Delay(NamedTuple):
     """Non-memory work: the core stalls ``ns`` nanoseconds.
 
     The Mess traffic generator's nop loop (Appendix A, Listing 3)
@@ -175,26 +173,23 @@ class Core:
         self._issue(op, now)
 
     def _issue(self, op: MemOp, now_ns: float) -> None:
-        access = self.hierarchy.access(
-            self.index,
-            op.address,
-            op.is_store,
-            now_ns,
-            non_temporal=op.non_temporal,
-        )
-        completion = now_ns + access.latency_ns
+        address, is_store, dependent, non_temporal = op
+        latency = self.hierarchy.access(
+            self.index, address, is_store, now_ns, non_temporal
+        ).latency_ns
+        completion = now_ns + latency
         heapq.heappush(self._inflight, completion)
         if self._tel_mshr is not None:
             self._tel_mshr.observe(len(self._inflight))
-        if op.is_store:
+        if is_store:
             self.stats.stores += 1
         else:
             self.stats.loads += 1
-        if op.dependent:
+        if dependent:
             self.stats.dependent_loads += 1
-            self.stats.dependent_latency_sum_ns += access.latency_ns
+            self.stats.dependent_latency_sum_ns += latency
             if self.record_latencies:
-                self.stats.latencies_ns.append(access.latency_ns)
+                self.stats.latencies_ns.append(latency)
             self.engine.schedule(completion, self._step)
         else:
             self.engine.schedule_after(self.issue_gap_ns, self._step)

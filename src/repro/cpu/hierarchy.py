@@ -22,7 +22,7 @@ pin down.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError
 from ..memmodels.base import AccessType, MemoryModel, MemoryRequest
@@ -31,8 +31,7 @@ from .cachemodel import CacheModelSpec
 from .policies import mix64
 
 
-@dataclass(frozen=True)
-class HierarchyAccess:
+class HierarchyAccess(NamedTuple):
     """Timing outcome of one core memory instruction."""
 
     latency_ns: float
@@ -118,7 +117,7 @@ class MemoryHierarchy:
             latency += geometry.latency_ns
             if shared and model.shared_latency_penalty_ns > 0.0:
                 latency += model.shared_latency_penalty_ns * (cores - 1)
-            self._hits.append(HierarchyAccess(latency_ns=latency, level=label))
+            self._hits.append(HierarchyAccess(latency, label))
         self._miss_path_ns = latency
         #: The shared last level fronting the memory model.
         self.llc: Cache = self.levels[-1][0]
@@ -133,7 +132,6 @@ class MemoryHierarchy:
             self.l3 = self.llc
         elif model.topology == "private-l1-shared-l2":
             self.l2 = self.llc
-        self._last_now = 0.0
         # per-core recent demand-miss lines: a real stream prefetcher
         # tracks several concurrent streams (a core interleaving loads
         # from one array and stores to another has at least two)
@@ -146,12 +144,6 @@ class MemoryHierarchy:
 
     #: Distinct streams the per-core prefetcher can track.
     STREAM_TRACKER_ENTRIES = 16
-
-    def reset(self) -> None:
-        """Invalidate all caches; the memory model is reset separately."""
-        for level in self.levels:
-            for cache in level:
-                cache.reset()
 
     #: Address region used for priming scratch lines; far above any
     #: workload array so tags never collide.
@@ -199,33 +191,21 @@ class MemoryHierarchy:
         """
         if address < 0:
             raise ConfigurationError(f"address must be non-negative, got {address}")
-        self._last_now = now_ns
         if non_temporal and is_store:
             # the write is posted, but a full write path stalls the core
             # (real streaming stores block on write-combining buffers),
             # so the model's reported completion is honoured
             write_latency = self.memory.access(
-                MemoryRequest(
-                    address=address,
-                    access_type=AccessType.WRITE,
-                    issue_time_ns=now_ns,
-                )
+                MemoryRequest(address, AccessType.WRITE, now_ns)
             )
             return HierarchyAccess(
-                latency_ns=max(self.NON_TEMPORAL_ACCEPT_NS, write_latency),
-                level="NT",
+                max(self.NON_TEMPORAL_ACCEPT_NS, write_latency), "NT"
             )
         result = self._walk(core, address, is_store, now_ns)
         if is_store and self.cache_model.write_through:
             # write-through: the store's data goes to memory as a
             # posted write no matter which level holds the line
-            self.memory.access(
-                MemoryRequest(
-                    address=address,
-                    access_type=AccessType.WRITE,
-                    issue_time_ns=now_ns,
-                )
-            )
+            self.memory.access(MemoryRequest(address, AccessType.WRITE, now_ns))
         return result
 
     def _walk(
@@ -238,25 +218,28 @@ class MemoryHierarchy:
             outcome = cache.access(address, is_store)
             if outcome.hit:
                 return self._hits[index]
-            if index < last:
-                # victims propagate to the next level down
+            if index == last:
+                self._emit_evictions(outcome, now_ns)
+            elif outcome.writeback_address is not None:
+                # dirty victims propagate to the next level down
                 # (inclusive-ish simplification: the dirty line is
                 # installed there rather than written to memory)
-                self._spill(path[index + 1], outcome, lower_is_llc=index + 1 == last)
-            else:
-                self._emit_evictions(outcome, now_ns)
+                self._spill(
+                    path[index + 1],
+                    outcome.writeback_address,
+                    index + 1 == last,
+                    now_ns,
+                )
 
         # LLC miss: fetch the line from memory (a store becomes a
         # read-for-ownership here; the write happens at eviction time).
         memory_latency = self.memory.access(
-            MemoryRequest(
-                address=address, access_type=AccessType.READ, issue_time_ns=now_ns
-            )
+            MemoryRequest(address, AccessType.READ, now_ns)
         )
         self._miss_latency_ewma += 0.05 * (memory_latency - self._miss_latency_ewma)
         self._maybe_prefetch(core, address, now_ns)
         latency = self._miss_path_ns + (self.config.noc_latency_ns + memory_latency)
-        return HierarchyAccess(latency_ns=latency, level="MEM")
+        return HierarchyAccess(latency, "MEM")
 
     #: Demand-miss latency (ns) above which the stream prefetcher backs
     #: off — real prefetchers throttle when the memory system is
@@ -293,11 +276,7 @@ class MemoryHierarchy:
             if self.llc.contains(prefetch_address):
                 continue
             self.memory.access(
-                MemoryRequest(
-                    address=prefetch_address,
-                    access_type=AccessType.READ,
-                    issue_time_ns=now_ns,
-                )
+                MemoryRequest(prefetch_address, AccessType.READ, now_ns)
             )
             # allocate through the normal path so displaced dirty lines
             # still produce their writebacks
@@ -306,24 +285,18 @@ class MemoryHierarchy:
             self.prefetches_issued += 1
 
     def _spill(
-        self, lower: Cache, outcome: AccessOutcome, lower_is_llc: bool
+        self, lower: Cache, address: int, lower_is_llc: bool, now_ns: float
     ) -> None:
         """Install an upper-level dirty victim into the next level down."""
-        if outcome.writeback_address is not None:
-            spilled = lower.access(outcome.writeback_address, is_store=True)
-            if lower_is_llc:
-                self._emit_evictions(spilled, now_ns=None)
+        spilled = lower.access(address, is_store=True)
+        if lower_is_llc:
+            self._emit_evictions(spilled, now_ns)
 
-    def _emit_evictions(self, outcome: AccessOutcome, now_ns: float | None) -> None:
+    def _emit_evictions(self, outcome: AccessOutcome, now_ns: float) -> None:
         """Turn LLC evictions into memory writes (posted)."""
-        when = now_ns if now_ns is not None else self._last_now
         if outcome.writeback_address is not None:
             self.memory.access(
-                MemoryRequest(
-                    address=outcome.writeback_address,
-                    access_type=AccessType.WRITE,
-                    issue_time_ns=when,
-                )
+                MemoryRequest(outcome.writeback_address, AccessType.WRITE, now_ns)
             )
         if (
             self.writeback_clean_lines
@@ -331,9 +304,7 @@ class MemoryHierarchy:
         ):
             self.memory.access(
                 MemoryRequest(
-                    address=outcome.clean_eviction_address,
-                    access_type=AccessType.WRITE,
-                    issue_time_ns=when,
+                    outcome.clean_eviction_address, AccessType.WRITE, now_ns
                 )
             )
         if self.cache_model.inclusive:
@@ -342,7 +313,7 @@ class MemoryHierarchy:
                 outcome.clean_eviction_address,
             ):
                 if evicted is not None:
-                    self._back_invalidate(evicted, when)
+                    self._back_invalidate(evicted, now_ns)
 
     def _back_invalidate(self, address: int, when: float) -> None:
         """Inclusive LLC: evicted lines may not survive in upper levels.
@@ -355,9 +326,5 @@ class MemoryHierarchy:
                 present, was_dirty = cache.invalidate(address)
                 if present and was_dirty:
                     self.memory.access(
-                        MemoryRequest(
-                            address=address,
-                            access_type=AccessType.WRITE,
-                            issue_time_ns=when,
-                        )
+                        MemoryRequest(address, AccessType.WRITE, when)
                     )

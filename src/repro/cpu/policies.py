@@ -5,6 +5,10 @@ preallocated storage shared with :class:`repro.cpu.cache.Cache`: a
 line's *slot* is ``set * ways + way``. The cache calls
 ``touch(set, slot)`` on every hit and fill, ``victim(set)`` only when
 the set is full, and ``forget(set, way)`` when a line is invalidated.
+The default ``lru`` policy is the exception on the hot path: on every
+fill and every hit of ``Cache.access`` the cache updates its ``stamps``
+and ``clock`` inline, exactly as :meth:`LruPolicy.touch` and
+:meth:`LruPolicy.victim` would; its cold paths still call the object.
 State lives in slot- or set-indexed lists and integers — never in dict
 or set iteration order — so victim choice is bit-reproducible across
 processes and hash seeds (the same fence RPR010 enforces for the rest
@@ -19,8 +23,6 @@ on: the order in which consecutive scratch lines fill an empty cache.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from ..errors import ConfigurationError
 
@@ -85,28 +87,33 @@ class LruPolicy(ReplacementPolicy):
     """True least-recently-used: victim is the oldest-touched way.
 
     Each slot holds the stamp of its last touch from one cache-wide
-    counter; the victim is the way with the smallest stamp in the set's
+    clock; the victim is the way with the smallest stamp in the set's
     slice. Bit-exact with the historical ``OrderedDict`` implementation,
     whose ``popitem(last=False)`` is likewise the oldest touch.
+
+    ``stamps`` (per slot) and ``clock`` (the stamp of the next touch)
+    are public because :class:`repro.cpu.cache.Cache` updates them
+    inline on its hit and fill paths; this object stays their one owner.
     """
 
     kind = "lru"
 
     def __init__(self, num_sets: int, ways: int, seed: int = 0) -> None:
         super().__init__(num_sets, ways, seed)
-        self._stamps: list[int] = [_NEVER] * (num_sets * ways)
-        self._clock = itertools.count()
+        self.stamps: list[int] = [_NEVER] * (num_sets * ways)
+        self.clock = 0
 
     def touch(self, set_index: int, slot: int) -> None:
-        self._stamps[slot] = next(self._clock)
+        self.stamps[slot] = self.clock
+        self.clock += 1
 
     def victim(self, set_index: int) -> int:
         base = set_index * self.ways
-        stamps = self._stamps[base : base + self.ways]
+        stamps = self.stamps[base : base + self.ways]
         return stamps.index(min(stamps))
 
     def forget(self, set_index: int, way: int) -> None:
-        self._stamps[set_index * self.ways + way] = _NEVER
+        self.stamps[set_index * self.ways + way] = _NEVER
 
     def fill(self, first_set: int) -> None:
         num_sets, ways = self.num_sets, self.ways
@@ -115,8 +122,8 @@ class LruPolicy(ReplacementPolicy):
         shift = -first_set % num_sets
         for way in range(ways):
             column = range(way * num_sets, (way + 1) * num_sets)
-            self._stamps[way::ways] = [*column[shift:], *column[:shift]]
-        self._clock = itertools.count(num_sets * ways)
+            self.stamps[way::ways] = [*column[shift:], *column[:shift]]
+        self.clock = num_sets * ways
 
 
 class TreePlruPolicy(ReplacementPolicy):

@@ -9,16 +9,19 @@ consecutive rows of one stream land in different banks), then the row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError
 from ..units import CACHE_LINE_BYTES
 from .timing import DramTiming
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """Coordinates of one cache line inside the memory system."""
+class DecodedAddress(NamedTuple):
+    """Coordinates of one cache line inside the memory system.
+
+    A named tuple, so coordinates order as (channel, rank, bank, row,
+    column): the controller's write drain sorts them in that order.
+    """
 
     channel: int
     rank: int
@@ -97,9 +100,7 @@ class AddressMapper:
         row = rest // self.timing.ranks
         if self.bank_hash:
             bank = self._hash_bank(bank, row)
-        return DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, column=column
-        )
+        return DecodedAddress(channel, rank, bank, row, column)
 
     def _hash_bank(self, bank: int, row: int) -> int:
         """Permutation-based bank interleaving.

@@ -18,19 +18,18 @@ FR-FCFS reordering on top via :meth:`DramController.peek_outcome`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigurationError, SimulationError
 from ..request import AccessType, MemoryRequest
 from ..telemetry import registry as telemetry
-from .address import AddressMapper
+from .address import AddressMapper, DecodedAddress
 from .bank import BankState, RankState
 from .stats import ControllerStats, RowBufferOutcome, RowBufferStats
 from .timing import DramTiming
 
 
-@dataclass(frozen=True)
-class ServiceResult:
+class ServiceResult(NamedTuple):
     """Scheduling outcome of one request."""
 
     start_ns: float
@@ -66,8 +65,9 @@ class _ChannelState:
         self.bus_free_at_ns = 0.0
         self.last_was_write = False
         self.last_data_end_ns = 0.0
-        # writes accepted but not yet issued to the device (drain-batched)
-        self.pending_writes: deque[MemoryRequest] = deque()
+        # coordinates of writes accepted but not yet issued to the
+        # device (drain-batched), decoded once on acceptance
+        self.pending_writes: list[DecodedAddress] = []
         # device completion times of drained writes still occupying a
         # buffer slot (nondecreasing across batches)
         self.inflight_writes: deque[float] = deque()
@@ -125,6 +125,8 @@ class DramController:
         if interleave_bytes is not None:
             mapper_kwargs["interleave_bytes"] = interleave_bytes
         self.mapper = AddressMapper(timing, channels, **mapper_kwargs)
+        # a derived property of the timing, read on every device access
+        self._burst_ns = timing.tBURST
         self.stats = ControllerStats()
         self._channels = [
             _ChannelState(timing, timing.tREFI / timing.ranks)
@@ -196,7 +198,9 @@ class DramController:
         return self._submit_read(request)
 
     def _submit_read(self, request: MemoryRequest) -> ServiceResult:
-        result = self._schedule_device(request, is_write=False)
+        result = self._schedule_device(
+            self.mapper.decode(request.address), request.issue_time_ns, False
+        )
         self.stats.reads += 1
         if self._tel is not None:
             self._tel_reads.inc()
@@ -211,14 +215,15 @@ class DramController:
         bus turnaround over a whole batch instead of paying it per
         write. The requester only waits when the buffer is full.
         """
-        channel = self._channels[self.mapper.decode(request.address).channel]
+        decoded = self.mapper.decode(request.address)
+        channel = self._channels[decoded.channel]
         now = request.issue_time_ns
         self.stats.writes += 1
         # retire drained writes whose device work finished: their buffer
         # slots are free again
         while channel.inflight_writes and channel.inflight_writes[0] <= now:
             channel.inflight_writes.popleft()
-        channel.pending_writes.append(request)
+        channel.pending_writes.append(decoded)
         if len(channel.pending_writes) >= self._drain_high:
             self._drain_writes(channel, now)
         occupancy = len(channel.pending_writes) + len(channel.inflight_writes)
@@ -234,12 +239,9 @@ class DramController:
                 self._tel_write_stalls.inc()
         else:
             completion = now + self.WRITE_ACCEPT_NS
-        return ServiceResult(
-            start_ns=now,
-            completion_ns=completion,
-            outcome=RowBufferOutcome.HIT,  # placeholder: device outcome
-            # is recorded when the batched write actually drains
-        )
+        # the HIT outcome is a placeholder: the device outcome is
+        # recorded when the batched write actually drains
+        return ServiceResult(now, completion, RowBufferOutcome.HIT)
 
     def _drain_writes(self, channel: _ChannelState, now_ns: float) -> None:
         """Issue buffered writes down to the low watermark.
@@ -261,44 +263,30 @@ class DramController:
         # (rank, bank, row, column) and take the batch from the front,
         # so writes sharing a row issue consecutively and each open-row
         # cycle is amortized over the group — the write-queue row
-        # coalescing every server controller performs
-        ordered = sorted(
-            channel.pending_writes,
-            key=lambda req: (
-                (decoded := self.mapper.decode(req.address)).rank,
-                decoded.bank,
-                decoded.row,
-                decoded.column,
-            ),
-        )
-        batch, remainder = ordered[:count], ordered[count:]
-        channel.pending_writes.clear()
-        channel.pending_writes.extend(remainder)
-        for pending in batch:
-            drained = MemoryRequest(
-                address=pending.address,
-                access_type=pending.access_type,
-                issue_time_ns=now_ns,
-                size_bytes=pending.size_bytes,
-            )
-            result = self._schedule_device(drained, is_write=True)
+        # coalescing every server controller performs. The queue holds
+        # one channel, so the coordinates' own tuple order is that key.
+        ordered = sorted(channel.pending_writes)
+        channel.pending_writes = ordered[count:]
+        for decoded in ordered[:count]:
+            result = self._schedule_device(decoded, now_ns, True)
             channel.inflight_writes.append(result.completion_ns)
         # completions within a row-sorted batch are not monotone; keep
         # the in-flight set ordered so the oldest slot frees first
         channel.inflight_writes = deque(sorted(channel.inflight_writes))
 
     def _schedule_device(
-        self, request: MemoryRequest, is_write: bool
+        self, decoded: DecodedAddress, now: float, is_write: bool
     ) -> ServiceResult:
-        """Schedule the device-side work of one column access."""
+        """Schedule the device-side work of one column access at ``now``."""
         timing = self.timing
-        decoded = self.mapper.decode(request.address)
-        channel = self._channels[decoded.channel]
-        rank = channel.ranks[decoded.rank]
-        bank = channel.banks[decoded.rank][decoded.bank]
-        now = request.issue_time_ns
+        burst = self._burst_ns
+        channel_index, rank_index, bank_index, row, _ = decoded
+        channel = self._channels[channel_index]
+        rank = channel.ranks[rank_index]
+        bank = channel.banks[rank_index][bank_index]
 
-        self._apply_refresh(channel, decoded.rank, now)
+        if rank.next_refresh_ns <= now:
+            self._apply_refresh(channel, rank_index, now)
 
         earliest = max(now, bank.ready_at_ns)
         direction_switch = is_write != channel.last_was_write
@@ -307,7 +295,7 @@ class DramController:
         elif not is_write and direction_switch:
             earliest = max(earliest, channel.last_data_end_ns + timing.tWTR)
 
-        outcome = bank.classify(decoded.row)
+        outcome = bank.classify(row)
         needs_activate = outcome is not RowBufferOutcome.HIT
         if needs_activate:
             earliest = max(earliest, rank.faw_earliest_ns(timing))
@@ -331,10 +319,10 @@ class DramController:
             if is_write:
                 bus_slot += max(0.0, timing.tCL - timing.tCWL) + timing.tRTW
             else:
-                bus_slot += timing.tCWL + timing.tBURST + timing.tWTR
-        channel.bus_free_at_ns = bus_slot + timing.tBURST
+                bus_slot += timing.tCWL + burst + timing.tWTR
+        channel.bus_free_at_ns = bus_slot + burst
         data_start = max(column_cmd_at + column_latency, bus_slot)
-        completion = data_start + timing.tBURST
+        completion = data_start + burst
 
         if needs_activate:
             activate_at = earliest + (
@@ -342,10 +330,10 @@ class DramController:
             )
             rank.record_activate(activate_at)
             bank.precharge_ok_ns = activate_at + timing.tRAS
-        bank.open_row = decoded.row
+        bank.open_row = row
         # Column commands to the same bank pipeline at tCCD granularity
         # (approximated by the burst time), not at full access latency.
-        bank.ready_at_ns = column_cmd_at + timing.tBURST
+        bank.ready_at_ns = column_cmd_at + burst
         if is_write:
             # Write recovery delays the next precharge, not the next column.
             bank.precharge_ok_ns = max(bank.precharge_ok_ns, completion + timing.tWR)
@@ -360,9 +348,7 @@ class DramController:
         self.stats.row_buffer.record(outcome)
         if self._tel is not None:
             self._tel_rows[outcome].inc()
-        return ServiceResult(
-            start_ns=earliest, completion_ns=completion, outcome=outcome
-        )
+        return ServiceResult(earliest, completion, outcome)
 
     def _apply_refresh(self, channel: _ChannelState, rank_idx: int, now_ns: float) -> None:
         """Lazily apply any refreshes that became due on this rank."""

@@ -111,9 +111,9 @@ def _replay(
         index = base_index + offset
         simulator.access(
             MemoryRequest(
-                address=(index % address_lines) * CACHE_LINE_BYTES,
-                access_type=AccessType.READ,
-                issue_time_ns=float(t[offset]),
+                (index % address_lines) * CACHE_LINE_BYTES,
+                AccessType.READ,
+                float(t[offset]),
             )
         )
 

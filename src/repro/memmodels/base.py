@@ -13,7 +13,6 @@ inside :class:`repro.cpu.system.System`.
 from __future__ import annotations
 
 import abc
-import math
 from dataclasses import dataclass, field
 
 from ..request import AccessType, MemoryRequest
@@ -63,14 +62,14 @@ class MemoryModelStats:
 
     def record(self, request: MemoryRequest, latency_ns: float) -> None:
         """Account one completed access."""
-        if request.access_type.is_write:
+        if not (self.reads or self.writes):  # the first access
+            self.first_issue_ns = request.issue_time_ns
+        if request.access_type is AccessType.WRITE:
             self.writes += 1
         else:
             self.reads += 1
         self.total_latency_ns += latency_ns
         self.bytes_transferred += request.size_bytes
-        if math.isnan(self.first_issue_ns):
-            self.first_issue_ns = request.issue_time_ns
         self.last_completion_ns = max(
             self.last_completion_ns, request.issue_time_ns + latency_ns
         )

@@ -8,7 +8,7 @@ vocabulary without importing each other.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .units import CACHE_LINE_BYTES
 
@@ -24,9 +24,11 @@ class AccessType(enum.Enum):
         return self is AccessType.WRITE
 
 
-@dataclass(frozen=True)
-class MemoryRequest:
+class MemoryRequest(NamedTuple):
     """One cache-line request arriving at the memory system.
+
+    A named tuple: one is built per simulated access, and a tuple is
+    the cheapest immutable record to build.
 
     Attributes
     ----------

@@ -76,11 +76,7 @@ def replay_trace(
         now += gap
         if len(inflight) >= max_outstanding:
             now = max(now, heapq.heappop(inflight))
-        request = MemoryRequest(
-            address=record.address,
-            access_type=record.access_type,
-            issue_time_ns=now,
-        )
+        request = MemoryRequest(record.address, record.access_type, now)
         latency = model.access(request)
         completion = now + latency
         heapq.heappush(inflight, completion)
@@ -174,11 +170,7 @@ def replay_trace_frfcfs(
         elif choice > 0 and reorders is not None:
             reorders.inc()
         index, record = pending.pop(choice)
-        request = MemoryRequest(
-            address=record.address,
-            access_type=record.access_type,
-            issue_time_ns=now,
-        )
+        request = MemoryRequest(record.address, record.access_type, now)
         result = controller.submit(request)
         latency = result.completion_ns - now
         if index >= warmup:

@@ -28,9 +28,7 @@ class TraceRecord:
     def to_request(self, time_shift_ns: float = 0.0) -> MemoryRequest:
         """Materialize as a request, optionally shifted in time."""
         return MemoryRequest(
-            address=self.address,
-            access_type=self.access_type,
-            issue_time_ns=self.issue_time_ns + time_shift_ns,
+            self.address, self.access_type, self.issue_time_ns + time_shift_ns
         )
 
     def to_line(self) -> str:

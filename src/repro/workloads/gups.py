@@ -45,8 +45,8 @@ def gups_ops(
             if max_updates is not None and issued >= max_updates:
                 return
             address = base_address + int(index) * CACHE_LINE_BYTES
-            yield MemOp(address=address, is_store=False)
-            yield MemOp(address=address, is_store=True)
+            yield MemOp(address)
+            yield MemOp(address, True)
             issued += 1
 
 

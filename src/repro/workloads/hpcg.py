@@ -104,11 +104,9 @@ def _sparse_stream_ops(
 ) -> Iterator[Operation]:
     """SpMV-shaped traffic: streaming reads with periodic stores."""
     for line in range(lines):
-        yield MemOp(address=base + line * CACHE_LINE_BYTES, is_store=False)
+        yield MemOp(base + line * CACHE_LINE_BYTES)
         if store_every and line % store_every == store_every - 1:
-            yield MemOp(
-                address=base + (lines + line) * CACHE_LINE_BYTES, is_store=True
-            )
+            yield MemOp(base + (lines + line) * CACHE_LINE_BYTES, True)
         if compute_ns > 0:
             yield Delay(compute_ns)
 

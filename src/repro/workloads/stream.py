@@ -51,8 +51,8 @@ def _kernel_ops(
     for line in range(lines):
         offset = line * CACHE_LINE_BYTES
         for source in range(loads_per_line):
-            yield MemOp(address=array_bases[source] + offset, is_store=False)
-        yield MemOp(address=store_base + offset, is_store=True)
+            yield MemOp(array_bases[source] + offset)
+        yield MemOp(store_base + offset, True)
         if compute_ns_per_line > 0:
             yield Delay(compute_ns_per_line)
 

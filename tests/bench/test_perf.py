@@ -7,10 +7,11 @@ import pytest
 from repro.bench import perf
 from repro.errors import ConfigurationError
 from repro.experiments.base import ExperimentResult
+from repro.specs import spec_digest
 from repro.telemetry import registry as telemetry
 
 
-def _constant_spec(name="t.constant", payload="same", calls=None):
+def _constant_spec(name="t.constant", payload="same", calls=None, tags=("t",)):
     def make():
         def work():
             if calls is not None:
@@ -22,7 +23,7 @@ def _constant_spec(name="t.constant", payload="same", calls=None):
 
         return work, summarize
 
-    return perf.BenchSpec(name=name, tags=("t",), make=make)
+    return perf.BenchSpec(name=name, tags=tags, make=make)
 
 
 class TestRunBench:
@@ -73,6 +74,31 @@ class TestRegistry:
         assert meta["scale"] == 1.0
         assert meta["rows"] == len(result.rows)
         assert meta["digest"] == perf.deterministic_digest(result)
+
+
+class TestTotalRow:
+    def _register(self, monkeypatch, name, tags, digest):
+        spec = _constant_spec(name=name, payload=digest, tags=tags)
+        monkeypatch.setitem(perf._REGISTRY, name, spec)
+
+    def test_experiment_rows_end_with_their_total(self, monkeypatch):
+        self._register(monkeypatch, "t.exp_a", ("experiment", "t"), "a")
+        self._register(monkeypatch, "t.exp_b", ("experiment", "t"), "b")
+        self._register(monkeypatch, "t.exp_other", ("t",), "c")
+        benches = perf.run_benches(filter="t.exp")["benches"]
+        rows, total = benches[:-1], benches[-1]
+        assert [row["name"] for row in rows] == ["t.exp_a", "t.exp_b", "t.exp_other"]
+        assert total["name"] == "experiment.total"
+        assert total["time_s"] == rows[0]["time_s"] + rows[1]["time_s"]
+        assert total["meta"] == {
+            "digest": spec_digest(["a", "b"]),
+            "experiments": 2,
+        }
+
+    def test_no_total_without_experiment_rows(self, monkeypatch):
+        self._register(monkeypatch, "t.plain", ("t",), "c")
+        benches = perf.run_benches(filter="t.plain")["benches"]
+        assert [row["name"] for row in benches] == ["t.plain"]
 
 
 class TestComponentBenches:

@@ -102,6 +102,34 @@ class TestWrites:
         assert controller.stats.write_stalls > 0
         assert max(latencies) > DramController.WRITE_ACCEPT_NS
 
+    def test_drain_issues_writes_grouped_by_row(self):
+        """A drain sorts its batch by (rank, bank, row, column).
+
+        Six scrambled writes span two rows of one bank; the sixth
+        crosses the high watermark (3/4 of 8) and drains four of them
+        down to the low watermark (1/4 of 8). Grouped, the batch opens
+        the lower row once, hits it twice more and then switches to the
+        upper row: one empty access, two hits, one miss, with the upper
+        row left open. In arrival order it would ping-pong between the
+        rows and never hit.
+        """
+        controller = DramController(DDR4_2666, channels=1, write_queue_depth=8)
+        other_row = _same_bank_other_row(controller, 0)
+        lower = [0, 64, 128]
+        upper = [other_row, other_row + 64, other_row + 128]
+        # each triple is three columns of one row, both rows in one bank
+        coordinates = [controller.mapper.decode(a) for a in lower + upper]
+        assert len({(c.rank, c.bank) for c in coordinates}) == 1
+        assert [c.row for c in coordinates] == [0] * 3 + [coordinates[3].row] * 3
+        assert coordinates[3].row > 0
+        scrambled = [upper[2], lower[0], upper[0], lower[2], upper[1], lower[1]]
+        for address in scrambled:
+            controller.submit(write(address, 0.0))
+        census = controller.row_buffer_stats()
+        assert (census.empties, census.hits, census.misses) == (1, 2, 1)
+        assert controller.peek_outcome(upper[0]) is RowBufferOutcome.HIT
+        assert controller.peek_outcome(lower[0]) is RowBufferOutcome.MISS
+
     def test_saturation_throughput_bounded_by_peak(self):
         controller = DramController(DDR4_2666, channels=1)
         last = 0.0

@@ -17,6 +17,39 @@ from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.base import ExperimentResult, scaled
 
 
+#: ``result.digest()`` of every experiment this module runs, at the
+#: scale it runs it, so a change that moves any result fails here
+#: rather than only in ``BENCH_experiments.json``. An entry changes
+#: only with a change meant to move that result. fig11 is left out
+#: while its rows carry host wall time.
+RESULT_DIGESTS = {
+    # at scale 1.0
+    "table1": "34f23eb95fa60d5ffd845f2ef0e60d007d287c69c7df2bd332ea97929616601c",
+    "fig2": "9c50c5b1121fb37824690740420a66d6ee19e9c22677957c1195f9bfcb8216c5",
+    "fig3": "ff998e74c97710874127a4b3a99dd646b7d85debad8cf518bc3752f6759fb5b6",
+    "fig15": "1a3cf56f2cf31057b23cf0bfeab5e05970ab58af842970daeabf4fd43e4c2d06",
+    "fig16": "732d24cbfe63a8717120296a38c01fb8f772a58c8b751d87e16cd118b1f22945",
+    "fig17": "bda2deb72cd52277fb09e743df28ba91676be66dc0e5bdd7b3ef6e5c3719751b",
+    "fig18": "db81811c3384869c192f85f17ee8fd60683c8b0ad35cd8b0cb076c08b9efa7db",
+    # at scale 0.6
+    "fig4": "cd668b2e711b69c4b33be06d82a74d713148cbb42de63b310bb75a686378d612",
+    "fig5": "c44a9c76267d43ef98118208323bec30153863916a2e8d63f345fe6a69a60718",
+    "fig6": "c56f70ae37053c0eab9ee3788cee6d62e6f7005e7dd15befb4ddc577f9d9b575",
+    "fig7": "3d76b5f3cf016a88e2a5facf9b39cd10dfe2c87ea7d8fc04a64c52925560b5ce",
+    "optane": "02610bf737ca7ae1f9eb6b39e5f8d6fd7f82ca4917f1d2128ce5d6567def2532",
+    # full-system runs, at the scales of _FULL_SYSTEM_RUNS
+    "fig10": "2e5714b64c278bc93fb2b9cd99a5021f432c10d3028cd31f6145461c0465b423",
+    "ablation": "127fe23c611e204e7e3a1d028fb74f59834a5b1acdb693e657e9630fde92da04",
+    "fig14": "bb07f27c23eb51f0e9444939b58172a0689f8a6495f621079160a2cfe4cf83e6",
+    "openpiton": "4fa4d9a53d99deecfb6465b9c49e0e8ef3f02d77d4aab3f57e6806e9c2e63999",
+}
+
+
+def assert_golden(result: ExperimentResult) -> None:
+    """The result's digest equals its entry in :data:`RESULT_DIGESTS`."""
+    assert result.digest() == RESULT_DIGESTS[result.experiment_id]
+
+
 class TestInfrastructure:
     def test_registry_complete(self):
         expected = {
@@ -57,32 +90,38 @@ class TestInfrastructure:
 class TestCheapExperiments:
     def test_table1_calibration_within_one_percent(self):
         result = run_experiment("table1")
+        assert_golden(result)
         assert len(result.rows) == 8
         assert all(row["max_abs_err_pct"] < 1.0 for row in result.rows)
 
     def test_fig2_emits_family_and_stream_lines(self):
         result = run_experiment("fig2")
+        assert_golden(result)
         series = {row["series"] for row in result.rows}
         assert {"curve", "stream_min", "stream_max"} <= series
 
     def test_fig3_all_platforms_present(self):
         result = run_experiment("fig3")
+        assert_golden(result)
         platforms = {row["platform"] for row in result.rows}
         assert len(platforms) == 8
 
     def test_optane_support(self):
         result = run_experiment("optane", scale=0.6)
+        assert_golden(result)
         sources = {row["source"] for row in result.rows}
         assert sources == {"preset", "probed-device"}
         assert any("converges" in note for note in result.notes)
 
     def test_fig17_signs(self):
         result = run_experiment("fig17")
+        assert_golden(result)
         notes = " ".join(result.notes)
         assert "lower" in notes and "higher" in notes
 
     def test_fig18_shape(self):
         result = run_experiment("fig18")
+        assert_golden(result)
         assert len(result.rows) == 29
         deltas = result.column("delta_pct")
         utils = result.column("utilization_pct")
@@ -92,12 +131,14 @@ class TestCheapExperiments:
 
     def test_fig15_saturated_majority(self):
         result = run_experiment("fig15")
+        assert_golden(result)
         scores = result.column("stress_score")
         assert all(0 <= s <= 1 for s in scores)
         assert any("saturated" in note for note in result.notes)
 
     def test_fig16_iterations_and_stress_split(self):
         result = run_experiment("fig16")
+        assert_golden(result)
         iterations = {row["iteration"] for row in result.rows}
         assert iterations == {0, 1}
         head = next(r for r in result.rows if r["phase"] == "spmv_head")
@@ -108,6 +149,7 @@ class TestCheapExperiments:
 class TestSimulatorCharacterization:
     def test_fig5_model_signatures(self):
         result = run_experiment("fig5", scale=0.6)
+        assert_golden(result)
 
         def peak(system):
             return max(
@@ -126,6 +168,7 @@ class TestSimulatorCharacterization:
 
     def test_fig4_ramulator2_wall(self):
         result = run_experiment("fig4", scale=0.6)
+        assert_golden(result)
         wall = max(
             row["bandwidth_gbps"]
             for row in result.rows
@@ -140,6 +183,7 @@ class TestSimulatorCharacterization:
 
     def test_fig6_trace_driven_ordering(self):
         result = run_experiment("fig6", scale=0.6)
+        assert_golden(result)
 
         def peak(simulator):
             return max(
@@ -153,6 +197,7 @@ class TestSimulatorCharacterization:
 
     def test_fig7_censuses_sum_to_one(self):
         result = run_experiment("fig7", scale=0.6)
+        assert_golden(result)
         for row in result.rows:
             total = row["hit_rate"] + row["empty_rate"] + row["miss_rate"]
             assert total == pytest.approx(1.0, abs=0.01)
@@ -196,6 +241,7 @@ def full_system():
 class TestFullSystemExperiments:
     def test_fig10_mess_tracks_actual(self, full_system):
         result = full_system("fig10", 0.5)
+        assert_golden(result)
         # every subfigure reports its comparison note with small
         # unloaded error
         assert len(result.notes) == 3
@@ -215,6 +261,7 @@ class TestFullSystemExperiments:
 
     def test_fig14_openpiton_cannot_pressure_reads(self, full_system):
         result = full_system("fig14", 0.6)
+        assert_golden(result)
 
         def read_peak(system):
             return max(
@@ -227,6 +274,7 @@ class TestFullSystemExperiments:
 
     def test_openpiton_findings(self, full_system):
         result = full_system("openpiton", 0.6)
+        assert_golden(result)
         correct = {
             row["store_fraction"]: row
             for row in result.rows
@@ -247,6 +295,7 @@ class TestFullSystemExperiments:
 
     def test_ablation_studies_present(self, full_system):
         result = full_system("ablation", 0.5)
+        assert_golden(result)
         studies = {row["study"] for row in result.rows}
         assert studies == {
             "convergence_factor",
