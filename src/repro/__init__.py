@@ -45,10 +45,6 @@ Quickstart::
     )
     family = scenario.materialize().benchmark().run()  # characterize
     sim = build_memory("mess", {"curves": family})  # simulate on curves
-
-(Constructing ``MessBenchmark`` directly still works but is deprecated
-in favor of the scenario route, which wires up the digest-keyed
-characterization cache.)
 """
 
 from __future__ import annotations

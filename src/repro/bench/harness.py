@@ -11,17 +11,15 @@ one curve; sweeping store mixes produces the family.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager, nullcontext
-from dataclasses import asdict, dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 from typing import Callable
 
 from ..core.builder import CurveBuilder
 from ..core.family import CurveFamily
 from ..cpu.system import System, SystemConfig
-from ..errors import BenchmarkError, CurveError
+from ..errors import BenchmarkError
 from ..memmodels.base import MemoryModel, MemoryModelStats
-from ..runner import cache as result_cache
 from ..specs import SpecConvertible
 from ..telemetry import registry as telemetry
 from .pointer_chase import pointer_chase_ops
@@ -74,23 +72,6 @@ class PointResult:
     measured_read_ratio: float
 
 
-#: True while the scenario layer is building a harness; direct
-#: construction anywhere else draws a :class:`DeprecationWarning`.
-_construction_sanctioned = False
-
-
-@contextmanager
-def _sanctioned_construction():
-    """Mark MessBenchmark construction as scenario-routed (no warning)."""
-    global _construction_sanctioned
-    previous = _construction_sanctioned
-    _construction_sanctioned = True
-    try:
-        yield
-    finally:
-        _construction_sanctioned = previous
-
-
 @dataclass
 class MessBenchmark:
     """Runs the Mess characterization against a system + memory model.
@@ -113,105 +94,18 @@ class MessBenchmark:
     config: MessBenchmarkConfig = field(default_factory=MessBenchmarkConfig)
     name: str = "measured"
     theoretical_bandwidth_gbps: float | None = None
-    #: Opt-in hook for the content-addressed characterization cache:
-    #: when set and a cache is active (see :mod:`repro.runner.cache`),
-    #: the whole sweep is memoized on disk under a digest of this key
-    #: plus the complete sweep + system configuration. The key must
-    #: identify whatever the configuration cannot — above all the
-    #: memory model built by ``memory_factory``, which is opaque to the
-    #: digest. ``None`` (the default) never touches the cache.
-    cache_key: str | None = None
     points: list[PointResult] = field(default_factory=list, repr=False)
 
-    def __post_init__(self) -> None:
-        if not _construction_sanctioned:
-            warnings.warn(
-                "constructing MessBenchmark directly is deprecated; declare "
-                "a scenario and build the harness through "
-                "Scenario.materialize().benchmark(), which wires up the "
-                "digest-keyed characterization cache",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-
     def run(self) -> CurveFamily:
-        """Execute the full sweep and return the curve family.
-
-        When a characterization cache is active and :attr:`cache_key`
-        is set, a cached family (with its measurement points) is
-        returned without simulating; otherwise the sweep runs and its
-        outcome is stored for next time.
-        """
+        """Execute the full sweep and return the curve family."""
         tel = telemetry.active()
-        cached = self._cached_family()
-        if cached is not None:
-            if tel is not None:
-                tel.counter(
-                    "bench.characterization_cache_hits",
-                    help="characterization sweeps served from the cache",
-                ).inc()
-            return cached
-        if tel is not None:
-            tel.counter(
-                "bench.characterization_cache_misses",
-                help="characterization sweeps simulated from scratch",
-            ).inc()
         span = (
             tel.span("bench.characterize", category="bench", family=self.name)
             if tel is not None
             else nullcontext()
         )
         with span:
-            family = self._run_sweep()
-        self._store_family(family)
-        return family
-
-    # ------------------------------------------------------------------
-    # Characterization cache
-    # ------------------------------------------------------------------
-
-    def _cache_digest(self, cache: "result_cache.ResultCache") -> str:
-        return cache.key_for(
-            "characterization",
-            {
-                "cache_key": self.cache_key,
-                "name": self.name,
-                "theoretical_bandwidth_gbps": self.theoretical_bandwidth_gbps,
-                "sweep": asdict(self.config),
-                "system": asdict(self.system_config),
-            },
-        )
-
-    def _cached_family(self) -> CurveFamily | None:
-        cache = result_cache.active_cache()
-        if cache is None or self.cache_key is None:
-            return None
-        key = self._cache_digest(cache)
-        payload = cache.get(key)
-        if payload is None:
-            return None
-        try:
-            family = CurveFamily.from_dict(payload["family"])
-            self.points = [PointResult(**entry) for entry in payload["points"]]
-        except (CurveError, KeyError, TypeError):
-            # wrong-shaped entry: drop it and re-measure
-            cache.discard(key)
-            self.points = []
-            return None
-        return family
-
-    def _store_family(self, family: CurveFamily) -> None:
-        cache = result_cache.active_cache()
-        if cache is None or self.cache_key is None:
-            return
-        cache.put(
-            self._cache_digest(cache),
-            {
-                "family": family.to_dict(),
-                "points": [asdict(point) for point in self.points],
-            },
-            kind="characterization",
-        )
+            return self._run_sweep()
 
     def _run_sweep(self) -> CurveFamily:
         builder = CurveBuilder(

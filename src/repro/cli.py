@@ -1,8 +1,7 @@
 """Command-line interface: ``python -m repro <command>``.
 
 Mirrors the original artifact's runner scripts: list and run the paper's
-experiments, dump a platform's curves, or characterize a simulated
-memory system from scratch.
+experiments and scenarios, or dump a platform's curves.
 
 Commands
 --------
@@ -57,9 +56,6 @@ Commands
     to checking the installed package.
 ``curves <platform> [--csv PATH]``
     Print (and optionally save) a preset platform's curve family.
-``characterize [--cores N] [--channels C] [--preset TIMING]``
-    Run the Mess benchmark against a fresh cycle-level memory system
-    and print the measured family and metrics.
 ``bench [--filter NAME|TAG] [--repeat N] [--json PATH] [--list]``
     Time registered perf benches (component inner loops plus one
     ``experiment.<id>`` bench per figure), best of ``--repeat`` runs
@@ -101,11 +97,8 @@ import sys
 from pathlib import Path
 
 from . import telemetry
-from .bench.harness import MessBenchmarkConfig
 from .checks import available_rules, check_paths, render_sarif
 from .core.metrics import compute_metrics
-from .cpu.system import SystemConfig
-from .dram.timing import PRESETS, preset
 from .errors import CheckError, ConfigurationError, MessError
 from .experiments.registry import SPECS, experiment_ids
 from .platforms.presets import (
@@ -119,7 +112,6 @@ from .resilience import RetryPolicy, load_fault_plan
 from .runner import ResultCache, RunManifest, resume_run, run_many
 from .runner.pool import ProgressCallback
 from .scenario import (
-    Scenario,
     load_scenario,
     parse_assignments,
     preset_scenario,
@@ -656,49 +648,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_characterize(args: argparse.Namespace) -> int:
-    timing = preset(args.preset)
-    # declared as a scenario so the CLI goes through the same
-    # materialization seam as every experiment (no direct harness
-    # construction here)
-    scenario = Scenario(
-        name=f"{timing.name}x{args.channels}",
-        memory={
-            "kind": "cycle-accurate",
-            "params": {
-                "timing": args.preset,
-                "channels": args.channels,
-                "write_queue_depth": 48,
-            },
-        },
-        system=SystemConfig(cores=args.cores),
-        sweep=MessBenchmarkConfig(
-            store_fractions=(0.0, 0.5, 1.0),
-            nop_counts=(0, 150, 600, 3000),
-            warmup_ns=4000.0,
-            measure_ns=10_000.0,
-        ),
-        theoretical_bandwidth_gbps=timing.channel_peak_gbps * args.channels,
-    )
-    bench = scenario.materialize().benchmark()
-    curves = bench.run()
-    metrics = compute_metrics(curves)
-    for point in bench.points:
-        print(
-            f"  sf={point.store_fraction:.1f} nop={point.nop_count:5d}: "
-            f"{point.bandwidth_gbps:6.1f} GB/s @ {point.latency_ns:6.1f} ns "
-            f"(read ratio {point.measured_read_ratio:.2f})"
-        )
-    print(
-        f"unloaded {metrics.unloaded_latency_ns:.0f} ns; saturated "
-        f"{metrics.saturated_bw_min_pct:.0f}-{metrics.saturated_bw_max_pct:.0f}%"
-    )
-    if args.csv:
-        curves.to_csv(args.csv)
-        print(f"curves written to {args.csv}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1059,17 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
     curves_parser.add_argument("platform")
     curves_parser.add_argument("--csv", default=None)
     curves_parser.set_defaults(func=_cmd_curves)
-
-    char_parser = commands.add_parser(
-        "characterize", help="Mess-benchmark a simulated memory system"
-    )
-    char_parser.add_argument(
-        "--preset", default="DDR4-2666", choices=sorted(PRESETS)
-    )
-    char_parser.add_argument("--channels", type=int, default=3)
-    char_parser.add_argument("--cores", type=int, default=8)
-    char_parser.add_argument("--csv", default=None)
-    char_parser.set_defaults(func=_cmd_characterize)
     return parser
 
 

@@ -2,10 +2,9 @@
 
 Experiments no longer assemble systems, DRAM timings or benchmark
 harnesses by hand: they declare scenarios (:mod:`repro.scenario`) and
-materialize them here. The helpers below wrap the scenario layer with
-the in-process family cache the experiments share — several figures
-characterize the same substrate, and within one process that
-measurement runs once.
+materialize them, measuring a family with
+``scenario.materialize().characterize()``. This module re-exports the
+scenario helpers they build those scenarios from.
 
 The legacy ``skylake_substrate()`` / ``graviton_substrate()`` /
 ``hbm_substrate()`` factories and the string-keyed ``substrate_timing``
@@ -15,8 +14,7 @@ lookup are gone; their machines live on as named scenario presets
 
 from __future__ import annotations
 
-from ..core.family import CurveFamily
-from ..scenario import Scenario, characterization, preset_scenario, substrate
+from ..scenario import characterization, preset_scenario, substrate
 from ..scenario.presets import BENCH_HIERARCHY, bench_sweep, bench_system
 
 __all__ = [
@@ -24,30 +22,6 @@ __all__ = [
     "bench_sweep",
     "bench_system",
     "characterization",
-    "measured_family",
-    "preset_family",
     "preset_scenario",
     "substrate",
-    "Scenario",
 ]
-
-_FAMILY_CACHE: dict[str, CurveFamily] = {}
-
-
-def measured_family(scenario: Scenario) -> CurveFamily:
-    """Characterize a scenario's memory on its system, cached.
-
-    The scenario digest is the cache identity — both for this
-    in-process cache and (via the benchmark's ``cache_key``) for the
-    content-addressed disk cache when one is active, so repeat callers
-    across experiments and processes share the measurement.
-    """
-    key = scenario.digest()
-    if key not in _FAMILY_CACHE:
-        _FAMILY_CACHE[key] = scenario.materialize().characterize()
-    return _FAMILY_CACHE[key]
-
-
-def preset_family(name: str, scale: float) -> CurveFamily:
-    """Measured family of one named scenario preset."""
-    return measured_family(preset_scenario(name, scale))

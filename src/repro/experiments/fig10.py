@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..analysis.compare import compare_families
 from ..errors import ConfigurationError
 from .base import ExperimentResult
-from .common import characterization, measured_family, substrate
+from .common import characterization, substrate
 from .registry import register
 
 EXPERIMENT_ID = "fig10"
@@ -68,7 +68,7 @@ def run(scale: float = 1.0, *, memories: str | None = None) -> ExperimentResult:
         actual_scenario = substrate(
             f"actual-{label}", preset_name, channels=channels, scale=scale
         )
-        actual = measured_family(actual_scenario)
+        actual = actual_scenario.materialize().characterize()
         # the measured family goes straight back in as the curve source
         # of a Mess-simulator scenario — curves are inlined, so the
         # scenario (and its cache identity) is self-contained
@@ -82,7 +82,7 @@ def run(scale: float = 1.0, *, memories: str | None = None) -> ExperimentResult:
             scale=scale,
             theoretical_bandwidth_gbps=actual.theoretical_bandwidth_gbps,
         )
-        simulated = measured_family(mess_scenario)
+        simulated = mess_scenario.materialize().characterize()
         for system, family in (("actual", actual), ("zsim+mess", simulated)):
             for curve in family:
                 for bandwidth, latency in zip(

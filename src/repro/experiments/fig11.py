@@ -17,7 +17,7 @@ from ..workloads.lmbench import LmbenchLatency
 from ..workloads.multichase import Multichase
 from ..workloads.stream import StreamWorkload
 from .base import ExperimentResult, scaled
-from .common import bench_system, measured_family, preset_scenario
+from .common import bench_system, preset_scenario
 from .registry import register
 
 EXPERIMENT_ID = "fig11"
@@ -37,7 +37,7 @@ _SUBSTRATE_MEMORY = {
 def run(scale: float = 1.0) -> ExperimentResult:
     substrate_scenario = preset_scenario("skylake-substrate", scale)
     overhead = substrate_scenario.system.hierarchy.total_hit_path_ns
-    mess_family = measured_family(substrate_scenario)
+    mess_family = substrate_scenario.materialize().characterize()
     # the fixed-latency model is tuned to the unloaded memory-side
     # latency, as the paper notes a user would do
     fixed_latency = max(2.0, mess_family.unloaded_latency_ns - overhead)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from ..analysis.compare import compare_families
 from ..platforms.presets import AMAZON_GRAVITON3, FUJITSU_A64FX, family
 from .base import ExperimentResult
-from .common import BENCH_HIERARCHY, characterization, measured_family
+from .common import BENCH_HIERARCHY, characterization
 from .registry import register
 
 EXPERIMENT_ID = "fig12"
@@ -53,7 +53,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
             cores=16,
             theoretical_bandwidth_gbps=one_channel.theoretical_bandwidth_gbps,
         )
-        simulated_scaled = measured_family(scenario).scaled_bandwidth(
+        simulated_scaled = scenario.materialize().characterize().scaled_bandwidth(
             channels, name=f"gem5+mess {label} (scaled x{channels})"
         )
         for system, fam in (

@@ -14,7 +14,7 @@ from ..workloads.lmbench import LmbenchLatency
 from ..workloads.multichase import Multichase
 from ..workloads.stream import StreamWorkload
 from .base import ExperimentResult, scaled
-from .common import bench_system, measured_family, preset_scenario
+from .common import bench_system, preset_scenario
 from .registry import register
 
 EXPERIMENT_ID = "fig13"
@@ -34,7 +34,7 @@ _SUBSTRATE_MEMORY = {
 def run(scale: float = 1.0) -> ExperimentResult:
     substrate_scenario = preset_scenario("graviton-substrate-2ch", scale)
     overhead = substrate_scenario.system.hierarchy.total_hit_path_ns
-    mess_family = measured_family(substrate_scenario)
+    mess_family = substrate_scenario.materialize().characterize()
     theoretical = mess_family.theoretical_bandwidth_gbps
     unloaded_memory_side = max(2.0, mess_family.unloaded_latency_ns - overhead)
     model_specs = {

@@ -17,12 +17,7 @@ from __future__ import annotations
 from ..bench.model_probe import ProbeConfig, characterize_model
 from ..memmodels.cxl import CxlExpanderModel
 from .base import ExperimentResult, scaled
-from .common import (
-    BENCH_HIERARCHY,
-    bench_system,
-    characterization,
-    measured_family,
-)
+from .common import BENCH_HIERARCHY, bench_system, characterization
 from .registry import register
 
 EXPERIMENT_ID = "fig14"
@@ -85,7 +80,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
             system=bench_system(cores=cores, in_order=in_order),
             theoretical_bandwidth_gbps=54.0,
         )
-        simulated = measured_family(scenario)
+        simulated = scenario.materialize().characterize()
         for curve in simulated:
             for bandwidth, latency in zip(
                 curve.bandwidth_gbps, curve.latency_ns

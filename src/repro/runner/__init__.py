@@ -2,11 +2,11 @@
 
 Three pieces:
 
-- :mod:`repro.runner.cache` — an on-disk, content-addressed cache for
-  characterization sweeps and experiment results (atomic writes,
+- :mod:`repro.runner.cache` — the on-disk result store, keyed by
+  scenario digest and stamped with the results epoch (atomic writes,
   corruption-tolerant reads), the cache-or-compute core ``repro run``
-  and ``repro serve`` share, and the process-global activation switch
-  the benchmark harness consults;
+  and ``repro serve`` share, and the process-global active store the
+  runner reuses across units;
 - :mod:`repro.runner.pool` — :func:`run_many`, the process-pool fan-out
   used by ``python -m repro run --all --jobs N``, with per-experiment
   deadlines, typed failure classification, retries and pool-rebuild

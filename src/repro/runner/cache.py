@@ -1,21 +1,23 @@
-"""Content-addressed result cache for characterizations and results.
+"""Content-addressed result store for experiment and scenario results.
 
 The expensive step of every experiment is characterization: one curve
 family is a full store-fraction × nop-count sweep over the cycle-level
-CPU+DRAM substrate. This cache memoizes those sweeps (and whole
-experiment results) on disk so repeat runs are near-instant, keyed by a
-stable hash of the *complete* configuration plus the package version —
-change any sweep parameter, system knob or the code version and the key
-changes with it.
+CPU+DRAM substrate. This store memoizes whole results on disk so repeat
+runs are near-instant. An entry's key is its scenario digest
+(:meth:`~repro.scenario.core.Scenario.digest`), a stable hash of the
+run's *complete* declarative configuration: change any sweep
+parameter, system knob or option and the key changes with it. The
+digest does not cover the code, so every entry also carries
+:data:`RESULTS_EPOCH`, and an entry of another epoch reads as a miss.
 
 This module holds the one result store. :class:`CacheBackend` is the
 storage contract, :class:`DirectoryBackend` the content-addressed
 directory tree that implements it, and :class:`ResultCache` that
-directory store plus key derivation and the default root. ``repro
-run``, the benchmark harness, ``repro cache`` and ``repro serve`` all
-read and write the same entries; :mod:`repro.serve.backends` only puts
-a memory LRU in front of this store, and imports it from here, so
-importing the runner never loads the serving stack.
+directory store at the default root. ``repro run``, ``repro cache`` and
+``repro serve`` all read and write the same entries;
+:mod:`repro.serve.backends` only puts a memory LRU in front of this
+store, and imports it from here, so importing the runner never loads
+the serving stack.
 
 It also holds the one cache-or-compute core: :func:`cached_result`
 (the validated read) and :func:`compute_result` (run, JSON round-trip,
@@ -55,6 +57,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Environment variable overriding the default cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+
+#: Identity of the code that computes results. Every stored entry
+#: carries it, and an entry of any other epoch reads as a miss and is
+#: recomputed once. Bump it in the change that moves a result digest
+#: for an unchanged scenario; ``EPOCH_PIN`` in
+#: ``tests/experiments/test_experiments.py`` ties it to the goldens.
+RESULTS_EPOCH = 1
 
 #: Suffix appended to a corrupt entry's filename when it is quarantined.
 CORRUPT_SUFFIX = ".corrupt"
@@ -187,8 +196,9 @@ class DirectoryBackend(CacheBackend):
     """The content-addressed directory store.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
-    single directory small) and wrap the payload with its key and kind
-    so :meth:`get` can reject entries that landed at the wrong path.
+    single directory small) and wrap the payload with its key, kind and
+    :data:`RESULTS_EPOCH`, so :meth:`get` can reject entries that landed
+    at the wrong path and miss on entries older code computed.
     Writes go to a temporary file in the destination directory and are
     ``os.replace``d into place, so a concurrent reader (or a killed
     worker) never observes a half-written entry. Corrupt entries are
@@ -227,6 +237,10 @@ class DirectoryBackend(CacheBackend):
         except (ValueError, TypeError, KeyError):
             self.quarantine(key)
             return None
+        if entry.get("epoch") != RESULTS_EPOCH:
+            # well-formed but computed by other code: a plain miss,
+            # which the recompute's put overwrites
+            return None
         return payload
 
     def quarantine(self, key: str) -> "Path | None":
@@ -252,7 +266,12 @@ class DirectoryBackend(CacheBackend):
 
     def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
         path = self.path_for(key)
-        entry = {"key": key, "kind": kind, "payload": payload}
+        entry = {
+            "key": key,
+            "kind": kind,
+            "epoch": RESULTS_EPOCH,
+            "payload": payload,
+        }
         tmp_name = None
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -385,16 +404,6 @@ class ResultCache(DirectoryBackend):
     def __init__(self, root: str | Path | None = None) -> None:
         super().__init__(root if root else default_cache_dir())
 
-    def key_for(self, kind: str, config: Mapping) -> str:
-        """Cache key for one (kind, configuration) pair.
-
-        The package version is folded in so a new release never replays
-        stale entries from an older model of the hardware.
-        """
-        return stable_digest(
-            {"kind": kind, "config": config, "version": _package_version()}
-        )
-
 
 # ----------------------------------------------------------------------
 # Cache-or-compute
@@ -452,11 +461,11 @@ def compute_result(store: "CacheBackend | None", scenario: "Scenario") -> dict:
 # Process-global active cache
 # ----------------------------------------------------------------------
 #
-# The benchmark harness sits far below the runner and must not grow a
-# cache parameter on every constructor in between, so activation is a
-# process-global switch: the runner (or CLI) activates a cache, the
-# harness consults whatever is active. Nothing is active by default —
-# importing the package never touches the filesystem.
+# One store per process: the runner's ``_ensure_cache`` activates it on
+# a worker's first unit and reuses it for the units after (a worker
+# forked from a caching parent inherits it). Nothing below the runner
+# reads it. Nothing is active by default — importing the package never
+# touches the filesystem.
 
 _ACTIVE: ResultCache | None = None
 

@@ -57,9 +57,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..experiments.base import ExperimentResult
 
 # NOTE: ``repro.experiments`` is imported lazily throughout this module.
-# The benchmark harness (far below the experiments) imports
-# ``repro.runner`` for the cache hook, so a module-level import of the
-# experiments package here would be circular.
+# ``import repro`` loads the runner but no experiment module, and the
+# benchmark suite's ``setup_s`` times that import; the experiments
+# package init imports every experiment module.
 
 #: Called with each experiment's record as it completes (any order).
 ProgressCallback = Callable[[ExperimentRecord], None]
@@ -124,8 +124,7 @@ def _execute(
 
     Module-level so it pickles for the process pool; ``spec`` is the
     unit's scenario spec, plain JSON-typed data. The result is memoized
-    under the scenario digest; on a miss the run still benefits from
-    the harness-level characterization cache underneath.
+    under the scenario digest; a miss computes the whole unit.
 
     With ``collect_telemetry``, a fresh registry is activated around the
     unit so simulators/controllers built inside it bind their
@@ -342,8 +341,9 @@ def run_many(
         are keyed ``scenario:<name>``. When ``scenarios`` is given and
         ``experiment_ids`` is None, only the scenarios run.
     cache_dir / use_cache:
-        Cache location override and master switch. Disabling the cache
-        also disables the harness-level characterization cache.
+        Result-store location override and master switch. Each unit
+        reads its result under its scenario digest, and a miss computes
+        and stores it.
     progress:
         Callback receiving each :class:`ExperimentRecord` as it
         completes (completion order, not submission order).

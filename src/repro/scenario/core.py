@@ -3,9 +3,9 @@
 A scenario names everything a run depends on — the CPU substrate, the
 memory model and its parameters, the characterization sweep, and the
 workload — in one canonically-serializable object. Its
-:meth:`Scenario.digest` is *the* cache identity: the runner keys result
-entries on it, the characterization cache folds it in, and two
-scenarios that digest equal are guaranteed to describe the same run.
+:meth:`Scenario.digest` is *the* cache identity: the result store keys
+every entry on it, and two scenarios that digest equal are guaranteed
+to describe the same run.
 
 Two workload kinds exist:
 
@@ -419,8 +419,7 @@ class Scenario:
     def run(self):
         """Execute the scenario and return an ``ExperimentResult``.
 
-        Characterize scenarios run the Mess benchmark (through the
-        characterization cache when one is active) and tabulate the
+        Characterize scenarios run the Mess benchmark and tabulate the
         family; experiment scenarios delegate to the registry.
         """
         # lazy: experiments.base -> telemetry only, but the registry
@@ -435,7 +434,7 @@ class Scenario:
                 scale=float(self.workload.get("scale", 1.0)),
                 **options,
             )
-        family = self.materialize().benchmark().run()
+        family = self.materialize().characterize()
         result = ExperimentResult(
             experiment_id=f"scenario:{self.name}",
             title=self.description or f"Scenario {self.name}",
@@ -461,22 +460,14 @@ class MaterializedScenario:
         return System(self.system_config, self.memory_factory())
 
     def benchmark(self) -> MessBenchmark:
-        """The Mess benchmark for this scenario.
-
-        The characterization cache key is the scenario digest — one
-        identity from the file all the way to the cache entry.
-        """
-        from ..bench import harness as harness_mod
-
-        with harness_mod._sanctioned_construction():
-            return MessBenchmark(
-                system_config=self.system_config,
-                memory_factory=self.memory_factory,
-                config=self.sweep,
-                name=self.scenario.name,
-                theoretical_bandwidth_gbps=self.theoretical_bandwidth_gbps,
-                cache_key=f"scenario:{self.scenario.digest()}",
-            )
+        """The Mess benchmark for this scenario."""
+        return MessBenchmark(
+            system_config=self.system_config,
+            memory_factory=self.memory_factory,
+            config=self.sweep,
+            name=self.scenario.name,
+            theoretical_bandwidth_gbps=self.theoretical_bandwidth_gbps,
+        )
 
     def characterize(self) -> CurveFamily:
         """Run the benchmark and return the measured curve family."""

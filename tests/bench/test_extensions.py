@@ -19,12 +19,6 @@ from repro.bench.traffic_gen import (
 from repro.cpu.core import MemOp
 from repro.cpu.system import System
 from repro.dram.timing import DDR4_2666
-
-# These tests exercise the harness internals on purpose; the scenario
-# route is covered by tests/engine and tests/bench/test_harness.py.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:constructing MessBenchmark directly:DeprecationWarning"
-)
 from repro.errors import BenchmarkError
 from repro.memmodels.cycle_accurate import CycleAccurateModel
 

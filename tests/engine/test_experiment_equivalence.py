@@ -10,10 +10,9 @@ two result digests must be *identical*: same rows, same floats, same
 notes. No other experiment reaches fast-path code, so running it twice
 would compare a run with itself.
 
-Each run clears the on-disk result cache and the in-process family
-memoization first, so both runs genuinely recompute everything. The
-two runs of a case are independent, so they go to two worker processes
-and run side by side. Experiments run at a reduced scale: digest
+``run_experiment`` reads no result cache, so both runs genuinely
+recompute everything. The two runs of a case are independent, so they
+go to two worker processes and run side by side. Experiments run at a reduced scale: digest
 equality is scale-local, so any divergence still shows.
 """
 
@@ -29,9 +28,7 @@ import pytest
 from repro.bench.model_probe import characterize_model
 from repro.bench.perf import deterministic_digest
 from repro.engine.mess import drive_fixed_rate
-from repro.experiments import common
 from repro.experiments.registry import SPECS, experiment_ids, run_experiment
-from repro.runner import cache as result_cache
 
 from . import oracle
 
@@ -58,8 +55,6 @@ def _fast_path_callers() -> list[str]:
 
 
 def _digest(experiment_id: str, scalar: bool) -> str:
-    result_cache.deactivate()
-    common._FAMILY_CACHE.clear()
     with oracle.forced_scalar() if scalar else nullcontext():
         result = run_experiment(experiment_id, scale=_SCALE)
     return deterministic_digest(result)

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import MessBenchmarkConfig
 from repro.experiments.common import (
     BENCH_HIERARCHY,
     bench_sweep,
     bench_system,
-    characterization,
-    measured_family,
     preset_scenario,
     substrate,
 )
@@ -63,35 +60,3 @@ class TestSweepScaling:
         large = bench_sweep(2.0)
         assert len(large.store_fractions) > len(small.store_fractions)
         assert len(large.nop_counts) > len(small.nop_counts)
-
-
-def _tiny_characterization(name: str, latency_ns: float = 50.0):
-    return characterization(
-        name=name,
-        memory_kind="fixed-latency",
-        memory_params={"latency_ns": latency_ns},
-        cores=3,
-        sweep=MessBenchmarkConfig(
-            store_fractions=(0.0, 1.0),
-            nop_counts=(0, 600),
-            warmup_ns=1000.0,
-            measure_ns=2500.0,
-            chase_array_bytes=1024 * 1024,
-            traffic_array_bytes=1024 * 1024,
-        ),
-    )
-
-
-class TestFamilyCache:
-    def test_same_digest_reuses_measurement(self):
-        scenario = _tiny_characterization("cache-test-a")
-        first = measured_family(scenario)
-        second = measured_family(_tiny_characterization("cache-test-a"))
-        assert second is first
-
-    def test_different_digest_measures_again(self):
-        family_a = measured_family(_tiny_characterization("cache-test-b"))
-        family_b = measured_family(
-            _tiny_characterization("cache-test-b", latency_ns=60.0)
-        )
-        assert family_a is not family_b

@@ -15,6 +15,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.base import ExperimentResult, scaled
+from repro.runner.cache import RESULTS_EPOCH, stable_digest
 
 
 #: ``result.digest()`` of every experiment this module runs, at the
@@ -45,9 +46,26 @@ RESULT_DIGESTS = {
 }
 
 
+#: The results epoch paired with a hash of :data:`RESULT_DIGESTS`.
+#: Cached entries are keyed by scenario, not by code, so a change that
+#: moves a golden must also bump ``RESULTS_EPOCH`` and re-pin this pair.
+EPOCH_PIN = (
+    1,
+    "d5b2d6cb1c1fdfada9b6a7cff84658250b8a76c4c729e06c897269f3351db137",
+)
+
+
 def assert_golden(result: ExperimentResult) -> None:
     """The result's digest equals its entry in :data:`RESULT_DIGESTS`."""
     assert result.digest() == RESULT_DIGESTS[result.experiment_id]
+
+
+def test_result_goldens_are_pinned_to_the_results_epoch():
+    assert (RESULTS_EPOCH, stable_digest(RESULT_DIGESTS)) == EPOCH_PIN, (
+        "RESULT_DIGESTS changed under the same RESULTS_EPOCH: bump "
+        "RESULTS_EPOCH in repro/runner/cache.py so cached results from "
+        "the old code are recomputed, then re-pin EPOCH_PIN"
+    )
 
 
 class TestInfrastructure:

@@ -18,6 +18,7 @@ from repro.resilience import (
 )
 from repro.resilience import faults as faults_mod
 from repro.runner import ResultCache
+from repro.runner.cache import stable_digest
 
 
 class TestFaultSpecValidation:
@@ -194,7 +195,7 @@ class TestInjectionSites:
 
     def test_corrupt_cache_entry_trashes_existing_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        key = cache.key_for("test", {"x": 1})
+        key = stable_digest({"x": 1})
         cache.put(key, {"rows": [1, 2, 3]})
         plan = FaultPlan(faults=(FaultSpec(kind="cache-corrupt"),))
         assert plan.corrupt_cache_entry(cache, key)
@@ -205,7 +206,7 @@ class TestInjectionSites:
     def test_corrupt_cache_entry_is_noop_on_cold_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         plan = FaultPlan(faults=(FaultSpec(kind="cache-corrupt"),))
-        assert not plan.corrupt_cache_entry(cache, cache.key_for("t", {}))
+        assert not plan.corrupt_cache_entry(cache, stable_digest({}))
 
 
 class TestActivation:

@@ -23,14 +23,8 @@ class TestKeys:
     def test_digest_distinguishes_values(self):
         assert stable_digest({"a": 1}) != stable_digest({"a": 2})
 
-    def test_key_includes_kind(self, cache):
-        config = {"x": 1}
-        assert cache.key_for("result", config) != cache.key_for(
-            "characterization", config
-        )
-
-    def test_key_is_hex_sha256(self, cache):
-        key = cache.key_for("result", {"x": 1})
+    def test_key_is_hex_sha256(self):
+        key = stable_digest({"x": 1})
         assert len(key) == 64
         int(key, 16)  # must parse as hex
 
@@ -41,18 +35,18 @@ class TestKeys:
 
 class TestRoundTrip:
     def test_put_get(self, cache):
-        key = cache.key_for("result", {"id": "fig2"})
+        key = stable_digest({"id": "fig2"})
         payload = {"rows": [1, 2, 3], "title": "demo"}
         assert cache.put(key, payload, kind="result")
         assert cache.get(key) == payload
         assert cache.hits == 1
 
     def test_miss_returns_none(self, cache):
-        assert cache.get(cache.key_for("result", {"id": "nothing"})) is None
+        assert cache.get(stable_digest({"id": "nothing"})) is None
         assert cache.misses == 1
 
     def test_no_temp_droppings(self, cache):
-        key = cache.key_for("result", {"id": "fig2"})
+        key = stable_digest({"id": "fig2"})
         cache.put(key, {"v": 1})
         leftovers = [
             p
@@ -70,7 +64,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def test_truncated_entry_is_discarded(self, cache):
-        key = cache.key_for("result", {"id": "fig2"})
+        key = stable_digest({"id": "fig2"})
         cache.put(key, {"v": 1})
         path = cache.path_for(key)
         path.write_text('{"key": "' + key + '", "payl')  # truncated JSON
@@ -81,7 +75,7 @@ class TestCorruption:
         assert cache.get(key) == {"v": 2}
 
     def test_key_mismatch_is_discarded(self, cache):
-        key = cache.key_for("result", {"id": "fig2"})
+        key = stable_digest({"id": "fig2"})
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"key": "0" * 64, "payload": {"v": 1}}))
@@ -89,7 +83,7 @@ class TestCorruption:
         assert not path.exists()
 
     def test_garbage_bytes_are_discarded(self, cache):
-        key = cache.key_for("result", {"id": "fig2"})
+        key = stable_digest({"id": "fig2"})
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(os.urandom(64))
@@ -97,23 +91,43 @@ class TestCorruption:
         assert cache.misses == 1
 
 
+class TestEpoch:
+    @pytest.mark.parametrize(
+        "epoch", [None, cache_mod.RESULTS_EPOCH - 1], ids=["missing", "older"]
+    )
+    def test_other_epoch_is_a_plain_miss(self, cache, epoch):
+        key = stable_digest({"id": "fig2"})
+        entry = {"key": key, "kind": "result", "payload": {"v": 1}}
+        if epoch is not None:
+            entry["epoch"] = epoch
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry))
+        assert cache.get(key) is None
+        assert cache.misses == 1
+        # older code's entry is not corrupt: nothing is quarantined,
+        # and the recompute's put overwrites it in place
+        assert cache.quarantined == 0
+        assert path.exists()
+        assert cache.put(key, {"v": 2}, kind="result")
+        assert cache.get(key) == {"v": 2}
+        stored = json.loads(path.read_text())
+        assert stored["epoch"] == cache_mod.RESULTS_EPOCH
+
+
 class TestMaintenance:
     def test_info_counts_entries(self, cache):
         assert cache.info()["entries"] == 0
-        cache.put(cache.key_for("result", {"i": 1}), {"v": 1}, kind="result")
-        cache.put(
-            cache.key_for("characterization", {"i": 2}),
-            {"v": 2},
-            kind="characterization",
-        )
+        cache.put(stable_digest({"i": 1}), {"v": 1}, kind="result")
+        cache.put(stable_digest({"i": 2}), {"v": 2}, kind="scenario-result")
         info = cache.info()
         assert info["entries"] == 2
         assert info["bytes"] > 0
-        assert info["kinds"] == {"result": 1, "characterization": 1}
+        assert info["kinds"] == {"result": 1, "scenario-result": 1}
 
     def test_clear_removes_everything(self, cache):
         for i in range(3):
-            cache.put(cache.key_for("result", {"i": i}), {"v": i})
+            cache.put(stable_digest({"i": i}), {"v": i})
         assert cache.clear() == 3
         assert cache.info()["entries"] == 0
 

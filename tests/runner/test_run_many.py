@@ -146,6 +146,19 @@ class TestCaching:
         assert again.manifest.total_cache_hits == 0
         assert rows_blob(cold) == rows_blob(again)
 
+    def test_entries_of_an_older_epoch_are_recomputed_once(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        cold = run_many(FAST_IDS, cache_dir=cache_dir)
+        for path in ResultCache(cache_dir).entries():
+            entry = json.loads(path.read_text())
+            entry["epoch"] = cache_mod.RESULTS_EPOCH - 1
+            path.write_text(json.dumps(entry))
+        again = run_many(FAST_IDS, cache_dir=cache_dir)
+        assert again.manifest.total_cache_hits == 0
+        assert rows_blob(cold) == rows_blob(again)
+        warm = run_many(FAST_IDS, cache_dir=cache_dir)
+        assert warm.manifest.total_cache_hits == len(FAST_IDS)
+
     def test_scale_and_options_miss_the_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         run_many(["fig3"], cache_dir=cache_dir)
@@ -253,6 +266,8 @@ class TestScenarios:
         assert record.cache_hits == 1
         cache = ResultCache(cache_dir)
         assert cache.get(scenario.digest()) is not None
+        # the result is the only entry: no sweep is stored beside it
+        assert cache.info()["kinds"] == {"scenario-result": 1}
         blob_first = first.results["scenario:runner-cache"].to_dict()
         blob_second = second.results["scenario:runner-cache"].to_dict()
         assert blob_first == blob_second

@@ -347,31 +347,6 @@ class TestCurves:
         assert "available" in capsys.readouterr().err
 
 
-class TestCharacterize:
-    def test_small_characterization(self, capsys):
-        assert (
-            main(
-                [
-                    "characterize",
-                    "--preset",
-                    "DDR4-2666",
-                    "--channels",
-                    "2",
-                    "--cores",
-                    "4",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "unloaded" in out
-        assert "GB/s" in out
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["characterize", "--preset", "DDR9"])
-
-
 class TestBench:
     def test_list_shows_component_and_experiment_benches(self, capsys):
         assert main(["bench", "--list"]) == 0

@@ -22,12 +22,6 @@ from repro.dram import DDR4_2666
 from repro.memmodels import CycleAccurateModel
 from repro.workloads import LmbenchLatency, StreamWorkload
 
-# These tests exercise the harness internals on purpose; the scenario
-# route is covered by tests/engine and tests/bench/test_harness.py.
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:constructing MessBenchmark directly:DeprecationWarning"
-)
-
 
 @pytest.fixture(scope="module")
 def measured(tiny_system_config_module):
