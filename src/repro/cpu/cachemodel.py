@@ -15,6 +15,7 @@ scenario digest is unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -122,6 +123,12 @@ class CacheModelSpec(SpecConvertible):
         return ((hierarchy.l3, True),)
 
 
+@functools.cache
+def default_cache_model() -> CacheModelSpec:
+    """The default model, built once: what specs compare against."""
+    return CacheModelSpec()
+
+
 #: Named presets — shorthand spellings for common models. Values hold
 #: only the fields that differ from the default; canonicalization
 #: expands them so digests depend on values, not spelling.
@@ -177,7 +184,7 @@ def canonical_cache_spec(value: object, where: str = "cache") -> dict[str, objec
             ) from None
     base.update(overrides)
     spec = CacheModelSpec.from_spec(
-        {**to_spec(CacheModelSpec()), **base}, where=where
+        {**to_spec(default_cache_model()), **base}, where=where
     )
     return dict(to_spec(spec))
 

@@ -16,7 +16,12 @@ from ..memmodels.base import MemoryModel
 from ..specs import SpecConvertible, spec_digest
 from ..specs import to_spec as _generic_to_spec
 from .cache import HierarchyConfig
-from .cachemodel import CacheModelSpec, canonical_cache_spec, derive_policy_seed
+from .cachemodel import (
+    CacheModelSpec,
+    canonical_cache_spec,
+    default_cache_model,
+    derive_policy_seed,
+)
 from .core import Core, CoreStats, Operation
 from .engine import Engine
 from .hierarchy import MemoryHierarchy
@@ -62,7 +67,7 @@ class SystemConfig(SpecConvertible):
         always did, and a non-default model changes the digest.
         """
         payload = _generic_to_spec(self)
-        if self.cache == CacheModelSpec():
+        if self.cache == default_cache_model():
             payload.pop("cache", None)
         return payload
 

@@ -381,7 +381,14 @@ class DramController:
         pending requests, those that would hit an open row are served
         first.
         """
-        decoded = self.mapper.decode(address)
+        return self._peek(self.mapper.decode(address))
+
+    def _peek(self, decoded: DecodedAddress) -> RowBufferOutcome:
+        """:meth:`peek_outcome` of coordinates decoded once, up front.
+
+        The FR-FCFS replay holds each pending request's coordinates and
+        scans them at every step, so it classifies through here.
+        """
         bank = self._channels[decoded.channel].banks[decoded.rank][decoded.bank]
         return bank.classify(decoded.row)
 

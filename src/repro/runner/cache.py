@@ -42,7 +42,6 @@ The default location is ``~/.cache/repro-mess``; override it with the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -89,17 +88,6 @@ def _package_version() -> str:
         return str(__version__)
     except Exception:  # pragma: no cover - partial-init fallback
         return "unknown"
-
-
-def stable_digest(payload: object) -> str:
-    """Hex sha256 of a canonical JSON encoding of ``payload``.
-
-    ``sort_keys`` plus compact separators make the encoding independent
-    of dict insertion order; non-JSON values fall back to ``str`` so
-    configuration objects can carry e.g. ``Path`` members.
-    """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def _count_quarantine(key: str) -> None:

@@ -22,6 +22,7 @@ resolution on top of plain JSON values:
 
 from __future__ import annotations
 
+import functools
 import inspect
 from typing import Callable, Mapping
 
@@ -81,10 +82,15 @@ def _constructor(kind: str) -> Callable[..., MemoryModel]:
         ) from None
 
 
+@functools.cache
+def _signature(kind: str) -> inspect.Signature:
+    """The constructor signature of one memory kind, read once."""
+    return inspect.signature(_constructor(kind).__init__)
+
+
 def allowed_params(kind: str) -> list[str]:
     """Spec parameter names accepted by one memory kind."""
-    signature = inspect.signature(_constructor(kind).__init__)
-    names = [name for name in signature.parameters if name != "self"]
+    names = [name for name in _signature(kind).parameters if name != "self"]
     if kind == "mess":
         names = [
             _CURVES_PARAM if name == _FAMILY_CTOR_PARAM else name
@@ -241,8 +247,7 @@ def default_theoretical_gbps(kind: str, params: Mapping) -> float | None:
     params = dict(params or {})
     if kind == "cycle-accurate":
         timing = DramTiming.from_spec(params.get("timing", "DDR4-2666"))
-        signature = inspect.signature(CycleAccurateModel.__init__)
-        default_channels = signature.parameters["channels"].default
+        default_channels = _signature(kind).parameters["channels"].default
         channels = int(params.get("channels", default_channels))
         return timing.channel_peak_gbps * channels
     if kind == "mess":
@@ -252,9 +257,9 @@ def default_theoretical_gbps(kind: str, params: Mapping) -> float | None:
     for name in ("peak_bandwidth_gbps", "theoretical_gbps"):
         if name in params:
             return float(params[name])  # type: ignore[arg-type]
-        signature = inspect.signature(_constructor(kind).__init__)
-        if name in signature.parameters:
-            default = signature.parameters[name].default
+        parameters = _signature(kind).parameters
+        if name in parameters:
+            default = parameters[name].default
             if isinstance(default, (int, float)):
                 return float(default)
     return None

@@ -40,7 +40,11 @@ The request path, in order:
 Every stage is instrumented on the service's own
 :class:`~repro.telemetry.registry.TelemetryRegistry`
 (hit/miss/coalesce counters, queue-depth gauge, latency histograms) —
-the HTTP layer exports it at ``/metrics`` in Prometheus format.
+the HTTP layer exports it at ``/metrics`` in Prometheus format. Besides
+the whole request (``serve.latency_ms``), three histograms time its
+stages: ``serve.parse_ms`` (body to scenario to digest),
+``serve.lookup_ms`` (the cache read, executor hop included) and
+``serve.compute_ms`` (a flight's compute).
 """
 
 from __future__ import annotations
@@ -73,8 +77,12 @@ VERB_KINDS: Mapping[str, str] = {
     "profile": "experiment",
 }
 
-#: Millisecond latency buckets for the request/compute histograms.
+#: Millisecond latency buckets for the request/stage histograms; the
+#: sub-millisecond ones resolve a cache hit's stages.
 LATENCY_MS_BUCKETS = (
+    0.1,
+    0.25,
+    0.5,
     1.0,
     2.5,
     5.0,
@@ -126,6 +134,8 @@ def parse_request(verb: str, spec_payload: Mapping) -> Any:
 
     The digest of the returned scenario is the request's cache key —
     the same key ``repro run`` stores the scenario's result under.
+    ``Scenario.from_spec`` validates the scenario it builds and raises
+    on any problem, so a returned scenario is runnable.
     """
     from ..scenario.core import Scenario
 
@@ -148,11 +158,6 @@ def parse_request(verb: str, spec_payload: Mapping) -> Any:
         raise BadRequestError(
             f"verb {verb!r} expects a {expected!r} workload, the "
             f"scenario {scenario.name!r} declares {kind!r}"
-        )
-    problems = scenario.validate()
-    if problems:
-        raise BadRequestError(
-            f"scenario {scenario.name!r}: " + "; ".join(problems)
         )
     return scenario
 
@@ -257,6 +262,16 @@ class CharacterizationService:
             "serve.latency_ms",
             bounds=LATENCY_MS_BUCKETS,
             help="request latency, milliseconds",
+        )
+        self._parse_ms = tel.histogram(
+            "serve.parse_ms",
+            bounds=LATENCY_MS_BUCKETS,
+            help="request body to scenario digest, milliseconds",
+        )
+        self._lookup_ms = tel.histogram(
+            "serve.lookup_ms",
+            bounds=LATENCY_MS_BUCKETS,
+            help="cache read, executor hop included, milliseconds",
         )
         self._compute_ms = tel.histogram(
             "serve.compute_ms",
@@ -416,7 +431,10 @@ class CharacterizationService:
         try:
             scenario = parse_request(verb, spec_payload)
             key = scenario.digest()
+            parsed = time.perf_counter()
+            self._parse_ms.observe((parsed - start) * 1e3)
             payload = await self._offload(cached_result, self.backend, key)
+            self._lookup_ms.observe((time.perf_counter() - parsed) * 1e3)
             cached = payload is not None
             coalesced = False
             if payload is None:
@@ -472,7 +490,9 @@ class CharacterizationService:
             raise BadRequestError(f"not a hex digest: {digest!r}")
         self._active += 1
         try:
+            start = time.perf_counter()
             payload = await self._offload(cached_result, self.backend, digest)
+            self._lookup_ms.observe((time.perf_counter() - start) * 1e3)
             if payload is None:
                 self._misses.inc()
                 raise NotFoundError(f"no cached result for digest {digest}")

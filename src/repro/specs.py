@@ -14,16 +14,24 @@ Canonical form rules:
 - nested dataclasses are nested spec dicts;
 - unknown keys are configuration errors, not silently dropped —
   a typo in a scenario file must fail loudly, not change the digest.
+
+Each class is resolved once. The first encode, decode or schema of a
+class builds its field plan (:func:`_plan`): the annotations resolved
+and decomposed, field by field, in ``dataclasses.fields`` order. Every
+later call runs from the plan, and an error label such as
+``scenario.system.hierarchy.l1.ways`` is rendered only when an error
+is raised.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import types
 import typing
-from typing import Any, Mapping, TypeVar
+from typing import Any, Mapping, NamedTuple, TypeVar
 
 from .errors import ConfigurationError
 
@@ -44,14 +52,131 @@ def spec_digest(payload: object) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _encode(value: object) -> object:
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return to_spec(value)
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    if isinstance(value, Mapping):
-        return {str(key): _encode(item) for key, item in value.items()}
-    return value
+#: ``_Hint.kind`` values besides the scalar types themselves.
+_TUPLE = "tuple"
+_MAPPING = "mapping"
+_DATACLASS = "dataclass"
+
+#: Scalar hints, checked (and narrowed) value by value.
+_SCALARS = (float, int, bool, str)
+
+
+class _Hint(NamedTuple):
+    """One annotation, decomposed once: what the decoder dispatches on."""
+
+    #: The annotation with ``X | None`` stripped.
+    hint: Any
+    #: Whether the annotation was ``X | None``.
+    optional: bool
+    #: ``typing.get_args(hint)``; a tuple's element hints are decomposed
+    #: in turn (a trailing ``...`` stays as is).
+    args: tuple
+    #: What ``typing.get_origin(hint)`` and the hint make of a value: a
+    #: scalar type from ``_SCALARS``, ``_TUPLE``, ``_MAPPING``,
+    #: ``_DATACLASS``, or None (the value passes through unchecked).
+    kind: Any
+
+    def item(self, index: int) -> _Hint:
+        """The hint of element ``index`` of a tuple hint."""
+        args = self.args
+        if len(args) == 2 and args[1] is Ellipsis:
+            return args[0]
+        return args[index] if args else _ANY
+
+
+#: An unannotated value (``Any``).
+_ANY = _Hint(Any, False, (), None)
+
+
+class _Field(NamedTuple):
+    """One dataclass field, as its class plan holds it."""
+
+    name: str
+    hint: _Hint
+    #: No default and no default factory: ``from_spec`` needs the key.
+    required: bool
+
+
+class _Plan(NamedTuple):
+    """The fields of one config dataclass, resolved once."""
+
+    #: Every field, in ``dataclasses.fields`` order: what ``to_spec``
+    #: encodes.
+    fields: tuple[_Field, ...]
+    #: The constructor's fields, in the same order: what ``from_spec``
+    #: decodes and ``schema_fragment`` describes.
+    init: tuple[_Field, ...]
+    #: The names of ``init``, for the unknown-key check.
+    names: frozenset[str]
+
+
+def _strip_optional(hint: Any) -> tuple[Any, bool]:
+    """``X | None`` -> (X, True); anything else -> (hint, False)."""
+    origin = typing.get_origin(hint)
+    if origin is typing.Union or origin is types.UnionType:
+        members = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        if len(members) == 1 and len(typing.get_args(hint)) == 2:
+            return members[0], True
+    return hint, False
+
+
+def _decompose(hint: Any) -> _Hint:
+    hint, optional = _strip_optional(hint)
+    origin = typing.get_origin(hint)
+    args = typing.get_args(hint)
+    kind: Any = None
+    if origin is tuple:
+        kind = _TUPLE
+        args = tuple(arg if arg is Ellipsis else _decompose(arg) for arg in args)
+    elif origin in (dict, Mapping) or hint in (dict, Mapping):
+        kind = _MAPPING
+    elif isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        kind = _DATACLASS
+    elif hint in _SCALARS:
+        kind = hint
+    return _Hint(hint, optional, args, kind)
+
+
+@functools.cache
+def _plan(cls: type) -> _Plan:
+    """The field plan of one config dataclass, built on first use.
+
+    ``from __future__ import annotations`` stringifies every field
+    annotation; ``typing.get_type_hints`` resolves them against the
+    defining module's namespace, one ``compile()`` per annotation. The
+    annotations of a class never change, so that runs once per class.
+    """
+    hints = typing.get_type_hints(cls)
+    fields: list[_Field] = []
+    init: list[_Field] = []
+    for field in dataclasses.fields(cls):
+        planned = _Field(
+            field.name,
+            _decompose(hints.get(field.name, Any)),
+            field.default is dataclasses.MISSING
+            and field.default_factory is dataclasses.MISSING,
+        )
+        fields.append(planned)
+        if field.init:
+            init.append(planned)
+    return _Plan(
+        tuple(fields), tuple(init), frozenset(planned.name for planned in init)
+    )
+
+
+def _label(where: str | tuple) -> str:
+    """Render an error label.
+
+    Labels stay unrendered while nothing fails: ``where`` is the root
+    string, or ``(parent, key)`` for ``parent.key`` (a field name) or
+    ``parent[key]`` (a sequence index).
+    """
+    if isinstance(where, str):
+        return where
+    parent, key = where
+    if isinstance(key, int):
+        return f"{_label(parent)}[{key}]"
+    return f"{_label(parent)}.{key}"
 
 
 def to_spec(config: object) -> dict:
@@ -65,99 +190,92 @@ def to_spec(config: object) -> dict:
         raise ConfigurationError(
             f"to_spec needs a dataclass instance, got {type(config).__name__}"
         )
-    hints = _type_hints(type(config))
+    cls = type(config)
+    where = cls.__name__
     return {
         field.name: _encode(
-            _coerce(
-                getattr(config, field.name),
-                hints.get(field.name, Any),
-                f"{type(config).__name__}.{field.name}",
-            )
+            _coerce(getattr(config, field.name), field.hint, (where, field.name)),
+            field.hint,
         )
-        for field in dataclasses.fields(config)
+        for field in _plan(cls).fields
     }
 
 
-def _type_hints(cls: type) -> dict[str, Any]:
-    # ``from __future__ import annotations`` stringifies every field
-    # annotation; resolve them against the defining module's namespace
-    return typing.get_type_hints(cls)
+def _encode(value: object, hint: _Hint) -> object:
+    """The JSON form of a value :func:`_coerce` accepted for ``hint``.
+
+    Scalars are already canonical and a typed tuple encodes item by
+    item through its element hints; untyped values (``Any``, mapping
+    members) encode by their own type.
+    """
+    kind = hint.kind
+    if value is None or kind in _SCALARS:
+        return value
+    if kind is _TUPLE and isinstance(value, tuple):
+        return [_encode(item, hint.item(i)) for i, item in enumerate(value)]
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return to_spec(value)
+    if isinstance(value, (list, tuple)):
+        return [_encode(item, _ANY) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): _encode(item, _ANY) for key, item in value.items()}
+    return value
 
 
-def _strip_optional(hint: Any) -> tuple[Any, bool]:
-    """``X | None`` -> (X, True); anything else -> (hint, False)."""
-    origin = typing.get_origin(hint)
-    if origin is typing.Union or origin is types.UnionType:
-        members = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        if len(members) == 1 and len(typing.get_args(hint)) == 2:
-            return members[0], True
-    return hint, False
-
-
-def _coerce(value: object, hint: Any, where: str) -> object:
-    hint, optional = _strip_optional(hint)
+def _coerce(value: object, hint: _Hint, where: str | tuple) -> object:
     if value is None:
-        if optional:
+        if hint.optional:
             return None
-        raise ConfigurationError(f"{where}: must not be null")
-    origin = typing.get_origin(hint)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigurationError(
-                f"{where}: expected a list, got {type(value).__name__}"
-            )
-        args = typing.get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(
-                _coerce(item, args[0], f"{where}[{i}]")
-                for i, item in enumerate(value)
-            )
-        if args and len(args) != len(value):
-            raise ConfigurationError(
-                f"{where}: expected {len(args)} items, got {len(value)}"
-            )
-        return tuple(
-            _coerce(item, args[i] if args else Any, f"{where}[{i}]")
-            for i, item in enumerate(value)
-        )
-    if origin in (dict, Mapping) or hint in (dict, Mapping):
-        if not isinstance(value, Mapping):
-            raise ConfigurationError(
-                f"{where}: expected an object, got {type(value).__name__}"
-            )
-        return dict(value)
-    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return value
-        if not isinstance(value, Mapping):
-            raise ConfigurationError(
-                f"{where}: expected an object, got {type(value).__name__}"
-            )
-        return from_spec(hint, value, where=where)
-    if hint is float:
+        raise ConfigurationError(f"{_label(where)}: must not be null")
+    kind = hint.kind
+    if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
-                f"{where}: expected a number, got {value!r}"
+                f"{_label(where)}: expected a number, got {value!r}"
             )
         return float(value)
-    if hint is int:
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(
-                f"{where}: expected an integer, got {value!r}"
+                f"{_label(where)}: expected an integer, got {value!r}"
             )
         return value
-    if hint is bool:
+    if kind is bool:
         if not isinstance(value, bool):
             raise ConfigurationError(
-                f"{where}: expected true/false, got {value!r}"
+                f"{_label(where)}: expected true/false, got {value!r}"
             )
         return value
-    if hint is str:
+    if kind is str:
         if not isinstance(value, str):
             raise ConfigurationError(
-                f"{where}: expected a string, got {value!r}"
+                f"{_label(where)}: expected a string, got {value!r}"
             )
         return value
+    if kind is _TUPLE:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(
+                f"{_label(where)}: expected a list, got {type(value).__name__}"
+            )
+        args = hint.args
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        if args and not variadic and len(args) != len(value):
+            raise ConfigurationError(
+                f"{_label(where)}: expected {len(args)} items, got {len(value)}"
+            )
+        return tuple(
+            _coerce(item, hint.item(i), (where, i)) for i, item in enumerate(value)
+        )
+    if kind is _MAPPING:
+        if not isinstance(value, Mapping):
+            raise ConfigurationError(
+                f"{_label(where)}: expected an object, got {type(value).__name__}"
+            )
+        return dict(value)
+    if kind is _DATACLASS:
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            return value
+        return _decode(hint.hint, value, where)
     return value
 
 
@@ -172,30 +290,35 @@ def from_spec(cls: type[T], payload: Mapping, where: str = "") -> T:
     where = where or cls.__name__
     if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
         raise ConfigurationError(f"{where}: not a config dataclass")
+    return _decode(cls, payload, where)
+
+
+def _decode(cls: type[T], payload: object, where: str | tuple) -> T:
     if not isinstance(payload, Mapping):
         raise ConfigurationError(
-            f"{where}: expected an object, got {type(payload).__name__}"
+            f"{_label(where)}: expected an object, got {type(payload).__name__}"
         )
-    fields = {field.name: field for field in dataclasses.fields(cls) if field.init}
-    unknown = sorted(set(payload) - set(fields))
+    plan = _plan(cls)
+    unknown = payload.keys() - plan.names
     if unknown:
         raise ConfigurationError(
-            f"{where}: unknown key(s) {unknown}; known: {sorted(fields)}"
+            f"{_label(where)}: unknown key(s) {sorted(unknown)}; "
+            f"known: {sorted(plan.names)}"
         )
-    hints = _type_hints(cls)
     kwargs: dict[str, object] = {}
     missing: list[str] = []
-    for name, field in fields.items():
-        if name in payload:
-            kwargs[name] = _coerce(payload[name], hints.get(name, Any), f"{where}.{name}")
-        elif (
-            field.default is dataclasses.MISSING
-            and field.default_factory is dataclasses.MISSING
-        ):
-            missing.append(name)
+    for field in plan.init:
+        if field.name in payload:
+            kwargs[field.name] = _coerce(
+                payload[field.name], field.hint, (where, field.name)
+            )
+        elif field.required:
+            missing.append(field.name)
     if missing:
-        raise ConfigurationError(f"{where}: missing required key(s) {missing}")
-    return cls(**kwargs)  # type: ignore[return-value]
+        raise ConfigurationError(
+            f"{_label(where)}: missing required key(s) {missing}"
+        )
+    return cls(**kwargs)
 
 
 _JSON_TYPES: dict[object, str] = {
@@ -206,12 +329,11 @@ _JSON_TYPES: dict[object, str] = {
 }
 
 
-def _hint_schema(hint: Any) -> dict:
-    hint, optional = _strip_optional(hint)
-    origin = typing.get_origin(hint)
+def _hint_schema(hint: _Hint) -> dict:
+    kind = hint.kind
     schema: dict
-    if origin is tuple:
-        args = typing.get_args(hint)
+    if kind is _TUPLE:
+        args = hint.args
         if len(args) == 2 and args[1] is Ellipsis:
             schema = {"type": "array", "items": _hint_schema(args[0])}
         else:
@@ -219,13 +341,13 @@ def _hint_schema(hint: Any) -> dict:
                 "type": "array",
                 "prefixItems": [_hint_schema(arg) for arg in args],
             }
-    elif isinstance(hint, type) and dataclasses.is_dataclass(hint):
-        schema = schema_fragment(hint)
-    elif hint in _JSON_TYPES:
-        schema = {"type": _JSON_TYPES[hint]}
+    elif kind is _DATACLASS:
+        schema = schema_fragment(hint.hint)
+    elif kind in _JSON_TYPES:
+        schema = {"type": _JSON_TYPES[kind]}
     else:
         schema = {}
-    if optional:
+    if hint.optional:
         schema = {"anyOf": [schema, {"type": "null"}]} if schema else {}
     return schema
 
@@ -257,23 +379,13 @@ def schema_fragment(cls: type) -> dict:
     """JSON-Schema-style fragment describing one config dataclass."""
     if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
         raise ConfigurationError(f"{cls!r} is not a config dataclass")
-    hints = _type_hints(cls)
-    properties: dict[str, dict] = {}
-    required: list[str] = []
-    for field in dataclasses.fields(cls):
-        if not field.init:
-            continue
-        properties[field.name] = _hint_schema(hints.get(field.name, Any))
-        if (
-            field.default is dataclasses.MISSING
-            and field.default_factory is dataclasses.MISSING
-        ):
-            required.append(field.name)
+    init = _plan(cls).init
     fragment: dict = {
         "type": "object",
-        "properties": properties,
+        "properties": {field.name: _hint_schema(field.hint) for field in init},
         "additionalProperties": False,
     }
+    required = [field.name for field in init if field.required]
     if required:
         fragment["required"] = required
     return fragment

@@ -10,7 +10,8 @@ or their memory interfaces". Two replay modes:
 - *FR-FCFS*: additionally, requests inside a reorder window may be
   served out of order, row-buffer hits first — only meaningful for the
   cycle-level :class:`~repro.dram.controller.DramController`, which
-  exposes :meth:`peek_outcome`.
+  classifies a pending request's row-buffer outcome
+  (:meth:`~repro.dram.controller.DramController.peek_outcome`).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..dram.address import DecodedAddress
 from ..dram.controller import DramController
 from ..dram.stats import RowBufferOutcome
 from ..errors import TraceError
@@ -124,7 +126,11 @@ def replay_trace_frfcfs(
     if not records:
         raise TraceError("cannot replay an empty trace")
     warmup = int(len(records) * warmup_fraction)
-    pending: list[tuple[int, TraceRecord]] = []
+    # each pending request carries its coordinates, decoded once on
+    # entering the window: the scan below classifies every pending
+    # request at every step
+    pending: list[tuple[int, TraceRecord, DecodedAddress]] = []
+    decode = controller.mapper.decode
     now = 0.0
     previous_recorded = records[0].issue_time_ns
     read_latency_sum = 0.0
@@ -156,20 +162,20 @@ def replay_trace_frfcfs(
             gap = max(0.0, record.issue_time_ns - previous_recorded) / pressure
             previous_recorded = record.issue_time_ns
             now += gap
-            pending.append((index, record))
+            pending.append((index, record, decode(record.address)))
         if not pending:
             break
         # first-ready: prefer a row-buffer hit, else the oldest request
         choice = None
-        for position, (_, record) in enumerate(pending):
-            if controller.peek_outcome(record.address) is RowBufferOutcome.HIT:
+        for position, (_, _, decoded) in enumerate(pending):
+            if controller._peek(decoded) is RowBufferOutcome.HIT:
                 choice = position
                 break
         if choice is None:
             choice = 0
         elif choice > 0 and reorders is not None:
             reorders.inc()
-        index, record = pending.pop(choice)
+        index, record, _ = pending.pop(choice)
         request = MemoryRequest(record.address, record.access_type, now)
         result = controller.submit(request)
         latency = result.completion_ns - now

@@ -15,7 +15,8 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
 from repro.experiments.base import ExperimentResult, scaled
-from repro.runner.cache import RESULTS_EPOCH, stable_digest
+from repro.runner.cache import RESULTS_EPOCH
+from repro.specs import spec_digest
 
 
 #: ``result.digest()`` of every experiment this module runs, at the
@@ -61,7 +62,7 @@ def assert_golden(result: ExperimentResult) -> None:
 
 
 def test_result_goldens_are_pinned_to_the_results_epoch():
-    assert (RESULTS_EPOCH, stable_digest(RESULT_DIGESTS)) == EPOCH_PIN, (
+    assert (RESULTS_EPOCH, spec_digest(RESULT_DIGESTS)) == EPOCH_PIN, (
         "RESULT_DIGESTS changed under the same RESULTS_EPOCH: bump "
         "RESULTS_EPOCH in repro/runner/cache.py so cached results from "
         "the old code are recomputed, then re-pin EPOCH_PIN"

@@ -18,7 +18,7 @@ from repro.resilience import (
 )
 from repro.resilience import faults as faults_mod
 from repro.runner import ResultCache
-from repro.runner.cache import stable_digest
+from repro.specs import spec_digest
 
 
 class TestFaultSpecValidation:
@@ -195,7 +195,7 @@ class TestInjectionSites:
 
     def test_corrupt_cache_entry_trashes_existing_entry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        key = stable_digest({"x": 1})
+        key = spec_digest({"x": 1})
         cache.put(key, {"rows": [1, 2, 3]})
         plan = FaultPlan(faults=(FaultSpec(kind="cache-corrupt"),))
         assert plan.corrupt_cache_entry(cache, key)
@@ -206,7 +206,7 @@ class TestInjectionSites:
     def test_corrupt_cache_entry_is_noop_on_cold_cache(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         plan = FaultPlan(faults=(FaultSpec(kind="cache-corrupt"),))
-        assert not plan.corrupt_cache_entry(cache, stable_digest({}))
+        assert not plan.corrupt_cache_entry(cache, spec_digest({}))
 
 
 class TestActivation:

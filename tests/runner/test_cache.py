@@ -8,7 +8,8 @@ import os
 import pytest
 
 from repro.runner import cache as cache_mod
-from repro.runner.cache import ResultCache, default_cache_dir, stable_digest
+from repro.runner.cache import ResultCache, default_cache_dir
+from repro.specs import spec_digest
 
 
 @pytest.fixture
@@ -18,13 +19,13 @@ def cache(tmp_path) -> ResultCache:
 
 class TestKeys:
     def test_digest_is_order_independent(self):
-        assert stable_digest({"a": 1, "b": 2}) == stable_digest({"b": 2, "a": 1})
+        assert spec_digest({"a": 1, "b": 2}) == spec_digest({"b": 2, "a": 1})
 
     def test_digest_distinguishes_values(self):
-        assert stable_digest({"a": 1}) != stable_digest({"a": 2})
+        assert spec_digest({"a": 1}) != spec_digest({"a": 2})
 
     def test_key_is_hex_sha256(self):
-        key = stable_digest({"x": 1})
+        key = spec_digest({"x": 1})
         assert len(key) == 64
         int(key, 16)  # must parse as hex
 
@@ -35,18 +36,18 @@ class TestKeys:
 
 class TestRoundTrip:
     def test_put_get(self, cache):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         payload = {"rows": [1, 2, 3], "title": "demo"}
         assert cache.put(key, payload, kind="result")
         assert cache.get(key) == payload
         assert cache.hits == 1
 
     def test_miss_returns_none(self, cache):
-        assert cache.get(stable_digest({"id": "nothing"})) is None
+        assert cache.get(spec_digest({"id": "nothing"})) is None
         assert cache.misses == 1
 
     def test_no_temp_droppings(self, cache):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         cache.put(key, {"v": 1})
         leftovers = [
             p
@@ -64,7 +65,7 @@ class TestRoundTrip:
 
 class TestCorruption:
     def test_truncated_entry_is_discarded(self, cache):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         cache.put(key, {"v": 1})
         path = cache.path_for(key)
         path.write_text('{"key": "' + key + '", "payl')  # truncated JSON
@@ -75,7 +76,7 @@ class TestCorruption:
         assert cache.get(key) == {"v": 2}
 
     def test_key_mismatch_is_discarded(self, cache):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_text(json.dumps({"key": "0" * 64, "payload": {"v": 1}}))
@@ -83,7 +84,7 @@ class TestCorruption:
         assert not path.exists()
 
     def test_garbage_bytes_are_discarded(self, cache):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(os.urandom(64))
@@ -96,7 +97,7 @@ class TestEpoch:
         "epoch", [None, cache_mod.RESULTS_EPOCH - 1], ids=["missing", "older"]
     )
     def test_other_epoch_is_a_plain_miss(self, cache, epoch):
-        key = stable_digest({"id": "fig2"})
+        key = spec_digest({"id": "fig2"})
         entry = {"key": key, "kind": "result", "payload": {"v": 1}}
         if epoch is not None:
             entry["epoch"] = epoch
@@ -118,8 +119,8 @@ class TestEpoch:
 class TestMaintenance:
     def test_info_counts_entries(self, cache):
         assert cache.info()["entries"] == 0
-        cache.put(stable_digest({"i": 1}), {"v": 1}, kind="result")
-        cache.put(stable_digest({"i": 2}), {"v": 2}, kind="scenario-result")
+        cache.put(spec_digest({"i": 1}), {"v": 1}, kind="result")
+        cache.put(spec_digest({"i": 2}), {"v": 2}, kind="scenario-result")
         info = cache.info()
         assert info["entries"] == 2
         assert info["bytes"] > 0
@@ -127,7 +128,7 @@ class TestMaintenance:
 
     def test_clear_removes_everything(self, cache):
         for i in range(3):
-            cache.put(stable_digest({"i": i}), {"v": i})
+            cache.put(spec_digest({"i": i}), {"v": i})
         assert cache.clear() == 3
         assert cache.info()["entries"] == 0
 

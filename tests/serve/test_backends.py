@@ -3,7 +3,7 @@
 The directory store, the memory LRU and the pair of them are
 interchangeable by construction — any payload stored under a digest
 must round-trip byte-identically (same canonical JSON, same
-:func:`repro.runner.cache.stable_digest`) whichever store holds it,
+:func:`repro.specs.spec_digest`) whichever store holds it,
 corruption must quarantine instead of raising, and concurrent writers
 of the same digest must never tear an entry.
 """
@@ -16,13 +16,13 @@ import threading
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runner.cache import stable_digest
 from repro.serve.backends import (
     DirectoryBackend,
     MemoryLRUBackend,
     TieredBackend,
     make_backend,
 )
+from repro.specs import spec_digest
 
 KEY = "ab" * 32
 OTHER = "cd" * 32
@@ -48,7 +48,7 @@ class TestContract:
             assert backend.put(KEY, PAYLOAD, kind="scenario-result")
             stored = backend.get(KEY)
             assert stored == PAYLOAD
-            digests.add(stable_digest(stored))
+            digests.add(spec_digest(stored))
         assert len(digests) == 1
 
     def test_miss_returns_none_and_counts(self, tmp_path):

@@ -259,6 +259,29 @@ class TestConfigAndStats:
         assert {"counters", "gauges", "histograms", "singleflight", "backend", "config"} <= set(stats)
         assert stats["backend"]["backend"] == "memory"
 
+    def test_stage_histograms_time_every_hit(self):
+        spec = tiny_spec()
+        hits = 5
+
+        async def scenario(service):
+            await service.submit("characterize", spec)
+            before = service.stats()["histograms"]
+            for _ in range(hits):
+                assert (await service.submit("characterize", spec))["cached"]
+            return before, service.stats()["histograms"]
+
+        before, after = run_service(scenario, backend=MemoryLRUBackend())
+
+        def delta(name, key):
+            return after[name][key] - before[name][key]
+
+        assert delta("serve.parse_ms", "count") == hits
+        assert delta("serve.lookup_ms", "count") == hits
+        assert delta("serve.latency_ms", "count") == hits
+        # the two stages run inside the request they time
+        stages = delta("serve.parse_ms", "total") + delta("serve.lookup_ms", "total")
+        assert 0 < stages <= delta("serve.latency_ms", "total")
+
 
 class TestWarm:
     def test_warm_from_manifest_preseeds_the_backend(self, tmp_path):
