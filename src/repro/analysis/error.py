@@ -6,16 +6,21 @@ combination, then report per-benchmark and average relative errors.
 These helpers run the same campaign on our substrate: the "actual"
 platform is a system wired to the cycle-level DRAM model, the
 candidates are systems wired to each model in the zoo.
+
+Reports hold errors only. The paper's speed comparison is measured
+beside them: under an active telemetry registry, each candidate's runs
+are one ``accuracy.<model>`` span.
 """
 
 from __future__ import annotations
 
-import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
 from ..cpu.system import System, SystemConfig
 from ..memmodels.base import MemoryModel
+from ..telemetry import registry as telemetry
 from ..workloads.base import Workload, simulation_error_pct
 
 
@@ -36,7 +41,6 @@ class AccuracyReport:
 
     model_name: str
     entries: list[WorkloadError] = field(default_factory=list)
-    wall_time_s: float = 0.0
 
     @property
     def mean_error_pct(self) -> float:
@@ -54,9 +58,7 @@ def run_accuracy_campaign(
     """Measure every model's error on every workload.
 
     Returns the actual-platform scores (per workload) and one
-    :class:`AccuracyReport` per candidate model, each including the
-    wall-clock time its runs took — the paper's speed comparison rides
-    on the same campaign.
+    :class:`AccuracyReport` per candidate model.
     """
     actual_scores: dict[str, float] = {}
     for make_workload in workload_factories:
@@ -64,24 +66,29 @@ def run_accuracy_campaign(
         system = System(system_config, actual_factory())
         actual_scores[workload.name] = workload.run(system)
 
+    tel = telemetry.active()
     reports = []
     for model_name, make_model in model_factories.items():
         report = AccuracyReport(model_name=model_name)
-        started = time.perf_counter()
-        for make_workload in workload_factories:
-            workload = make_workload()
-            system = System(system_config, make_model())
-            simulated = workload.run(system)
-            actual = actual_scores[workload.name]
-            report.entries.append(
-                WorkloadError(
-                    model_name=model_name,
-                    workload_name=workload.name,
-                    simulated=simulated,
-                    actual=actual,
-                    error_pct=simulation_error_pct(simulated, actual),
+        span = (
+            tel.span(f"accuracy.{model_name}", category="analysis")
+            if tel is not None
+            else nullcontext()
+        )
+        with span:
+            for make_workload in workload_factories:
+                workload = make_workload()
+                system = System(system_config, make_model())
+                simulated = workload.run(system)
+                actual = actual_scores[workload.name]
+                report.entries.append(
+                    WorkloadError(
+                        model_name=model_name,
+                        workload_name=workload.name,
+                        simulated=simulated,
+                        actual=actual,
+                        error_pct=simulation_error_pct(simulated, actual),
+                    )
                 )
-            )
-        report.wall_time_s = time.perf_counter() - started
         reports.append(report)
     return actual_scores, reports

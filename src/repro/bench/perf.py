@@ -507,32 +507,6 @@ def _bench_serve_loadgen():
 #: their benches run scaled down.
 _EXPERIMENT_SCALES = {"fig10": 0.4, "fig11": 0.4, "fig13": 0.4}
 
-#: Columns that are genuine wall-clock measurements: two runs of the
-#: same experiment differ on them, so a deterministic digest drops
-#: these columns (and the notes, which restate the same numbers as
-#: text).
-NONDETERMINISTIC_COLUMNS: dict[str, tuple[str, ...]] = {
-    "fig11": ("wall_time_s",),
-}
-
-
-def deterministic_digest(result) -> str:
-    """``result.digest()`` minus any measured-wall-time content.
-
-    Identical to the plain digest for every experiment without an entry
-    in :data:`NONDETERMINISTIC_COLUMNS`.
-    """
-    dropped = NONDETERMINISTIC_COLUMNS.get(result.experiment_id)
-    if not dropped:
-        return result.digest()
-    payload = result.to_dict()
-    payload["rows"] = [
-        {key: value for key, value in row.items() if key not in dropped}
-        for row in payload["rows"]
-    ]
-    payload["notes"] = []
-    return spec_digest(payload)
-
 _EXPERIMENTS_REGISTERED = False
 
 
@@ -547,7 +521,7 @@ def _bench_experiment(experiment_id: str) -> Callable:
 
         def summarize(result) -> dict:
             return {
-                "digest": deterministic_digest(result),
+                "digest": result.digest(),
                 "rows": len(result.rows),
                 "scale": scale,
             }
@@ -579,9 +553,7 @@ __all__ = [
     "FORMAT_KEY",
     "FORMAT_VERSION",
     "BenchSpec",
-    "NONDETERMINISTIC_COLUMNS",
     "bench_names",
-    "deterministic_digest",
     "register",
     "run_bench",
     "run_benches",

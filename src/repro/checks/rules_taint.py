@@ -3,8 +3,9 @@
 The content-addressed cache and the golden-digest table equate "same
 digest" with "same table". That holds only if *anything transitively
 reachable* from ``Scenario.digest()`` / the canonical spec encoding, or
-from the simulation core itself, is a pure function of its inputs —
-including helpers that live outside ``core/dram/cpu/memmodels``.
+from the simulation core and the entry points of every result (each
+experiment's ``run``, ``Scenario.run``), is a pure function of its
+inputs — including helpers that live outside those packages.
 
 This rule walks the approximate call graph from two root sets:
 
@@ -34,8 +35,11 @@ from .engine import Finding, ProgramRule, register_rule
 from .graph import ProgramGraph, site_suppressed
 
 #: Directories whose contents feed the content-addressed cache and must
-#: therefore stay deterministic (the core root set).
-DETERMINISTIC_PACKAGES = frozenset({"core", "dram", "cpu", "memmodels"})
+#: therefore stay deterministic (the core root set): the simulation
+#: core, and the experiments and scenarios every result starts from.
+DETERMINISTIC_PACKAGES = frozenset(
+    {"core", "dram", "cpu", "memmodels", "experiments", "scenario"}
+)
 
 #: Function names forming the cache-identity (digest) root set.
 DIGEST_ROOT_NAMES = frozenset(
@@ -51,10 +55,10 @@ class DigestDeterminismTaintRule(ProgramRule):
     rule_id = "RPR010"
     title = "nondeterminism reachable from digest-critical code"
     hint = (
-        "every function reachable from Scenario.digest()/spec encoding or "
-        "the simulation core must be deterministic; thread a seed/clock "
-        "through the configuration, sort the iteration, or justify with "
-        "# repro: ignore[RPR010]"
+        "every function reachable from Scenario.digest()/spec encoding, "
+        "the simulation core or a result's entry point must be "
+        "deterministic; thread a seed/clock through the configuration, "
+        "sort the iteration, or justify with # repro: ignore[RPR010]"
     )
 
     def _module_in(self, graph: ProgramGraph, fid: str, parts: frozenset[str]) -> bool:
@@ -85,7 +89,7 @@ class DigestDeterminismTaintRule(ProgramRule):
             root_kind = (
                 "the digest/canonical-encoding surface"
                 if from_digest
-                else "the deterministic simulation core"
+                else "the deterministic packages"
             )
             for sink in graph.functions[fid].sinks:
                 if sink.kind == "float-repr" and not from_digest:

@@ -370,6 +370,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         for kind, count in sorted(info["kinds"].items()):
             size = info["kind_bytes"].get(kind, 0)
             print(f"  {kind}: {count} ({size / 1e6:.2f} MB)")
+        if "stale" in info["kinds"]:
+            print(
+                "  stale entries were computed by older code: they read as "
+                "misses, a re-run overwrites them; `cache clear` removes them"
+            )
         corrupt = info["corrupt_entries"]
         print(
             f"corrupt:    {corrupt} quarantined "

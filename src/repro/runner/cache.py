@@ -62,7 +62,7 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: recomputed once. Bump it in the change that moves a result digest
 #: for an unchanged scenario; ``EPOCH_PIN`` in
 #: ``tests/experiments/test_experiments.py`` ties it to the goldens.
-RESULTS_EPOCH = 1
+RESULTS_EPOCH = 2
 
 #: Suffix appended to a corrupt entry's filename when it is quarantined.
 CORRUPT_SUFFIX = ".corrupt"
@@ -308,6 +308,8 @@ class DirectoryBackend(CacheBackend):
         """Summary statistics: backend, location, entries, shards, kinds.
 
         Besides the contract's keys, ``root`` names the cache directory.
+        An entry of another results epoch counts under the kind
+        ``stale``: it reads as a miss until a recompute overwrites it.
         A non-zero ``corrupt_entries`` count means corruption was
         detected and survived, which is worth knowing even though the
         run itself recovered. With ``detail``, an ``entry_list``
@@ -326,7 +328,10 @@ class DirectoryBackend(CacheBackend):
             size = 0
             try:
                 size = path.stat().st_size
-                kind = json.loads(path.read_text()).get("kind") or "unknown"
+                entry = json.loads(path.read_text())
+                kind = entry.get("kind") or "unknown"
+                if entry.get("epoch") != RESULTS_EPOCH:
+                    kind = "stale"
             except (OSError, ValueError, AttributeError):
                 kind = "corrupt"
             total += size

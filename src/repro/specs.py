@@ -25,6 +25,7 @@ is raised.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import hashlib
@@ -128,7 +129,7 @@ def _decompose(hint: Any) -> _Hint:
     if origin is tuple:
         kind = _TUPLE
         args = tuple(arg if arg is Ellipsis else _decompose(arg) for arg in args)
-    elif origin in (dict, Mapping) or hint in (dict, Mapping):
+    elif (origin or hint) in (dict, collections.abc.Mapping):
         kind = _MAPPING
     elif isinstance(hint, type) and dataclasses.is_dataclass(hint):
         kind = _DATACLASS

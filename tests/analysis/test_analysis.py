@@ -12,6 +12,7 @@ from repro.core.family import CurveFamily
 from repro.dram.timing import DDR4_2666
 from repro.errors import CurveError
 from repro.memmodels.fixed import FixedLatencyModel
+from repro.telemetry import registry as telemetry
 from repro.workloads.lmbench import LmbenchLatency
 
 
@@ -64,22 +65,39 @@ class TestCompareFamilies:
             )
 
 
+def small_campaign(system_config):
+    return run_accuracy_campaign(
+        system_config=system_config,
+        actual_factory=lambda: FixedLatencyModel(latency_ns=60.0),
+        model_factories={
+            "same": lambda: FixedLatencyModel(latency_ns=60.0),
+            "slower": lambda: FixedLatencyModel(latency_ns=120.0),
+        },
+        workload_factories=[lambda: LmbenchLatency(chase_ops=200)],
+    )
+
+
 class TestAccuracyCampaign:
     def test_reference_model_has_zero_error(self, tiny_system_config):
-        actual, reports = run_accuracy_campaign(
-            system_config=tiny_system_config,
-            actual_factory=lambda: FixedLatencyModel(latency_ns=60.0),
-            model_factories={
-                "same": lambda: FixedLatencyModel(latency_ns=60.0),
-                "slower": lambda: FixedLatencyModel(latency_ns=120.0),
-            },
-            workload_factories=[lambda: LmbenchLatency(chase_ops=200)],
-        )
+        actual, reports = small_campaign(tiny_system_config)
         assert actual["lmbench"] > 0
         by_name = {r.model_name: r for r in reports}
         assert by_name["same"].mean_error_pct == pytest.approx(0.0, abs=0.5)
         assert by_name["slower"].mean_error_pct > 20.0
-        assert all(r.wall_time_s > 0 for r in reports)
+
+    def test_each_model_is_timed_in_a_span_beside_its_report(
+        self, tiny_system_config
+    ):
+        untraced = small_campaign(tiny_system_config)
+        registry = telemetry.activate()
+        try:
+            traced = small_campaign(tiny_system_config)
+        finally:
+            telemetry.deactivate()
+        assert traced == untraced
+        spans = [s for s in registry.spans if s.category == "analysis"]
+        assert [s.name for s in spans] == ["accuracy.same", "accuracy.slower"]
+        assert all(s.dur_us > 0 for s in spans)
 
 
 class TestRowBufferSweep:

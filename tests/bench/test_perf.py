@@ -6,7 +6,6 @@ import pytest
 
 from repro.bench import perf
 from repro.errors import ConfigurationError
-from repro.experiments.base import ExperimentResult
 from repro.specs import spec_digest
 from repro.telemetry import registry as telemetry
 
@@ -73,7 +72,7 @@ class TestRegistry:
         meta = summarize(result)
         assert meta["scale"] == 1.0
         assert meta["rows"] == len(result.rows)
-        assert meta["digest"] == perf.deterministic_digest(result)
+        assert meta["digest"] == result.digest()
 
 
 class TestTotalRow:
@@ -126,26 +125,3 @@ class TestPayload:
         assert again[perf.FORMAT_KEY] == perf.FORMAT_VERSION
         assert again["benches"][0]["name"] == "t.constant"
 
-
-class TestDeterministicDigest:
-    def _result(self, wall_time):
-        result = ExperimentResult(
-            experiment_id="fig11",
-            title="t",
-            columns=["model", "wall_time_s"],
-        )
-        result.add(model="fixed", wall_time_s=wall_time)
-        result.note(f"wall time {wall_time:.2f}s")
-        return result
-
-    def test_ignores_declared_wall_time_columns_and_notes(self):
-        assert perf.deterministic_digest(
-            self._result(1.0)
-        ) == perf.deterministic_digest(self._result(2.0))
-
-    def test_plain_digest_for_other_experiments(self):
-        result = ExperimentResult(
-            experiment_id="fig2", title="t", columns=["x"]
-        )
-        result.add(x=1.0)
-        assert perf.deterministic_digest(result) == result.digest()

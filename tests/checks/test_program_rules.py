@@ -6,6 +6,8 @@ paths drive module naming and package scoping exactly as on disk.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.checks import check_sources
 
 
@@ -36,11 +38,18 @@ class TestDigestTaintRPR010:
         assert "time.time" in message
         assert "_encode -> " in message and "_stamp -> " in message
 
-    def test_fires_across_modules_from_core_root(self):
+    @pytest.mark.parametrize(
+        "root",
+        ["repro/core/model.py", "repro/experiments/figx.py"],
+        ids=["core", "experiments"],
+    )
+    def test_fires_across_modules(self, root):
+        # every function of a root package is a root: the simulation
+        # core's, and each experiment's run
         files = {
-            "repro/core/model.py": (
+            root: (
                 "from repro.helpers import jitter\n"
-                "def step(x):\n"
+                "def run(x):\n"
                 "    return jitter(x)\n"
             ),
             "repro/helpers.py": (

@@ -26,7 +26,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.bench.model_probe import characterize_model
-from repro.bench.perf import deterministic_digest
 from repro.engine.mess import drive_fixed_rate
 from repro.experiments.registry import SPECS, experiment_ids, run_experiment
 
@@ -57,7 +56,7 @@ def _fast_path_callers() -> list[str]:
 def _digest(experiment_id: str, scalar: bool) -> str:
     with oracle.forced_scalar() if scalar else nullcontext():
         result = run_experiment(experiment_id, scale=_SCALE)
-    return deterministic_digest(result)
+    return result.digest()
 
 
 @pytest.fixture(scope="module")

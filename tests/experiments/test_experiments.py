@@ -22,8 +22,7 @@ from repro.specs import spec_digest
 #: ``result.digest()`` of every experiment this module runs, at the
 #: scale it runs it, so a change that moves any result fails here
 #: rather than only in ``BENCH_experiments.json``. An entry changes
-#: only with a change meant to move that result. fig11 is left out
-#: while its rows carry host wall time.
+#: only with a change meant to move that result.
 RESULT_DIGESTS = {
     # at scale 1.0
     "table1": "34f23eb95fa60d5ffd845f2ef0e60d007d287c69c7df2bd332ea97929616601c",
@@ -33,6 +32,9 @@ RESULT_DIGESTS = {
     "fig16": "732d24cbfe63a8717120296a38c01fb8f772a58c8b751d87e16cd118b1f22945",
     "fig17": "bda2deb72cd52277fb09e743df28ba91676be66dc0e5bdd7b3ef6e5c3719751b",
     "fig18": "db81811c3384869c192f85f17ee8fd60683c8b0ad35cd8b0cb076c08b9efa7db",
+    "wsweep": "ec830cc6573d2212324eb5618e35986a0f6f8312830b725fef50b86824fdfb57",
+    "thrash": "b909166b6ecff96c37c05731fc194f94fa390afa69924050bdc0d5046a78c034",
+    "policydelta": "47706b9618aa2d73327bf5966094625982613ef430466430816e0e6fe51b7974",
     # at scale 0.6
     "fig4": "cd668b2e711b69c4b33be06d82a74d713148cbb42de63b310bb75a686378d612",
     "fig5": "c44a9c76267d43ef98118208323bec30153863916a2e8d63f345fe6a69a60718",
@@ -40,6 +42,7 @@ RESULT_DIGESTS = {
     "fig7": "3d76b5f3cf016a88e2a5facf9b39cd10dfe2c87ea7d8fc04a64c52925560b5ce",
     "optane": "02610bf737ca7ae1f9eb6b39e5f8d6fd7f82ca4917f1d2128ce5d6567def2532",
     # full-system runs, at the scales of _FULL_SYSTEM_RUNS
+    "fig11": "95e3281232e9b5c586d80278386e853a9947450bd14b899b855695290fd3bd69",
     "fig10": "2e5714b64c278bc93fb2b9cd99a5021f432c10d3028cd31f6145461c0465b423",
     "ablation": "127fe23c611e204e7e3a1d028fb74f59834a5b1acdb693e657e9630fde92da04",
     "fig14": "bb07f27c23eb51f0e9444939b58172a0689f8a6495f621079160a2cfe4cf83e6",
@@ -51,8 +54,8 @@ RESULT_DIGESTS = {
 #: Cached entries are keyed by scenario, not by code, so a change that
 #: moves a golden must also bump ``RESULTS_EPOCH`` and re-pin this pair.
 EPOCH_PIN = (
-    1,
-    "d5b2d6cb1c1fdfada9b6a7cff84658250b8a76c4c729e06c897269f3351db137",
+    2,
+    "8f799e94a39ddcbcb2013d261a534dc6b805495de3ede378c9db5d9b28e7bb0b",
 )
 
 
@@ -165,6 +168,26 @@ class TestCheapExperiments:
         assert head["mean_stress"] > tail["mean_stress"]
 
 
+class TestCacheModelExperiments:
+    def test_wsweep_latency_staircase(self):
+        result = run_experiment("wsweep")
+        assert_golden(result)
+        latencies = result.column("latency_ns")
+        assert latencies == sorted(latencies)
+
+    def test_thrash_strides_lose_bandwidth(self):
+        result = run_experiment("thrash")
+        assert_golden(result)
+        sequential, *strided = result.column("bandwidth_gbps")
+        assert all(bandwidth < sequential for bandwidth in strided)
+
+    def test_policydelta_random_beats_lru(self):
+        result = run_experiment("policydelta")
+        assert_golden(result)
+        latency = {row["policy"]: row["latency_ns"] for row in result.rows}
+        assert latency["random"] < latency["lru"]
+
+
 class TestSimulatorCharacterization:
     def test_fig5_model_signatures(self):
         result = run_experiment("fig5", scale=0.6)
@@ -270,6 +293,7 @@ class TestFullSystemExperiments:
 
     def test_fig11_mess_most_accurate_model(self, full_system):
         result = full_system("fig11", 0.5)
+        assert_golden(result)
         means = {
             row["model"]: row["mean_error_pct"] for row in result.rows
         }

@@ -121,10 +121,15 @@ class TestMaintenance:
         assert cache.info()["entries"] == 0
         cache.put(spec_digest({"i": 1}), {"v": 1}, kind="result")
         cache.put(spec_digest({"i": 2}), {"v": 2}, kind="scenario-result")
+        # an entry older code wrote reads as a miss, so it is not live
+        older = cache.path_for(spec_digest({"i": 3}))
+        cache.put(older.stem, {"v": 3}, kind="result")
+        entry = json.loads(older.read_text())
+        older.write_text(json.dumps({**entry, "epoch": cache_mod.RESULTS_EPOCH - 1}))
         info = cache.info()
-        assert info["entries"] == 2
+        assert info["entries"] == 3
         assert info["bytes"] > 0
-        assert info["kinds"] == {"result": 1, "scenario-result": 1}
+        assert info["kinds"] == {"result": 1, "scenario-result": 1, "stale": 1}
 
     def test_clear_removes_everything(self, cache):
         for i in range(3):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runner.cache import RESULTS_EPOCH
 
 
 class TestList:
@@ -311,6 +312,23 @@ class TestCacheCommand:
         assert entry["kind"] == "result"
         assert entry["bytes"] > 0
         assert entry["key"]
+
+    def test_info_names_stale_entries(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        assert main(["run", "fig17", "--cache-dir", str(cache_dir)]) == 0
+        (path,) = cache_dir.glob("*/*.json")
+        entry = json.loads(path.read_text())
+        path.write_text(json.dumps({**entry, "epoch": RESULTS_EPOCH - 1}))
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "  stale: 1" in out and "computed by older code" in out
+        # the re-run reads a miss and overwrites the entry
+        assert main(["run", "fig17", "--cache-dir", str(cache_dir)]) == 0
+        capsys.readouterr()
+        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "  result: 1" in out and "  stale:" not in out
 
     def test_json_rejected_for_clear(self, capsys, tmp_path):
         with pytest.raises(SystemExit):

@@ -7,7 +7,7 @@ never what a scenario author reads.
 
 from __future__ import annotations
 
-import collections
+import collections.abc
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,6 +32,14 @@ class Table(SpecConvertible):
 
     table: Mapping = field(default_factory=dict)
     counts: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class TypedTable(SpecConvertible):
+    """Parameterized mapping fields; no shipped config class has one."""
+
+    typed: Mapping[str, int] = field(default_factory=dict)
+    abc_typed: collections.abc.Mapping[str, int] = field(default_factory=dict)
 
 
 def scenario_with(path: str, value: object):
@@ -149,6 +157,14 @@ CASES = {
     "mapping-dict": (
         lambda: Table.from_spec({"counts": "x"}),
         "Table.counts: expected an object, got str",
+    ),
+    "mapping-typed": (
+        lambda: TypedTable.from_spec({"typed": [1]}),
+        "TypedTable.typed: expected an object, got list",
+    ),
+    "mapping-abc-typed": (
+        lambda: TypedTable.from_spec({"abc_typed": [1]}),
+        "TypedTable.abc_typed: expected an object, got list",
     ),
     "unknown-key": (
         scenario_with("system.hierarchy.l1.colour", 1),
