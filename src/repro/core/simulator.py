@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from ..memmodels.base import MemoryModel, MemoryRequest
+from ..memmodels.base import AccessType, MemoryModel, MemoryRequest
 from ..memmodels.queueing import SingleServerQueue
 from ..resilience import faults as faults_mod
 from ..telemetry import registry as telemetry
@@ -205,27 +205,35 @@ class MessMemorySimulator(MemoryModel):
         return self._mess_bw
 
     def _service_latency_ns(self, request: MemoryRequest) -> float:
+        _, access_type, issue_ns, size_bytes = request
         if self._tel is not None:
             self._tel_requests.inc()
         if self._window_start_ns is None:
-            self._window_start_ns = request.issue_time_ns
-        if request.access_type.is_write:
+            self._window_start_ns = issue_ns
+        if access_type is AccessType.WRITE:
             self._window_writes += 1
         else:
             self._window_reads += 1
-        self._window_bytes += request.size_bytes
-        self._window_last_issue_ns = request.issue_time_ns
+        self._window_bytes += size_bytes
+        self._window_last_issue_ns = issue_ns
         # The curve latency already embeds steady-state queueing at the
         # estimated position; the capacity pipe embeds the *actual*
         # instantaneous backlog. Taking the max avoids double-counting
         # while making the curve's peak bandwidth a hard limit — which
         # the latency feedback alone cannot guarantee against requesters
         # that never wait (prefetchers, posted writes).
-        pipe_wait = self._pipe.admit(request.issue_time_ns)
-        latency = max(self._latency_ns, self._unloaded_ns + pipe_wait)
-        self._window_end_ns = max(
-            self._window_end_ns, request.issue_time_ns + latency
-        )
+        # Each max(a, b) here is spelt ``b if b > a else a``, which is
+        # what max returns, without a builtin call per request.
+        pipe = self._pipe
+        # SingleServerQueue.admit, inline
+        free_ns = pipe._free_at_ns
+        start_ns = free_ns if free_ns > issue_ns else issue_ns
+        pipe._free_at_ns = start_ns + pipe.service_ns
+        floor_ns = self._unloaded_ns + (start_ns - issue_ns)
+        latency = floor_ns if floor_ns > self._latency_ns else self._latency_ns
+        end_ns = issue_ns + latency
+        if end_ns > self._window_end_ns:
+            self._window_end_ns = end_ns
         if self._window_reads + self._window_writes >= self.window_ops:
             # window bandwidth is bytes over the issue span (wall time of
             # the window), not over issue-to-completion: including the

@@ -18,12 +18,15 @@ counter, after any ways freed by back-invalidation, most recently freed
 first. Replacement state belongs to a whole-cache policy from
 :mod:`repro.cpu.policies` (``lru``, ``plru``, ``random``) over the same
 slots. The ``plru`` and ``random`` policies are called through their
-``touch``/``victim`` methods. The default ``lru`` is not: on every fill
-and every hit of :meth:`Cache.access` the cache reads and writes the
-policy's stamps and clock inline, which saves a method call per access
-in the closed-loop experiments. The default configuration (``lru``,
-64-byte lines, write-back) is bit-exact with the historical
-``OrderedDict`` implementation.
+``touch``/``victim`` methods, from :meth:`Cache.access` on a hit and
+from ``_fill`` on a miss. The default ``lru`` is not: :meth:`Cache.access`
+runs its hit and its whole fill (a free way, else the oldest stamp in
+the set) in its own frame, reading and writing the policy's stamps and
+clock, which saves a method call per hit and two or three per miss in
+the closed-loop experiments. ``_fill`` stays the one policy-method path,
+which :meth:`Cache.install` takes under every policy. The default
+configuration (``lru``, 64-byte lines, write-back) is bit-exact with
+the historical ``OrderedDict`` implementation.
 """
 
 from __future__ import annotations
@@ -161,14 +164,15 @@ class Cache:
     def _fill(self, line: int, dirty: bool) -> tuple[int, bool] | None:
         """Place ``line`` in a free or victimized way of its set.
 
-        Returns ``(victim_line, victim_dirty)``, or ``None`` when a free
-        way absorbed the fill.
+        The policy-method path: :meth:`install` fills through it under
+        every policy, :meth:`access` under every policy but the default
+        LRU, whose fill it runs inline. Returns ``(victim_line,
+        victim_dirty)``, or ``None`` when a free way absorbed the fill.
         """
         ways = self.ways
         set_index = line % self.num_sets
         base = set_index * ways
         freed = self._freed.get(set_index)
-        lru = self._lru
         evicted = None
         if freed:
             slot = base + freed.pop()
@@ -178,24 +182,14 @@ class Cache:
             slot = base + self._filled[set_index]
             self._filled[set_index] += 1
         else:
-            if lru is None:
-                slot = base + self._policy.victim(set_index)
-            else:
-                # LruPolicy.victim: the oldest stamp in the set
-                stamps = lru.stamps[base : base + ways]
-                slot = base + stamps.index(min(stamps))
+            slot = base + self._policy.victim(set_index)
             victim = self._lines[slot]
             evicted = (victim, bool(self._dirty[slot]))
             del self._slot_of[victim]
         self._lines[slot] = line
         self._dirty[slot] = dirty
         self._slot_of[line] = slot
-        if lru is None:
-            self._policy.touch(set_index, slot)
-        else:
-            # LruPolicy.touch
-            lru.stamps[slot] = lru.clock
-            lru.clock += 1
+        self._policy.touch(set_index, slot)
         return evicted
 
     def access(self, address: int, is_store: bool) -> AccessOutcome:
@@ -206,11 +200,12 @@ class Cache:
         lines surface as a writeback, clean ones as a clean eviction.
         """
         line = address // self.line_bytes
-        slot = self._slot_of.get(line)
+        slot_of = self._slot_of
+        slot = slot_of.get(line)
         dirties = is_store and not self.write_through
+        lru = self._lru
         if slot is not None:
             self.stats.hits += 1
-            lru = self._lru
             if lru is None:
                 self._policy.touch(line % self.num_sets, slot)
             else:
@@ -221,10 +216,43 @@ class Cache:
                 self._dirty[slot] = True
             return _HIT
         self.stats.misses += 1
-        evicted = self._fill(line, dirties)
-        if evicted is None:
-            return _MISS
-        victim, victim_dirty = evicted
+        if lru is not None:
+            # _fill for the default LRU, in this frame: a freed way, else
+            # the set's next empty way, else the oldest stamp in the set
+            # (LruPolicy.victim); then LruPolicy.touch
+            ways = self.ways
+            set_index = line % self.num_sets
+            base = set_index * ways
+            stamps = lru.stamps
+            lines = self._lines
+            dirty = self._dirty
+            freed = self._freed.get(set_index)
+            victim = None
+            if freed:
+                slot = base + freed.pop()
+                if not freed:
+                    del self._freed[set_index]
+            elif self._filled[set_index] < ways:
+                slot = base + self._filled[set_index]
+                self._filled[set_index] += 1
+            else:
+                window = stamps[base : base + ways]
+                slot = base + window.index(min(window))
+                victim = lines[slot]
+                victim_dirty = dirty[slot]
+                del slot_of[victim]
+            lines[slot] = line
+            dirty[slot] = dirties
+            slot_of[line] = slot
+            stamps[slot] = lru.clock
+            lru.clock += 1
+            if victim is None:
+                return _MISS
+        else:
+            evicted = self._fill(line, dirties)
+            if evicted is None:
+                return _MISS
+            victim, victim_dirty = evicted
         if victim_dirty:
             self.stats.writebacks += 1
             return AccessOutcome(False, victim * self.line_bytes)

@@ -147,18 +147,22 @@ class Core:
     # Execution loop
     # ------------------------------------------------------------------
 
-    def _retire_completed(self, now_ns: float) -> None:
-        while self._inflight and self._inflight[0] <= now_ns:
-            heapq.heappop(self._inflight)
-
     def _step(self) -> None:
-        now = self.engine.now_ns
-        self._retire_completed(now)
-        if len(self._inflight) >= self.mshrs:
+        """Retire finished misses, then issue the next operation.
+
+        One event per operation, in one frame: the retire loop, the
+        MSHR check and the issue of a memory operation all run here.
+        """
+        engine = self.engine
+        now = engine.now_ns
+        inflight = self._inflight
+        while inflight and inflight[0] <= now:
+            heapq.heappop(inflight)
+        if len(inflight) >= self.mshrs:
             # all MSHRs busy: wake when the earliest miss returns
             if self._tel_stalls is not None:
                 self._tel_stalls.inc()
-            self.engine.schedule(self._inflight[0], self._step)
+            engine.schedule(inflight[0], self._step)
             return
         try:
             op = next(self.operations)
@@ -166,30 +170,28 @@ class Core:
             self.finished = True
             self.stats.finish_time_ns = now
             return
+        stats = self.stats
         if isinstance(op, Delay):
-            self.stats.delays += 1
-            self.engine.schedule_after(op.ns, self._step)
+            stats.delays += 1
+            engine.schedule_after(op.ns, self._step)
             return
-        self._issue(op, now)
-
-    def _issue(self, op: MemOp, now_ns: float) -> None:
         address, is_store, dependent, non_temporal = op
         latency = self.hierarchy.access(
-            self.index, address, is_store, now_ns, non_temporal
+            self.index, address, is_store, now, non_temporal
         ).latency_ns
-        completion = now_ns + latency
-        heapq.heappush(self._inflight, completion)
+        completion = now + latency
+        heapq.heappush(inflight, completion)
         if self._tel_mshr is not None:
-            self._tel_mshr.observe(len(self._inflight))
+            self._tel_mshr.observe(len(inflight))
         if is_store:
-            self.stats.stores += 1
+            stats.stores += 1
         else:
-            self.stats.loads += 1
+            stats.loads += 1
         if dependent:
-            self.stats.dependent_loads += 1
-            self.stats.dependent_latency_sum_ns += latency
+            stats.dependent_loads += 1
+            stats.dependent_latency_sum_ns += latency
             if self.record_latencies:
-                self.stats.latencies_ns.append(latency)
-            self.engine.schedule(completion, self._step)
+                stats.latencies_ns.append(latency)
+            engine.schedule(completion, self._step)
         else:
-            self.engine.schedule_after(self.issue_gap_ns, self._step)
+            engine.schedule_after(self.issue_gap_ns, self._step)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Callable
 
 from ..errors import SimulationError
@@ -23,7 +24,8 @@ class Engine:
     def __init__(self) -> None:
         self._queue: list[tuple[float, int, Callable[[], None]]] = []
         self._counter = itertools.count()
-        self._now = 0.0
+        #: Current simulation time in nanoseconds; only :meth:`run` moves it.
+        self.now_ns = 0.0
         self._running = False
         # Telemetry is recorded once per run() call (never per event),
         # so even an active registry costs nothing on the hot loop.
@@ -36,20 +38,15 @@ class Engine:
                 "engine.runs", help="run() invocations"
             )
 
-    @property
-    def now_ns(self) -> float:
-        """Current simulation time in nanoseconds."""
-        return self._now
-
     def schedule(self, when_ns: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run at absolute time ``when_ns``.
 
         Scheduling in the past is an error: it would silently reorder
         causality and produce curves that depend on queue internals.
         """
-        if when_ns < self._now - 1e-9:
+        if when_ns < self.now_ns - 1e-9:
             raise SimulationError(
-                f"cannot schedule at {when_ns} ns; current time is {self._now} ns"
+                f"cannot schedule at {when_ns} ns; current time is {self.now_ns} ns"
             )
         heapq.heappush(self._queue, (when_ns, next(self._counter), callback))
 
@@ -57,7 +54,10 @@ class Engine:
         """Schedule ``callback`` to run ``delay_ns`` from now."""
         if delay_ns < 0:
             raise SimulationError(f"delay must be non-negative, got {delay_ns}")
-        self.schedule(self._now + delay_ns, callback)
+        # a non-negative delay never lands in the past: push directly
+        heapq.heappush(
+            self._queue, (self.now_ns + delay_ns, next(self._counter), callback)
+        )
 
     def run(self, until_ns: float | None = None, max_events: int | None = None) -> int:
         """Drain the event queue; returns the number of events executed.
@@ -70,22 +70,25 @@ class Engine:
         if self._running:
             raise SimulationError("engine is not reentrant")
         self._running = True
+        queue = self._queue
+        heappop = heapq.heappop
+        horizon = math.inf if until_ns is None else until_ns
         executed = 0
         try:
-            while self._queue:
+            while queue:
                 if max_events is not None and executed >= max_events:
                     break
-                when, _, callback = self._queue[0]
-                if until_ns is not None and when > until_ns:
-                    self._now = until_ns
+                when, _, callback = queue[0]
+                if when > horizon:
+                    self.now_ns = horizon
                     break
-                heapq.heappop(self._queue)
-                self._now = when
+                heappop(queue)
+                self.now_ns = when
                 callback()
                 executed += 1
             else:
                 if until_ns is not None:
-                    self._now = max(self._now, until_ns)
+                    self.now_ns = max(self.now_ns, until_ns)
         finally:
             self._running = False
         if self._tel is not None:

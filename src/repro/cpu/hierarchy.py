@@ -119,6 +119,10 @@ class MemoryHierarchy:
                 latency += model.shared_latency_penalty_ns * (cores - 1)
             self._hits.append(HierarchyAccess(latency, label))
         self._miss_path_ns = latency
+        self._last_level = len(plan) - 1
+        # read once: the access path consults both on every access
+        self._noc_latency_ns = config.noc_latency_ns
+        self._write_through = model.write_through
         #: The shared last level fronting the memory model.
         self.llc: Cache = self.levels[-1][0]
         self._line_bytes = model.line_bytes
@@ -191,33 +195,24 @@ class MemoryHierarchy:
         """
         if address < 0:
             raise ConfigurationError(f"address must be non-negative, got {address}")
+        memory = self.memory
         if non_temporal and is_store:
             # the write is posted, but a full write path stalls the core
             # (real streaming stores block on write-combining buffers),
             # so the model's reported completion is honoured
-            write_latency = self.memory.access(
+            write_latency = memory.access(
                 MemoryRequest(address, AccessType.WRITE, now_ns)
             )
             return HierarchyAccess(
                 max(self.NON_TEMPORAL_ACCEPT_NS, write_latency), "NT"
             )
-        result = self._walk(core, address, is_store, now_ns)
-        if is_store and self.cache_model.write_through:
-            # write-through: the store's data goes to memory as a
-            # posted write no matter which level holds the line
-            self.memory.access(MemoryRequest(address, AccessType.WRITE, now_ns))
-        return result
-
-    def _walk(
-        self, core: int, address: int, is_store: bool, now_ns: float
-    ) -> HierarchyAccess:
-        """Traverse the configured levels; fall through to memory."""
         path = self._paths[core]
-        last = len(path) - 1
+        last = self._last_level
         for index, cache in enumerate(path):
             outcome = cache.access(address, is_store)
             if outcome.hit:
-                return self._hits[index]
+                result = self._hits[index]
+                break
             if index == last:
                 self._emit_evictions(outcome, now_ns)
             elif outcome.writeback_address is not None:
@@ -230,16 +225,25 @@ class MemoryHierarchy:
                     index + 1 == last,
                     now_ns,
                 )
-
-        # LLC miss: fetch the line from memory (a store becomes a
-        # read-for-ownership here; the write happens at eviction time).
-        memory_latency = self.memory.access(
-            MemoryRequest(address, AccessType.READ, now_ns)
-        )
-        self._miss_latency_ewma += 0.05 * (memory_latency - self._miss_latency_ewma)
-        self._maybe_prefetch(core, address, now_ns)
-        latency = self._miss_path_ns + (self.config.noc_latency_ns + memory_latency)
-        return HierarchyAccess(latency, "MEM")
+        else:
+            # LLC miss: fetch the line from memory (a store becomes a
+            # read-for-ownership here; the write happens at eviction
+            # time).
+            memory_latency = memory.access(
+                MemoryRequest(address, AccessType.READ, now_ns)
+            )
+            self._miss_latency_ewma += 0.05 * (
+                memory_latency - self._miss_latency_ewma
+            )
+            self._maybe_prefetch(core, address, now_ns)
+            result = HierarchyAccess(
+                self._miss_path_ns + (self._noc_latency_ns + memory_latency), "MEM"
+            )
+        if is_store and self._write_through:
+            # write-through: the store's data goes to memory as a
+            # posted write no matter which level holds the line
+            memory.access(MemoryRequest(address, AccessType.WRITE, now_ns))
+        return result
 
     #: Demand-miss latency (ns) above which the stream prefetcher backs
     #: off — real prefetchers throttle when the memory system is

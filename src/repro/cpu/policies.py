@@ -5,10 +5,12 @@ preallocated storage shared with :class:`repro.cpu.cache.Cache`: a
 line's *slot* is ``set * ways + way``. The cache calls
 ``touch(set, slot)`` on every hit and fill, ``victim(set)`` only when
 the set is full, and ``forget(set, way)`` when a line is invalidated.
-The default ``lru`` policy is the exception on the hot path: on every
-fill and every hit of ``Cache.access`` the cache updates its ``stamps``
-and ``clock`` inline, exactly as :meth:`LruPolicy.touch` and
-:meth:`LruPolicy.victim` would; its cold paths still call the object.
+The default ``lru`` policy is the exception on the hot path:
+``Cache.access`` runs an LRU hit and an LRU fill in its own frame,
+updating ``stamps`` and ``clock`` exactly as :meth:`LruPolicy.touch`
+and :meth:`LruPolicy.victim` would; the cold paths (``Cache.install``
+through ``Cache._fill``, invalidation, the scratch fill) still call
+the object.
 State lives in slot- or set-indexed lists and integers — never in dict
 or set iteration order — so victim choice is bit-reproducible across
 processes and hash seeds (the same fence RPR010 enforces for the rest

@@ -62,17 +62,18 @@ class MemoryModelStats:
 
     def record(self, request: MemoryRequest, latency_ns: float) -> None:
         """Account one completed access."""
+        _, access_type, issue_ns, size_bytes = request
         if not (self.reads or self.writes):  # the first access
-            self.first_issue_ns = request.issue_time_ns
-        if request.access_type is AccessType.WRITE:
+            self.first_issue_ns = issue_ns
+        if access_type is AccessType.WRITE:
             self.writes += 1
         else:
             self.reads += 1
         self.total_latency_ns += latency_ns
-        self.bytes_transferred += request.size_bytes
-        self.last_completion_ns = max(
-            self.last_completion_ns, request.issue_time_ns + latency_ns
-        )
+        self.bytes_transferred += size_bytes
+        completion_ns = issue_ns + latency_ns
+        if completion_ns > self.last_completion_ns:
+            self.last_completion_ns = completion_ns
 
 
 class MemoryModel(abc.ABC):
