@@ -24,9 +24,8 @@ stand on:
   content-addressed on-disk cache and JSON run manifests;
 - :mod:`repro.scenario` — declarative, digest-keyed run configuration:
   the sanctioned way to build simulators and harnesses;
-- :mod:`repro.engine` — batched numpy fast paths for the direct
-  model probe and the Mess fixed-rate drive, each bit-exact with the
-  scalar loop it falls back to;
+- :mod:`repro.engine` — the batched numpy fast path of the direct
+  model probe, bit-exact with the scalar probe it falls back to;
 - :mod:`repro.telemetry` — observability: typed counters/gauges/
   histograms, spans, and per-window control-loop traces, exportable as
   JSONL, Chrome trace-event (Perfetto) and Prometheus text. Disabled by

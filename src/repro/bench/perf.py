@@ -8,8 +8,8 @@ here under ``experiment.<id>`` (``repro run ID --csv PATH`` saves an
 experiment's data series), and the inner loops have dedicated benches
 tagged ``curves`` / ``probe`` / ``mess`` / ``dram`` / ``hierarchy`` /
 ``serve``: the curve lookup, the model probe, the Mess simulator's
-access path (telemetry off and on) and window drive, the DRAM
-controller, the cache-hierarchy walk and the serving path.
+access path (telemetry off and on), the DRAM controller, the
+cache-hierarchy walk and the serving path.
 
 ``repro bench --filter curves,hierarchy,probe,mess,dram --json
 BENCH_curves.json`` is the CI smoke invocation;
@@ -342,43 +342,6 @@ def _bench_dram_submit():
 
     def summarize(census: dict) -> dict:
         return {"digest": spec_digest(census), "ops": len(requests)}
-
-    return work, summarize
-
-
-@register("mess.drive_fixed_rate", "mess")
-def _bench_mess_drive():
-    """A fixed-rate read stream through the Mess simulator.
-
-    The open-loop harness of the ablation and Optane studies: 20k
-    requests at 64 B/ns offered bandwidth, window-batched wherever the
-    batch is exact.
-    """
-    from ..core.simulator import MessMemorySimulator
-    from ..engine.mess import drive_fixed_rate
-    from ..platforms.presets import INTEL_SKYLAKE, family
-
-    fam = family(INTEL_SKYLAKE)
-
-    def work():
-        simulator = MessMemorySimulator(fam, keep_history=True)
-        drive_fixed_rate(simulator, 1.0, 20_000)
-        return simulator
-
-    def summarize(simulator) -> dict:
-        stats = simulator.stats
-        return {
-            "digest": spec_digest(
-                {
-                    "reads": stats.reads,
-                    "total_latency_ns": stats.total_latency_ns,
-                    "last_completion_ns": stats.last_completion_ns,
-                    "windows": len(simulator.history),
-                    "estimate": simulator._mess_bw,
-                }
-            ),
-            "ops": 20_000,
-        }
 
     return work, summarize
 

@@ -15,8 +15,7 @@ Three layers:
   the interprocedural rules: RPR010 determinism of everything the
   digest surface or the simulation core reaches, the core's own
   module-level code included (:mod:`.rules_taint`), and RPR011
-  shared-state races across the serve event loop and the
-  process-pool boundary (:mod:`.rules_races`);
+  shared-state races on the serve event loop (:mod:`.rules_races`);
 - declarative invariant validators for data artifacts
   (:mod:`.invariants`): platform specs (RPR101), curve families
   (RPR102), run manifests (RPR103), scenario files (RPR104) and

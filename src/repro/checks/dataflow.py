@@ -1,7 +1,7 @@
 """Reachability/taint walking on top of :class:`ProgramGraph`.
 
 The interprocedural rules share one shape: a set of *root* functions
-(digest entry points, coroutines, pool-submitted workers), a set of
+(digest entry points, serve coroutines), a set of
 *fact sites* attached to functions (determinism sinks, global writes),
 and the question "which facts are transitively reachable from a root,
 and through what chain?". :class:`ReachabilityWalk` answers it once per
@@ -76,27 +76,7 @@ class ReachabilityWalk:
         return " -> ".join(chain)
 
 
-def resolve_submitted(graph: ProgramGraph) -> list[str]:
-    """Function ids handed to executors anywhere in the program.
-
-    ``pool.submit(worker, ...)``, ``loop.run_in_executor(None, fn)``
-    and ``ProcessPoolExecutor(initializer=fn)`` sites all mark their
-    callable as crossing a process/thread boundary.
-    """
-    targets: list[str] = []
-    seen: set[str] = set()
-    for name, module in sorted(graph.modules.items()):
-        for fn in module.functions:
-            for site in fn.submits:
-                for fid in graph.resolve_call(name, fn, site.spelling):
-                    if fid not in seen:
-                        seen.add(fid)
-                        targets.append(fid)
-    return targets
-
-
 __all__ = [
     "CHAIN_DISPLAY_LIMIT",
     "ReachabilityWalk",
-    "resolve_submitted",
 ]

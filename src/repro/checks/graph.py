@@ -10,10 +10,9 @@ This module builds the program-level view the interprocedural rules
   :class:`ModuleSummary`: imports as written, its classes and
   module-level bindings, and every function with the calls it makes,
   the determinism-relevant *sink* sites it contains (entropy imports
-  included), the module-level state it writes and the callables it
-  hands to executors. Code outside every ``def`` body — the module top
-  level and class bodies — is summarized as one ``<module>``
-  pseudo-function per module.
+  included) and the module-level state it writes. Code outside every
+  ``def`` body — the module top level and class bodies — is
+  summarized as one ``<module>`` pseudo-function per module.
 - :class:`ProgramGraph` binds summaries to dotted module names,
   resolves imports (absolute, relative, aliased; ``import x as y``)
   and builds an approximate call graph: calls through imported names
@@ -230,9 +229,6 @@ class FunctionSummary:
     calls: list[CallSite] = field(default_factory=list)
     sinks: list[SinkSite] = field(default_factory=list)
     global_writes: list[GlobalWrite] = field(default_factory=list)
-    #: callables handed to executors (``pool.submit(f)``,
-    #: ``loop.run_in_executor(None, f)``, ``initializer=f``)
-    submits: list[CallSite] = field(default_factory=list)
 
 
 @dataclass
@@ -469,12 +465,6 @@ class _FunctionVisitor(ast.NodeVisitor):
                 )
             )
             self._classify_call(spelling, node)
-            self._record_submits(spelling, node)
-        elif isinstance(node.func, ast.Attribute):
-            # chain rooted in a call/subscript, e.g.
-            # asyncio.get_running_loop().run_in_executor(...): the
-            # receiver is opaque but the executor boundary is not
-            self._record_submits(f".{node.func.attr}", node)
         self.generic_visit(node)
 
     def _classify_call(self, spelling: str, node: ast.Call) -> None:
@@ -494,28 +484,6 @@ class _FunctionVisitor(ast.NodeVisitor):
             and isinstance(node.args[0].value, str)
         ):
             self._sink("float-repr", "repr()", node)
-
-    def _record_submits(self, spelling: str, node: ast.Call) -> None:
-        target: ast.AST | None = None
-        if spelling.endswith(".submit") and node.args:
-            target = node.args[0]
-        elif spelling.endswith(".run_in_executor") and len(node.args) >= 2:
-            target = node.args[1]
-        for keyword in node.keywords:
-            if keyword.arg == "initializer":
-                target = keyword.value
-        if target is None:
-            return
-        target_spelling = dotted_name(target)
-        if target_spelling is None:
-            return
-        self.summary.submits.append(
-            CallSite(
-                spelling=target_spelling,
-                lineno=node.lineno,
-                col=node.col_offset + 1,
-            )
-        )
 
 
 def _function_summary(

@@ -1,26 +1,16 @@
-"""RPR011 — shared module-level state written from racy contexts.
+"""RPR011 — shared module-level state written from a serve coroutine.
 
-Two execution boundaries in this codebase make module-level mutable
-state dangerous:
+The serving event loop (:mod:`repro.serve`) interleaves coroutines at
+every ``await``, so a module global written from a coroutine — or from
+any sync helper a coroutine calls — is a data race with every other
+in-flight request.
 
-- the serving event loop (:mod:`repro.serve`): coroutines interleave at
-  every ``await``, so a module global written from a coroutine — or
-  from any sync helper a coroutine calls — is a data race with every
-  other in-flight request;
-- the :class:`~concurrent.futures.ProcessPoolExecutor` boundary
-  (:mod:`repro.runner` / :mod:`repro.resilience`): a module global
-  written on a worker path does not propagate back to the parent (or to
-  sibling workers), so code that *appears* to share state silently
-  does not.
-
-The sanctioned idiom for both is the repo's **process-global activation
-pattern** (``_ACTIVE`` + ``activate()``/``deactivate()``, re-installed
-per worker): state changes flow through a named, greppable seam that
-the pool initializer and the tests control. This rule walks the call
-graph from (a) every coroutine defined under ``serve`` and (b) every
-callable handed to an executor (``pool.submit``, ``run_in_executor``,
-``initializer=``), and flags writes to module-level state on those
-paths — unless the writing function *is* an activation-pattern function
+The sanctioned idiom is the repo's **process-global activation
+pattern** (``_ACTIVE`` + ``activate()``/``deactivate()``): state
+changes flow through a named, greppable seam that the tests control.
+This rule walks the call graph from every coroutine defined under
+``serve`` and flags writes to module-level state on those paths —
+unless the writing function *is* an activation-pattern function
 (``activate``/``deactivate``/``activation``/``reset``/``install``) or
 the site carries ``# repro: ignore[RPR011]`` with a justification.
 """
@@ -29,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .dataflow import ReachabilityWalk, resolve_submitted
+from .dataflow import ReachabilityWalk
 from .engine import Finding, ProgramRule, register_rule
 from .graph import ProgramGraph, site_suppressed
 
@@ -43,12 +33,12 @@ ACTIVATION_NAME_RE = re.compile(
 @register_rule
 class SharedStateRaceRule(ProgramRule):
     rule_id = "RPR011"
-    title = "module-level state written from a racy execution context"
+    title = "module-level state written from a serve coroutine"
     hint = (
         "route shared state through the process-global activation pattern "
-        "(_ACTIVE + activate()/deactivate(), reinstalled per worker) or "
-        "keep it per-request; module globals written from coroutines or "
-        "pool workers race or silently diverge"
+        "(_ACTIVE + activate()/deactivate()) or keep it per-request; "
+        "module globals written from coroutines race with every "
+        "in-flight request"
     )
 
     def run_program(self, graph: ProgramGraph) -> list[Finding]:
@@ -58,47 +48,32 @@ class SharedStateRaceRule(ProgramRule):
             if fn.is_async
             and "serve" in graph.modules[graph.owner[fid]].parts
         ]
-        submitted = resolve_submitted(graph)
-        contexts = [
-            (ReachabilityWalk(graph, sorted(serve_coroutines)), "a serve coroutine"),
-            (
-                ReachabilityWalk(graph, sorted(submitted)),
-                "an executor-submitted worker path",
-            ),
-        ]
+        walk = ReachabilityWalk(graph, sorted(serve_coroutines))
         findings: list[Finding] = []
-        seen: set[tuple[str, int, int]] = set()
-        for walk, context_label in contexts:
-            for fid in sorted(walk.reached):
-                fn = graph.functions[fid]
-                if ACTIVATION_NAME_RE.match(fn.name):
+        for fid in sorted(walk.reached):
+            fn = graph.functions[fid]
+            if ACTIVATION_NAME_RE.match(fn.name):
+                continue
+            module_name = graph.owner[fid]
+            module = graph.modules[module_name]
+            for write in fn.global_writes:
+                target = self._resolve_target(graph, module_name, write.name)
+                if target is None:
                     continue
-                module_name = graph.owner[fid]
-                module = graph.modules[module_name]
-                for write in fn.global_writes:
-                    target = self._resolve_target(graph, module_name, write.name)
-                    if target is None:
-                        continue
-                    if site_suppressed(write.suppress, self.rule_id):
-                        continue
-                    key = (module.display_path, write.lineno, write.col)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    verb = (
-                        "rebound" if write.kind == "rebind" else "mutated"
+                if site_suppressed(write.suppress, self.rule_id):
+                    continue
+                verb = "rebound" if write.kind == "rebind" else "mutated"
+                findings.append(
+                    self.finding(
+                        path=module.display_path,
+                        line=write.lineno,
+                        col=write.col,
+                        message=(
+                            f"module-level state {target!r} {verb} from "
+                            f"a serve coroutine: {walk.describe_chain(fid)}"
+                        ),
                     )
-                    findings.append(
-                        self.finding(
-                            path=module.display_path,
-                            line=write.lineno,
-                            col=write.col,
-                            message=(
-                                f"module-level state {target!r} {verb} from "
-                                f"{context_label}: {walk.describe_chain(fid)}"
-                            ),
-                        )
-                    )
+                )
         return findings
 
     def _resolve_target(

@@ -7,7 +7,7 @@ from .controller import PIController
 from .curve import BandwidthLatencyCurve
 from .family import CurveFamily
 from .metrics import MemorySystemMetrics, SATURATION_FACTOR, compute_metrics
-from .simulator import DEFAULT_WINDOW_OPS, MessMemorySimulator, WindowRecord
+from .simulator import DEFAULT_WINDOW_OPS, MessMemorySimulator
 from .stress import StressScorer, default_scorer
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "PIController",
     "SATURATION_FACTOR",
     "StressScorer",
-    "WindowRecord",
     "compute_metrics",
     "default_scorer",
 ]

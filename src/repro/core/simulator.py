@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
-
 from ..errors import ConfigurationError
 from ..memmodels.base import AccessType, MemoryModel, MemoryRequest
 from ..memmodels.queueing import SingleServerQueue
@@ -53,19 +51,6 @@ def degraded_total() -> int:
     return _DEGRADED_TOTAL
 
 
-@dataclass(frozen=True)
-class WindowRecord:
-    """Telemetry of one completed control-loop iteration."""
-
-    index: int
-    start_ns: float
-    end_ns: float
-    cpu_bandwidth_gbps: float
-    mess_bandwidth_gbps: float
-    read_ratio: float
-    latency_ns: float
-
-
 class MessMemorySimulator(MemoryModel):
     """Curve-driven analytical memory model with feedback control.
 
@@ -89,8 +74,10 @@ class MessMemorySimulator(MemoryModel):
         overhead larger than the curve latency.
     integral_gain:
         Optional integral term for the controller (0 matches the paper).
-    keep_history:
-        Record a :class:`WindowRecord` per window for analysis.
+
+    Each completed window emits one ``sim.window`` telemetry sample
+    (observed and estimated bandwidth, latency, error, read ratio)
+    when a registry is active; that sample is the per-window record.
     """
 
     def __init__(
@@ -101,7 +88,6 @@ class MessMemorySimulator(MemoryModel):
         cpu_overhead_ns: float = 0.0,
         min_latency_ns: float = 2.0,
         integral_gain: float = 0.0,
-        keep_history: bool = False,
     ) -> None:
         super().__init__()
         if window_ops < 1:
@@ -118,11 +104,9 @@ class MessMemorySimulator(MemoryModel):
         self.window_ops = window_ops
         self.cpu_overhead_ns = cpu_overhead_ns
         self.min_latency_ns = min_latency_ns
-        self.keep_history = keep_history
         self.controller = PIController(
             convergence_factor=convergence_factor, integral_gain=integral_gain
         )
-        self.history: list[WindowRecord] = []
         self._window_index = 0
         self.converged_at_window: int | None = None
         #: Windows the guardrails had to clamp (NaN/divergent feedback).
@@ -305,18 +289,6 @@ class MessMemorySimulator(MemoryModel):
             and abs(self.controller.last_error) <= CONVERGENCE_TOLERANCE * cpu_bw
         ):
             self.converged_at_window = self._window_index
-        if self.keep_history:
-            self.history.append(
-                WindowRecord(
-                    index=self._window_index,
-                    start_ns=self._window_start_ns,
-                    end_ns=now_ns,
-                    cpu_bandwidth_gbps=cpu_bw,
-                    mess_bandwidth_gbps=self._mess_bw,
-                    read_ratio=read_ratio,
-                    latency_ns=self._latency_ns,
-                )
-            )
         if self._tel is not None:
             self._tel_windows.inc()
             self._tel_error.set(self.controller.last_error)
@@ -366,7 +338,6 @@ class MessMemorySimulator(MemoryModel):
     def reset(self) -> None:
         super().reset()
         self.controller.reset()
-        self.history.clear()
         self._window_index = 0
         self.converged_at_window = None
         self.degraded_windows = 0
@@ -375,3 +346,27 @@ class MessMemorySimulator(MemoryModel):
             1e-9, self.family.max_bandwidth_gbps
         )
         self._reset_position()
+
+
+def drive_fixed_rate(
+    simulator: MessMemorySimulator, gap_ns: float, ops: int
+) -> list[float]:
+    """Drive ``ops`` fixed-rate reads through the simulator.
+
+    The open-loop harness of the ablation and Optane studies: request
+    ``i`` is a read issued at ``now``, and ``now += gap_ns`` after it.
+    The curves never read an address, so every request names line 0.
+    Returns the controller's estimate (``current_position_gbps``) after
+    each completed window, in window order.
+    """
+    controller = simulator.controller
+    updates = controller.updates
+    estimates: list[float] = []
+    now = 0.0
+    for _ in range(ops):
+        simulator.access(MemoryRequest(0, AccessType.READ, now))
+        if controller.updates != updates:
+            updates = controller.updates
+            estimates.append(simulator.current_position_gbps)
+        now += gap_ns
+    return estimates

@@ -36,8 +36,8 @@ from ..units import CACHE_LINE_BYTES
 from .kernels import batch_latencies
 
 
-def issue_schedule(ops: int, gap_ns: float, start_ns: float = 0.0) -> np.ndarray:
-    """Issue times of an unstalled fixed-rate stream.
+def issue_schedule(ops: int, gap_ns: float) -> np.ndarray:
+    """Issue times of an unstalled fixed-rate stream starting at 0.
 
     Bit-exact with the scalar ``now += gap`` accumulation: ``cumsum``
     performs the same left-to-right additions.
@@ -45,7 +45,7 @@ def issue_schedule(ops: int, gap_ns: float, start_ns: float = 0.0) -> np.ndarray
     if ops < 1:
         return np.empty(0, dtype=float)
     steps = np.empty(ops, dtype=float)
-    steps[0] = start_ns
+    steps[0] = 0.0
     steps[1:] = gap_ns
     return np.cumsum(steps)
 

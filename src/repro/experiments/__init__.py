@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .base import ExperimentResult, scaled
 from .registry import (
-    EXPERIMENTS,
     SPECS,
     ExperimentSpec,
     experiment_ids,
@@ -15,7 +14,6 @@ from .registry import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
     "SPECS",
     "ExperimentResult",
     "ExperimentSpec",

@@ -12,10 +12,9 @@ Six studies, each a block of rows distinguished by the ``study`` column:
 
 from __future__ import annotations
 
-from ..core.simulator import MessMemorySimulator
+from ..core.simulator import MessMemorySimulator, drive_fixed_rate
 from ..dram.controller import DramController
 from ..dram.timing import DDR4_2666
-from ..engine.mess import drive_fixed_rate
 from ..platforms.presets import INTEL_SKYLAKE, family
 from ..scenario import build_memory
 from ..traces.driver import (
@@ -38,20 +37,16 @@ def _drive_simulator(
     """Open-loop drive at a fixed rate; returns (windows to settle, final bw).
 
     Settling is the first window whose estimate is within 5% of the
-    offered bandwidth (64 bytes / gap). The drive is window-batched
-    wherever that is bit-exact (see :mod:`repro.engine.mess`).
+    offered bandwidth (64 bytes / gap).
     """
-    simulator.keep_history = True
-    drive_fixed_rate(simulator, gap_ns, ops)
+    estimates = drive_fixed_rate(simulator, gap_ns, ops)
     offered = 64.0 / gap_ns
-    settle = len(simulator.history)
-    for record in simulator.history:
-        if abs(record.mess_bandwidth_gbps - offered) <= 0.05 * offered:
-            settle = record.index + 1
+    settle = len(estimates)
+    for index, estimate in enumerate(estimates):
+        if abs(estimate - offered) <= 0.05 * offered:
+            settle = index + 1
             break
-    final = (
-        simulator.history[-1].mess_bandwidth_gbps if simulator.history else 0.0
-    )
+    final = estimates[-1] if estimates else 0.0
     return settle, final
 
 
@@ -69,11 +64,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
     for factor in (0.1, 0.25, 0.5, 0.75, 1.0):
         simulator = build_memory(
             "mess",
-            {
-                "curves": skylake,
-                "convergence_factor": factor,
-                "keep_history": True,
-            },
+            {"curves": skylake, "convergence_factor": factor},
         )
         settle, final = _drive_simulator(simulator, gap_ns=1.0, ops=ops)
         result.add(
@@ -93,7 +84,7 @@ def run(scale: float = 1.0) -> ExperimentResult:
     for window in (100, 300, 1000, 3000):
         simulator = build_memory(
             "mess",
-            {"curves": skylake, "window_ops": window, "keep_history": True},
+            {"curves": skylake, "window_ops": window},
         )
         settle, final = _drive_simulator(simulator, gap_ns=1.0, ops=ops)
         result.add(

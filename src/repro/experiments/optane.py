@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from ..analysis.compare import compare_families
 from ..bench.model_probe import ProbeConfig, characterize_model
-from ..engine.mess import drive_fixed_rate
+from ..core.simulator import drive_fixed_rate
 from ..memmodels.optane import OptaneModel
 from ..platforms.presets import optane_family
 from ..scenario import build_memory
@@ -68,16 +68,12 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
     # drive the Mess simulator with the curves at a modest fixed rate
     # (offered 8 GB/s of reads against a ~13 GB/s device)
-    simulator = build_memory(
-        "mess",
-        {"curves": preset, "keep_history": True, "window_ops": 250},
-    )
-    drive_fixed_rate(simulator, 8.0, scaled(6000, scale), address_lines=8192)
-    final = simulator.history[-1]
+    simulator = build_memory("mess", {"curves": preset, "window_ops": 250})
+    drive_fixed_rate(simulator, 8.0, scaled(6000, scale))
     result.note(
         f"Mess simulator on the Optane curves converges to "
-        f"{final.mess_bandwidth_gbps:.1f} GB/s at "
-        f"{final.latency_ns:.0f} ns (offered 8 GB/s of reads)"
+        f"{simulator.current_position_gbps:.1f} GB/s at "
+        f"{simulator.current_latency_ns:.0f} ns (offered 8 GB/s of reads)"
     )
     writes_peak = preset[0.5].max_bandwidth_gbps
     reads_peak = preset[1.0].max_bandwidth_gbps

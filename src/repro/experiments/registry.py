@@ -7,11 +7,10 @@ Each experiment module declares itself with :func:`register`::
         ...
 
 Importing this module imports every experiment module (in paper order),
-which populates the registry as a side effect. The public surface —
-:data:`EXPERIMENTS`, :func:`experiment_ids`, :func:`run_experiment` —
-is unchanged from the hand-maintained table it replaces, except that
-:func:`run_experiment` now forwards validated keyword options to the
-experiment, so per-experiment knobs no longer have to be hardcoded.
+which populates the registry as a side effect. :data:`SPECS` holds
+every registered experiment; :func:`experiment_ids` lists them in paper
+order, and :func:`run_experiment` runs one with validated keyword
+options.
 """
 
 from __future__ import annotations
@@ -25,8 +24,10 @@ from typing import Callable, Mapping
 from ..errors import ConfigurationError
 from .base import ExperimentResult
 
-#: Paper presentation order; ids not listed here (future extensions)
-#: sort after these, in registration order.
+#: Every experiment module, in paper presentation order. Each module's
+#: name is the id it registers; importing the modules in this order
+#: fills the registry, and ids registered elsewhere sort after these,
+#: in registration order.
 _PAPER_ORDER = (
     "table1",
     "fig2",
@@ -81,9 +82,6 @@ class ExperimentSpec:
 
 #: Experiment id -> full spec, populated by :func:`register`.
 SPECS: dict[str, ExperimentSpec] = {}
-
-#: Experiment id -> run callable (kept for backwards compatibility).
-EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {}
 
 _COSTS = ("cheap", "moderate", "expensive")
 
@@ -144,7 +142,6 @@ def register(
             order=order,
         )
         SPECS[experiment_id] = spec
-        EXPERIMENTS[experiment_id] = func
         func.experiment_id = experiment_id  # type: ignore[attr-defined]
         return func
 
@@ -190,30 +187,7 @@ def experiment_ids() -> list[str]:
 
 def _load_experiment_modules() -> None:
     """Import every experiment module so its ``@register`` runs."""
-    for name in (
-        "table1",
-        "fig2",
-        "fig3",
-        "fig4",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig10",
-        "fig11",
-        "fig12",
-        "fig13",
-        "fig14",
-        "fig15",
-        "fig16",
-        "fig17",
-        "fig18",
-        "openpiton",
-        "optane",
-        "ablation",
-        "wsweep",
-        "thrash",
-        "policydelta",
-    ):
+    for name in _PAPER_ORDER:
         importlib.import_module(f".{name}", __package__)
 
 

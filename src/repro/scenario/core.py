@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -201,12 +202,12 @@ class Scenario:
         memory = payload.get("memory")
         sweep = payload.get("sweep")
         theoretical = payload.get("theoretical_bandwidth_gbps")
-        if theoretical is not None and not isinstance(
-            theoretical, (int, float)
-        ):
-            raise ConfigurationError(
-                f"{where}.theoretical_bandwidth_gbps: expected a number"
-            )
+        if theoretical is not None:
+            problem = _positive_number_problem(theoretical)
+            if problem:
+                raise ConfigurationError(
+                    f"{where}.theoretical_bandwidth_gbps: {problem}"
+                )
         if "engine" in payload and payload["engine"] not in _LEGACY_ENGINES:
             raise ConfigurationError(
                 f"{where}.engine: obsolete key, accepted (and ignored) only "
@@ -359,11 +360,9 @@ class Scenario:
         if not isinstance(experiment_id, str) or not experiment_id:
             problems.append("workload.experiment_id: required non-empty string")
             return problems
-        scale = self.workload.get("scale", 1.0)
-        if isinstance(scale, bool) or not isinstance(scale, (int, float)):
-            problems.append("workload.scale: expected a number")
-        elif scale <= 0:
-            problems.append(f"workload.scale: must be positive, got {scale}")
+        problem = _positive_number_problem(self.workload.get("scale", 1.0))
+        if problem:
+            problems.append(f"workload.scale: {problem}")
         options = self.workload.get("options", {})
         if not isinstance(options, Mapping):
             problems.append("workload.options: expected an object")
@@ -482,7 +481,11 @@ def _canonical_workload(workload: Mapping, where: str = "workload") -> dict:
     if kind == "experiment":
         if "experiment_id" in workload:
             canonical["experiment_id"] = workload["experiment_id"]
-        canonical["scale"] = float(workload.get("scale", 1.0))
+        scale = workload.get("scale", 1.0)
+        # a malformed scale stays as written, for validate() to report
+        canonical["scale"] = (
+            scale if _positive_number_problem(scale) else float(scale)
+        )
         options = workload.get("options", {})
         if isinstance(options, Mapping):
             options = {str(key): options[key] for key in sorted(options)}
@@ -492,6 +495,19 @@ def _canonical_workload(workload: Mapping, where: str = "workload") -> dict:
             if key != "kind":
                 canonical[key] = workload[key]
     return canonical
+
+
+def _positive_number_problem(value: object) -> str | None:
+    """Why a raw spec value is not a finite positive number, else None.
+
+    Checked before any ``float()``: a bool is not a number here, and
+    the ``NaN``/``Infinity`` that ``json.loads`` accepts are not finite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"expected a number, got {value!r}"
+    if not (math.isfinite(value) and value > 0):
+        return f"must be a finite positive number, got {value!r}"
+    return None
 
 
 def _tabulate_family(result, family: CurveFamily) -> None:

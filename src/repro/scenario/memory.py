@@ -224,8 +224,12 @@ def memory_factory(
         return constructor(**resolved)
 
     # validate parameter values eagerly: a scenario with a bad latency
-    # should fail at load, not ten sweeps into a run
-    factory()
+    # should fail at load, not ten sweeps into a run; a wrongly typed
+    # or missing parameter is a spec error like an out-of-range one
+    try:
+        factory()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"memory kind {kind!r}: {exc}") from exc
     return factory
 
 

@@ -8,6 +8,8 @@ conversions explicit and in one place.
 
 from __future__ import annotations
 
+import math
+
 from .errors import ConfigurationError
 
 #: Size of a cache line in bytes. All memory traffic in the paper (and in
@@ -76,6 +78,8 @@ def ddr_rate_to_gbps(mega_transfers_per_s: float, bus_bytes: int = 8) -> float:
 
 def scaled(base: int, scale: float, minimum: int = 1) -> int:
     """Scale an integer quantity, clamped below by ``minimum``."""
-    if scale <= 0:
-        raise ConfigurationError(f"scale must be positive, got {scale}")
+    if not 0 < scale < math.inf:  # NaN fails both comparisons
+        raise ConfigurationError(
+            f"scale must be a finite positive number, got {scale}"
+        )
     return max(minimum, int(round(base * scale)))

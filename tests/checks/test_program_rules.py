@@ -139,21 +139,6 @@ class TestSharedStateRacesRPR011:
         assert "_CACHE" in findings[0].message
         assert "serve coroutine" in findings[0].message
 
-    def test_fires_on_global_rebound_across_pool_boundary(self):
-        files = {
-            "repro/runner/work.py": (
-                "_STATE = None\n"
-                "def _worker(item):\n"
-                "    global _STATE\n"
-                "    _STATE = item\n"
-                "def run(pool, items):\n"
-                "    return [pool.submit(_worker, item) for item in items]\n"
-            ),
-        }
-        findings = check_sources(files, rules=["RPR011"])
-        assert [f.rule_id for f in findings] == ["RPR011"]
-        assert "executor-submitted" in findings[0].message
-
     def test_silent_for_activation_pattern(self):
         files = {
             "repro/serve/app.py": (

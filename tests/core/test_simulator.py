@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.simulator import MessMemorySimulator
+from repro.core.simulator import MessMemorySimulator, drive_fixed_rate
 from repro.errors import ConfigurationError
 from repro.request import AccessType, MemoryRequest
 from repro.telemetry import registry as telemetry
@@ -23,6 +23,11 @@ def drive(simulator, gap_ns, ops, read_every=1):
         )
         now += gap_ns
     return latencies
+
+
+def window_samples(registry):
+    """The ``sim.window`` samples a registry collected, in order."""
+    return [sample for sample in registry.samples if sample.series == "sim.window"]
 
 
 class TestConfiguration:
@@ -50,12 +55,10 @@ class TestFeedbackLoop:
         )
 
     def test_converges_to_offered_bandwidth(self, small_family):
-        simulator = MessMemorySimulator(
-            small_family, window_ops=200, keep_history=True
-        )
+        simulator = MessMemorySimulator(small_family, window_ops=200)
         drive(simulator, gap_ns=1.0, ops=8000)  # offered: 64 GB/s
-        final = simulator.history[-1]
-        assert final.mess_bandwidth_gbps == pytest.approx(64.0, rel=0.1)
+        assert simulator.controller.updates == 40
+        assert simulator.current_position_gbps == pytest.approx(64.0, rel=0.1)
 
     def test_latency_follows_curve_at_position(self, small_family):
         simulator = MessMemorySimulator(small_family, window_ops=200)
@@ -106,24 +109,28 @@ class TestFeedbackLoop:
         assert achieved <= small_family.max_bandwidth_gbps * 1.1
 
     def test_window_record_telemetry(self, small_family):
-        simulator = MessMemorySimulator(
-            small_family, window_ops=100, keep_history=True
-        )
-        drive(simulator, 1.0, 1000)
-        assert len(simulator.history) == 10
-        first = simulator.history[0]
-        assert first.index == 0
-        assert first.read_ratio == 1.0
-        assert first.end_ns > first.start_ns
+        registry = telemetry.activate()
+        try:
+            simulator = MessMemorySimulator(small_family, window_ops=100)
+            drive(simulator, 1.0, 1000)
+        finally:
+            telemetry.deactivate()
+        samples = window_samples(registry)
+        assert len(samples) == simulator.controller.updates == 10
+        first = samples[0]
+        assert first.values["read_ratio"] == 1.0
+        assert 0.0 < first.ts_us < samples[1].ts_us
+        last = samples[-1].values
+        assert last["mess_bw_gbps"] == simulator.current_position_gbps
+        assert last["latency_ns"] == simulator.current_latency_ns
 
     def test_notify_window_forces_iteration(self, small_family):
-        simulator = MessMemorySimulator(
-            small_family, window_ops=10_000, keep_history=True
-        )
+        simulator = MessMemorySimulator(small_family, window_ops=10_000)
         drive(simulator, 1.0, 500)
-        assert not simulator.history
+        assert simulator.controller.updates == 0
         simulator.notify_window(10_000.0)
-        assert len(simulator.history) == 1
+        assert simulator.controller.updates == 1
+        assert simulator.current_position_gbps > 0.0
 
     def test_reset_restores_initial_state(self, small_family):
         simulator = MessMemorySimulator(small_family, window_ops=100)
@@ -152,9 +159,7 @@ class TestTelemetry:
         self, small_family
     ):
         def run():
-            simulator = MessMemorySimulator(
-                small_family, window_ops=100, keep_history=True
-            )
+            simulator = MessMemorySimulator(small_family, window_ops=100)
             return simulator, drive(simulator, 0.5, 1000, read_every=3)
 
         plain, plain_latencies = run()
@@ -165,7 +170,39 @@ class TestTelemetry:
             telemetry.deactivate()
         assert observed._tel is registry
         assert registry.counter("sim.requests").value == 1000
-        assert registry.counter("sim.windows").value == len(observed.history)
-        assert len(observed.history) == 10
+        windows = registry.counter("sim.windows").value
+        assert windows == observed.controller.updates == 10
+        assert len(window_samples(registry)) == 10
         assert observed_latencies == plain_latencies
         assert observed.stats == plain.stats
+        assert observed.current_position_gbps == plain.current_position_gbps
+
+
+class TestDriveFixedRate:
+    def test_estimates_are_the_window_samples(self, small_family):
+        plain = drive_fixed_rate(
+            MessMemorySimulator(small_family, window_ops=100), 1.0, 2500
+        )
+        registry = telemetry.activate()
+        try:
+            simulator = MessMemorySimulator(small_family, window_ops=100)
+            estimates = drive_fixed_rate(simulator, 1.0, 2500)
+        finally:
+            telemetry.deactivate()
+        assert registry.counter("sim.requests").value == 2500
+        assert len(estimates) == 25
+        assert estimates == [
+            sample.values["mess_bw_gbps"] for sample in window_samples(registry)
+        ]
+        assert estimates == plain
+
+    def test_one_estimate_per_completed_window(self, small_family):
+        simulator = MessMemorySimulator(small_family, window_ops=100)
+        estimates = drive_fixed_rate(simulator, 1.0, 317)  # ragged tail
+        assert len(estimates) == simulator.controller.updates == 3
+        assert estimates[-1] == simulator.current_position_gbps
+        assert (simulator.stats.reads, simulator.stats.writes) == (317, 0)
+        # a window issued at one instant is degenerate: no control update
+        stalled = MessMemorySimulator(small_family, window_ops=100)
+        assert drive_fixed_rate(stalled, 0.0, 300) == []
+        assert stalled.controller.updates == 0

@@ -1,16 +1,16 @@
-"""Scalar twins of the batched fast paths: the test oracle.
+"""Scalar twins of the batched probe: the test oracle.
 
 Every batched kernel in :mod:`repro.engine` claims bit-exactness with a
 scalar computation. Each function here is that computation written as
 the plain loop — sequential accumulation, one ``round()`` per request,
-one ``simulator.access`` per request — under the same name and
-signature as the kernel it checks, and the tests compare the two with
-``==``, never a tolerance. The direct probe's oracle is the scalar
+one ``model.access`` per request — under the same name and signature
+as the kernel it checks, and the tests compare the two with ``==``,
+never a tolerance. The direct probe's oracle is the scalar
 ``repro.bench.model_probe.probe_point`` itself.
 
 :func:`forced_scalar` is the test-only patch that sends every probe
-point and every Mess window down its scalar fallback, so whole
-experiments can be compared against an all-scalar run.
+point down the scalar probe, so whole experiments can be compared
+against an all-scalar run.
 """
 
 from __future__ import annotations
@@ -22,18 +22,17 @@ from unittest import mock
 
 import numpy as np
 
-from repro.core.simulator import MessMemorySimulator
-from repro.engine import mess, probe
+from repro.engine import probe
 from repro.request import AccessType, MemoryRequest
 from repro.units import CACHE_LINE_BYTES
 
 
-def issue_schedule(ops: int, gap_ns: float, start_ns: float = 0.0) -> np.ndarray:
-    """The literal ``now += gap`` accumulation."""
+def issue_schedule(ops: int, gap_ns: float) -> np.ndarray:
+    """The literal ``now += gap`` accumulation from 0."""
     if ops < 1:
         return np.empty(0, dtype=float)
     out = np.empty(ops, dtype=float)
-    now = start_ns
+    now = 0.0
     for index in range(ops):
         out[index] = now
         now += gap_ns
@@ -121,37 +120,12 @@ def sequential_sum(values: np.ndarray) -> float:
     return total
 
 
-def drive_fixed_rate(
-    simulator: MessMemorySimulator,
-    gap_ns: float,
-    ops: int,
-    address_lines: int = 65536,
-    start_ns: float = 0.0,
-) -> float:
-    """The one-request-at-a-time drive loop."""
-    now = start_ns
-    for index in range(ops):
-        simulator.access(
-            MemoryRequest(
-                address=(index % address_lines) * CACHE_LINE_BYTES,
-                access_type=AccessType.READ,
-                issue_time_ns=now,
-            )
-        )
-        now += gap_ns
-    return now
-
-
 @contextmanager
 def forced_scalar() -> Iterator[None]:
-    """Send every probe point and Mess window down its scalar fallback.
+    """Send every probe point down the scalar probe.
 
     The batched probe reports every point as failing its preconditions,
-    so ``characterize_model`` measures it with the scalar probe; the
-    window fast path declines every window, so ``drive_fixed_rate``
-    replays each one through ``simulator.access``.
+    so ``characterize_model`` measures it with the scalar probe.
     """
-    with mock.patch.object(
-        probe, "probe_point_vectorized", lambda *args: None
-    ), mock.patch.object(mess, "_window_fast_path", lambda *args: False):
+    with mock.patch.object(probe, "probe_point_vectorized", lambda *args: None):
         yield

@@ -95,7 +95,7 @@ class TestCli:
             [
                 "bench",
                 "--filter",
-                "mess.drive_fixed_rate",
+                "mess.access",
                 "--repeat",
                 "2",
                 "--json",
@@ -104,10 +104,13 @@ class TestCli:
         ) == 0
         payload = json.loads(payload_path.read_text())
         assert payload["repro_bench"] == 2
-        (entry,) = payload["benches"]
-        assert entry["name"] == "mess.drive_fixed_rate"
-        assert entry["time_s"] > 0
-        assert len(entry["meta"]["digest"]) == 64
+        # a filter term is a substring: it keeps the telemetry twin too
+        plain, traced = payload["benches"]
+        assert plain["name"] == "mess.access"
+        assert traced["name"] == "mess.access_telemetry"
+        assert plain["time_s"] > 0
+        assert len(plain["meta"]["digest"]) == 64
+        assert traced["meta"]["digest"] == plain["meta"]["digest"]
 
     def test_bench_list(self, capsys):
         assert main(["bench", "--list"]) == 0

@@ -1,14 +1,14 @@
-"""Fast paths vs all-scalar runs over every experiment that reaches them.
+"""Batched probe vs all-scalar runs over every experiment that reaches it.
 
-The batched fast paths are the only production path, and each claims
-to leave results bit-identical. For every registered experiment whose
-module calls ``characterize_model`` or ``drive_fixed_rate`` (found from
-the module's globals, so a new caller joins the sweep on its own), the
-experiment runs twice — once as shipped and once with both fast paths
-forced onto their scalar fallbacks (``oracle.forced_scalar``) — and the
-two result digests must be *identical*: same rows, same floats, same
-notes. No other experiment reaches fast-path code, so running it twice
-would compare a run with itself.
+The batched probe is the only production path, and it claims to leave
+results bit-identical. For every registered experiment whose module
+calls ``characterize_model`` (found from the module's globals, so a new
+caller joins the sweep on its own), the experiment runs twice — once as
+shipped and once with every probe point forced onto the scalar probe
+(``oracle.forced_scalar``) — and the two result digests must be
+*identical*: same rows, same floats, same notes. No other experiment
+reaches fast-path code, so running it twice would compare a run with
+itself.
 
 ``run_experiment`` reads no result cache, so both runs genuinely
 recompute everything. The two runs of a case are independent, so they
@@ -26,7 +26,6 @@ from contextlib import nullcontext
 import pytest
 
 from repro.bench.model_probe import characterize_model
-from repro.engine.mess import drive_fixed_rate
 from repro.experiments.registry import SPECS, experiment_ids, run_experiment
 
 from . import oracle
@@ -37,18 +36,12 @@ _SCALE = 0.3
 #: host.
 _RUN_TIMEOUT_S = 600.0
 
-_FAST_PATH_ENTRIES = (characterize_model, drive_fixed_rate)
-
 
 def _fast_path_callers() -> list[str]:
     callers = []
     for experiment_id in experiment_ids():
         module = importlib.import_module(SPECS[experiment_id].func.__module__)
-        if any(
-            value is entry
-            for value in vars(module).values()
-            for entry in _FAST_PATH_ENTRIES
-        ):
+        if any(value is characterize_model for value in vars(module).values()):
             callers.append(experiment_id)
     return callers
 
@@ -67,7 +60,7 @@ def sweep_workers():
 
 
 def test_sweep_finds_the_known_fast_path_callers():
-    known = {"fig4", "fig5", "fig14", "optane", "ablation"}
+    known = {"fig4", "fig5", "fig14", "optane"}
     assert known <= set(_fast_path_callers())
 
 

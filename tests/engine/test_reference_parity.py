@@ -3,9 +3,9 @@
 :mod:`tests.engine.oracle` is the scalar reference for every batched
 kernel in :mod:`repro.engine`: the same name and signature, written as
 the plain loop. This module pins the probe primitives against it at the
-small, odd-sized inputs that exercise their edges — a non-zero start
-time, a read ratio that does not divide the request count, a window cap
-of one — and compares with ``==``, never a tolerance.
+small, odd-sized inputs that exercise their edges — a gap that is not
+a power of two, a read ratio that does not divide the request count, a
+window cap of one — and compares with ``==``, never a tolerance.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from . import oracle
 class TestNumericParity:
     def test_probe_primitives(self):
         assert oracle.issue_schedule(
-            50, 3.3, start_ns=7.0
-        ).tolist() == fast_probe.issue_schedule(50, 3.3, start_ns=7.0).tolist()
+            50, 3.3
+        ).tolist() == fast_probe.issue_schedule(50, 3.3).tolist()
         assert oracle.bresenham_reads(
             41, 0.62
         ).tolist() == fast_probe.bresenham_reads(41, 0.62).tolist()

@@ -3,10 +3,10 @@
 Every fast path in :mod:`repro.engine` claims *exact* equality with the
 scalar loop it replaces — identical floats, not close ones. These tests
 assert ``==`` at each seam against the scalar twins in
-:mod:`tests.engine.oracle`: probe schedules, batch latency kernels, the
-full model probe and the Mess window drive. A last group pins how much
-work actually takes the fast paths, so a path that silently falls back
-to scalar fails here. The end-to-end experiment digests ride on these.
+:mod:`tests.engine.oracle`: probe schedules, batch latency kernels and
+the full model probe. A last group pins how much work actually takes
+the fast path, so a probe that silently falls back to scalar fails
+here. The end-to-end experiment digests ride on these.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.bench.model_probe import ProbeConfig, characterize_model, probe_point
-from repro.engine import mess
 from repro.engine import probe as fast_probe
 from repro.engine.kernels import batch_latencies, pipe_stays_idle, queue_waits
-from repro.engine.mess import drive_fixed_rate
 from repro.engine.probe import (
     bresenham_reads,
     cap_never_stalls,
@@ -29,7 +26,6 @@ from repro.engine.probe import (
     stream_addresses,
 )
 from repro.experiments import fig5
-from repro.experiments.registry import run_experiment
 from repro.memmodels.fixed import FixedLatencyModel
 from repro.memmodels.flawed import (
     DRAMsim3Analog,
@@ -41,10 +37,7 @@ from repro.memmodels.md1 import MD1QueueModel
 from repro.memmodels.optane import OptaneModel
 from repro.memmodels.queueing import SingleServerQueue
 from repro.memmodels.simple_bw import SimpleBandwidthModel
-from repro.platforms.presets import INTEL_SKYLAKE, family
 from repro.request import AccessType, MemoryRequest
-from repro.scenario import build_memory
-from repro.telemetry.registry import TelemetryRegistry
 
 from . import oracle
 
@@ -191,7 +184,7 @@ class TestProbeEquivalence:
                     issue_time_ns=index * 0.1,
                 )
             )
-        t = issue_schedule(500, 0.3, start_ns=3.0)
+        t = 3.0 + issue_schedule(500, 0.3)
         is_read = bresenham_reads(500, 0.7)
         addresses = stream_addresses(500, 16, 8 << 20)
         got = batch_latencies(model, t, is_read, addresses)
@@ -245,73 +238,12 @@ class TestProbeEquivalence:
         assert batched.to_dict() == scalar.to_dict()
 
 
-def _drive_outcome(simulator, end):
-    return (
-        end,
-        simulator.stats.reads,
-        simulator.stats.total_latency_ns,
-        simulator.stats.last_completion_ns,
-        simulator._mess_bw,
-        [record.mess_bandwidth_gbps for record in simulator.history],
-        [record.latency_ns for record in simulator.history],
-    )
-
-
-class TestMessDrive:
-    @pytest.mark.parametrize("gap_ns", [0.4, 1.0, 3.0, 8.0])
-    def test_drive_identical_across_engines(self, gap_ns):
-        """The window-batched drive equals the request-at-a-time loop."""
-        fam = family(INTEL_SKYLAKE)
-        outcomes = []
-        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
-            simulator = build_memory(
-                "mess", {"curves": fam, "keep_history": True}
-            )
-            end = drive(simulator, gap_ns, 4000)
-            outcomes.append(_drive_outcome(simulator, end))
-        assert outcomes[0] == outcomes[1]
-
-    def test_partial_window_tail_identical(self):
-        fam = family(INTEL_SKYLAKE)
-        outcomes = []
-        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
-            simulator = build_memory("mess", {"curves": fam})
-            ops = simulator.window_ops * 3 + 17  # ragged tail
-            drive(simulator, 1.0, ops)
-            outcomes.append(
-                (
-                    simulator.stats.reads,
-                    simulator.stats.total_latency_ns,
-                    simulator._mess_bw,
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_bound_telemetry_replays_every_request(self):
-        fam = family(INTEL_SKYLAKE)
-        outcomes = []
-        registries = []
-        for drive in (drive_fixed_rate, oracle.drive_fixed_rate):
-            registries.append(telemetry.activate(TelemetryRegistry()))
-            try:
-                simulator = build_memory(
-                    "mess", {"curves": fam, "keep_history": True}
-                )
-                end = drive(simulator, 1.0, 2500)
-            finally:
-                telemetry.deactivate()
-            outcomes.append(_drive_outcome(simulator, end))
-        assert outcomes[0] == outcomes[1]
-        batched, scalar = (r.counter("sim.requests").value for r in registries)
-        assert batched == scalar == 2500
-
-
 class TestFastPathCoverage:
-    """How much real work the fast paths take.
+    """How much real work the fast path takes.
 
     The counts are the ones the shipped code measures; a kernel that
-    starts declining points or windows it used to take shows up here
-    as a lower count, not as a slower benchmark.
+    starts declining points it used to take shows up here as a lower
+    count, not as a slower benchmark.
     """
 
     @pytest.mark.parametrize(
@@ -338,21 +270,3 @@ class TestFastPathCoverage:
         characterize_model(fig5.model_factories()[model], config, name=model)
         assert len(answers) == 66
         assert sum(answers) == batched
-
-    @pytest.mark.parametrize(
-        "experiment_id, windows", [("ablation", 118), ("optane", 8)]
-    )
-    def test_mess_drive_windows_batched(
-        self, experiment_id, windows, monkeypatch
-    ):
-        taken = []
-        original = mess._window_fast_path
-
-        def counting(*args):
-            took = original(*args)
-            taken.append(took)
-            return took
-
-        monkeypatch.setattr(mess, "_window_fast_path", counting)
-        run_experiment(experiment_id, scale=0.3)
-        assert taken == [True] * windows

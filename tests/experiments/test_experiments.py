@@ -13,7 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import EXPERIMENTS, experiment_ids, run_experiment
+from repro.experiments import SPECS, experiment_ids, run_experiment
 from repro.experiments.base import ExperimentResult, scaled
 from repro.runner.cache import RESULTS_EPOCH
 from repro.specs import spec_digest
@@ -81,7 +81,7 @@ class TestInfrastructure:
             "wsweep", "thrash", "policydelta",
         }
         assert set(experiment_ids()) == expected
-        assert set(EXPERIMENTS) == expected
+        assert set(SPECS) == expected
 
     def test_unknown_experiment(self):
         with pytest.raises(ConfigurationError):

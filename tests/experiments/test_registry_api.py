@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import (
-    EXPERIMENTS,
     SPECS,
     ExperimentResult,
     experiment_ids,
@@ -22,7 +21,6 @@ class TestRegistration:
         for spec in SPECS.values():
             assert spec.title, spec.experiment_id
             assert spec.cost in ("cheap", "moderate", "expensive")
-            assert spec.func is EXPERIMENTS[spec.experiment_id]
             assert spec.func.experiment_id == spec.experiment_id
 
     def test_paper_order_preserved(self):
@@ -55,7 +53,6 @@ class TestRegistration:
             assert result.rows == [{"knob": 7}]
         finally:
             del SPECS["zz-test"]
-            del EXPERIMENTS["zz-test"]
 
     def test_invalid_cost_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -15,6 +15,7 @@ from repro.scenario import (
     scenario_ids,
 )
 from repro.scenario.core import FORMAT_KEY, Scenario
+from repro.serve.service import BadRequestError, parse_request
 
 
 def _tiny(name: str = "tiny") -> Scenario:
@@ -65,7 +66,81 @@ class TestRoundTrip:
             Scenario.from_spec(payload)
 
 
+def _experiment_spec(scale) -> dict:
+    spec = Scenario.for_experiment("fig2").to_spec()
+    spec["workload"]["scale"] = scale
+    return spec
+
+
+def _characterize_spec(memory=None, **top) -> dict:
+    spec = {**_tiny().to_spec(), **top}
+    if memory is not None:
+        spec["memory"] = memory
+    return spec
+
+
+_SKYLAKE = {"platform": "Intel Skylake Xeon Platinum"}
+
+#: Malformed specs, each with the part of the error that names its fault.
+MALFORMED = [
+    pytest.param(_experiment_spec("abc"), "workload.scale", id="scale-string"),
+    pytest.param(_experiment_spec([1]), "workload.scale", id="scale-list"),
+    pytest.param(_experiment_spec(None), "workload.scale", id="scale-null"),
+    pytest.param(_experiment_spec(True), "workload.scale", id="scale-bool"),
+    pytest.param(
+        _experiment_spec(json.loads("Infinity")), "workload.scale", id="scale-inf"
+    ),
+    pytest.param(_experiment_spec(float("nan")), "workload.scale", id="scale-nan"),
+    *(
+        pytest.param(
+            _characterize_spec(theoretical_bandwidth_gbps=peak),
+            "theoretical_bandwidth_gbps",
+            id=f"peak-{label}",
+        )
+        for label, peak in (
+            ("bool", True), ("nan", float("nan")), ("zero", 0), ("negative", -5)
+        )
+    ),
+    pytest.param(
+        _characterize_spec(
+            {"kind": "fixed-latency", "params": {"latency_ns": "abc"}}
+        ),
+        "memory kind 'fixed-latency'",
+        id="latency-string",
+    ),
+    pytest.param(
+        _characterize_spec(
+            {"kind": "mess", "params": {"curves": _SKYLAKE, "window_ops": None}}
+        ),
+        "memory kind 'mess'",
+        id="window-null",
+    ),
+    pytest.param(
+        _characterize_spec({"kind": "cycle-accurate", "params": {}}),
+        "timing",
+        id="no-timing",
+    ),
+    pytest.param(
+        _characterize_spec(
+            {"kind": "mess", "params": {"curves": _SKYLAKE, "keep_history": True}}
+        ),
+        r"unknown parameter\(s\) \['keep_history'\]",
+        id="keep-history",
+    ),
+]
+
+
 class TestValidation:
+    @pytest.mark.parametrize("spec, fault", MALFORMED)
+    def test_malformed_spec_is_a_typed_error(self, spec, fault):
+        with pytest.raises(ConfigurationError, match=fault):
+            Scenario.from_spec(spec)
+        kind = spec["workload"]["kind"]
+        verb = "characterize" if kind == "characterize" else "simulate"
+        with pytest.raises(BadRequestError, match=fault) as caught:
+            parse_request(verb, spec)
+        assert caught.value.status == 400
+
     def test_presets_validate_clean(self):
         for name in scenario_ids():
             assert preset_scenario(name).validate() == []

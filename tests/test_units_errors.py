@@ -16,6 +16,7 @@ from repro.units import (
     gbps_to_lines_per_ns,
     lines_per_ns_to_gbps,
     ns_to_cycles,
+    scaled,
 )
 
 
@@ -41,6 +42,11 @@ class TestUnits:
             cycles_to_ns(10, 0.0)
         with pytest.raises(errors.ConfigurationError):
             ns_to_cycles(10, -1.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_invalid_scale(self, scale):
+        with pytest.raises(errors.ConfigurationError):
+            scaled(1000, scale)
 
     def test_ddr_rate(self):
         assert ddr_rate_to_gbps(2666) == pytest.approx(21.328)
