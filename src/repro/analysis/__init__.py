@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 from .compare import FamilyComparison, compare_families
-from .error import AccuracyReport, WorkloadError, run_accuracy_campaign
+from .error import (
+    AccuracyReport,
+    WorkloadError,
+    accuracy_workloads,
+    run_accuracy_campaign,
+)
 from .rowbuffer import RowBufferCensus, census_from_controller, census_sweep
 
 __all__ = [
@@ -11,6 +16,7 @@ __all__ = [
     "FamilyComparison",
     "RowBufferCensus",
     "WorkloadError",
+    "accuracy_workloads",
     "census_from_controller",
     "census_sweep",
     "compare_families",

@@ -5,7 +5,8 @@ on the actual platform and on each (CPU simulator, memory model)
 combination, then report per-benchmark and average relative errors.
 These helpers run the same campaign on our substrate: the "actual"
 platform is a system wired to the cycle-level DRAM model, the
-candidates are systems wired to each model in the zoo.
+candidates are systems wired to each model in the zoo, and
+:func:`accuracy_workloads` is the benchmark trio both figures share.
 
 Reports hold errors only. The paper's speed comparison is measured
 beside them: under an active telemetry registry, each candidate's runs
@@ -21,7 +22,11 @@ from typing import Callable
 from ..cpu.system import System, SystemConfig
 from ..memmodels.base import MemoryModel
 from ..telemetry import registry as telemetry
+from ..units import scaled
 from ..workloads.base import Workload, simulation_error_pct
+from ..workloads.lmbench import LmbenchLatency
+from ..workloads.multichase import Multichase
+from ..workloads.stream import StreamWorkload
 
 
 @dataclass(frozen=True)
@@ -49,16 +54,27 @@ class AccuracyReport:
         return sum(e.error_pct for e in self.entries) / len(self.entries)
 
 
+def accuracy_workloads(scale: float) -> list[Callable[[], Workload]]:
+    """The STREAM triad, LMbench and multichase suite, sized by ``scale``."""
+    lines = scaled(5000, scale)
+    chase = scaled(2200, scale)
+    return [
+        lambda: StreamWorkload(kernel="triad", lines_per_core=lines),
+        lambda: LmbenchLatency(chase_ops=chase),
+        lambda: Multichase(chase_ops=chase, parallel_chases=2),
+    ]
+
+
 def run_accuracy_campaign(
     system_config: SystemConfig,
     actual_factory: Callable[[], MemoryModel],
     model_factories: dict[str, Callable[[], MemoryModel]],
     workload_factories: list[Callable[[], Workload]],
-) -> tuple[dict[str, float], list[AccuracyReport]]:
+) -> list[AccuracyReport]:
     """Measure every model's error on every workload.
 
-    Returns the actual-platform scores (per workload) and one
-    :class:`AccuracyReport` per candidate model.
+    Returns one :class:`AccuracyReport` per candidate model; each entry
+    carries the actual-platform score it was measured against.
     """
     actual_scores: dict[str, float] = {}
     for make_workload in workload_factories:
@@ -91,4 +107,4 @@ def run_accuracy_campaign(
                     )
                 )
         reports.append(report)
-    return actual_scores, reports
+    return reports

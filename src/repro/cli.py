@@ -101,13 +101,7 @@ from .checks import available_rules, check_paths, render_sarif
 from .core.metrics import compute_metrics
 from .errors import CheckError, ConfigurationError, MessError
 from .experiments.registry import SPECS, experiment_ids
-from .platforms.presets import (
-    TABLE_I_PLATFORMS,
-    cxl_expander_family,
-    family,
-    optane_family,
-    remote_socket_family,
-)
+from .platforms.presets import SPECIAL_FAMILIES, TABLE_I_PLATFORMS, family
 from .resilience import RetryPolicy, load_fault_plan
 from .runner import ResultCache, RunManifest, resume_run, run_many
 from .runner.pool import ProgressCallback
@@ -118,19 +112,12 @@ from .scenario import (
     scenario_ids,
 )
 
-_SPECIAL_FAMILIES = {
-    "cxl": cxl_expander_family,
-    "optane": optane_family,
-    "remote-socket": remote_socket_family,
-}
-
-
 def _platform_families() -> dict:
     families = {
         spec.name.lower().replace(" ", "-"): (lambda s=spec: family(s))
         for spec in TABLE_I_PLATFORMS
     }
-    families.update(_SPECIAL_FAMILIES)
+    families.update(SPECIAL_FAMILIES)
     return families
 
 
@@ -537,18 +524,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 1 if findings else 0
 
 
-def _is_fault_plan(ref: str) -> bool:
-    """Whether ``ref`` is a JSON file carrying the fault-plan marker."""
-    path = Path(ref)
-    if path.suffix != ".json" or not path.exists():
-        return False
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(payload, dict) and "repro_fault_plan" in payload
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     if args.action == "list":
         for name in scenario_ids():
@@ -568,12 +543,6 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
     overrides = _parse_options(getattr(args, "opt", None) or [])
     failures = 0
     for ref in refs:
-        if args.action == "validate" and _is_fault_plan(ref):
-            # fault plans share the examples/ directory but are a
-            # different document kind, validated by `repro check`
-            # (RPR105); globbing `examples/*.json` should skip them
-            print(f"{ref}: skipped (fault plan; validated by `repro check`)")
-            continue
         try:
             scenario = _resolve_scenario(ref, args.scale)
             if overrides:

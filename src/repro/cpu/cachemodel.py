@@ -1,7 +1,7 @@
 """Declarative cache-model axis: topology, replacement, write policy.
 
-``CacheModelSpec`` is the third pluggable scenario axis after
-``memory`` and ``engine``: a frozen spec dataclass that round-trips
+``CacheModelSpec`` is the scenario's cache-model axis, pluggable like
+the ``memory`` spec beside it: a frozen spec dataclass that round-trips
 through ``to_spec``/``from_spec``, participates in scenario digests,
 and selects how :class:`~repro.cpu.hierarchy.MemoryHierarchy` is
 built. The geometry of each level (size/ways/latency) stays on

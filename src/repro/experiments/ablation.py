@@ -23,7 +23,7 @@ from ..traces.driver import (
     synthesize_mess_trace,
 )
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "ablation"
 
@@ -52,11 +52,7 @@ def _drive_simulator(
 
 @register("ablation", title="Design-choice ablations", tags=("ablation",), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Design-choice ablations",
-        columns=["study", "setting", "metric", "value"],
-    )
+    result = new_result(EXPERIMENT_ID, ["study", "setting", "metric", "value"])
     skylake = family(INTEL_SKYLAKE)
     ops = scaled(20000, scale)
 

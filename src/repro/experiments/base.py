@@ -17,9 +17,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from ..errors import ConfigurationError
+
+if TYPE_CHECKING:
+    from ..core.curve import BandwidthLatencyCurve
 
 
 @dataclass
@@ -40,6 +43,22 @@ class ExperimentResult:
                 f"{self.experiment_id}: unknown columns {sorted(unknown)}"
             )
         self.rows.append(values)
+
+    def add_curves(self, curves: Iterable[BandwidthLatencyCurve], **labels) -> None:
+        """Append one row per curve point, curve by curve.
+
+        Each row holds ``labels`` plus the point's ``read_ratio``,
+        ``bandwidth_gbps`` and ``latency_ns``; ``curves`` is any
+        iterable of curves, a family included.
+        """
+        for curve in curves:
+            for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
+                self.add(
+                    **labels,
+                    read_ratio=curve.read_ratio,
+                    bandwidth_gbps=float(bandwidth),
+                    latency_ns=float(latency),
+                )
 
     def note(self, text: str) -> None:
         self.notes.append(text)

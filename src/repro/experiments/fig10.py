@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from ..analysis.compare import compare_families
 from ..errors import ConfigurationError
+from ..scenario import characterization, substrate
 from .base import ExperimentResult
-from .common import characterization, substrate
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig10"
 
@@ -53,10 +53,9 @@ def _select_subfigures(memories: str | None):
 
 @register("fig10", title="ZSim-style system with the Mess simulator vs actual curves", tags=("mess-simulator", "validation"), cost="expensive")
 def run(scale: float = 1.0, *, memories: str | None = None) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="ZSim-style system with the Mess simulator vs actual curves",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "memory",
             "system",
             "read_ratio",
@@ -83,18 +82,8 @@ def run(scale: float = 1.0, *, memories: str | None = None) -> ExperimentResult:
             theoretical_bandwidth_gbps=actual.theoretical_bandwidth_gbps,
         )
         simulated = mess_scenario.materialize().characterize()
-        for system, family in (("actual", actual), ("zsim+mess", simulated)):
-            for curve in family:
-                for bandwidth, latency in zip(
-                    curve.bandwidth_gbps, curve.latency_ns
-                ):
-                    result.add(
-                        memory=label,
-                        system=system,
-                        read_ratio=curve.read_ratio,
-                        bandwidth_gbps=float(bandwidth),
-                        latency_ns=float(latency),
-                    )
+        result.add_curves(actual, memory=label, system="actual")
+        result.add_curves(simulated, memory=label, system="zsim+mess")
         comparison = compare_families(actual, simulated)
         result.note(
             f"{label}: unloaded latency error "

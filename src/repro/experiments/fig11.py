@@ -12,33 +12,23 @@ telemetry summarize t.json`` totals them.
 
 from __future__ import annotations
 
-from ..analysis.error import run_accuracy_campaign
-from ..scenario import memory_factory
-from ..workloads.lmbench import LmbenchLatency
-from ..workloads.multichase import Multichase
-from ..workloads.stream import StreamWorkload
-from .base import ExperimentResult, scaled
-from .common import bench_system, preset_scenario
-from .registry import register
+from ..analysis.error import accuracy_workloads, run_accuracy_campaign
+from ..scenario import bench_system, memory_factory, preset_scenario
+from .base import ExperimentResult
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig11"
 
 _THEORETICAL = 128.0
 _CORES = 12
 
-#: Memory spec of the reference "actual hardware" controller.
-_SUBSTRATE_MEMORY = {
-    "timing": "DDR4-2666",
-    "channels": 6,
-    "write_queue_depth": 48,
-}
-
 
 @register("fig11", title="ZSim memory-model accuracy vs the actual platform", tags=("mess-simulator", "accuracy"), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
     substrate_scenario = preset_scenario("skylake-substrate", scale)
     overhead = substrate_scenario.system.hierarchy.total_hit_path_ns
-    mess_family = substrate_scenario.materialize().characterize()
+    substrate_machine = substrate_scenario.materialize()
+    mess_family = substrate_machine.characterize()
     # the fixed-latency model is tuned to the unloaded memory-side
     # latency, as the paper notes a user would do
     fixed_latency = max(2.0, mess_family.unloaded_latency_ns - overhead)
@@ -65,31 +55,23 @@ def run(scale: float = 1.0) -> ExperimentResult:
             "mess",
             {"curves": mess_family, "cpu_overhead_ns": overhead},
         ),
-        # the detailed controller itself, as the cycle-accurate speed
-        # anchor (its error is ~0 by construction — it IS the reference)
-        "cycle-accurate(dram)": ("cycle-accurate", _SUBSTRATE_MEMORY),
     }
     model_factories = {
         name: memory_factory(kind, params)
         for name, (kind, params) in model_specs.items()
     }
-    lines = scaled(5000, scale)
-    chase = scaled(2200, scale)
-    workloads = [
-        lambda: StreamWorkload(kernel="triad", lines_per_core=lines),
-        lambda: LmbenchLatency(chase_ops=chase),
-        lambda: Multichase(chase_ops=chase, parallel_chases=2),
-    ]
-    actual_scores, reports = run_accuracy_campaign(
+    # the detailed controller itself, as the cycle-accurate speed
+    # anchor (its error is ~0 by construction — it IS the reference)
+    model_factories["cycle-accurate(dram)"] = substrate_machine.memory_factory
+    reports = run_accuracy_campaign(
         system_config=bench_system(cores=_CORES),
-        actual_factory=memory_factory("cycle-accurate", _SUBSTRATE_MEMORY),
+        actual_factory=substrate_machine.memory_factory,
         model_factories=model_factories,
-        workload_factories=workloads,
+        workload_factories=accuracy_workloads(scale),
     )
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="ZSim memory-model accuracy vs the actual platform",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "model",
             "workload",
             "simulated",

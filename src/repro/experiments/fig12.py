@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from ..analysis.compare import compare_families
 from ..platforms.presets import AMAZON_GRAVITON3, FUJITSU_A64FX, family
+from ..scenario import BENCH_HIERARCHY, characterization
 from .base import ExperimentResult
-from .common import BENCH_HIERARCHY, characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig12"
 
@@ -28,10 +28,9 @@ SUBFIGURES = (
 
 @register("fig12", title="gem5-style system + Mess on one channel, scaled to full", tags=("mess-simulator", "gem5"), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="gem5-style system + Mess on one channel, scaled to full",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "memory",
             "system",
             "read_ratio",
@@ -56,21 +55,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
         simulated_scaled = scenario.materialize().characterize().scaled_bandwidth(
             channels, name=f"gem5+mess {label} (scaled x{channels})"
         )
-        for system, fam in (
-            ("actual", reference),
-            (f"gem5+mess(x{channels})", simulated_scaled),
-        ):
-            for curve in fam:
-                for bandwidth, latency in zip(
-                    curve.bandwidth_gbps, curve.latency_ns
-                ):
-                    result.add(
-                        memory=label,
-                        system=system,
-                        read_ratio=curve.read_ratio,
-                        bandwidth_gbps=float(bandwidth),
-                        latency_ns=float(latency),
-                    )
+        result.add_curves(reference, memory=label, system="actual")
+        result.add_curves(
+            simulated_scaled, memory=label, system=f"gem5+mess(x{channels})"
+        )
         comparison = compare_families(reference, simulated_scaled)
         result.note(
             f"{label}: unloaded latency error "

@@ -8,33 +8,23 @@ average errors of 30%, 15%, 52% and 3% respectively.
 
 from __future__ import annotations
 
-from ..analysis.error import run_accuracy_campaign
-from ..scenario import memory_factory
-from ..workloads.lmbench import LmbenchLatency
-from ..workloads.multichase import Multichase
-from ..workloads.stream import StreamWorkload
-from .base import ExperimentResult, scaled
-from .common import bench_system, preset_scenario
-from .registry import register
+from ..analysis.error import accuracy_workloads, run_accuracy_campaign
+from ..scenario import bench_system, memory_factory, preset_scenario
+from .base import ExperimentResult
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig13"
 
 _CHANNELS = 2  # scaled-down DDR5 system saturable by 12 simulated cores
 _CORES = 12
 
-#: Memory spec of the 2-channel DDR5 "actual hardware" controller.
-_SUBSTRATE_MEMORY = {
-    "timing": "DDR5-4800",
-    "channels": _CHANNELS,
-    "write_queue_depth": 48,
-}
-
 
 @register("fig13", title="gem5 memory-model accuracy on the DDR5 substrate", tags=("mess-simulator", "gem5"), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
     substrate_scenario = preset_scenario("graviton-substrate-2ch", scale)
     overhead = substrate_scenario.system.hierarchy.total_hit_path_ns
-    mess_family = substrate_scenario.materialize().characterize()
+    substrate_machine = substrate_scenario.materialize()
+    mess_family = substrate_machine.characterize()
     theoretical = mess_family.theoretical_bandwidth_gbps
     unloaded_memory_side = max(2.0, mess_family.unloaded_latency_ns - overhead)
     model_specs = {
@@ -64,23 +54,14 @@ def run(scale: float = 1.0) -> ExperimentResult:
         name: memory_factory(kind, params)
         for name, (kind, params) in model_specs.items()
     }
-    lines = scaled(5000, scale)
-    chase = scaled(2200, scale)
-    workloads = [
-        lambda: StreamWorkload(kernel="triad", lines_per_core=lines),
-        lambda: LmbenchLatency(chase_ops=chase),
-        lambda: Multichase(chase_ops=chase, parallel_chases=2),
-    ]
-    _, reports = run_accuracy_campaign(
+    reports = run_accuracy_campaign(
         system_config=bench_system(cores=_CORES),
-        actual_factory=memory_factory("cycle-accurate", _SUBSTRATE_MEMORY),
+        actual_factory=substrate_machine.memory_factory,
         model_factories=model_factories,
-        workload_factories=workloads,
+        workload_factories=accuracy_workloads(scale),
     )
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="gem5 memory-model accuracy on the DDR5 substrate",
-        columns=["model", "workload", "simulated", "actual", "error_pct"],
+    result = new_result(
+        EXPERIMENT_ID, ["model", "workload", "simulated", "actual", "error_pct"]
     )
     for report in reports:
         for entry in report.entries:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from ..bench.model_probe import ProbeConfig, characterize_model
 from ..memmodels.cxl import CxlExpanderModel
+from ..scenario import BENCH_HIERARCHY, bench_system, characterization
 from .base import ExperimentResult, scaled
-from .common import BENCH_HIERARCHY, bench_system, characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig14"
 
@@ -55,20 +55,11 @@ SYSTEMS = (
 
 @register("fig14", title="CXL expander: manufacturer model vs Mess in three simulators", tags=("cxl", "validation"), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="CXL expander: manufacturer model vs Mess in three simulators",
-        columns=["system", "read_ratio", "bandwidth_gbps", "latency_ns"],
+    result = new_result(
+        EXPERIMENT_ID, ["system", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
     manufacturer = manufacturer_curves(scale)
-    for curve in manufacturer:
-        for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
-            result.add(
-                system="manufacturer",
-                read_ratio=curve.read_ratio,
-                bandwidth_gbps=float(bandwidth),
-                latency_ns=float(latency),
-            )
+    result.add_curves(manufacturer, system="manufacturer")
     overhead = BENCH_HIERARCHY.total_hit_path_ns
     for label, cores, in_order in SYSTEMS:
         scenario = characterization(

@@ -15,7 +15,7 @@ from ..profiling.profile import MessProfile
 from ..profiling.sampler import sample_phase_profile
 from ..workloads.hpcg import HpcgPhaseProfile
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig15"
 
@@ -31,10 +31,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
         sample_ms=10.0,
     )
     profile = MessProfile.from_samples(curves, samples)
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="HPCG positioned on the Cascade Lake bandwidth-latency curves",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "time_ms",
             "phase",
             "bandwidth_gbps",

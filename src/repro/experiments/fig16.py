@@ -17,7 +17,7 @@ from ..profiling.sampler import sample_phase_profile
 from ..profiling.timeline import render_timeline, split_iterations
 from ..workloads.hpcg import HpcgPhaseProfile
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig16"
 
@@ -34,10 +34,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
     )
     profile = MessProfile.from_samples(curves, samples)
     iterations = split_iterations(profile, delimiter_mpi="MPI_Allreduce")
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="HPCG timeline: iterations, phases and memory stress",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "iteration",
             "phase",
             "mpi_call",

@@ -16,7 +16,7 @@ from ..workloads.spec_mix import (
     performance_delta_pct,
 )
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig17"
 
@@ -28,10 +28,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
     cxl = cxl_expander_family()
     remote = remote_socket_family()
     profiles = {p.name: p for p in SPEC_CPU2006}
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Remote-socket emulation of CXL: perlbench and lbm",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "benchmark",
             "memory",
             "bandwidth_gbps",

@@ -16,7 +16,7 @@ from ..workloads.spec_mix import (
     performance_delta_pct,
 )
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig18"
 
@@ -39,10 +39,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
             }
         )
     rows.sort(key=lambda row: row["utilization_pct"])
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Remote-socket vs CXL performance across SPEC CPU2006",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "benchmark",
             "cxl_bandwidth_gbps",
             "utilization_pct",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..core.metrics import compute_metrics
 from ..platforms.presets import INTEL_SKYLAKE, family
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig2"
 
@@ -22,19 +22,10 @@ def run(scale: float = 1.0) -> ExperimentResult:
     spec = INTEL_SKYLAKE
     curves = family(spec)
     metrics = compute_metrics(curves)
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Skylake bandwidth-latency curve family with derived metrics",
-        columns=["series", "read_ratio", "bandwidth_gbps", "latency_ns"],
+    result = new_result(
+        EXPERIMENT_ID, ["series", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
-    for curve in curves:
-        for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
-            result.add(
-                series="curve",
-                read_ratio=curve.read_ratio,
-                bandwidth_gbps=float(bandwidth),
-                latency_ns=float(latency),
-            )
+    result.add_curves(curves, series="curve")
     stream_lo, stream_hi = spec.stream_bandwidth_range_gbps
     for label, bandwidth in (("stream_min", stream_lo), ("stream_max", stream_hi)):
         result.add(

@@ -12,7 +12,7 @@ from ..core.metrics import compute_metrics
 from ..errors import ConfigurationError
 from ..platforms.presets import AMD_ZEN2, TABLE_I_PLATFORMS, family
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig3"
 
@@ -40,29 +40,13 @@ def _select_platforms(platforms: str | None):
 
 @register("fig3", title="Bandwidth-latency curves of the eight platforms under study", tags=("curves",), cost="cheap")
 def run(scale: float = 1.0, *, platforms: str | None = None) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Bandwidth-latency curves of the eight platforms under study",
-        columns=[
-            "platform",
-            "read_ratio",
-            "bandwidth_gbps",
-            "latency_ns",
-        ],
+    result = new_result(
+        EXPERIMENT_ID, ["platform", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
     selected = _select_platforms(platforms)
     for spec in selected:
         curves = family(spec)
-        for curve in curves:
-            for bandwidth, latency in zip(
-                curve.bandwidth_gbps, curve.latency_ns
-            ):
-                result.add(
-                    platform=spec.name,
-                    read_ratio=curve.read_ratio,
-                    bandwidth_gbps=float(bandwidth),
-                    latency_ns=float(latency),
-                )
+        result.add_curves(curves, platform=spec.name)
         metrics = compute_metrics(curves)
         if metrics.waveform_curves:
             result.note(

@@ -17,7 +17,7 @@ from ..bench.model_probe import ProbeConfig, characterize_model
 from ..platforms.presets import AMAZON_GRAVITON3, family
 from ..scenario import memory_factory
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig4"
 
@@ -78,40 +78,17 @@ def model_factories() -> dict:
 def run(scale: float = 1.0) -> ExperimentResult:
     reference = family(AMAZON_GRAVITON3)
     config = _probe_config(scale)
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Graviton 3 actual system vs gem5 memory models",
-        columns=[
-            "system",
-            "read_ratio",
-            "bandwidth_gbps",
-            "latency_ns",
-        ],
+    result = new_result(
+        EXPERIMENT_ID, ["system", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
-    for curve in reference:
-        if curve.read_ratio < 0.5:
-            continue
-        for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
-            result.add(
-                system="actual",
-                read_ratio=curve.read_ratio,
-                bandwidth_gbps=float(bandwidth),
-                latency_ns=float(latency),
-            )
+    result.add_curves(
+        (curve for curve in reference if curve.read_ratio >= 0.5), system="actual"
+    )
     for name, factory in model_factories().items():
         probed = characterize_model(
             factory, config, name=name, theoretical_bandwidth_gbps=_THEORETICAL
         )
-        for curve in probed:
-            for bandwidth, latency in zip(
-                curve.bandwidth_gbps, curve.latency_ns
-            ):
-                result.add(
-                    system=name,
-                    read_ratio=curve.read_ratio,
-                    bandwidth_gbps=float(bandwidth),
-                    latency_ns=float(latency),
-                )
+        result.add_curves(probed, system=name)
         comparison = compare_families(reference, probed)
         result.note(
             f"{name}: mean latency error "

@@ -16,7 +16,7 @@ from ..bench.model_probe import ProbeConfig, characterize_model
 from ..platforms.presets import INTEL_SKYLAKE, family
 from ..scenario import memory_factory
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig5"
 
@@ -69,33 +69,15 @@ def _probe_config(scale: float) -> ProbeConfig:
 def run(scale: float = 1.0) -> ExperimentResult:
     reference = family(INTEL_SKYLAKE)
     config = _probe_config(scale)
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Skylake actual system vs five ZSim memory models",
-        columns=["system", "read_ratio", "bandwidth_gbps", "latency_ns"],
+    result = new_result(
+        EXPERIMENT_ID, ["system", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
-    for curve in reference:
-        for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
-            result.add(
-                system="actual",
-                read_ratio=curve.read_ratio,
-                bandwidth_gbps=float(bandwidth),
-                latency_ns=float(latency),
-            )
+    result.add_curves(reference, system="actual")
     for name, factory in model_factories().items():
         probed = characterize_model(
             factory, config, name=name, theoretical_bandwidth_gbps=_THEORETICAL
         )
-        for curve in probed:
-            for bandwidth, latency in zip(
-                curve.bandwidth_gbps, curve.latency_ns
-            ):
-                result.add(
-                    system=name,
-                    read_ratio=curve.read_ratio,
-                    bandwidth_gbps=float(bandwidth),
-                    latency_ns=float(latency),
-                )
+        result.add_curves(probed, system=name)
         comparison = compare_families(reference, probed)
         result.note(
             f"{name}: unloaded latency error "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..scenario import memory_factory
 from ..traces.driver import replay_trace, synthesize_mess_trace
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig6"
 
@@ -47,10 +47,9 @@ def run(scale: float = 1.0) -> ExperimentResult:
         else (0.1, 0.2, 0.4, 0.7, 1.0, 1.6, 2.5, 4.0, 6.0, 10.0)
     )
     ops = scaled(6000, scale)
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Trace-driven cycle-accurate simulators vs actual curves",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "simulator",
             "read_ratio",
             "pressure",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from ..analysis.rowbuffer import census_sweep
 from ..dram.timing import DDR4_2666
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "fig7"
 
@@ -48,10 +48,9 @@ def ramulator_signature(read_ratio: float, bandwidth_gbps: float) -> tuple:
 
 @register("fig7", title="Row-buffer statistics: actual vs DRAMsim3 vs Ramulator", tags=("dram", "row-buffer"), cost="moderate")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Row-buffer statistics: actual vs DRAMsim3 vs Ramulator",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "source",
             "read_ratio",
             "bandwidth_gbps",

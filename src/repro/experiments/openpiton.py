@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from ..bench.harness import MessBenchmarkConfig
 from ..bench.traffic_gen import read_ratio_for_store_fraction
+from ..scenario import bench_system, characterization
 from .base import ExperimentResult, scaled
-from .common import bench_system, characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "openpiton"
 
@@ -44,10 +44,9 @@ def _sweep(scale: float) -> MessBenchmarkConfig:
 
 @register("openpiton", title="OpenPiton: MSHR-limited bandwidth and the coherency bug", tags=("openpiton", "case-study"), cost="expensive")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="OpenPiton: MSHR-limited bandwidth and the coherency bug",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "config",
             "store_fraction",
             "bandwidth_gbps",

@@ -17,7 +17,7 @@ from ..memmodels.optane import OptaneModel
 from ..platforms.presets import optane_family
 from ..scenario import build_memory
 from .base import ExperimentResult, scaled
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "optane"
 
@@ -42,24 +42,13 @@ def probed_curves(scale: float = 1.0):
 
 @register("optane", title="Optane App Direct: device model, curves, Mess simulation", tags=("optane", "case-study"), cost="cheap")
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Optane App Direct: device model, curves, Mess simulation",
-        columns=["source", "read_ratio", "bandwidth_gbps", "latency_ns"],
+    result = new_result(
+        EXPERIMENT_ID, ["source", "read_ratio", "bandwidth_gbps", "latency_ns"]
     )
     preset = optane_family()
     probed = probed_curves(scale)
-    for source, family in (("preset", preset), ("probed-device", probed)):
-        for curve in family:
-            for bandwidth, latency in zip(
-                curve.bandwidth_gbps, curve.latency_ns
-            ):
-                result.add(
-                    source=source,
-                    read_ratio=curve.read_ratio,
-                    bandwidth_gbps=float(bandwidth),
-                    latency_ns=float(latency),
-                )
+    result.add_curves(preset, source="preset")
+    result.add_curves(probed, source="probed-device")
     comparison = compare_families(preset, probed)
     result.note(
         f"probed device vs preset family: unloaded latency error "

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from ..bench.harness import MessBenchmarkConfig
 from ..cpu.policies import policy_kinds
+from ..scenario import characterization
 from ..units import CACHE_LINE_BYTES
 from .base import ExperimentResult, scaled
-from .common import characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "policydelta"
 
@@ -61,10 +61,8 @@ def _sweep(scale: float) -> MessBenchmarkConfig:
     cost="moderate",
 )
 def run(scale: float = 1.0) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Replacement-policy delta: LRU vs PLRU vs random",
-        columns=["policy", "latency_ns", "bandwidth_gbps", "scenario_digest"],
+    result = new_result(
+        EXPERIMENT_ID, ["policy", "latency_ns", "bandwidth_gbps", "scenario_digest"]
     )
     latencies: dict[str, float] = {}
     for policy in policy_kinds():

@@ -4,13 +4,15 @@ Each experiment module declares itself with :func:`register`::
 
     @register("fig2", title="...", tags=("curves",), cost="cheap")
     def run(scale: float = 1.0) -> ExperimentResult:
+        result = new_result("fig2", ["series", "read_ratio", ...])
         ...
 
-Importing this module imports every experiment module (in paper order),
-which populates the registry as a side effect. :data:`SPECS` holds
-every registered experiment; :func:`experiment_ids` lists them in paper
-order, and :func:`run_experiment` runs one with validated keyword
-options.
+The title is written once, in ``@register``: :func:`new_result` reads
+it from the registered spec. Importing this module imports every
+experiment module (in paper order), which populates the registry as a
+side effect. :data:`SPECS` holds every registered experiment;
+:func:`experiment_ids` lists them in paper order, and
+:func:`run_experiment` runs one with validated keyword options.
 """
 
 from __future__ import annotations
@@ -157,6 +159,15 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
             f"unknown experiment {experiment_id!r}; "
             f"available: {sorted(SPECS)}"
         ) from None
+
+
+def new_result(experiment_id: str, columns: list[str]) -> ExperimentResult:
+    """An empty result of one registered experiment, titled by its spec."""
+    return ExperimentResult(
+        experiment_id=experiment_id,
+        title=get_spec(experiment_id).title,
+        columns=list(columns),
+    )
 
 
 def validate_options(experiment_id: str, options: Mapping[str, object]) -> None:

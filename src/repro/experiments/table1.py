@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..core.metrics import compute_metrics
 from ..platforms.presets import TABLE_I_PLATFORMS, family
 from .base import ExperimentResult
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "table1"
 
@@ -21,10 +21,9 @@ EXPERIMENT_ID = "table1"
 @register("table1", title="CPU and GPU platforms: quantitative memory performance", tags=("curves", "calibration"), cost="cheap")
 def run(scale: float = 1.0) -> ExperimentResult:
     """Reproduce Table I. ``scale`` is accepted for interface symmetry."""
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="CPU and GPU platforms: quantitative memory performance",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "platform",
             "memory",
             "theoretical_gbps",

@@ -13,9 +13,9 @@ replacement policy.
 from __future__ import annotations
 
 from ..bench.harness import MessBenchmarkConfig
+from ..scenario import characterization
 from .base import ExperimentResult, scaled
-from .common import characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "thrash"
 
@@ -46,15 +46,8 @@ def _sweep(scale: float, stride_lines: int) -> MessBenchmarkConfig:
     cost="moderate",
 )
 def run(scale: float = 1.0, policy: str = "lru") -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Thrash-stride sweep: bandwidth vs access stride",
-        columns=[
-            "stride_lines",
-            "bandwidth_gbps",
-            "latency_ns",
-            "read_ratio",
-        ],
+    result = new_result(
+        EXPERIMENT_ID, ["stride_lines", "bandwidth_gbps", "latency_ns", "read_ratio"]
     )
     for stride_lines in _STRIDES:
         scenario = characterization(

@@ -12,10 +12,10 @@ registered replacement policy.
 from __future__ import annotations
 
 from ..bench.harness import MessBenchmarkConfig
+from ..scenario import characterization
 from ..units import CACHE_LINE_BYTES
 from .base import ExperimentResult, scaled
-from .common import characterization
-from .registry import register
+from .registry import new_result, register
 
 EXPERIMENT_ID = "wsweep"
 
@@ -80,10 +80,9 @@ def _sweep(scale: float, size_bytes: int) -> MessBenchmarkConfig:
     cost="moderate",
 )
 def run(scale: float = 1.0, policy: str = "lru") -> ExperimentResult:
-    result = ExperimentResult(
-        experiment_id=EXPERIMENT_ID,
-        title="Working-set sweep: capacity knees through the cache model",
-        columns=[
+    result = new_result(
+        EXPERIMENT_ID,
+        [
             "working_set_bytes",
             "expected_level",
             "latency_ns",

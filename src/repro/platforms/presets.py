@@ -10,6 +10,8 @@ Sapphire Rapids and H100 mostly on write-heavy traffic.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from ..core.family import CurveFamily
 from ..errors import ConfigurationError
 from .spec import PlatformSpec, WaveformSpec
@@ -256,3 +258,12 @@ def remote_socket_family() -> CurveFamily:
             read_ratios=(0.0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
         )
     )
+
+
+#: The curve families beyond Table I, by the name a scenario's
+#: ``{"special": name}`` curve source and ``repro curves`` use.
+SPECIAL_FAMILIES: dict[str, Callable[[], CurveFamily]] = {
+    "cxl": cxl_expander_family,
+    "optane": optane_family,
+    "remote-socket": remote_socket_family,
+}

@@ -439,7 +439,7 @@ class Scenario:
             title=self.description or f"Scenario {self.name}",
             columns=["series", "read_ratio", "bandwidth_gbps", "latency_ns"],
         )
-        _tabulate_family(result, family)
+        result.add_curves(family, series=family.name)
         result.note(f"scenario digest {self.digest()[:16]}")
         return result
 
@@ -508,17 +508,6 @@ def _positive_number_problem(value: object) -> str | None:
     if not (math.isfinite(value) and value > 0):
         return f"must be a finite positive number, got {value!r}"
     return None
-
-
-def _tabulate_family(result, family: CurveFamily) -> None:
-    for curve in family:
-        for bandwidth, latency in zip(curve.bandwidth_gbps, curve.latency_ns):
-            result.add(
-                series=family.name,
-                read_ratio=curve.read_ratio,
-                bandwidth_gbps=bandwidth,
-                latency_ns=latency,
-            )
 
 
 def load_scenario(path: str | Path) -> Scenario:

@@ -115,18 +115,13 @@ def resolve_curves(spec: object, where: str = "memory.params.curves") -> CurveFa
     if set(spec) == {"platform"}:
         return presets.family(presets.platform(str(spec["platform"])))
     if set(spec) == {"special"}:
-        specials = {
-            "cxl": presets.cxl_expander_family,
-            "optane": presets.optane_family,
-            "remote-socket": presets.remote_socket_family,
-        }
         name = str(spec["special"])
-        if name not in specials:
+        if name not in presets.SPECIAL_FAMILIES:
             raise ConfigurationError(
                 f"{where}.special: unknown family {name!r}; "
-                f"available: {sorted(specials)}"
+                f"available: {sorted(presets.SPECIAL_FAMILIES)}"
             )
-        return specials[name]()
+        return presets.SPECIAL_FAMILIES[name]()
     if "curves" in spec:
         return CurveFamily.from_dict(spec)
     raise ConfigurationError(
@@ -184,8 +179,12 @@ def canonical_memory_spec(kind: str, params: Mapping) -> dict:
     return {"kind": kind, "params": canonical}
 
 
-def build_memory(kind: str, params: Mapping) -> MemoryModel:
-    """Build one memory model instance from a validated spec."""
+def _bound_constructor(kind: str, params: Mapping) -> Callable[[], MemoryModel]:
+    """The kind's constructor bound to its validated, resolved parameters.
+
+    Timings become :class:`DramTiming` values and curve sources are
+    resolved once, so every call shares them (both are immutable).
+    """
     constructor = _constructor(kind)
     spec = canonical_memory_spec(kind, params)
     kwargs: dict[str, object] = {}
@@ -196,7 +195,21 @@ def build_memory(kind: str, params: Mapping) -> MemoryModel:
             kwargs[_FAMILY_CTOR_PARAM] = resolve_curves(params[_CURVES_PARAM])
         else:
             kwargs[name] = value
-    return constructor(**kwargs)
+    return functools.partial(constructor, **kwargs)
+
+
+def _build(kind: str, make: Callable[[], MemoryModel]) -> MemoryModel:
+    """Call ``make``; a wrongly typed, missing or out-of-range parameter
+    is a spec error."""
+    try:
+        return make()
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"memory kind {kind!r}: {exc}") from exc
+
+
+def build_memory(kind: str, params: Mapping) -> MemoryModel:
+    """Build one memory model instance from a validated spec."""
+    return _build(kind, _bound_constructor(kind, params))
 
 
 def memory_factory(
@@ -208,28 +221,10 @@ def memory_factory(
     once and shared (families are immutable), while the model itself is
     rebuilt per call so no queue state leaks between measurements.
     """
-    params = dict(params or {})
-    constructor = _constructor(kind)
-    spec = canonical_memory_spec(kind, params)
-    resolved: dict[str, object] = {}
-    for name, value in spec["params"].items():
-        if name in _TIMING_PARAMS:
-            resolved[name] = DramTiming.from_spec(value)
-        elif name == _CURVES_PARAM:
-            resolved[_FAMILY_CTOR_PARAM] = resolve_curves(params[_CURVES_PARAM])
-        else:
-            resolved[name] = value
-
-    def factory() -> MemoryModel:
-        return constructor(**resolved)
-
+    factory = _bound_constructor(kind, dict(params or {}))
     # validate parameter values eagerly: a scenario with a bad latency
-    # should fail at load, not ten sweeps into a run; a wrongly typed
-    # or missing parameter is a spec error like an out-of-range one
-    try:
-        factory()
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"memory kind {kind!r}: {exc}") from exc
+    # should fail at load, not ten sweeps into a run
+    _build(kind, factory)
     return factory
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.compare import compare_families
-from repro.analysis.error import run_accuracy_campaign
+from repro.analysis.error import accuracy_workloads, run_accuracy_campaign
 from repro.analysis.rowbuffer import census_sweep
 from repro.core.curve import BandwidthLatencyCurve
 from repro.core.family import CurveFamily
@@ -79,8 +79,10 @@ def small_campaign(system_config):
 
 class TestAccuracyCampaign:
     def test_reference_model_has_zero_error(self, tiny_system_config):
-        actual, reports = small_campaign(tiny_system_config)
-        assert actual["lmbench"] > 0
+        reports = small_campaign(tiny_system_config)
+        assert all(
+            entry.actual > 0 for report in reports for entry in report.entries
+        )
         by_name = {r.model_name: r for r in reports}
         assert by_name["same"].mean_error_pct == pytest.approx(0.0, abs=0.5)
         assert by_name["slower"].mean_error_pct > 20.0
@@ -98,6 +100,10 @@ class TestAccuracyCampaign:
         spans = [s for s in registry.spans if s.category == "analysis"]
         assert [s.name for s in spans] == ["accuracy.same", "accuracy.slower"]
         assert all(s.dur_us > 0 for s in spans)
+
+    def test_accuracy_workloads_are_the_paper_trio_in_order(self):
+        names = [make().name for make in accuracy_workloads(0.1)]
+        assert names == ["stream-triad", "lmbench", "multichase"]
 
 
 class TestRowBufferSweep:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.curve import BandwidthLatencyCurve
 from repro.errors import ConfigurationError
 from repro.experiments import (
     SPECS,
@@ -14,6 +15,7 @@ from repro.experiments import (
     run_experiment,
     validate_options,
 )
+from repro.experiments.registry import new_result
 
 
 class TestRegistration:
@@ -61,6 +63,17 @@ class TestRegistration:
     def test_get_spec_unknown(self):
         with pytest.raises(ConfigurationError):
             get_spec("fig99")
+
+    def test_new_result_takes_the_registered_title(self):
+        result = new_result("fig2", ["series", "read_ratio"])
+        assert result.experiment_id == "fig2"
+        assert result.title == get_spec("fig2").title
+        assert result.columns == ["series", "read_ratio"]
+        assert result.rows == [] and result.notes == []
+
+    def test_new_result_unknown_id(self):
+        with pytest.raises(ConfigurationError, match="fig99"):
+            new_result("fig99", ["a"])
 
 
 class TestOptionValidation:
@@ -161,6 +174,61 @@ class TestResultSerialization:
         clone = ExperimentResult.from_dict(original.to_dict())
         assert clone.format_table() == original.format_table()
         assert clone.digest() == original.digest()
+
+
+def demo_curves() -> list[BandwidthLatencyCurve]:
+    return [
+        BandwidthLatencyCurve(1.0, [1.0, 2.5], [90.0, 95.5]),
+        BandwidthLatencyCurve(0.5, [3.0], [120.0]),
+    ]
+
+
+class TestAddCurves:
+    COLUMNS = ["system", "read_ratio", "bandwidth_gbps", "latency_ns"]
+
+    def test_rows_curve_by_curve_then_point_by_point(self):
+        result = ExperimentResult("x", "demo", columns=self.COLUMNS)
+        result.add_curves(demo_curves(), system="actual")
+        assert result.rows == [
+            {"system": "actual", "read_ratio": 1.0,
+             "bandwidth_gbps": 1.0, "latency_ns": 90.0},
+            {"system": "actual", "read_ratio": 1.0,
+             "bandwidth_gbps": 2.5, "latency_ns": 95.5},
+            {"system": "actual", "read_ratio": 0.5,
+             "bandwidth_gbps": 3.0, "latency_ns": 120.0},
+        ]
+
+    def test_values_are_python_floats_equal_to_the_arrays(self):
+        result = ExperimentResult("x", "demo", columns=self.COLUMNS)
+        curves = demo_curves()
+        result.add_curves(curves, system="actual")
+        for column, arrays in (
+            ("bandwidth_gbps", [c.bandwidth_gbps for c in curves]),
+            ("latency_ns", [c.latency_ns for c in curves]),
+        ):
+            values = result.column(column)
+            assert all(type(value) is float for value in values)
+            assert values == [float(v) for array in arrays for v in array]
+
+    def test_labels_land_in_their_columns(self):
+        result = ExperimentResult(
+            "x", "demo", columns=["memory", "system", *self.COLUMNS[1:]]
+        )
+        result.add_curves(demo_curves(), memory="ddr4", system="zsim+mess")
+        assert set(result.column("memory")) == {"ddr4"}
+        assert set(result.column("system")) == {"zsim+mess"}
+
+    def test_undeclared_label_rejected(self):
+        result = ExperimentResult("x", "demo", columns=self.COLUMNS)
+        with pytest.raises(ConfigurationError, match="bogus"):
+            result.add_curves(demo_curves(), system="actual", bogus=1)
+
+    def test_generator_of_curves_accepted(self):
+        result = ExperimentResult("x", "demo", columns=self.COLUMNS)
+        result.add_curves(
+            (c for c in demo_curves() if c.read_ratio >= 0.75), system="actual"
+        )
+        assert result.column("read_ratio") == [1.0, 1.0]
 
 
 class TestSpecImmutability:

@@ -71,6 +71,20 @@ class TestBuild:
         factory = memory_factory("fixed-latency", {"latency_ns": 50.0})
         assert factory() is not factory()
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("fixed-latency", {"latency_ns": "abc"}),
+            ("cycle-accurate", {}),
+        ],
+        ids=["wrongly-typed-latency", "missing-timing"],
+    )
+    def test_bad_parameter_is_a_typed_error(self, kind, params):
+        with pytest.raises(ConfigurationError, match=f"memory kind '{kind}'"):
+            build_memory(kind, params)
+        with pytest.raises(ConfigurationError, match=f"memory kind '{kind}'"):
+            memory_factory(kind, params)
+
     def test_mess_platform_curves(self):
         model = build_memory(
             "mess",

@@ -1,10 +1,10 @@
-"""Tests for the experiments' shared fixtures (common.py)."""
+"""Tests for the benchmark machines and named scenario presets."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.common import (
+from repro.scenario import (
     BENCH_HIERARCHY,
     bench_sweep,
     bench_system,
