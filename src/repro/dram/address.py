@@ -39,6 +39,10 @@ class DecodedAddress(NamedTuple):
 # bank count. Only used for dictionary keys, never for math.
 _BANK_STRIDE = 1 << 16
 
+# decode builds its record as namedtuple's own ``_make`` does, without
+# the generated Python-level ``__new__``
+_tuple_new = tuple.__new__
+
 
 class AddressMapper:
     """Maps physical addresses to DRAM coordinates.
@@ -75,45 +79,48 @@ class AddressMapper:
         self.channels = channels
         self.interleave_bytes = interleave_bytes
         self.bank_hash = bank_hash
+        # the geometry decode reads, copied once
+        self._lines_per_interleave = interleave_bytes // CACHE_LINE_BYTES
         self._lines_per_row = timing.row_bytes // CACHE_LINE_BYTES
+        self._banks = timing.banks_per_rank
+        self._ranks = timing.ranks
 
     def decode(self, address: int) -> DecodedAddress:
         """Decompose a physical byte address.
 
         Layout from least to most significant: line offset, channel,
         column (within-row line index), bank, rank, row.
+
+        With ``bank_hash`` on, the bank index is permuted the way server
+        memory controllers XOR row bits into it, so that power-of-two
+        address strides (common across concurrent application arrays)
+        do not pile every stream onto the same bank. All row digits
+        (base ``banks_per_rank``) are folded in, so any stride
+        eventually decorrelates.
         """
         if address < 0:
             raise ConfigurationError(f"address must be non-negative, got {address}")
-        unit = address // self.interleave_bytes
-        channel = unit % self.channels
-        line = unit // self.channels
+        interleave = self.interleave_bytes
+        channels = self.channels
+        unit = address // interleave
+        channel = unit % channels
         # restore intra-interleave lines so columns advance within a row
-        line = line * (self.interleave_bytes // CACHE_LINE_BYTES) + (
-            address % self.interleave_bytes
+        line = (unit // channels) * self._lines_per_interleave + (
+            address % interleave
         ) // CACHE_LINE_BYTES
-        column = line % self._lines_per_row
-        rest = line // self._lines_per_row
-        bank = rest % self.timing.banks_per_rank
-        rest //= self.timing.banks_per_rank
-        rank = rest % self.timing.ranks
-        row = rest // self.timing.ranks
+        lines_per_row = self._lines_per_row
+        column = line % lines_per_row
+        rest = line // lines_per_row
+        banks = self._banks
+        bank = rest % banks
+        rest //= banks
+        ranks = self._ranks
+        rank = rest % ranks
+        row = rest // ranks
         if self.bank_hash:
-            bank = self._hash_bank(bank, row)
-        return DecodedAddress(channel, rank, bank, row, column)
-
-    def _hash_bank(self, bank: int, row: int) -> int:
-        """Permutation-based bank interleaving.
-
-        Server memory controllers XOR row bits into the bank index so
-        that power-of-two address strides (common across concurrent
-        application arrays) do not pile every stream onto the same bank.
-        All row digits (base ``banks_per_rank``) are folded in, so any
-        stride eventually decorrelates.
-        """
-        banks = self.timing.banks_per_rank
-        folded = row
-        while folded:
-            bank ^= folded % banks
-            folded //= banks
-        return bank % banks
+            folded = row
+            while folded:
+                bank ^= folded % banks
+                folded //= banks
+            bank %= banks
+        return _tuple_new(DecodedAddress, (channel, rank, bank, row, column))

@@ -1,4 +1,12 @@
-"""Per-bank and per-rank DRAM state tracked by the controller."""
+"""Per-bank and per-rank DRAM state tracked by the controller.
+
+These records only hold state. The rules that read and advance it —
+row-buffer outcome, activate and precharge delays, tFAW, write
+recovery, the page policy — all live in one frame,
+:meth:`repro.dram.controller.DramController._schedule_device`, which a
+request reaches once. :meth:`BankState.classify` is the one rule kept
+here, for the FR-FCFS frontends that peek at a bank without scheduling.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .stats import RowBufferOutcome
-from .timing import DramTiming
 
 
 @dataclass
@@ -31,31 +38,14 @@ class BankState:
             return RowBufferOutcome.HIT
         return RowBufferOutcome.MISS
 
-    def row_delay_ns(self, outcome: RowBufferOutcome, timing: DramTiming) -> float:
-        """Extra command time before the column access can start."""
-        if outcome is RowBufferOutcome.HIT:
-            return 0.0
-        if outcome is RowBufferOutcome.EMPTY:
-            return timing.tRCD
-        return timing.tRP + timing.tRCD
-
-    def precharge_all(self) -> None:
-        """Close the open row (refresh or closed-page policy)."""
-        self.open_row = None
-
 
 @dataclass
 class RankState:
-    """Per-rank constraints: the four-activate window and refresh clock."""
+    """Per-rank constraints: the four-activate window and refresh clock.
+
+    ``activate_times_ns`` holds the issue times of the rank's last four
+    activates; a fifth may issue only tFAW after the oldest of them.
+    """
 
     activate_times_ns: deque[float] = field(default_factory=lambda: deque(maxlen=4))
     next_refresh_ns: float = 0.0
-
-    def faw_earliest_ns(self, timing: DramTiming) -> float:
-        """Earliest time a new activate may issue under tFAW."""
-        if len(self.activate_times_ns) < 4:
-            return 0.0
-        return self.activate_times_ns[0] + timing.tFAW
-
-    def record_activate(self, when_ns: float) -> None:
-        self.activate_times_ns.append(when_ns)

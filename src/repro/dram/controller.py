@@ -13,6 +13,17 @@ occupancy, turnarounds, tFAW and refresh. Queueing delay therefore
 emerges naturally from resource backlog rather than from an explicit
 queue model. The trace-driven frontend (:mod:`repro.traces.driver`) adds
 FR-FCFS reordering on top via :meth:`DramController.peek_outcome`.
+
+A read costs three Python frames: :meth:`DramController.submit` (the
+arrival-order check and the read/write split),
+:meth:`AddressMapper.decode` and :meth:`DramController._schedule_device`.
+The last is the one copy of the bank and rank rules: row-buffer
+classification, tFAW, the precharge and activate delays, turnarounds,
+the data-bus slot, write recovery, the page policy and the row-buffer
+census. :class:`~repro.dram.bank.BankState` and
+:class:`~repro.dram.bank.RankState` only hold that state. The timing
+constants the rules read are copied out of the :class:`DramTiming` once,
+at construction.
 """
 
 from __future__ import annotations
@@ -27,6 +38,14 @@ from .address import AddressMapper, DecodedAddress
 from .bank import BankState, RankState
 from .stats import ControllerStats, RowBufferOutcome, RowBufferStats
 from .timing import DramTiming
+
+_HIT = RowBufferOutcome.HIT
+_EMPTY = RowBufferOutcome.EMPTY
+_MISS = RowBufferOutcome.MISS
+
+# The per-request records are built as namedtuple's own ``_make`` does,
+# without the generated Python-level ``__new__``.
+_tuple_new = tuple.__new__
 
 
 class ServiceResult(NamedTuple):
@@ -125,8 +144,23 @@ class DramController:
         if interleave_bytes is not None:
             mapper_kwargs["interleave_bytes"] = interleave_bytes
         self.mapper = AddressMapper(timing, channels, **mapper_kwargs)
-        # a derived property of the timing, read on every device access
-        self._burst_ns = timing.tBURST
+        # the timing constants the scheduling rules read, copied once
+        burst = timing.tBURST
+        self._burst_ns = burst
+        self._tCL = timing.tCL
+        self._tCWL = timing.tCWL
+        self._tRCD = timing.tRCD
+        self._tRP = timing.tRP
+        self._tRAS = timing.tRAS
+        self._tWR = timing.tWR
+        self._tWTR = timing.tWTR
+        self._tRTW = timing.tRTW
+        self._tFAW = timing.tFAW
+        self._miss_delay_ns = timing.tRP + timing.tRCD
+        # data-bus dead time of a direction switch
+        self._read_to_write_ns = max(0.0, timing.tCL - timing.tCWL) + timing.tRTW
+        self._write_to_read_ns = timing.tCWL + burst + timing.tWTR
+        self._closed_page = page_policy == "closed"
         self.stats = ControllerStats()
         self._channels = [
             _ChannelState(timing, timing.tREFI / timing.ranks)
@@ -186,27 +220,23 @@ class DramController:
         controller is arrival-ordered and cannot retroactively insert
         work into the past.
         """
-        now = request.issue_time_ns
-        if now < self._last_submit_ns - 1e-9:
+        address, access_type, now, _ = request
+        last = self._last_submit_ns
+        if now < last - 1e-9:
             raise SimulationError(
-                f"requests must arrive in time order: {now} after "
-                f"{self._last_submit_ns}"
+                f"requests must arrive in time order: {now} after {last}"
             )
-        self._last_submit_ns = max(self._last_submit_ns, now)
-        if request.access_type is AccessType.WRITE:
-            return self._submit_write(request)
-        return self._submit_read(request)
-
-    def _submit_read(self, request: MemoryRequest) -> ServiceResult:
-        result = self._schedule_device(
-            self.mapper.decode(request.address), request.issue_time_ns, False
-        )
+        if now > last:
+            self._last_submit_ns = now
+        decoded = self.mapper.decode(address)
+        if access_type is AccessType.WRITE:
+            return self._submit_write(decoded, now)
         self.stats.reads += 1
         if self._tel is not None:
             self._tel_reads.inc()
-        return result
+        return self._schedule_device(decoded, now, False)
 
-    def _submit_write(self, request: MemoryRequest) -> ServiceResult:
+    def _submit_write(self, decoded: DecodedAddress, now: float) -> ServiceResult:
         """Posted, drain-batched write.
 
         Writes are accepted into a per-channel buffer and issued to the
@@ -215,14 +245,13 @@ class DramController:
         bus turnaround over a whole batch instead of paying it per
         write. The requester only waits when the buffer is full.
         """
-        decoded = self.mapper.decode(request.address)
         channel = self._channels[decoded.channel]
-        now = request.issue_time_ns
         self.stats.writes += 1
         # retire drained writes whose device work finished: their buffer
         # slots are free again
-        while channel.inflight_writes and channel.inflight_writes[0] <= now:
-            channel.inflight_writes.popleft()
+        inflight = channel.inflight_writes
+        while inflight and inflight[0] <= now:
+            inflight.popleft()
         channel.pending_writes.append(decoded)
         if len(channel.pending_writes) >= self._drain_high:
             self._drain_writes(channel, now)
@@ -241,7 +270,7 @@ class DramController:
             completion = now + self.WRITE_ACCEPT_NS
         # the HIT outcome is a placeholder: the device outcome is
         # recorded when the batched write actually drains
-        return ServiceResult(now, completion, RowBufferOutcome.HIT)
+        return _tuple_new(ServiceResult, (now, completion, _HIT))
 
     def _drain_writes(self, channel: _ChannelState, now_ns: float) -> None:
         """Issue buffered writes down to the low watermark.
@@ -254,8 +283,8 @@ class DramController:
         drain streams through open rows instead of ping-ponging between
         them.
         """
-        count = max(0, len(channel.pending_writes) - self._drain_low)
-        if count == 0:
+        count = len(channel.pending_writes) - self._drain_low
+        if count <= 0:
             return
         if self._tel is not None:
             self._tel_write_drains.inc()
@@ -267,18 +296,22 @@ class DramController:
         # one channel, so the coordinates' own tuple order is that key.
         ordered = sorted(channel.pending_writes)
         channel.pending_writes = ordered[count:]
+        inflight = channel.inflight_writes
         for decoded in ordered[:count]:
-            result = self._schedule_device(decoded, now_ns, True)
-            channel.inflight_writes.append(result.completion_ns)
+            inflight.append(self._schedule_device(decoded, now_ns, True).completion_ns)
         # completions within a row-sorted batch are not monotone; keep
         # the in-flight set ordered so the oldest slot frees first
-        channel.inflight_writes = deque(sorted(channel.inflight_writes))
+        channel.inflight_writes = deque(sorted(inflight))
 
     def _schedule_device(
         self, decoded: DecodedAddress, now: float, is_write: bool
     ) -> ServiceResult:
-        """Schedule the device-side work of one column access at ``now``."""
-        timing = self.timing
+        """Schedule the device-side work of one column access at ``now``.
+
+        Every bank and rank rule lives here, in one frame. Each
+        max(a, b) is spelt ``b if b > a else a``, which is what max
+        returns, without a builtin call per request.
+        """
         burst = self._burst_ns
         channel_index, rank_index, bank_index, row, _ = decoded
         channel = self._channels[channel_index]
@@ -288,23 +321,46 @@ class DramController:
         if rank.next_refresh_ns <= now:
             self._apply_refresh(channel, rank_index, now)
 
-        earliest = max(now, bank.ready_at_ns)
+        ready = bank.ready_at_ns
+        earliest = ready if ready > now else now
         direction_switch = is_write != channel.last_was_write
-        if is_write and direction_switch:
-            earliest = max(earliest, channel.last_data_end_ns + timing.tRTW)
-        elif not is_write and direction_switch:
-            earliest = max(earliest, channel.last_data_end_ns + timing.tWTR)
+        if direction_switch:
+            turnaround = channel.last_data_end_ns + (
+                self._tRTW if is_write else self._tWTR
+            )
+            if turnaround > earliest:
+                earliest = turnaround
 
-        outcome = bank.classify(row)
-        needs_activate = outcome is not RowBufferOutcome.HIT
-        if needs_activate:
-            earliest = max(earliest, rank.faw_earliest_ns(timing))
-        if outcome is RowBufferOutcome.MISS:
-            earliest = max(earliest, bank.precharge_ok_ns)
+        census = self.stats.row_buffer
+        open_row = bank.open_row
+        if open_row == row:
+            outcome = _HIT
+            column_cmd_at = earliest
+            census.hits += 1
+        else:
+            # four-activate window: the rank's deque holds its last four
+            activates = rank.activate_times_ns
+            if len(activates) == 4:
+                faw = activates[0] + self._tFAW
+                if faw > earliest:
+                    earliest = faw
+            if open_row is None:
+                outcome = _EMPTY
+                activate_at = earliest
+                column_cmd_at = earliest + self._tRCD
+                census.empties += 1
+            else:
+                # the open row may close only after tRAS
+                outcome = _MISS
+                precharge_ok = bank.precharge_ok_ns
+                if precharge_ok > earliest:
+                    earliest = precharge_ok
+                activate_at = earliest + self._tRP
+                column_cmd_at = earliest + self._miss_delay_ns
+                census.misses += 1
+            activates.append(activate_at)
+            bank.precharge_ok_ns = activate_at + self._tRAS
 
-        row_delay = bank.row_delay_ns(outcome, timing)
-        column_latency = timing.tCWL if is_write else timing.tCL
-        column_cmd_at = earliest + row_delay
         # The data bus is a capacity, not a FIFO pipeline: an access
         # delayed by its bank's row cycle consumes one burst slot but
         # does not head-of-line block bursts from other banks. The slot
@@ -314,41 +370,39 @@ class DramController:
         # write-to-read gap spans the write's CAS latency, its burst and
         # tWTR; read-to-write spans the CAS-latency difference plus the
         # bus turnaround.
-        bus_slot = max(channel.bus_free_at_ns, now)
+        bus_free = channel.bus_free_at_ns
+        bus_slot = now if now > bus_free else bus_free
         if direction_switch:
-            if is_write:
-                bus_slot += max(0.0, timing.tCL - timing.tCWL) + timing.tRTW
-            else:
-                bus_slot += timing.tCWL + burst + timing.tWTR
+            bus_slot += self._read_to_write_ns if is_write else self._write_to_read_ns
         channel.bus_free_at_ns = bus_slot + burst
-        data_start = max(column_cmd_at + column_latency, bus_slot)
+        data_start = column_cmd_at + (self._tCWL if is_write else self._tCL)
+        if bus_slot > data_start:
+            data_start = bus_slot
         completion = data_start + burst
 
-        if needs_activate:
-            activate_at = earliest + (
-                timing.tRP if outcome is RowBufferOutcome.MISS else 0.0
-            )
-            rank.record_activate(activate_at)
-            bank.precharge_ok_ns = activate_at + timing.tRAS
-        bank.open_row = row
         # Column commands to the same bank pipeline at tCCD granularity
         # (approximated by the burst time), not at full access latency.
-        bank.ready_at_ns = column_cmd_at + burst
+        ready = column_cmd_at + burst
         if is_write:
             # Write recovery delays the next precharge, not the next column.
-            bank.precharge_ok_ns = max(bank.precharge_ok_ns, completion + timing.tWR)
-        if self.page_policy == "closed":
+            recovery = completion + self._tWR
+            if recovery > bank.precharge_ok_ns:
+                bank.precharge_ok_ns = recovery
+        if self._closed_page:
+            # auto-precharge: the next access reopens the bank
             bank.open_row = None
-            bank.ready_at_ns = max(
-                bank.ready_at_ns, bank.precharge_ok_ns + timing.tRP
-            )
+            reopen = bank.precharge_ok_ns + self._tRP
+            if reopen > ready:
+                ready = reopen
+        else:
+            bank.open_row = row
+        bank.ready_at_ns = ready
         channel.last_was_write = is_write
         channel.last_data_end_ns = completion
 
-        self.stats.row_buffer.record(outcome)
         if self._tel is not None:
             self._tel_rows[outcome].inc()
-        return ServiceResult(earliest, completion, outcome)
+        return _tuple_new(ServiceResult, (earliest, completion, outcome))
 
     def _apply_refresh(self, channel: _ChannelState, rank_idx: int, now_ns: float) -> None:
         """Lazily apply any refreshes that became due on this rank."""
@@ -357,7 +411,7 @@ class DramController:
         while rank.next_refresh_ns <= now_ns:
             refresh_start = rank.next_refresh_ns
             for bank in channel.banks[rank_idx]:
-                bank.precharge_all()
+                bank.open_row = None
                 bank.ready_at_ns = max(bank.ready_at_ns, refresh_start) + timing.tRFC
             # while one rank refreshes, roughly its share of the bus
             # capacity is lost in a backlogged system

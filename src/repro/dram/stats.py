@@ -23,19 +23,15 @@ class RowBufferOutcome(enum.Enum):
 
 @dataclass
 class RowBufferStats:
-    """Hit / empty / miss census of a controller or one bank."""
+    """Hit / empty / miss census of a controller or one bank.
+
+    The controller's scheduler counts into the fields directly, in the
+    branch that classified the access.
+    """
 
     hits: int = 0
     empties: int = 0
     misses: int = 0
-
-    def record(self, outcome: RowBufferOutcome) -> None:
-        if outcome is RowBufferOutcome.HIT:
-            self.hits += 1
-        elif outcome is RowBufferOutcome.EMPTY:
-            self.empties += 1
-        else:
-            self.misses += 1
 
     @property
     def total(self) -> int:

@@ -8,6 +8,7 @@ DDR5-4800/5600, HBM2 and HBM2E.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -80,9 +81,12 @@ class DramTiming(SpecConvertible):
             "tREFI": self.tREFI,
         }
         for field_name, value in numeric.items():
-            if value <= 0:
+            # NaN fails every comparison, so ``value <= 0`` alone lets it
+            # through, and an infinite delay or bandwidth is positive
+            if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(
-                    f"{self.name}: {field_name} must be positive, got {value}"
+                    f"{self.name}: {field_name} must be finite and positive, "
+                    f"got {value}"
                 )
         if self.banks_per_rank < 1 or self.ranks < 1:
             raise ConfigurationError(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dram.bank import BankState, RankState
+from repro.dram.bank import BankState
 from repro.dram.controller import DramController
 from repro.dram.stats import RowBufferOutcome, RowBufferStats
 from repro.dram.timing import DDR4_2666
@@ -200,19 +200,48 @@ class TestBankState:
         assert bank.classify(5) is RowBufferOutcome.HIT
         assert bank.classify(6) is RowBufferOutcome.MISS
 
-    def test_faw_window(self):
-        rank = RankState()
-        for t in (0.0, 1.0, 2.0, 3.0):
-            rank.record_activate(t)
-        assert rank.faw_earliest_ns(DDR4_2666) == pytest.approx(
-            0.0 + DDR4_2666.tFAW
+
+def _one_rank_banks(controller: DramController, count: int) -> list[int]:
+    """Addresses of ``count`` distinct banks of rank 0, channel 0."""
+    addresses: list[int] = []
+    banks: set[int] = set()
+    candidate = 0
+    while len(addresses) < count:
+        decoded = controller.mapper.decode(candidate)
+        if decoded.channel == 0 and decoded.rank == 0 and decoded.bank not in banks:
+            banks.add(decoded.bank)
+            addresses.append(candidate)
+        candidate += DDR4_2666.row_bytes
+    return addresses
+
+
+class TestFourActivateWindow:
+    """tFAW, seen through the activates that ``submit`` issues."""
+
+    def test_fifth_activate_waits_for_faw(self):
+        controller = DramController(DDR4_2666, channels=1)
+        addresses = _one_rank_banks(controller, 6)
+        # one idle bank per request: each opens its row with an activate
+        results = [
+            controller.submit(read(address, float(index)))
+            for index, address in enumerate(addresses)
+        ]
+        assert [r.outcome for r in results] == [RowBufferOutcome.EMPTY] * 6
+        assert [r.start_ns for r in results[:4]] == [0.0, 1.0, 2.0, 3.0]
+        # the fifth waits for the window opened by the first, the sixth
+        # for the one opened by the second
+        assert results[4].start_ns == pytest.approx(
+            results[0].start_ns + DDR4_2666.tFAW
         )
-        rank.record_activate(25.0)
-        assert rank.faw_earliest_ns(DDR4_2666) == pytest.approx(
-            1.0 + DDR4_2666.tFAW
+        assert results[5].start_ns == pytest.approx(
+            results[1].start_ns + DDR4_2666.tFAW
         )
 
     def test_faw_inactive_below_four(self):
-        rank = RankState()
-        rank.record_activate(0.0)
-        assert rank.faw_earliest_ns(DDR4_2666) == 0.0
+        controller = DramController(DDR4_2666, channels=1)
+        results = [
+            controller.submit(read(address, 0.0))
+            for address in _one_rank_banks(controller, 4)
+        ]
+        assert [r.outcome for r in results] == [RowBufferOutcome.EMPTY] * 4
+        assert [r.start_ns for r in results] == [0.0] * 4

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.bench.harness import MessBenchmarkConfig
+from repro.dram.timing import DDR4_2666
 from repro.errors import ConfigurationError
 from repro.scenario import (
     characterization,
@@ -81,6 +82,15 @@ def _characterize_spec(memory=None, **top) -> dict:
 
 _SKYLAKE = {"platform": "Intel Skylake Xeon Platinum"}
 
+
+def _dram_spec(**timing) -> dict:
+    """A cycle-accurate memory on DDR4-2666 with some timings replaced."""
+    return {
+        "kind": "cycle-accurate",
+        "params": {"timing": {**DDR4_2666.to_spec(), **timing}},
+    }
+
+
 #: Malformed specs, each with the part of the error that names its fault.
 MALFORMED = [
     pytest.param(_experiment_spec("abc"), "workload.scale", id="scale-string"),
@@ -119,6 +129,16 @@ MALFORMED = [
         _characterize_spec({"kind": "cycle-accurate", "params": {}}),
         "timing",
         id="no-timing",
+    ),
+    pytest.param(
+        _characterize_spec(_dram_spec(tCL=json.loads("NaN"))),
+        "tCL must be finite",
+        id="timing-nan",
+    ),
+    pytest.param(
+        _characterize_spec(_dram_spec(channel_peak_gbps=json.loads("Infinity"))),
+        "channel_peak_gbps must be finite",
+        id="timing-inf",
     ),
     pytest.param(
         _characterize_spec(
