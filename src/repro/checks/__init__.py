@@ -4,8 +4,7 @@ Three layers:
 
 - an AST rule engine (:mod:`.engine`) with one module per per-file
   rule family — RPR001 unit safety (:mod:`.rules_units`), RPR003
-  telemetry hot path (:mod:`.rules_hotpath`), RPR004 registry hygiene
-  (:mod:`.rules_registry`), RPR005 float equality
+  telemetry hot path (:mod:`.rules_hotpath`), RPR005 float equality
   (:mod:`.rules_floats`), RPR006 scenario-layer boundary
   (:mod:`.rules_scenario`), RPR007 exception swallowing
   (:mod:`.rules_resilience`), RPR009
@@ -17,9 +16,14 @@ Three layers:
   module-level code included (:mod:`.rules_taint`), and RPR011
   shared-state races on the serve event loop (:mod:`.rules_races`);
 - declarative invariant validators for data artifacts
-  (:mod:`.invariants`): platform specs (RPR101), curve families
-  (RPR102), run manifests (RPR103), scenario files (RPR104) and
-  fault plans (RPR105).
+  (:mod:`.invariants`): curve families (RPR102), run manifests
+  (RPR103), scenario files (RPR104) and fault plans (RPR105). The
+  last three report what the format's own loader rejects.
+
+Contracts that the code enforces as it runs are not restated here:
+``@register`` rejects a malformed experiment registration at import,
+and :class:`~repro.platforms.spec.PlatformSpec` a malformed platform
+at construction.
 
 Entry points: :func:`check_paths` (what ``repro check`` calls — one
 cold, serial pass over every file it is given),
@@ -48,7 +52,6 @@ from .engine import (
 from . import rules_floats  # noqa: F401
 from . import rules_hotpath  # noqa: F401
 from . import rules_races  # noqa: F401
-from . import rules_registry  # noqa: F401
 from . import rules_resilience  # noqa: F401
 from . import rules_scenario  # noqa: F401
 from . import rules_serve  # noqa: F401
@@ -58,8 +61,6 @@ from .invariants import (
     check_curve_family,
     check_fault_plan,
     check_json_file,
-    check_manifest,
-    check_platform_spec,
     check_scenario,
 )
 from .sarif import render_sarif, to_sarif
@@ -73,9 +74,7 @@ __all__ = [
     "check_curve_family",
     "check_fault_plan",
     "check_json_file",
-    "check_manifest",
     "check_paths",
-    "check_platform_spec",
     "check_scenario",
     "check_source",
     "check_sources",

@@ -1,20 +1,19 @@
 """AST rule engine for the project-specific static-analysis pass.
 
 Generic linters cannot see the invariants this reproduction depends on:
-unit discipline funneled through :mod:`repro.units`, the telemetry
-hot-path binding discipline and the experiment-registry contract, each
-visible in one file, plus determinism of the simulation core (the
-content-addressed result cache is only sound if the same inputs produce
-the same tables), which spans files. The first kind is a :class:`Rule`,
-the second a :class:`ProgramRule` over the program graph; the engine
-parses files once and runs every selected rule over the tree.
+unit discipline funneled through :mod:`repro.units` and the telemetry
+hot-path binding discipline, each visible in one file, plus determinism
+of the simulation core (the content-addressed result cache is only
+sound if the same inputs produce the same tables), which spans files.
+The first kind is a :class:`Rule`, the second a :class:`ProgramRule`
+over the program graph; the engine parses files once and runs every
+selected rule over the tree.
 
 A rule is an :class:`ast.NodeVisitor` subclass with a ``rule_id``
 (``RPR001`` ...), a one-line ``title`` and a ``hint`` users see next to
 each finding. Rules are registered with :func:`register_rule` and
-instantiated fresh per :func:`check_paths` run, so rules may keep
-cross-file state (the registry rule tracks duplicate experiment ids) and
-report it from :meth:`Rule.finish`.
+instantiated fresh per :func:`check_paths` run; a rule that needs more
+than one file is a :class:`ProgramRule`.
 
 Every run is cold and serial: :func:`check_paths` reads, parses and
 analyses every file it is given, then runs the whole-program rules over
@@ -90,8 +89,9 @@ class FileContext:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=self.display_path)
         #: Lowercased path components, used by rules to decide scope
-        #: (``experiments`` for registry hygiene, ``serve`` for the
-        #: event-loop rule, ``telemetry`` for hot-path exemption).
+        #: (``experiments`` for the scenario-layer boundary, ``serve``
+        #: for the event-loop rule, ``telemetry`` for hot-path
+        #: exemption).
         self.parts = frozenset(part.lower() for part in path.parts)
 
     def suppressed(self, line: int, rule_id: str) -> bool:
@@ -104,8 +104,7 @@ class Rule(ast.NodeVisitor):
 
     Subclasses set ``rule_id``, ``title`` and ``hint``, override
     ``visit_*`` methods and call :meth:`report` for each violation.
-    Per-file state must be reset in :meth:`setup`; cross-file findings
-    go in :meth:`finish`.
+    Per-file state must be reset in :meth:`setup`.
     """
 
     rule_id: str = ""
@@ -124,10 +123,6 @@ class Rule(ast.NodeVisitor):
 
     def setup(self, ctx: FileContext) -> None:
         """Reset per-file state before visiting a new tree."""
-
-    def finish(self) -> list[Finding]:
-        """Findings that need the whole run (cross-file state)."""
-        return []
 
     # -- driver --------------------------------------------------------
 
@@ -324,7 +319,7 @@ def _run_rules(
     file_rules: Sequence[Rule],
     program_rules: Sequence[ProgramRule],
 ) -> list[Finding]:
-    """File rules, then ``finish()``, then the program rules.
+    """File rules, then the program rules.
 
     The one analysis core behind :func:`check_sources` and
     :func:`check_paths`; returns the findings unsorted. Each file's
@@ -342,8 +337,6 @@ def _run_rules(
         if program_rules:
             summaries.append(extract_summary(ctx.tree, ctx.source))
             paths.append(ctx.display_path)
-    for rule in file_rules:
-        findings.extend(rule.finish())
     if summaries:
         graph = ProgramGraph.build(summaries, paths)
         for program_rule in program_rules:

@@ -1,31 +1,34 @@
 """Declarative invariant validation for data artifacts.
 
 The AST rules guard the *code*; this module guards the *data* the code
-produces and consumes. Five artifact families, one id each:
+produces and consumes. Four artifact families, one id each:
 
-- **RPR101** — platform specifications (:class:`repro.platforms.spec
-  .PlatformSpec`): Table I headline metrics consistent, waveform shape
-  parameters in range, read ratios sorted and in-domain.
 - **RPR102** — curve families: physically plausible bandwidth-latency
   behaviour. Latency must be non-decreasing with bandwidth on the
   pre-saturation segment — the exact property "Cleaning up the Mess"
   used to falsify Ramulator 2.0's published curves — the unloaded
   latency must match the platform spec when one is given, and no curve
   may exceed the theoretical peak bandwidth.
-- **RPR103** — run manifests: schema and environment-header keys, so a
-  manifest written today stays comparable to one written last month.
-- **RPR104** — scenario files (:mod:`repro.scenario`): the document
-  must parse as a :class:`~repro.scenario.core.Scenario` and pass its
-  own semantic validation, so a checked-in scenario is guaranteed
-  runnable by ``repro run --scenario``.
+- **RPR103** — run manifests: whatever
+  :meth:`~repro.runner.manifest.RunManifest.from_dict` rejects, so a
+  checked-in manifest is guaranteed readable by ``repro run --resume``
+  and ``repro serve --warm``.
+- **RPR104** — scenario files (:mod:`repro.scenario`): whatever
+  :meth:`~repro.scenario.core.Scenario.from_spec` rejects, so a
+  checked-in scenario is guaranteed runnable by ``repro run
+  --scenario``, plus RPR102's cache-geometry plausibility rules.
 - **RPR105** — fault plans (:mod:`repro.resilience.faults`): the
   document must parse as a :class:`~repro.resilience.faults.FaultPlan`
   and declare at least one fault, so a checked-in chaos plan is
   guaranteed loadable by ``repro run --inject-faults``.
 
-Validators return :class:`~repro.checks.engine.Finding` lists (empty
-means valid) instead of raising, so callers can aggregate across many
-artifacts and render them alongside lint findings.
+Each file format is validated by the code that reads it: RPR103-RPR105
+turn that code's :class:`~repro.errors.ConfigurationError` into a
+finding rather than restate its rules. Platform specs need no validator:
+:class:`~repro.platforms.spec.PlatformSpec` rejects a bad one when it is
+constructed. Validators return :class:`~repro.checks.engine.Finding`
+lists (empty means valid) instead of raising, so callers can aggregate
+across many artifacts and render them alongside lint findings.
 """
 
 from __future__ import annotations
@@ -53,75 +56,6 @@ def _finding(source: str, rule_id: str, message: str, hint: str = "") -> Finding
     return Finding(
         path=source, line=0, col=0, rule_id=rule_id, message=message, hint=hint
     )
-
-
-# ----------------------------------------------------------------------
-# RPR101 — platform specs
-# ----------------------------------------------------------------------
-
-def check_platform_spec(spec: "PlatformSpec") -> list[Finding]:
-    """Validate one platform spec beyond its constructor's own checks."""
-    source = f"platform:{spec.name}"
-    findings: list[Finding] = []
-    ratios = list(spec.read_ratios)
-    if ratios != sorted(ratios):
-        findings.append(
-            _finding(source, "RPR101", "read_ratios are not sorted ascending")
-        )
-    if any(not 0.0 <= ratio <= 1.0 for ratio in ratios):
-        findings.append(
-            _finding(source, "RPR101", f"read_ratios outside [0, 1]: {ratios}")
-        )
-    lo, hi = spec.max_latency_range_ns
-    if lo < spec.unloaded_latency_ns:
-        findings.append(
-            _finding(
-                source,
-                "RPR101",
-                f"max-latency range [{lo}, {hi}] ns starts below the "
-                f"unloaded latency {spec.unloaded_latency_ns} ns",
-                hint="loaded latency can only exceed the unloaded latency",
-            )
-        )
-    stream_lo, stream_hi = spec.stream_range_pct
-    if not 0 < stream_lo <= stream_hi <= 100:
-        findings.append(
-            _finding(
-                source,
-                "RPR101",
-                f"STREAM range [{stream_lo}, {stream_hi}]% is not a valid "
-                "percentage interval",
-            )
-        )
-    waveform = spec.waveform
-    if waveform is not None:
-        if not 0.0 <= waveform.read_ratio_threshold <= 1.0:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR101",
-                    "waveform read_ratio_threshold outside [0, 1]: "
-                    f"{waveform.read_ratio_threshold}",
-                )
-            )
-        if not 0.0 < waveform.depth_fraction < 1.0:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR101",
-                    "waveform depth_fraction outside (0, 1): "
-                    f"{waveform.depth_fraction}",
-                )
-            )
-        if waveform.points < 1:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR101",
-                    f"waveform needs at least one point, got {waveform.points}",
-                )
-            )
-    return findings
 
 
 # ----------------------------------------------------------------------
@@ -201,128 +135,6 @@ def check_curve_family(
 
 
 # ----------------------------------------------------------------------
-# RPR103 — run manifests
-# ----------------------------------------------------------------------
-
-_VALID_STATUSES = ("ok", "error")
-_ENVIRONMENT_KEYS = ("python_version", "platform")
-
-
-def check_manifest(payload: Mapping, source: str = "<manifest>") -> list[Finding]:
-    """Validate a run-manifest document (parsed JSON)."""
-    from ..resilience.failures import FAILURE_KINDS
-
-    findings: list[Finding] = []
-    if not isinstance(payload, Mapping):
-        return [_finding(source, "RPR103", "manifest is not a JSON object")]
-    version = payload.get("manifest_version")
-    if not isinstance(version, int) or version < 1:
-        findings.append(
-            _finding(
-                source,
-                "RPR103",
-                f"manifest_version must be a positive integer, got {version!r}",
-            )
-        )
-    for key in _ENVIRONMENT_KEYS:
-        value = payload.get(key)
-        if not (isinstance(value, str) and value):
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"environment header key {key!r} missing or empty",
-                    hint=(
-                        "manifests record the interpreter and OS so runs stay "
-                        "comparable; see repro.runner.manifest.environment_header"
-                    ),
-                )
-            )
-    experiments = payload.get("experiments")
-    if not isinstance(experiments, list):
-        findings.append(
-            _finding(source, "RPR103", "manifest has no 'experiments' list")
-        )
-        return findings
-    for index, record in enumerate(experiments):
-        where = f"experiments[{index}]"
-        if not isinstance(record, Mapping):
-            findings.append(
-                _finding(source, "RPR103", f"{where} is not an object")
-            )
-            continue
-        experiment_id = record.get("experiment_id")
-        if not (isinstance(experiment_id, str) and experiment_id):
-            findings.append(
-                _finding(source, "RPR103", f"{where}: missing experiment_id")
-            )
-        status = record.get("status")
-        if status not in _VALID_STATUSES:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"{where}: status must be one of {_VALID_STATUSES}, "
-                    f"got {status!r}",
-                )
-            )
-        if status == "error" and not record.get("error"):
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"{where}: status is 'error' but no error message recorded",
-                )
-            )
-        failure_kind = record.get("failure_kind")
-        if failure_kind is not None and failure_kind not in FAILURE_KINDS:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"{where}: failure_kind must be one of "
-                    f"{list(FAILURE_KINDS)}, got {failure_kind!r}",
-                    hint="see repro.resilience.failures.FAILURE_KINDS",
-                )
-            )
-        attempts = record.get("attempts", 1)
-        if not isinstance(attempts, int) or attempts < 1:
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"{where}: attempts must be a positive integer, "
-                    f"got {attempts!r}",
-                )
-            )
-        digest = record.get("result_digest")
-        if digest is not None and not (
-            isinstance(digest, str)
-            and len(digest) >= 8
-            and all(ch in "0123456789abcdef" for ch in digest)
-        ):
-            findings.append(
-                _finding(
-                    source,
-                    "RPR103",
-                    f"{where}: result_digest {digest!r} is not a hex digest",
-                )
-            )
-        for key in ("duration_s", "rows", "cache_hits", "cache_misses"):
-            value = record.get(key, 0)
-            if not isinstance(value, (int, float)) or value < 0:
-                findings.append(
-                    _finding(
-                        source,
-                        "RPR103",
-                        f"{where}: {key} must be a non-negative number, "
-                        f"got {value!r}",
-                    )
-                )
-    return findings
-
-
-# ----------------------------------------------------------------------
 # RPR104 — scenario files
 # ----------------------------------------------------------------------
 
@@ -347,12 +159,7 @@ def check_scenario(payload: Mapping, source: str = "<scenario>") -> list[Finding
                 ),
             )
         ]
-    findings = [
-        _finding(source, "RPR104", problem) for problem in scenario.validate()
-    ]
-    if scenario.system is not None:
-        findings.extend(check_cache_geometry(scenario.system, source))
-    return findings
+    return check_cache_geometry(scenario.system, source)
 
 
 def check_cache_geometry(system: object, source: str) -> list[Finding]:
@@ -468,9 +275,14 @@ def check_json_file(path: str | Path) -> list[Finding]:
     Documents carrying the :data:`repro.scenario.core.FORMAT_KEY`
     marker are validated as scenarios (RPR104); documents carrying the
     :data:`repro.resilience.faults.FORMAT_KEY` marker as fault plans
-    (RPR105); everything else is treated as a run manifest (RPR103).
+    (RPR105); everything else is read as a run manifest (RPR103), and
+    whatever :meth:`RunManifest.from_dict
+    <repro.runner.manifest.RunManifest.from_dict>` rejects is the
+    finding.
     """
+    from ..errors import ConfigurationError
     from ..resilience.faults import FORMAT_KEY as FAULT_PLAN_KEY
+    from ..runner.manifest import RunManifest
     from ..scenario.core import FORMAT_KEY
 
     path = Path(path)
@@ -482,4 +294,18 @@ def check_json_file(path: str | Path) -> list[Finding]:
         return check_scenario(payload, source=str(path))
     if isinstance(payload, Mapping) and FAULT_PLAN_KEY in payload:
         return check_fault_plan(payload, source=str(path))
-    return check_manifest(payload, source=str(path))
+    try:
+        RunManifest.from_dict(payload)
+    except ConfigurationError as exc:
+        return [
+            _finding(
+                str(path),
+                "RPR103",
+                str(exc),
+                hint=(
+                    "a run manifest is what `repro run --manifest` writes; "
+                    "see repro.runner.manifest for the format"
+                ),
+            )
+        ]
+    return []

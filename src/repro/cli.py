@@ -47,10 +47,10 @@ Commands
 ``check [--rules RPR001,...] [--format text|json|sarif] [--list-rules]
 [PATH ...]``
     Run the project-specific static-analysis pass (unit safety,
-    determinism, telemetry hot path, registry hygiene, float equality,
-    scenario-layer boundary; ``.json`` paths are validated as run
-    manifests or — when they carry the ``repro_scenario`` marker — as
-    scenario files). Every run is cold and serial. ``--format sarif``
+    determinism, telemetry hot path, float equality, scenario-layer
+    boundary; ``.json`` paths are validated as run manifests or — when
+    they carry the ``repro_scenario`` or ``repro_fault_plan`` marker —
+    as scenario files or fault plans). Every run is cold and serial. ``--format sarif``
     emits SARIF 2.1.0 for code scanning.
     Exits 1 when any finding is reported, 2 on a usage error. Defaults
     to checking the installed package.

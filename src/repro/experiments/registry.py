@@ -88,22 +88,31 @@ SPECS: dict[str, ExperimentSpec] = {}
 _COSTS = ("cheap", "moderate", "expensive")
 
 
-def _declared_params(func: Callable) -> dict[str, object]:
-    """Keyword options of a run function (everything except ``scale``)."""
+def _declared_params(experiment_id: str, func: Callable) -> dict[str, object]:
+    """Keyword options of a run function (everything except ``scale``).
+
+    The ``--opt`` schema is read from the signature, so the function
+    must take ``scale`` and give every other parameter a default.
+    """
+    parameters = inspect.signature(func).parameters
+    if "scale" not in parameters:
+        raise ConfigurationError(
+            f"{experiment_id}: run function {func.__name__!r} does not "
+            "accept 'scale'"
+        )
     params: dict[str, object] = {}
-    for name, parameter in inspect.signature(func).parameters.items():
-        if name == "scale":
-            continue
-        if parameter.kind in (
+    for name, parameter in parameters.items():
+        if name == "scale" or parameter.kind not in (
             inspect.Parameter.POSITIONAL_OR_KEYWORD,
             inspect.Parameter.KEYWORD_ONLY,
         ):
-            default = (
-                None
-                if parameter.default is inspect.Parameter.empty
-                else parameter.default
+            continue
+        if parameter.default is inspect.Parameter.empty:
+            raise ConfigurationError(
+                f"{experiment_id}: option {name!r} of {func.__name__!r} has "
+                "no default; the registry cannot build its --opt schema"
             )
-            params[name] = default
+        params[name] = parameter.default
     return params
 
 
@@ -117,7 +126,9 @@ def register(
     """Class the decorated run function as experiment ``experiment_id``.
 
     Duplicate ids are configuration errors — silently shadowing an
-    experiment would corrupt every downstream manifest and cache key.
+    experiment would corrupt every downstream manifest and cache key —
+    and so are a run function without ``scale`` and an option without
+    a default.
     """
     if cost not in _COSTS:
         raise ConfigurationError(
@@ -140,7 +151,7 @@ def register(
             title=title,
             tags=tuple(tags),
             cost=cost,
-            params=MappingProxyType(_declared_params(func)),
+            params=MappingProxyType(_declared_params(experiment_id, func)),
             order=order,
         )
         SPECS[experiment_id] = spec
@@ -197,9 +208,18 @@ def experiment_ids() -> list[str]:
 
 
 def _load_experiment_modules() -> None:
-    """Import every experiment module so its ``@register`` runs."""
+    """Import every experiment module so its ``@register`` runs.
+
+    Each module must register the id it is named after: one that
+    registers nothing would silently drop out of ``repro run --all``.
+    """
     for name in _PAPER_ORDER:
         importlib.import_module(f".{name}", __package__)
+        if name not in SPECS:
+            raise ConfigurationError(
+                f"experiment module {name} registers no experiment "
+                f"{name!r} (missing @register?)"
+            )
 
 
 _load_experiment_modules()

@@ -10,6 +10,8 @@ the simulated bandwidth is unbounded — ZSim's fixed model reached
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ConfigurationError
 from .base import MemoryModel, MemoryRequest
 
@@ -19,8 +21,10 @@ class FixedLatencyModel(MemoryModel):
 
     def __init__(self, latency_ns: float = 25.0) -> None:
         super().__init__()
-        if latency_ns <= 0:
-            raise ConfigurationError(f"latency must be positive, got {latency_ns}")
+        if not (math.isfinite(latency_ns) and latency_ns > 0):
+            raise ConfigurationError(
+                f"latency must be finite and positive, got {latency_ns}"
+            )
         self.latency_ns = latency_ns
 
     @property

@@ -23,6 +23,21 @@ class WaveformSpec(SpecConvertible):
     depth_fraction: float = 0.06
     points: int = 4
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.read_ratio_threshold <= 1.0:
+            raise ConfigurationError(
+                "waveform read_ratio_threshold outside [0, 1]: "
+                f"{self.read_ratio_threshold}"
+            )
+        if not 0.0 < self.depth_fraction < 1.0:
+            raise ConfigurationError(
+                f"waveform depth_fraction outside (0, 1): {self.depth_fraction}"
+            )
+        if self.points < 1:
+            raise ConfigurationError(
+                f"waveform needs at least one point, got {self.points}"
+            )
+
     def applies_to(self, read_ratio: float) -> bool:
         return read_ratio <= self.read_ratio_threshold
 
@@ -68,9 +83,30 @@ class PlatformSpec(SpecConvertible):
         lo, hi = self.max_latency_range_ns
         if not 0 < lo <= hi:
             raise ConfigurationError(f"{self.name}: bad max-latency range")
+        if lo < self.unloaded_latency_ns:
+            # loaded latency can only exceed the unloaded latency
+            raise ConfigurationError(
+                f"{self.name}: max-latency range [{lo}, {hi}] ns starts "
+                f"below the unloaded latency {self.unloaded_latency_ns} ns"
+            )
         lo, hi = self.saturated_bw_range_pct
         if not 0 < lo <= hi <= 100:
             raise ConfigurationError(f"{self.name}: bad saturated-BW range")
+        lo, hi = self.stream_range_pct
+        if not 0 < lo <= hi <= 100:
+            raise ConfigurationError(
+                f"{self.name}: STREAM range [{lo}, {hi}]% is not a valid "
+                "percentage interval"
+            )
+        ratios = list(self.read_ratios)
+        if ratios != sorted(ratios):
+            raise ConfigurationError(
+                f"{self.name}: read_ratios are not sorted ascending"
+            )
+        if any(not 0.0 <= ratio <= 1.0 for ratio in ratios):
+            raise ConfigurationError(
+                f"{self.name}: read_ratios outside [0, 1]: {ratios}"
+            )
         if self.peak_profile is not None and len(self.peak_profile) != len(
             self.read_ratios
         ):

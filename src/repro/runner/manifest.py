@@ -19,11 +19,36 @@ from pathlib import Path
 from typing import Mapping
 
 from ..errors import ConfigurationError
+from ..resilience.failures import FAILURE_KINDS
 
 #: Manifest schema version, bumped on incompatible layout changes.
 #: Readers tolerate unknown keys, so additive changes (the environment
 #: header, per-experiment telemetry) do not bump it.
 MANIFEST_VERSION = 1
+
+#: The terminal states a record may carry.
+_STATUSES = ("ok", "error")
+
+#: The header keys :func:`environment_header` writes.
+_ENVIRONMENT_KEYS = ("python_version", "platform")
+
+#: Record fields that count something and cannot be negative.
+_COUNTS = ("duration_s", "rows", "cache_hits", "cache_misses")
+
+#: Optional header fields and the JSON types a reader can use.
+_HEADER_TYPES: dict[str, tuple[type, ...]] = {
+    "jobs": (int,),
+    "scale": (int, float),
+    "cache_dir": (str, type(None)),
+    "package_version": (str,),
+    "started_at": (int, float),
+    "wall_time_s": (int, float),
+    "resumed_from": (str, type(None)),
+}
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def environment_header() -> dict:
@@ -76,16 +101,75 @@ class ExperimentRecord:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, payload: Mapping) -> "ExperimentRecord":
-        # Unknown keys are dropped, not fatal: manifests written by a
-        # newer package version must stay readable by this one.
+    def from_dict(
+        cls, payload: Mapping, where: str = "experiment record"
+    ) -> "ExperimentRecord":
+        """Build a record, or raise one error naming every problem.
+
+        Unknown keys are dropped, not fatal: manifests written by a
+        newer package version must stay readable by this one.
+        """
+        problems = _record_problems(payload, where)
+        if problems:
+            raise ConfigurationError("; ".join(problems))
         known = {f.name for f in fields(cls)}
-        try:
-            return cls(**{k: v for k, v in dict(payload).items() if k in known})
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"malformed experiment record: {exc}"
-            ) from exc
+        return cls(**{k: v for k, v in payload.items() if k in known})
+
+
+def _record_problems(payload: object, where: str) -> list[str]:
+    """Every way one record breaks the manifest format, as messages."""
+    if not isinstance(payload, Mapping):
+        return [f"{where} is not an object"]
+    problems: list[str] = []
+    experiment_id = payload.get("experiment_id")
+    if not (isinstance(experiment_id, str) and experiment_id):
+        problems.append(f"{where}: missing experiment_id")
+    status = payload.get("status")
+    if status not in _STATUSES:
+        problems.append(
+            f"{where}: status must be one of {_STATUSES}, got {status!r}"
+        )
+    if status == "error" and not payload.get("error"):
+        problems.append(
+            f"{where}: status is 'error' but no error message recorded"
+        )
+    failure_kind = payload.get("failure_kind")
+    if failure_kind is not None and failure_kind not in FAILURE_KINDS:
+        problems.append(
+            f"{where}: failure_kind must be one of {list(FAILURE_KINDS)}, "
+            f"got {failure_kind!r}"
+        )
+    attempts = payload.get("attempts", 1)
+    if not isinstance(attempts, int) or attempts < 1:
+        problems.append(
+            f"{where}: attempts must be a positive integer, got {attempts!r}"
+        )
+    digest = payload.get("result_digest")
+    if digest is not None and not (
+        isinstance(digest, str)
+        and len(digest) >= 8
+        and all(ch in "0123456789abcdef" for ch in digest)
+    ):
+        problems.append(f"{where}: result_digest {digest!r} is not a hex digest")
+    for key in _COUNTS:
+        value = payload.get(key, 0)
+        if not _is_number(value) or value < 0:
+            problems.append(
+                f"{where}: {key} must be a non-negative number, got {value!r}"
+            )
+    scale = payload.get("scale", 1.0)
+    if not _is_number(scale):
+        problems.append(f"{where}: scale must be a number, got {scale!r}")
+    if not isinstance(payload.get("options", {}), Mapping):
+        problems.append(
+            f"{where}: options must be an object, got {payload['options']!r}"
+        )
+    spec = payload.get("scenario_spec")
+    if spec is not None and not isinstance(spec, Mapping):
+        problems.append(
+            f"{where}: scenario_spec must be an object, got {spec!r}"
+        )
+    return problems
 
 
 @dataclass
@@ -187,28 +271,64 @@ class RunManifest:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunManifest":
-        try:
-            # .get everywhere: unknown top-level keys are ignored and
-            # missing ones default, so manifests survive version skew
-            # in both directions.
-            manifest = cls(
-                jobs=payload.get("jobs", 1),
-                scale=payload.get("scale", 1.0),
-                cache_dir=payload.get("cache_dir"),
-                package_version=payload.get("package_version", ""),
-                python_version=payload.get("python_version", ""),
-                platform=payload.get("platform", ""),
-                started_at=payload.get("started_at", 0.0),
-                wall_time_s=payload.get("wall_time_s", 0.0),
-                resumed_from=payload.get("resumed_from"),
-                records=[
-                    ExperimentRecord.from_dict(entry)
-                    for entry in payload.get("experiments", [])
-                ],
+        """Build a manifest, or raise one error naming every problem.
+
+        The version, the environment header and the record list are
+        required; unknown keys are ignored, so a manifest written by a
+        newer package version stays readable by this one.
+        """
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError(
+                "malformed run manifest: not a JSON object"
             )
-        except (TypeError, AttributeError) as exc:
-            raise ConfigurationError(f"malformed run manifest: {exc}") from exc
-        return manifest
+        problems: list[str] = []
+        version = payload.get("manifest_version")
+        if not isinstance(version, int) or version < 1:
+            problems.append(
+                f"manifest_version must be a positive integer, got {version!r}"
+            )
+        for key in _ENVIRONMENT_KEYS:
+            value = payload.get(key)
+            if not (isinstance(value, str) and value):
+                problems.append(f"environment header key {key!r} missing or empty")
+        for key, kinds in _HEADER_TYPES.items():
+            value = payload.get(key)
+            if key in payload and (
+                isinstance(value, bool) or not isinstance(value, kinds)
+            ):
+                problems.append(f"{key} has the wrong type: {value!r}")
+        entries = payload.get("experiments")
+        records: list[ExperimentRecord] = []
+        if not isinstance(entries, list):
+            problems.append(
+                f"'experiments' must be a list, got {type(entries).__name__}"
+            )
+        else:
+            for index, entry in enumerate(entries):
+                try:
+                    records.append(
+                        ExperimentRecord.from_dict(
+                            entry, where=f"experiments[{index}]"
+                        )
+                    )
+                except ConfigurationError as exc:
+                    problems.append(str(exc))
+        if problems:
+            raise ConfigurationError(
+                "malformed run manifest: " + "; ".join(problems)
+            )
+        return cls(
+            jobs=payload.get("jobs", 1),
+            scale=payload.get("scale", 1.0),
+            cache_dir=payload.get("cache_dir"),
+            package_version=payload.get("package_version", ""),
+            python_version=payload["python_version"],
+            platform=payload["platform"],
+            started_at=payload.get("started_at", 0.0),
+            wall_time_s=payload.get("wall_time_s", 0.0),
+            resumed_from=payload.get("resumed_from"),
+            records=records,
+        )
 
     def write(self, path: str | Path) -> None:
         """Write the manifest as indented JSON."""

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
-from ..errors import ConfigurationError, MessError
+from ..errors import ConfigurationError
 from ..resilience import faults as faults_mod
 from ..resilience.failures import DeadlineExceededError, classify_failure
 from ..resilience.retry import RetryPolicy
@@ -512,14 +512,18 @@ def _run_inline(
     absorb: Callable[[dict], None],
     finish: Callable[[str, ExperimentRecord], None],
 ) -> None:
-    """Serial execution with the same retry semantics as the pool path."""
+    """Serial execution with the same retry semantics as the pool path.
+
+    Any exception is classified and recorded, as a worker's would be:
+    one experiment's bug must not abort the rest of the run.
+    """
     for unit in units:
         attempt = 1
         while True:
             step_start = time.perf_counter()
             try:
                 raw = execute(unit.label, unit.spec, attempt=attempt)
-            except MessError as exc:
+            except Exception as exc:
                 kind = classify_failure(exc)
                 if policy.should_retry(kind, attempt):
                     delay = policy.delay_s(unit.label, attempt)

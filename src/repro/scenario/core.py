@@ -500,12 +500,17 @@ def _canonical_workload(workload: Mapping, where: str = "workload") -> dict:
 def _positive_number_problem(value: object) -> str | None:
     """Why a raw spec value is not a finite positive number, else None.
 
-    Checked before any ``float()``: a bool is not a number here, and
-    the ``NaN``/``Infinity`` that ``json.loads`` accepts are not finite.
+    Checked on the raw value, before the caller's ``float()``: a bool is
+    not a number here, and neither the ``NaN``/``Infinity`` that
+    ``json.loads`` accepts nor an int beyond the float range is finite.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return f"expected a number, got {value!r}"
-    if not (math.isfinite(value) and value > 0):
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number > 0):
         return f"must be a finite positive number, got {value!r}"
     return None
 

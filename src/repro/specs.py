@@ -13,10 +13,12 @@ Canonical form rules:
 - sequences are lists (tuples narrow back via the field annotation);
 - nested dataclasses are nested spec dicts;
 - unknown keys are configuration errors, not silently dropped —
-  a typo in a scenario file must fail loudly, not change the digest.
+  a typo in a scenario file must fail loudly, not change the digest;
+- a float field holds a finite number: NaN and infinity are
+  configuration errors, since no latency, rate or window is either.
 
-Each class is resolved once. The first encode, decode or schema of a
-class builds its field plan (:func:`_plan`): the annotations resolved
+Each class is resolved once. The first encode or decode of a class
+builds its field plan (:func:`_plan`): the annotations resolved
 and decomposed, field by field, in ``dataclasses.fields`` order. Every
 later call runs from the plan, and an error label such as
 ``scenario.system.hierarchy.l1.ways`` is rendered only when an error
@@ -30,6 +32,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import types
 import typing
 from typing import Any, Mapping, NamedTuple, TypeVar
@@ -105,7 +108,7 @@ class _Plan(NamedTuple):
     #: encodes.
     fields: tuple[_Field, ...]
     #: The constructor's fields, in the same order: what ``from_spec``
-    #: decodes and ``schema_fragment`` describes.
+    #: decodes.
     init: tuple[_Field, ...]
     #: The names of ``init``, for the unknown-key check.
     names: frozenset[str]
@@ -234,7 +237,15 @@ def _coerce(value: object, hint: _Hint, where: str | tuple) -> object:
             raise ConfigurationError(
                 f"{_label(where)}: expected a number, got {value!r}"
             )
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigurationError(
+                f"{_label(where)} must be finite, got {number!r}"
+            )
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(
@@ -322,43 +333,12 @@ def _decode(cls: type[T], payload: object, where: str | tuple) -> T:
     return cls(**kwargs)
 
 
-_JSON_TYPES: dict[object, str] = {
-    float: "number",
-    int: "integer",
-    bool: "boolean",
-    str: "string",
-}
-
-
-def _hint_schema(hint: _Hint) -> dict:
-    kind = hint.kind
-    schema: dict
-    if kind is _TUPLE:
-        args = hint.args
-        if len(args) == 2 and args[1] is Ellipsis:
-            schema = {"type": "array", "items": _hint_schema(args[0])}
-        else:
-            schema = {
-                "type": "array",
-                "prefixItems": [_hint_schema(arg) for arg in args],
-            }
-    elif kind is _DATACLASS:
-        schema = schema_fragment(hint.hint)
-    elif kind in _JSON_TYPES:
-        schema = {"type": _JSON_TYPES[kind]}
-    else:
-        schema = {}
-    if hint.optional:
-        schema = {"anyOf": [schema, {"type": "null"}]} if schema else {}
-    return schema
-
-
 class SpecConvertible:
     """Mixin giving a config dataclass the spec round-trip surface.
 
-    ``to_spec()`` / ``from_spec()`` / ``spec_schema()`` / ``digest()``
-    delegate to the module-level helpers; mixing this into a dataclass
-    is the whole opt-in.
+    ``to_spec()`` / ``from_spec()`` / ``digest()`` delegate to the
+    module-level helpers; mixing this into a dataclass is the whole
+    opt-in.
     """
 
     def to_spec(self) -> dict:
@@ -368,25 +348,5 @@ class SpecConvertible:
     def from_spec(cls: type[T], payload: Mapping, where: str = "") -> T:
         return from_spec(cls, payload, where)
 
-    @classmethod
-    def spec_schema(cls) -> dict:
-        return schema_fragment(cls)
-
     def digest(self) -> str:
         return spec_digest(to_spec(self))
-
-
-def schema_fragment(cls: type) -> dict:
-    """JSON-Schema-style fragment describing one config dataclass."""
-    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
-        raise ConfigurationError(f"{cls!r} is not a config dataclass")
-    init = _plan(cls).init
-    fragment: dict = {
-        "type": "object",
-        "properties": {field.name: _hint_schema(field.hint) for field in init},
-        "additionalProperties": False,
-    }
-    required = [field.name for field in init if field.required]
-    if required:
-        fragment["required"] = required
-    return fragment

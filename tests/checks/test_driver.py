@@ -1,5 +1,5 @@
-"""``check_paths`` over files on disk: parse failures, cross-file rules,
-whole-program rules, and a fresh analysis on every run."""
+"""``check_paths`` over files on disk: parse failures, overlapping
+paths, whole-program rules, and a fresh analysis on every run."""
 
 from __future__ import annotations
 
@@ -31,25 +31,6 @@ def test_overlapping_paths_are_analysed_once(tmp_path):
         ("RPR001", str(core / "bad.py")),
     ]
     assert check_paths([again, tmp_path])[0].path == str(again)
-
-
-def test_cross_file_duplicate_ids_are_found(tmp_path):
-    # RPR004's duplicate-experiment-id check spans files.
-    experiments = tmp_path / "experiments"
-    experiments.mkdir()
-    module = (
-        "from .registry import register\n"
-        "@register('fig1', cost='cheap')\n"
-        "def run(scale=1.0):\n"
-        "    pass\n"
-    )
-    (experiments / "fig1.py").write_text(module)
-    (experiments / "fig2.py").write_text(module)
-    duplicates = [
-        f for f in check_paths([experiments]) if "duplicate" in f.message
-    ]
-    assert len(duplicates) == 1
-    assert duplicates[0].path.endswith("fig2.py")
 
 
 def test_program_rules_taint_across_files(tmp_path):

@@ -1,4 +1,4 @@
-"""Declarative validators: platform specs, curve families, manifests."""
+"""Declarative validators: curve families, manifests, scenarios, fault plans."""
 
 from __future__ import annotations
 
@@ -8,14 +8,12 @@ from repro.checks import (
     check_curve_family,
     check_fault_plan,
     check_json_file,
-    check_manifest,
-    check_platform_spec,
     check_scenario,
 )
 from repro.core.curve import BandwidthLatencyCurve
 from repro.core.family import CurveFamily
 from repro.platforms.presets import TABLE_I_PLATFORMS, family
-from repro.platforms.spec import PlatformSpec, WaveformSpec
+from repro.platforms.spec import PlatformSpec
 from repro.runner import RunManifest
 from repro.runner.manifest import ExperimentRecord
 
@@ -39,29 +37,11 @@ def spec_with(**overrides) -> PlatformSpec:
     return PlatformSpec(**base)
 
 
-class TestPlatformSpecRPR101:
-    def test_table_i_specs_are_all_valid(self):
-        for spec in TABLE_I_PLATFORMS:
-            assert check_platform_spec(spec) == []
-
-    def test_fires_on_unsorted_read_ratios(self):
-        spec = spec_with(read_ratios=(1.0, 0.5))
-        assert any(
-            "not sorted" in f.message for f in check_platform_spec(spec)
-        )
-
-    def test_fires_on_max_latency_below_unloaded(self):
-        spec = spec_with(max_latency_range_ns=(50.0, 500.0))
-        findings = check_platform_spec(spec)
-        assert [f.rule_id for f in findings] == ["RPR101"]
-
-    def test_fires_on_waveform_out_of_range(self):
-        spec = spec_with(waveform=WaveformSpec(depth_fraction=1.5))
-        assert any(
-            "depth_fraction" in f.message for f in check_platform_spec(spec)
-        )
-        spec = spec_with(waveform=WaveformSpec(points=0))
-        assert any("point" in f.message for f in check_platform_spec(spec))
+def manifest_findings(tmp_path, payload) -> list:
+    """What ``repro check`` reports for ``payload`` saved as a file."""
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(payload))
+    return check_json_file(path)
 
 
 class TestCurveFamilyRPR102:
@@ -131,28 +111,31 @@ class TestManifestRPR103:
         )
         return manifest.to_dict()
 
-    def test_real_manifest_is_valid(self):
-        assert check_manifest(self.manifest_payload()) == []
+    def test_real_manifest_is_valid(self, tmp_path):
+        assert manifest_findings(tmp_path, self.manifest_payload()) == []
 
-    def test_fires_on_missing_environment_header(self):
+    def test_fires_on_missing_environment_header(self, tmp_path):
         payload = self.manifest_payload()
         del payload["python_version"]
-        findings = check_manifest(payload)
-        assert any("python_version" in f.message for f in findings)
+        findings = manifest_findings(tmp_path, payload)
+        assert [f.rule_id for f in findings] == ["RPR103"]
+        assert "python_version" in findings[0].message
 
-    def test_fires_on_bad_status_and_digest(self):
+    def test_fires_on_bad_status_and_digest(self, tmp_path):
+        # one finding names every problem the loader found
         payload = self.manifest_payload()
         payload["experiments"][0]["status"] = "crashed"
         payload["experiments"][0]["result_digest"] = "not hex!"
-        messages = " ".join(f.message for f in check_manifest(payload))
-        assert "status" in messages and "hex digest" in messages
+        (finding,) = manifest_findings(tmp_path, payload)
+        assert "status" in finding.message and "hex digest" in finding.message
 
-    def test_fires_on_error_without_message(self):
+    def test_fires_on_error_without_message(self, tmp_path):
         payload = self.manifest_payload()
         payload["experiments"][0]["status"] = "error"
         payload["experiments"][0]["error"] = None
         assert any(
-            "no error message" in f.message for f in check_manifest(payload)
+            "no error message" in f.message
+            for f in manifest_findings(tmp_path, payload)
         )
 
     def test_manifest_file_roundtrip_and_corruption(self, tmp_path):
@@ -285,22 +268,25 @@ class TestManifestFailureTaxonomy:
         )
         return manifest.to_dict()
 
-    def test_classified_failure_is_valid(self):
-        assert check_manifest(self.failed_payload()) == []
+    def test_classified_failure_is_valid(self, tmp_path):
+        assert manifest_findings(tmp_path, self.failed_payload()) == []
 
-    def test_fires_on_unknown_failure_kind(self):
+    def test_fires_on_unknown_failure_kind(self, tmp_path):
         # "unavailable" was the retired serving fabric's kind
         for kind in ("gremlin", "unavailable"):
             payload = self.failed_payload()
             payload["experiments"][0]["failure_kind"] = kind
-            messages = " ".join(f.message for f in check_manifest(payload))
+            messages = " ".join(
+                f.message for f in manifest_findings(tmp_path, payload)
+            )
             assert "failure_kind" in messages and kind in messages
 
-    def test_fires_on_non_positive_attempts(self):
+    def test_fires_on_non_positive_attempts(self, tmp_path):
         payload = self.failed_payload()
         payload["experiments"][0]["attempts"] = 0
         assert any(
-            "attempts" in f.message for f in check_manifest(payload)
+            "attempts" in f.message
+            for f in manifest_findings(tmp_path, payload)
         )
 
 

@@ -136,59 +136,6 @@ class TestTelemetryHotPathRPR003:
         assert rule_ids(src, "telemetry/exporters.py") == []
 
 
-class TestRegistryHygieneRPR004:
-    def test_fires_on_unregistered_figure_module(self):
-        src = "def run(scale=1.0):\n    return None\n"
-        assert rule_ids(src, "experiments/fig99.py") == ["RPR004"]
-
-    def test_fires_on_computed_id(self):
-        src = (
-            "@register('fig' + str(99))\n"
-            "def run(scale=1.0):\n    return None\n"
-        )
-        assert "RPR004" in rule_ids(src, "experiments/fig99.py")
-
-    def test_fires_on_missing_scale_and_defaults(self):
-        src = (
-            "@register('fig99')\n"
-            "def run(platforms):\n    return None\n"
-        )
-        found = check_source(src, filename="experiments/fig99.py")
-        messages = " ".join(f.message for f in found)
-        assert "does not accept 'scale'" in messages
-        assert "no default" in messages
-
-    def test_fires_on_duplicate_ids_across_files(self):
-        src_a = "@register('fig99')\ndef run(scale=1.0):\n    return None\n"
-        # duplicate inside one run of the engine: same module twice
-        src_b = src_a + "\n@register('fig99')\ndef run2(scale=1.0):\n    return None\n"
-        found = check_source(src_b, filename="experiments/fig99.py")
-        assert any("duplicate experiment id" in f.message for f in found)
-
-    def test_fires_on_bad_cost(self):
-        src = (
-            "@register('fig99', cost='free')\n"
-            "def run(scale=1.0):\n    return None\n"
-        )
-        assert "RPR004" in rule_ids(src, "experiments/fig99.py")
-
-    def test_silent_on_conforming_module(self):
-        src = (
-            "@register('fig99', title='t', tags=('x',), cost='cheap')\n"
-            "def run(scale=1.0, *, platforms=None):\n"
-            "    return None\n"
-        )
-        assert rule_ids(src, "experiments/fig99.py") == []
-
-    def test_silent_on_non_figure_helper_module(self):
-        src = "def helper():\n    return 1\n"
-        assert rule_ids(src, "experiments/common.py") == []
-
-    def test_silent_outside_experiments(self):
-        src = "def run(scale=1.0):\n    return None\n"
-        assert rule_ids(src, "core/fig_like.py") == []
-
-
 class TestFloatEqualityRPR005:
     def test_fires_on_measured_name_equality(self):
         assert rule_ids("ok = latency_ns == previous\n") == ["RPR005"]

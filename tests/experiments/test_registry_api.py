@@ -15,6 +15,7 @@ from repro.experiments import (
     run_experiment,
     validate_options,
 )
+from repro.experiments import registry
 from repro.experiments.registry import new_result
 
 
@@ -56,9 +57,86 @@ class TestRegistration:
         finally:
             del SPECS["zz-test"]
 
+    def test_duplicate_id_names_the_module_that_registered_it(self):
+        # an id claimed by another module is reported against its owner
+        with pytest.raises(ConfigurationError, match="already registered by fig2"):
+
+            @register("fig2", cost="cheap")
+            def run(scale: float = 1.0):  # pragma: no cover
+                raise AssertionError("never runs")
+
+    def test_second_registration_in_one_module_rejected(self):
+        @register("zz-twice", cost="cheap")
+        def run(scale: float = 1.0):  # pragma: no cover
+            raise AssertionError("never runs")
+
+        try:
+            with pytest.raises(
+                ConfigurationError, match="duplicate experiment id 'zz-twice'"
+            ):
+
+                @register("zz-twice", cost="cheap")
+                def run2(scale: float = 1.0):  # pragma: no cover
+                    raise AssertionError("never runs")
+
+            assert SPECS["zz-twice"].func is run
+        finally:
+            del SPECS["zz-twice"]
+
+    def test_conforming_registration_keeps_its_metadata(self):
+        @register("zz-conforming", title="t", tags=("x",), cost="cheap")
+        def run(scale: float = 1.0, *, platforms=None):  # pragma: no cover
+            raise AssertionError("never runs")
+
+        try:
+            spec = SPECS["zz-conforming"]
+            assert (spec.title, spec.tags, spec.cost) == ("t", ("x",), "cheap")
+            assert spec.params == {"platforms": None}
+            assert run.experiment_id == "zz-conforming"
+        finally:
+            del SPECS["zz-conforming"]
+
     def test_invalid_cost_rejected(self):
         with pytest.raises(ConfigurationError):
             register("zz-bad-cost", cost="free")
+
+    def test_bad_cost_rejected_before_the_function_is_registered(self):
+        with pytest.raises(
+            ConfigurationError, match=r"zz-bad-cost: cost must be one of .*'free'"
+        ):
+
+            @register("zz-bad-cost", cost="free")
+            def run(scale: float = 1.0):  # pragma: no cover
+                raise AssertionError("never runs")
+
+        assert "zz-bad-cost" not in SPECS
+
+    def test_run_function_without_scale_rejected(self):
+        with pytest.raises(ConfigurationError, match="does not accept 'scale'"):
+
+            @register("zz-no-scale", cost="cheap")
+            def run(platforms: str | None = None):  # pragma: no cover
+                raise AssertionError("never runs")
+
+        assert "zz-no-scale" not in SPECS
+
+    def test_option_without_default_rejected(self):
+        # the --opt schema is read from the defaults; a missing one used
+        # to be declared as None
+        with pytest.raises(ConfigurationError, match="'knob' .* no default"):
+
+            @register("zz-no-default", cost="cheap")
+            def run(scale: float = 1.0, *, knob: int):  # pragma: no cover
+                raise AssertionError("never runs")
+
+        assert "zz-no-default" not in SPECS
+
+    def test_paper_module_must_register_its_own_id(self, monkeypatch):
+        registry._load_experiment_modules()  # every shipped module does
+        # ``base`` is an experiment-package module that registers nothing
+        monkeypatch.setattr(registry, "_PAPER_ORDER", ("base",))
+        with pytest.raises(ConfigurationError, match="base registers no"):
+            registry._load_experiment_modules()
 
     def test_get_spec_unknown(self):
         with pytest.raises(ConfigurationError):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.metrics import compute_metrics
@@ -9,6 +11,7 @@ from repro.errors import ConfigurationError
 from repro.platforms.presets import (
     AMD_ZEN2,
     NVIDIA_H100,
+    SPECIAL_FAMILIES,
     TABLE_I_PLATFORMS,
     cxl_expander_family,
     family,
@@ -119,6 +122,60 @@ class TestSpecValidation:
             spec.theoretical_bw_gbps * spec.stream_range_pct[0] / 100
         )
         assert hi > lo
+
+
+def spec_with(**overrides) -> PlatformSpec:
+    base = dict(
+        name="Test",
+        vendor="x",
+        released=2020,
+        cores=8,
+        frequency_ghz=2.0,
+        memory="DDR4",
+        channels=6,
+        theoretical_bw_gbps=128.0,
+        unloaded_latency_ns=90.0,
+        max_latency_range_ns=(300.0, 500.0),
+        saturated_bw_range_pct=(80.0, 90.0),
+        stream_range_pct=(70.0, 80.0),
+    )
+    base.update(overrides)
+    return PlatformSpec(**base)
+
+
+class TestSpecConstructorRules:
+    """The constructors are the one validator of a platform spec."""
+
+    def test_table_i_specs_and_special_families_build(self):
+        for spec in TABLE_I_PLATFORMS:
+            assert dataclasses.replace(spec) == spec
+        for name, build in SPECIAL_FAMILIES.items():
+            assert list(build()), name
+
+    def test_rejects_unsorted_read_ratios(self):
+        with pytest.raises(ConfigurationError, match="not sorted"):
+            spec_with(read_ratios=(1.0, 0.5))
+
+    def test_rejects_read_ratios_outside_unit_interval(self):
+        with pytest.raises(ConfigurationError, match=r"outside \[0, 1\]"):
+            spec_with(read_ratios=(0.5, 1.5))
+
+    def test_rejects_max_latency_below_unloaded(self):
+        with pytest.raises(ConfigurationError, match="below the unloaded"):
+            spec_with(max_latency_range_ns=(50.0, 500.0))
+
+    def test_rejects_invalid_stream_range(self):
+        for stream in ((0.0, 50.0), (80.0, 70.0), (50.0, 101.0)):
+            with pytest.raises(ConfigurationError, match="STREAM range"):
+                spec_with(stream_range_pct=stream)
+
+    def test_rejects_waveform_out_of_range(self):
+        with pytest.raises(ConfigurationError, match="depth_fraction"):
+            spec_with(waveform=WaveformSpec(depth_fraction=1.5))
+        with pytest.raises(ConfigurationError, match="point"):
+            WaveformSpec(points=0)
+        with pytest.raises(ConfigurationError, match="read_ratio_threshold"):
+            WaveformSpec(read_ratio_threshold=-0.1)
 
 
 class TestSyntheticCurves:

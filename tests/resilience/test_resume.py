@@ -10,7 +10,7 @@ from repro.runner.manifest import ExperimentRecord
 from tests.resilience.test_chaos import tiny_mess_scenario
 
 
-def ok_record(experiment_id: str, digest: str = "carried") -> ExperimentRecord:
+def ok_record(experiment_id: str, digest: str = "ca7712ed") -> ExperimentRecord:
     return ExperimentRecord(
         experiment_id=experiment_id,
         status="ok",
@@ -81,7 +81,7 @@ class TestResume:
     def test_reruns_only_failed_records_preserving_order(self, tmp_path):
         path = tmp_path / "partial.json"
         RunManifest(
-            records=[failed_record("fig2"), ok_record("fig17", digest="keep")]
+            records=[failed_record("fig2"), ok_record("fig17", digest="cee9cee9")]
         ).write(path)
         outcome = resume_run(path, jobs=1, use_cache=False)
         assert outcome.manifest.ok
@@ -89,8 +89,8 @@ class TestResume:
         by_id = {r.experiment_id: r for r in outcome.manifest.records}
         # The failure was re-executed; the success was carried verbatim.
         assert by_id["fig2"].status == "ok"
-        assert by_id["fig2"].result_digest not in (None, "carried")
-        assert by_id["fig17"].result_digest == "keep"
+        assert by_id["fig2"].result_digest not in (None, "ca7712ed")
+        assert by_id["fig17"].result_digest == "cee9cee9"
         assert [r.experiment_id for r in outcome.manifest.records] == [
             "fig2",
             "fig17",
@@ -131,7 +131,7 @@ class TestResume:
     def test_resume_is_idempotent_through_the_checkpoint(self, tmp_path):
         path = tmp_path / "checkpoint.json"
         RunManifest(
-            records=[failed_record("fig2"), ok_record("fig17", digest="keep")]
+            records=[failed_record("fig2"), ok_record("fig17", digest="cee9cee9")]
         ).write(path)
         first = resume_run(path, jobs=1, use_cache=False)
         assert first.manifest.ok

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments import SPECS, register
 from repro.runner import ResultCache, RunManifest, run_many
 from repro.runner import cache as cache_mod
 
@@ -111,6 +112,24 @@ class TestParallelEqualsSerial:
         by_id = {r.experiment_id: r for r in outcome.manifest.records}
         assert by_id["fig2"].status == "ok"
         assert by_id["fig3"].status == "error"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_bug_is_a_model_error_that_the_run_survives(self, jobs):
+        # any exception, not only the package's own, is classified and
+        # recorded; the serial path used to let it abort the whole run
+        @register("zz-boom", title="raises", cost="cheap")
+        def run(scale: float = 1.0):
+            raise ZeroDivisionError("boom")
+
+        try:
+            outcome = run_many(["zz-boom", "table1"], jobs=jobs, use_cache=False)
+        finally:
+            del SPECS["zz-boom"]
+        assert [
+            (r.experiment_id, r.status, r.failure_kind)
+            for r in outcome.manifest.records
+        ] == [("zz-boom", "error", "model-error"), ("table1", "ok", None)]
+        assert "ZeroDivisionError" in outcome.manifest.records[0].error
 
 
 class TestCaching:

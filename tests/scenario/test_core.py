@@ -91,6 +91,17 @@ def _dram_spec(**timing) -> dict:
     }
 
 
+def _field_spec(path: str, value: object) -> dict:
+    """The tiny characterization with one dotted-path field replaced."""
+    spec = _characterize_spec()
+    *parents, leaf = path.split(".")
+    section = spec
+    for key in parents:
+        section = section[key]
+    section[leaf] = value
+    return spec
+
+
 #: Malformed specs, each with the part of the error that names its fault.
 MALFORMED = [
     pytest.param(_experiment_spec("abc"), "workload.scale", id="scale-string"),
@@ -101,6 +112,7 @@ MALFORMED = [
         _experiment_spec(json.loads("Infinity")), "workload.scale", id="scale-inf"
     ),
     pytest.param(_experiment_spec(float("nan")), "workload.scale", id="scale-nan"),
+    pytest.param(_experiment_spec(10**400), "workload.scale", id="scale-huge-int"),
     *(
         pytest.param(
             _characterize_spec(theoretical_bandwidth_gbps=peak),
@@ -108,7 +120,11 @@ MALFORMED = [
             id=f"peak-{label}",
         )
         for label, peak in (
-            ("bool", True), ("nan", float("nan")), ("zero", 0), ("negative", -5)
+            ("bool", True),
+            ("nan", float("nan")),
+            ("zero", 0),
+            ("negative", -5),
+            ("huge-int", 10**400),
         )
     ),
     pytest.param(
@@ -146,6 +162,33 @@ MALFORMED = [
         ),
         r"unknown parameter\(s\) \['keep_history'\]",
         id="keep-history",
+    ),
+    # a NaN sweep window never ends: the run used to hang
+    *(
+        pytest.param(
+            _field_spec(path, json.loads(value)),
+            f"{path} must be finite",
+            id=f"{label}-{value[:3].lower()}",
+        )
+        for label, path, value in (
+            ("l1-latency", "system.hierarchy.l1.latency_ns", "NaN"),
+            ("l1-latency", "system.hierarchy.l1.latency_ns", "Infinity"),
+            ("noc-latency", "system.hierarchy.noc_latency_ns", "NaN"),
+            ("issue-gap", "system.issue_gap_ns", "NaN"),
+            ("issue-gap", "system.issue_gap_ns", "Infinity"),
+            ("warmup", "sweep.warmup_ns", "NaN"),
+            ("measure", "sweep.measure_ns", "Infinity"),
+        )
+    ),
+    *(
+        pytest.param(
+            _characterize_spec(
+                {"kind": "fixed-latency", "params": {"latency_ns": json.loads(value)}}
+            ),
+            "latency must be finite and positive",
+            id=f"fixed-latency-{value[:3].lower()}",
+        )
+        for value in ("NaN", "Infinity")
     ),
 ]
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.serve.service import (
     error_status,
     warm_from_manifest,
 )
+from tests.runner.test_manifest import MALFORMED_MANIFESTS
 
 
 def run_service(coro_factory, config=None, backend=None):
@@ -302,7 +304,12 @@ class TestWarm:
             )
         )
         manifest.records.append(
-            ExperimentRecord(experiment_id="scenario:crashed", status="error")
+            ExperimentRecord(
+                experiment_id="scenario:crashed",
+                status="error",
+                error="boom",
+                failure_kind="crash",
+            )
         )
         path = tmp_path / "MANIFEST.json"
         manifest.write(path)
@@ -316,6 +323,15 @@ class TestWarm:
         again = warm_from_manifest(backend, path)
         assert again["already_present"] == 1
         assert again["warmed"] == 0
+
+    @pytest.mark.parametrize("payload", MALFORMED_MANIFESTS)
+    def test_warm_from_a_malformed_manifest_is_a_typed_error(
+        self, tmp_path, payload
+    ):
+        path = tmp_path / "MANIFEST.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigurationError, match="malformed run manifest"):
+            warm_from_manifest(MemoryLRUBackend(), path)
 
     def test_warm_counts_missing_payloads(self, tmp_path):
         scenario = loadgen_scenarios(1)[0]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.runner.cache import RESULTS_EPOCH
+from tests.runner.test_manifest import MALFORMED_MANIFESTS
 
 
 class TestList:
@@ -497,6 +498,17 @@ class TestRunResilience:
         # The checkpoint was rewritten: resuming again finds nothing.
         assert main(["run", "--resume", str(manifest)]) == 0
         assert "nothing to resume" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("payload", MALFORMED_MANIFESTS)
+    def test_resume_of_a_malformed_manifest_is_one_error_line(
+        self, capsys, tmp_path, payload
+    ):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(payload))
+        assert main(["run", "--resume", str(manifest), "--no-cache"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed run manifest: ")
+        assert err.count("\n") == 1
 
     def test_deadline_classifies_hang_as_timeout(self, capsys, tmp_path):
         plan = tmp_path / "hang.json"
