@@ -40,6 +40,7 @@ a digest over their digests in its ``meta``.
 from __future__ import annotations
 
 import json
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -425,12 +426,12 @@ def _bench_hierarchy_visit():
 def _bench_serve_loadgen():
     """The characterization service under a replayable request load.
 
-    Boots an in-process HTTP server on a fresh in-memory backend and
-    replays the deterministic loadgen schedule through real sockets —
-    miss/coalesce/compute on pass one, cache-serving on pass two. The
-    digest covers the served results' digests. The meta records the
-    hit-ratio and p99 trajectories — the serving-path perf numbers
-    ``BENCH_serve.json`` tracks.
+    Boots an in-process HTTP server over a fresh temporary cache
+    directory and replays the deterministic loadgen schedule through
+    real sockets — miss/coalesce/compute on pass one, cache-serving on
+    pass two. The digest covers the served results' digests. The meta
+    records the hit-ratio and p99 trajectories — the serving-path perf
+    numbers ``BENCH_serve.json`` tracks.
     """
     from ..serve.loadgen import LoadgenConfig, run_loadgen
 
@@ -439,12 +440,13 @@ def _bench_serve_loadgen():
         requests=36,
         clients=6,
         passes=2,
-        backend="memory",
         max_inflight=4,
     )
 
     def work():
-        return run_loadgen(LoadgenConfig(**config))
+        # a fresh store per timed run, so pass one always computes
+        with tempfile.TemporaryDirectory(prefix="repro-serve-") as cache_dir:
+            return run_loadgen(LoadgenConfig(**config, cache_dir=cache_dir))
 
     def summarize(report) -> dict:
         final = report["passes"][-1]

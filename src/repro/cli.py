@@ -345,7 +345,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             return 0
         info = cache.info()
         print(f"cache root: {info['root']}")
-        print(f"backend:    {info['backend']} ({info['location']})")
         print(f"entries:    {info['entries']}")
         print(f"size:       {info['bytes'] / 1e6:.2f} MB")
         shards = info.get("shards") or {}
@@ -396,7 +395,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     def ready(server) -> None:
         print(
-            f"serving on {server.url} (backend {config.backend}, "
+            f"serving on {server.url} (cache {server.service.store.root}, "
             f"max-inflight {args.max_inflight})",
             flush=True,
         )

@@ -212,6 +212,9 @@ def validate_cache_model(
     plan = spec.level_plan(hierarchy)
     for index, (level, _shared) in enumerate(plan):
         label = f"L{index + 1}"
+        if level.ways < 1:
+            problems.append(f"cache: {label} ways must be >= 1, got {level.ways}")
+            continue
         lines = level.size_bytes // spec.line_bytes
         if level.size_bytes % spec.line_bytes:
             problems.append(

@@ -34,6 +34,7 @@ from typing import NamedTuple
 from ..errors import ConfigurationError, SimulationError
 from ..request import AccessType, MemoryRequest
 from ..telemetry import registry as telemetry
+from ..units import MAX_MODEL_UNITS
 from .address import AddressMapper, DecodedAddress
 from .bank import BankState, RankState
 from .stats import ControllerStats, RowBufferOutcome, RowBufferStats
@@ -132,6 +133,15 @@ class DramController:
         if write_queue_depth < 1:
             raise ConfigurationError(
                 f"write_queue_depth must be >= 1, got {write_queue_depth}"
+            )
+        # one BankState per bank of every channel; the limit is checked
+        # on the channel count, so no operand is multiplied unchecked
+        max_channels = MAX_MODEL_UNITS // timing.total_banks
+        if not 1 <= channels <= max_channels:
+            raise ConfigurationError(
+                f"channels must be in [1, {max_channels}] for "
+                f"{timing.total_banks} banks per channel (at most "
+                f"{MAX_MODEL_UNITS} banks), got {channels}"
             )
         self.timing = timing
         self.channels = channels

@@ -15,7 +15,7 @@ writes to amortize it).
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..units import CACHE_LINE_BYTES
+from ..units import CACHE_LINE_BYTES, MAX_MODEL_UNITS
 from .base import MemoryModel, MemoryRequest
 from .queueing import SingleServerQueue
 
@@ -51,8 +51,10 @@ class InternalDdrModel(MemoryModel):
         super().__init__()
         if unloaded_latency_ns <= 0 or peak_bandwidth_gbps <= 0:
             raise ConfigurationError("latency and bandwidth must be positive")
-        if channels < 1:
-            raise ConfigurationError(f"channels must be >= 1, got {channels}")
+        if not 1 <= channels <= MAX_MODEL_UNITS:
+            raise ConfigurationError(
+                f"channels must be in [1, {MAX_MODEL_UNITS}], got {channels}"
+            )
         if not 0.0 < inefficiency <= 1.0:
             raise ConfigurationError("inefficiency must be in (0, 1]")
         if turnaround_ns < 0:

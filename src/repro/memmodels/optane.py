@@ -23,7 +23,7 @@ the UCSD characterization studies the paper cites, [39] and [40]):
 from __future__ import annotations
 
 from ..errors import ConfigurationError
-from ..units import CACHE_LINE_BYTES
+from ..units import CACHE_LINE_BYTES, MAX_MODEL_UNITS
 from .base import AccessType, MemoryModel, MemoryRequest
 from .queueing import SingleServerQueue
 
@@ -59,8 +59,11 @@ class OptaneModel(MemoryModel):
         write_queue_lines: int = 64,
     ) -> None:
         super().__init__()
-        if dimms < 1:
-            raise ConfigurationError(f"dimms must be >= 1, got {dimms}")
+        # two queues per DIMM
+        if not 1 <= dimms <= MAX_MODEL_UNITS // 2:
+            raise ConfigurationError(
+                f"dimms must be in [1, {MAX_MODEL_UNITS // 2}], got {dimms}"
+            )
         if read_bandwidth_gbps_per_dimm <= 0 or write_bandwidth_gbps_per_dimm <= 0:
             raise ConfigurationError("bandwidths must be positive")
         if sequential_read_ns <= 0 or random_read_ns < sequential_read_ns:

@@ -28,7 +28,6 @@ from .failures import (
     DeadlineExceededError,
     WorkerCrashError,
     classify_failure,
-    is_transient,
 )
 from .faults import (
     FAULT_KINDS,
@@ -51,6 +50,5 @@ __all__ = [
     "activation",
     "classify_failure",
     "deterministic_fraction",
-    "is_transient",
     "load_fault_plan",
 ]

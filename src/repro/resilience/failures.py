@@ -74,8 +74,3 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, CacheError):
         return "cache-error"
     return "model-error"
-
-
-def is_transient(kind: str) -> bool:
-    """Whether a failure kind is worth retrying."""
-    return kind in TRANSIENT_KINDS

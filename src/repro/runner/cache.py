@@ -10,10 +10,8 @@ parameter, system knob or option and the key changes with it. The
 digest does not cover the code, so every entry also carries
 :data:`RESULTS_EPOCH`, and an entry of another epoch reads as a miss.
 
-This module holds the one result store. :class:`CacheBackend` is the
-storage contract, :class:`DirectoryBackend` the content-addressed
-directory tree that implements it, and :class:`ResultCache` that
-directory store at the default root. ``repro run``, ``repro cache`` and
+This module holds the one result store, :class:`ResultCache`: a
+content-addressed directory tree. ``repro run``, ``repro cache`` and
 ``repro serve`` all read and write the same entries;
 :mod:`repro.serve.backends` only puts a memory LRU in front of this
 store, and imports it from here, so importing the runner never loads
@@ -25,15 +23,15 @@ store). ``repro run`` experiments, scenario files and ``repro serve``
 all go through these two, so one scenario digest stores one entry,
 byte for byte, whichever path wrote it.
 
-Contract rules (kept by every backend):
+Contract rules (kept by the serve store too):
 
 - **get never raises.** A missing, unreadable or corrupt entry is a
   miss; corruption is quarantined (the evidence survives for ``repro
   cache info``) and counted, never fatal.
-- **put never raises.** A full disk degrades to "no cache"
-  (``False``), not to an error.
+- **put never raises.** A full disk, or a payload JSON cannot encode,
+  degrades to "no cache" (``False``), not to an error.
 - **Digest-identical everywhere.** A payload written through one
-  backend and read through another is byte-for-byte the same JSON
+  store and read through the other is byte-for-byte the same JSON
   value; the round-trip suite in ``tests/serve`` enforces this.
 
 The default location is ``~/.cache/repro-mess``; override it with the
@@ -46,7 +44,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import MessError
 from ..telemetry import registry as telemetry_mod
@@ -90,97 +88,7 @@ def _package_version() -> str:
         return "unknown"
 
 
-def _count_quarantine(key: str) -> None:
-    """Emit the quarantine telemetry counter/event when a registry is on."""
-    registry = telemetry_mod.active()
-    if registry is not None:
-        registry.counter(
-            "cache.corrupt_quarantined",
-            help="corrupt cache entries quarantined on read",
-        ).inc()
-        registry.event("cache.quarantined", category="cache", key=key)
-
-
-class CacheBackend:
-    """The storage contract every cache tier implements.
-
-    Subclasses override the ``_do_*`` primitives; the public methods
-    add the shared miss/hit/quarantine accounting so counters mean the
-    same thing regardless of backend.
-    """
-
-    #: Short machine-readable backend kind (``dir`` / ``memory`` /
-    #: ``tiered``).
-    kind: str = "abstract"
-
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.quarantined = 0
-
-    # -- primitives (override) -----------------------------------------
-
-    def _do_get(self, key: str) -> "dict | list | None":
-        raise NotImplementedError
-
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
-        raise NotImplementedError
-
-    def discard(self, key: str) -> None:
-        """Best-effort removal of one entry."""
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[str]:
-        """Every digest currently stored."""
-        raise NotImplementedError
-
-    def info(self, detail: bool = False) -> dict:
-        """Uniform summary: backend, location, entries, shards, corruption.
-
-        Every backend reports the same keys — ``backend``, ``location``,
-        ``entries``, ``bytes``, ``kinds``, ``kind_bytes``,
-        ``corrupt_entries``, ``corrupt_bytes`` and a ``shards`` summary
-        (``{"count", "max", "mean"}`` over the digest-prefix shards) —
-        so ``repro cache info`` and the service's ``/stats`` read them
-        alike. With ``detail``, ``entry_list`` / ``corrupt_list`` /
-        ``shard_counts`` are included.
-        """
-        raise NotImplementedError
-
-    def clear(self) -> int:
-        """Delete every entry (quarantined included); returns the count."""
-        raise NotImplementedError
-
-    # -- shared accounting ----------------------------------------------
-
-    def get(self, key: str) -> "dict | list | None":
-        """The payload stored under ``key``, or ``None`` (never raises)."""
-        payload = self._do_get(key)
-        if payload is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return payload
-
-    def put(self, key: str, payload: "dict | list", kind: str = "") -> bool:
-        """Store ``payload`` under ``key``; ``False`` on failure."""
-        return self._do_put(key, payload, kind)
-
-    def _quarantined_one(self, key: str) -> None:
-        self.quarantined += 1
-        _count_quarantine(key)
-
-    @staticmethod
-    def _shard_summary(counts: Mapping[str, int]) -> dict:
-        total = sum(counts.values())
-        return {
-            "count": len(counts),
-            "max": max(counts.values()) if counts else 0,
-            "mean": (total / len(counts)) if counts else 0.0,
-        }
-
-
-class DirectoryBackend(CacheBackend):
+class ResultCache:
     """The content-addressed directory store.
 
     Entries live at ``<root>/<key[:2]>/<key>.json`` (fan-out keeps any
@@ -191,23 +99,32 @@ class DirectoryBackend(CacheBackend):
     ``os.replace``d into place, so a concurrent reader (or a killed
     worker) never observes a half-written entry. Corrupt entries are
     renamed to ``<entry>.json.corrupt`` on read.
+
+    ``root`` defaults to :func:`default_cache_dir`, so ``repro run`` and
+    ``repro serve`` share entries unless told otherwise.
     """
 
-    kind = "dir"
-
-    def __init__(self, root: "str | Path") -> None:
-        super().__init__()
-        self.root = Path(root).expanduser()
-
-    @property
-    def location(self) -> str:
-        return str(self.root)
+    def __init__(self, root: str | Path | None = None) -> None:
+        self.root = Path(root if root else default_cache_dir()).expanduser()
+        self.hits = 0
+        self.misses = 0
+        self.quarantined = 0
 
     def path_for(self, key: str) -> Path:
         """On-disk location of the entry for ``key`` (may not exist)."""
         return self.root / key[:SHARD_CHARS] / f"{key}.json"
 
-    def _do_get(self, key: str) -> "dict | list | None":
+    def get(self, key: str) -> "dict | list | None":
+        """The payload stored under ``key``, or ``None`` (never raises)."""
+        payload = self._read(key)
+        if payload is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return payload
+
+    def _read(self, key: str) -> "dict | list | None":
+        """The entry's payload, or ``None``; :meth:`get` without its counts."""
         path = self.path_for(key)
         try:
             data = path.read_bytes()
@@ -249,10 +166,18 @@ class DirectoryBackend(CacheBackend):
         except OSError:
             self.discard(key)
             result = None
-        self._quarantined_one(key)
+        self.quarantined += 1
+        registry = telemetry_mod.active()
+        if registry is not None:
+            registry.counter(
+                "cache.corrupt_quarantined",
+                help="corrupt cache entries quarantined on read",
+            ).inc()
+            registry.event("cache.quarantined", category="cache", key=key)
         return result
 
-    def _do_put(self, key: str, payload: "dict | list", kind: str) -> bool:
+    def put(self, key: str, payload: "dict | list", kind: str = "") -> bool:
+        """Store ``payload`` under ``key``; ``False`` on failure (never raises)."""
         path = self.path_for(key)
         entry = {
             "key": key,
@@ -270,7 +195,8 @@ class DirectoryBackend(CacheBackend):
                 json.dump(entry, handle)
             os.replace(tmp_name, path)
             return True
-        except OSError:
+        except (OSError, TypeError, ValueError):
+            # a full disk, or a payload JSON cannot encode
             if tmp_name is not None:
                 try:
                     os.unlink(tmp_name)
@@ -279,6 +205,7 @@ class DirectoryBackend(CacheBackend):
             return False
 
     def discard(self, key: str) -> None:
+        """Best-effort removal of one entry."""
         try:
             self.path_for(key).unlink()
         except OSError:
@@ -300,22 +227,21 @@ class DirectoryBackend(CacheBackend):
             if shard.is_dir():
                 yield from sorted(shard.glob(f"*.json{CORRUPT_SUFFIX}"))
 
-    def keys(self) -> Iterator[str]:
-        for path in self.entries():
-            yield path.stem
-
     def info(self, detail: bool = False) -> dict:
-        """Summary statistics: backend, location, entries, shards, kinds.
+        """A census of the directory: entries, bytes, kinds, shards, corruption.
 
-        Besides the contract's keys, ``root`` names the cache directory.
-        An entry of another results epoch counts under the kind
-        ``stale``: it reads as a miss until a recompute overwrites it.
-        A non-zero ``corrupt_entries`` count means corruption was
-        detected and survived, which is worth knowing even though the
-        run itself recovered. With ``detail``, an ``entry_list``
-        (``{key, kind, bytes}``, largest first), a ``corrupt_list`` and
-        per-shard ``shard_counts`` are included — the machine-readable
-        breakdown behind ``repro cache info --json``.
+        Reads every entry file, so it is for ``repro cache info``, not
+        for a request path. ``root`` names the cache directory and
+        ``shards`` summarises the digest-prefix fan-out (``{"count",
+        "max", "mean"}``). An entry of another results epoch counts
+        under the kind ``stale``: it reads as a miss until a recompute
+        overwrites it. A non-zero ``corrupt_entries`` count means
+        corruption was detected and survived, which is worth knowing
+        even though the run itself recovered. With ``detail``, an
+        ``entry_list`` (``{key, kind, bytes}``, largest first), a
+        ``corrupt_list`` and per-shard ``shard_counts`` are included —
+        the machine-readable breakdown behind ``repro cache info
+        --json``.
         """
         count = 0
         total = 0
@@ -357,14 +283,16 @@ class DirectoryBackend(CacheBackend):
                 key = path.name[: -len(f".json{CORRUPT_SUFFIX}")]
                 corrupt_list.append({"key": key, "bytes": size})
         info = {
-            "backend": self.kind,
-            "location": self.location,
-            "root": self.location,
+            "root": str(self.root),
             "entries": count,
             "bytes": total,
             "kinds": kinds,
             "kind_bytes": kind_bytes,
-            "shards": self._shard_summary(shard_counts),
+            "shards": {
+                "count": len(shard_counts),
+                "max": max(shard_counts.values(), default=0),
+                "mean": count / len(shard_counts) if shard_counts else 0.0,
+            },
             "corrupt_entries": corrupt_count,
             "corrupt_bytes": corrupt_bytes,
         }
@@ -377,6 +305,7 @@ class DirectoryBackend(CacheBackend):
         return info
 
     def clear(self) -> int:
+        """Delete every entry (quarantined included); returns the count."""
         removed = 0
         for path in [*self.entries(), *self.corrupt_entries()]:
             try:
@@ -385,17 +314,6 @@ class DirectoryBackend(CacheBackend):
             except OSError:
                 pass
         return removed
-
-
-class ResultCache(DirectoryBackend):
-    """The runner's result store: the directory store at the default root.
-
-    ``root`` defaults to :func:`default_cache_dir`, so ``repro run`` and
-    ``repro serve`` share entries unless told otherwise.
-    """
-
-    def __init__(self, root: str | Path | None = None) -> None:
-        super().__init__(root if root else default_cache_dir())
 
 
 # ----------------------------------------------------------------------
@@ -416,7 +334,7 @@ def result_kind(scenario: "Scenario") -> str:
     return "result" if scenario.workload_kind == "experiment" else "scenario-result"
 
 
-def cached_result(store: CacheBackend, key: str) -> "dict | None":
+def cached_result(store: ResultCache, key: str) -> "dict | None":
     """The result payload stored under ``key``, validated, or ``None``.
 
     A payload that does not rebuild as an ``ExperimentResult`` is
@@ -437,7 +355,7 @@ def cached_result(store: CacheBackend, key: str) -> "dict | None":
     return None
 
 
-def compute_result(store: "CacheBackend | None", scenario: "Scenario") -> dict:
+def compute_result(store: "ResultCache | None", scenario: "Scenario") -> dict:
     """Run ``scenario`` and store its result under the scenario digest.
 
     One JSON round-trip gives cached and fresh results identically-typed

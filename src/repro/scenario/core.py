@@ -223,6 +223,13 @@ class Scenario:
                 raise ConfigurationError(
                     f"{where}.memory: unknown key(s) {extra}"
                 )
+            params = memory.get("params")
+            # checked here: a false, 0 or [] would read as no params
+            if params is not None and not isinstance(params, Mapping):
+                raise ConfigurationError(
+                    f"{where}.memory.params: expected an object, got "
+                    f"{type(params).__name__}"
+                )
         scenario = cls(
             name=name,
             workload=_canonical_workload(workload, where=f"{where}.workload"),

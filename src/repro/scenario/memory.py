@@ -200,10 +200,11 @@ def _bound_constructor(kind: str, params: Mapping) -> Callable[[], MemoryModel]:
 
 def _build(kind: str, make: Callable[[], MemoryModel]) -> MemoryModel:
     """Call ``make``; a wrongly typed, missing or out-of-range parameter
-    is a spec error."""
+    is a spec error (an integer past the float range overflows, a zero
+    where a rate belongs divides by zero)."""
     try:
         return make()
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigurationError(f"memory kind {kind!r}: {exc}") from exc
 
 
@@ -221,7 +222,13 @@ def memory_factory(
     once and shared (families are immutable), while the model itself is
     rebuilt per call so no queue state leaks between measurements.
     """
-    factory = _bound_constructor(kind, dict(params or {}))
+    if params is None:
+        params = {}
+    elif not isinstance(params, Mapping):
+        raise ConfigurationError(
+            f"memory.params: expected an object, got {type(params).__name__}"
+        )
+    factory = _bound_constructor(kind, params)
     # validate parameter values eagerly: a scenario with a bad latency
     # should fail at load, not ten sweeps into a run
     _build(kind, factory)

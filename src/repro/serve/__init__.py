@@ -1,32 +1,25 @@
 """repro.serve: the async digest-keyed characterization service.
 
 The scenario layer makes every run a pure function of its spec digest;
-this package turns that into a read-mostly service: a memory LRU in
-front of the runner's directory cache (:mod:`.backends`), single-flight
-request coalescing (:mod:`.singleflight`), the transport-independent
-service core with backpressure/deadlines/retries (:mod:`.service`), a
-stdlib asyncio HTTP front end and keep-alive client (:mod:`.http`,
-:mod:`.client`), and a deterministic load generator (:mod:`.loadgen`).
-One ``repro serve`` process fronts one service: front door → service →
-executor.
+this package turns that into a read-mostly service: one store, a
+memory LRU in front of the runner's directory cache (:mod:`.backends`),
+single-flight request coalescing (:mod:`.singleflight`), the
+transport-independent service core with backpressure/deadlines/retries
+(:mod:`.service`), a stdlib asyncio HTTP front end and keep-alive
+client (:mod:`.http`, :mod:`.client`), and a deterministic load
+generator (:mod:`.loadgen`). One ``repro serve`` process fronts one
+service: front door → service → executor.
 
-Only the backends and :mod:`.singleflight` are imported eagerly; the
-backends need nothing beyond the runner's cache module, which holds
-the directory store they build on. Everything else loads on first
+Only the store and :mod:`.singleflight` are imported eagerly; the
+store needs nothing beyond the runner's cache module, which holds the
+directory store it builds on. Everything else loads on first
 attribute access.
 """
 
 from __future__ import annotations
 
 from . import backends, singleflight
-from .backends import (
-    BACKEND_NAMES,
-    CacheBackend,
-    DirectoryBackend,
-    MemoryLRUBackend,
-    TieredBackend,
-    make_backend,
-)
+from .backends import TieredBackend
 
 #: Lazily-exposed attribute -> defining submodule.
 _LAZY = {
@@ -41,13 +34,8 @@ _LAZY = {
 }
 
 __all__ = [
-    "BACKEND_NAMES",
-    "CacheBackend",
-    "DirectoryBackend",
-    "MemoryLRUBackend",
     "TieredBackend",
     "backends",
-    "make_backend",
     "singleflight",
     *sorted(_LAZY),
 ]

@@ -323,7 +323,7 @@ async def serve(
 ) -> None:
     """Serve until stopped; drain on SIGTERM (``repro serve``'s entry point).
 
-    ``warm_manifest`` pre-seeds the cache backend from a ``repro run``
+    ``warm_manifest`` pre-seeds the service's store from a ``repro run``
     manifest before the listening socket opens, so the first request
     wave hits a hot cache. On SIGTERM/SIGINT the server drains — stops
     accepting and finishes in-flight work — and this coroutine returns
@@ -331,7 +331,7 @@ async def serve(
     """
     service = CharacterizationService(config)
     if warm_manifest is not None:
-        counts = warm_from_manifest(service.backend, warm_manifest)
+        counts = warm_from_manifest(service.store, warm_manifest)
         print(
             f"warm: {counts['warmed']} warmed, "
             f"{counts['already_present']} already present, "

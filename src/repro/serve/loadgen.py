@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from ..errors import ConfigurationError, MessError
-from ..resilience.retry import RetryPolicy, deterministic_fraction
+from ..resilience.retry import deterministic_fraction
 from .client import ServiceClient
 from .http import HttpServer
 from .service import CharacterizationService, ServiceConfig
@@ -50,8 +50,8 @@ class LoadgenConfig:
     ``scenarios`` unique digests are requested ``requests`` times per
     pass by ``clients`` concurrent keep-alive connections, ``passes``
     times over. ``url=None`` boots a private in-process server with
-    the given ``backend``/``cache_dir``/``max_inflight``; a non-None
-    ``url`` replays against a running ``repro serve``.
+    the given ``cache_dir``/``max_inflight``; a non-None ``url``
+    replays against a running ``repro serve``.
     """
 
     scenarios: int = 6
@@ -59,11 +59,9 @@ class LoadgenConfig:
     clients: int = 12
     passes: int = 2
     seed: int = 0
-    backend: str = "tiered"
     cache_dir: "str | None" = None
     url: "str | None" = None
     max_inflight: int = 4
-    deadline_s: float = 120.0
 
     def __post_init__(self) -> None:
         for name in ("scenarios", "requests", "clients", "passes"):
@@ -214,12 +212,9 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
         url = config.url
     else:
         service_config = ServiceConfig(
-            backend=config.backend,
             cache_dir=config.cache_dir,
             max_inflight=config.max_inflight,
-            deadline_s=config.deadline_s,
             queue_limit=max(64, config.clients * 2),
-            retry=RetryPolicy(max_attempts=2, base_delay_s=0.05),
         )
         server = HttpServer(CharacterizationService(service_config), port=0)
         await server.start()
@@ -267,7 +262,6 @@ async def run_loadgen_async(config: LoadgenConfig) -> dict:
             "clients": config.clients,
             "passes": config.passes,
             "seed": config.seed,
-            "backend": config.backend if config.url is None else None,
             "url": config.url,
         },
         "passes": passes,

@@ -12,10 +12,12 @@ The request path, in order:
    :class:`~repro.scenario.core.Scenario` (malformed specs are a 400,
    computed on the event loop — validation is cheap).
 2. **Cache lookup** through :func:`~repro.runner.cache.cached_result`
-   on the configured :class:`~repro.runner.cache.CacheBackend`,
-   offloaded to the executor (backend I/O is blocking; RPR009 enforces
-   the offload). The read is validated: a payload that does not
-   rebuild as a result is discarded and counts as a miss.
+   on the service's one store,
+   :class:`~repro.serve.backends.TieredBackend` (a memory LRU in front
+   of the directory cache), offloaded to the executor (a directory
+   read is blocking; RPR009 enforces the offload). The read is
+   validated: a payload that does not rebuild as a result is discarded
+   and counts as a miss.
 3. **Coalesce** misses per digest through
    :class:`~repro.serve.singleflight.SingleFlight`: a thundering herd
    on one uncached digest computes once, followers await the shared
@@ -33,9 +35,9 @@ The request path, in order:
    timed-out waiter abandons the flight; the flight itself keeps
    flying so its result still lands in the cache for the next asker.
 6. **Retries**: transient compute failures re-run inside the flight
-   under the configured :class:`~repro.resilience.retry.RetryPolicy`
-   with its deterministic backoff; deterministic model errors are
-   never retried (they would fail identically).
+   under :data:`RETRY_POLICY` with its deterministic backoff;
+   deterministic model errors are never retried (they would fail
+   identically).
 
 Every stage is instrumented on the service's own
 :class:`~repro.telemetry.registry.TelemetryRegistry`
@@ -52,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError, MessError, ServeError
@@ -63,7 +65,7 @@ from ..resilience.failures import (
 from ..resilience.retry import RetryPolicy
 from ..runner.cache import ResultCache, cached_result, compute_result, result_kind
 from ..telemetry.registry import TelemetryRegistry
-from .backends import BACKEND_NAMES, CacheBackend, make_backend
+from .backends import TieredBackend
 from .singleflight import SingleFlight
 
 #: Request verbs the service answers, and the scenario workload kind
@@ -76,6 +78,11 @@ VERB_KINDS: Mapping[str, str] = {
     "simulate": "experiment",
     "profile": "experiment",
 }
+
+#: Policy for transient compute failures inside a flight: one retry.
+RETRY_POLICY = RetryPolicy(
+    max_attempts=2, base_delay_s=0.05, max_delay_s=1.0, jitter=0.5
+)
 
 #: Millisecond latency buckets for the request/stage histograms; the
 #: sub-millisecond ones resolve a cache hit's stages.
@@ -168,10 +175,6 @@ class ServiceConfig:
 
     Parameters
     ----------
-    backend:
-        Store name for :func:`~repro.serve.backends.make_backend`:
-        ``dir``, ``memory`` or ``tiered``. The default ``tiered`` is an
-        in-memory LRU in front of the shared directory store.
     cache_dir:
         Root of the directory store; ``None`` uses the runner's
         default, so the service answers from — and feeds — the same
@@ -185,27 +188,14 @@ class ServiceConfig:
     deadline_s:
         Per-request wall-clock bound; a request still waiting after
         this long fails with ``DeadlineExceededError`` (504).
-    retry:
-        Policy for transient compute failures inside a flight.
     """
 
-    backend: str = "tiered"
     cache_dir: "str | None" = None
     max_inflight: int = 4
     queue_limit: int = 64
     deadline_s: float = 60.0
-    retry: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(
-            max_attempts=2, base_delay_s=0.05, max_delay_s=1.0, jitter=0.5
-        )
-    )
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKEND_NAMES:
-            raise ConfigurationError(
-                f"unknown backend {self.backend!r}; "
-                f"expected one of {list(BACKEND_NAMES)}"
-            )
         if self.max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {self.max_inflight}"
@@ -223,15 +213,9 @@ class ServiceConfig:
 class CharacterizationService:
     """Answer scenario requests from cache, computing misses once."""
 
-    def __init__(
-        self,
-        config: "ServiceConfig | None" = None,
-        backend: "CacheBackend | None" = None,
-    ) -> None:
+    def __init__(self, config: "ServiceConfig | None" = None) -> None:
         self.config = config or ServiceConfig()
-        self.backend = backend if backend is not None else make_backend(
-            self.config.backend, self.config.cache_dir
-        )
+        self.store = TieredBackend(self.config.cache_dir)
         self.telemetry = TelemetryRegistry()
         self.flights = SingleFlight()
         self._executor: "ThreadPoolExecutor | None" = None
@@ -382,23 +366,22 @@ class CharacterizationService:
         self._queue_depth.set(float(self._waiting))
         try:
             async with semaphore:
-                policy = self.config.retry
                 attempt = 1
                 while True:
                     tick = time.perf_counter()
                     try:
                         payload = await self._offload(
-                            cached_result, self.backend, key
+                            cached_result, self.store, key
                         )
                         if payload is None:
                             payload = await self._offload(
-                                compute_result, self.backend, scenario
+                                compute_result, self.store, scenario
                             )
                     except Exception as exc:
                         kind = classify_failure(exc)
-                        if not policy.should_retry(kind, attempt):
+                        if not RETRY_POLICY.should_retry(kind, attempt):
                             raise
-                        delay = policy.delay_s(key, attempt)
+                        delay = RETRY_POLICY.delay_s(key, attempt)
                         attempt += 1
                         if delay > 0:
                             await asyncio.sleep(delay)
@@ -433,7 +416,7 @@ class CharacterizationService:
             key = scenario.digest()
             parsed = time.perf_counter()
             self._parse_ms.observe((parsed - start) * 1e3)
-            payload = await self._offload(cached_result, self.backend, key)
+            payload = await self._offload(cached_result, self.store, key)
             self._lookup_ms.observe((time.perf_counter() - parsed) * 1e3)
             cached = payload is not None
             coalesced = False
@@ -491,7 +474,7 @@ class CharacterizationService:
         self._active += 1
         try:
             start = time.perf_counter()
-            payload = await self._offload(cached_result, self.backend, digest)
+            payload = await self._offload(cached_result, self.store, digest)
             self._lookup_ms.observe((time.perf_counter() - start) * 1e3)
             if payload is None:
                 self._misses.inc()
@@ -502,7 +485,11 @@ class CharacterizationService:
             self._active -= 1
 
     def stats(self) -> dict:
-        """JSON-ready operational snapshot (the ``/stats`` endpoint)."""
+        """JSON-ready operational snapshot (the ``/stats`` endpoint).
+
+        Built from in-memory counters only: it runs on the event loop,
+        so it reads no cache file.
+        """
         summary = self.telemetry.summary()
         return {
             "accepting": self.accepting,
@@ -516,9 +503,8 @@ class CharacterizationService:
                 "followers": self.flights.followers,
                 "in_flight": self.flights.in_flight,
             },
-            "backend": self.backend.info(),
+            "store": self.store.stats(),
             "config": {
-                "backend": self.config.backend,
                 "max_inflight": self.config.max_inflight,
                 "queue_limit": self.config.queue_limit,
                 "deadline_s": self.config.deadline_s,
@@ -526,8 +512,8 @@ class CharacterizationService:
         }
 
 
-def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dict:
-    """Pre-seed ``backend`` from a ``repro run`` manifest's results.
+def warm_from_manifest(store: ResultCache, manifest_path: "str | Any") -> dict:
+    """Pre-seed ``store`` from a ``repro run`` manifest's results.
 
     The manifest records which scenarios a sweep ran and the cache
     directory it ran against; the payloads live there under the
@@ -536,7 +522,7 @@ def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dic
     from ``experiment_id``/``scale``/``options`` for experiment
     records), reads the payload from the manifest's ``cache_dir`` (the
     default cache directory when the run recorded none) and writes it
-    through ``backend`` with the kind ``repro run`` stores — so the
+    through ``store`` with the kind ``repro run`` stores — so the
     first request wave after a deploy hits a hot cache instead of a
     compute storm. Both stores are read through
     :func:`~repro.runner.cache.cached_result`: a malformed payload is
@@ -568,14 +554,14 @@ def warm_from_manifest(backend: CacheBackend, manifest_path: "str | Any") -> dic
         except MessError:
             failed += 1
             continue
-        if cached_result(backend, key) is not None:
+        if cached_result(store, key) is not None:
             present += 1
             continue
         payload = cached_result(source, key)
         if payload is None:
             missing += 1
             continue
-        if backend.put(key, payload, kind=result_kind(scenario)):
+        if store.put(key, payload, kind=result_kind(scenario)):
             warmed += 1
         else:
             failed += 1

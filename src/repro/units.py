@@ -16,6 +16,13 @@ from .errors import ConfigurationError
 #: this reproduction) moves at cache-line granularity.
 CACHE_LINE_BYTES = 64
 
+#: Most per-unit state objects (DRAM banks, channel or DIMM queues) one
+#: memory model may allocate. Models check it before they allocate, so
+#: a spec naming 10**29 ranks fails at once instead of exhausting
+#: memory. The largest configuration in this repository is 32 channels
+#: x 2 ranks x 32 banks = 2,048 banks.
+MAX_MODEL_UNITS = 16_384
+
 #: Bytes per gigabyte as used for bandwidth (decimal GB, matching GB/s in
 #: the paper's figures and DRAM datasheets).
 BYTES_PER_GB = 1e9

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.scenario import (
     scenario_ids,
 )
 from repro.scenario.core import FORMAT_KEY, Scenario
+from repro.scenario.memory import allowed_params, memory_kinds
 from repro.serve.service import BadRequestError, parse_request
 
 
@@ -91,15 +94,20 @@ def _dram_spec(**timing) -> dict:
     }
 
 
-def _field_spec(path: str, value: object) -> dict:
-    """The tiny characterization with one dotted-path field replaced."""
-    spec = _characterize_spec()
-    *parents, leaf = path.split(".")
-    section = spec
+def _replaced(document: dict, path, value: object) -> dict:
+    """A copy of ``document`` with the field at key path ``path`` replaced."""
+    document = copy.deepcopy(document)
+    *parents, leaf = path
+    section = document
     for key in parents:
         section = section[key]
     section[leaf] = value
-    return spec
+    return document
+
+
+def _field_spec(path: str, value: object) -> dict:
+    """The tiny characterization with one dotted-path field replaced."""
+    return _replaced(_characterize_spec(), path.split("."), value)
 
 
 #: Malformed specs, each with the part of the error that names its fault.
@@ -190,7 +198,117 @@ MALFORMED = [
         )
         for value in ("NaN", "Infinity")
     ),
+    # a params value that is no object escaped as a raw TypeError or
+    # ValueError, or (when false) silently read as no params
+    *(
+        pytest.param(
+            _characterize_spec({"kind": "fixed-latency", "params": params}),
+            "memory.params: expected an object",
+            id=f"params-{label}",
+        )
+        for label, params in (("bool", True), ("string", "x"), ("false", False))
+    ),
+    # zero ways divided by zero; negative ways failed only at run time
+    *(
+        pytest.param(
+            _field_spec(f"system.hierarchy.{level}.ways", ways),
+            f"{level.upper()} ways must be >= 1",
+            id=f"{level}-ways-{ways}",
+        )
+        for level, ways in (("l1", 0), ("l2", 0), ("l3", -1))
+    ),
+    # an integer past the float range overflowed, a false rate divided
+    # by zero: both escaped the model constructor untyped
+    *(
+        pytest.param(
+            _characterize_spec({"kind": kind, "params": {name: value}}),
+            f"memory kind '{kind}'",
+            id=f"{kind}-{name}-{'huge-int' if value else 'false'}",
+        )
+        for kind, name, value in (
+            ("fixed-latency", "latency_ns", 10**400),
+            ("internal-ddr", "peak_bandwidth_gbps", 10**400),
+            ("dramsim3-analog", "theoretical_gbps", 10**400),
+            ("ramulator2-analog", "theoretical_gbps", 10**400),
+            ("ramulator-analog", "bandwidth_headroom", 10**400),
+            ("ramulator-analog", "theoretical_gbps", 10**400),
+            ("dramsim3-analog", "theoretical_gbps", False),
+            ("ramulator2-analog", "theoretical_gbps", False),
+        )
+    ),
+    # parsing builds the model: these allocated one state object per
+    # bank, channel or DIMM until memory ran out
+    *(
+        pytest.param(_characterize_spec(memory), fault, id=label)
+        for label, memory, fault in (
+            (
+                "dram-channels-100000",
+                _replaced(_dram_spec(), ("params", "channels"), 100000),
+                r"channels must be in \[1, 512\]",
+            ),
+            (
+                "dram-ranks-1e29",
+                _dram_spec(ranks=10**29),
+                r"channels must be in \[1, 0\]",
+            ),
+            (
+                "internal-ddr-channels-1e6",
+                {"kind": "internal-ddr", "params": {"channels": 10**6}},
+                r"channels must be in \[1, 16384\]",
+            ),
+            (
+                "optane-dimms-1e6",
+                {"kind": "optane", "params": {"dimms": 10**6}},
+                r"dimms must be in \[1, 8192\]",
+            ),
+        )
+    ),
 ]
+
+_EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
+
+#: Values each sweep case writes into one field: wrong types, zero,
+#: negatives, integers past the float range, non-finite floats.
+_SWEEP_POOL = (
+    None, True, False, 0, -1, 1, 0.5, 2**70, 10**400,
+    float("nan"), float("inf"), "x", [], {},
+)
+
+#: The least each memory kind needs to parse.
+_KIND_BASE_PARAMS = {
+    "cycle-accurate": {"timing": "DDR4-2666"},
+    "mess": {"curves": _SKYLAKE},
+}
+
+
+def _field_paths(node, prefix=()):
+    """Every object key and list index below ``node``, as key paths."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield (*prefix, key)
+        yield from _field_paths(child, (*prefix, key))
+
+
+def _sweep_cases(part: str):
+    """(where, value, document) for one part of the mutation sweep."""
+    quick = json.loads((_EXAMPLES / "ddr4-quick.json").read_text())
+    if part == "kinds":
+        for kind in memory_kinds():
+            for name in allowed_params(kind):
+                for value in _SWEEP_POOL:
+                    params = {**_KIND_BASE_PARAMS.get(kind, {}), name: value}
+                    memory = {"kind": kind, "params": params}
+                    yield f"{kind}.{name}", value, {**quick, "memory": memory}
+        return
+    document = json.loads((_EXAMPLES / f"{part}.json").read_text())
+    for path in _field_paths(document):
+        for value in _SWEEP_POOL:
+            yield ".".join(map(str, path)), value, _replaced(document, path, value)
 
 
 class TestValidation:
@@ -203,6 +321,20 @@ class TestValidation:
         with pytest.raises(BadRequestError, match=fault) as caught:
             parse_request(verb, spec)
         assert caught.value.status == 400
+
+    @pytest.mark.parametrize("part", ["ddr4-quick", "cache-thrash", "kinds"])
+    def test_single_field_mutations_parse_or_are_bad_requests(self, part):
+        escaped = []
+        for where, value, document in _sweep_cases(part):
+            try:
+                parse_request("characterize", document)
+            except BadRequestError:
+                pass
+            except Exception as exc:  # the sweep reports every escape
+                escaped.append(
+                    f"{where} = {str(value)[:24]}: {type(exc).__name__}: {exc}"
+                )
+        assert not escaped, "\n".join(escaped)
 
     def test_presets_validate_clean(self):
         for name in scenario_ids():

@@ -85,6 +85,11 @@ class TestBuild:
         with pytest.raises(ConfigurationError, match=f"memory kind '{kind}'"):
             memory_factory(kind, params)
 
+    @pytest.mark.parametrize("params", [True, "x", 0, []])
+    def test_params_that_are_no_object_are_a_typed_error(self, params):
+        with pytest.raises(ConfigurationError, match="expected an object"):
+            memory_factory("fixed-latency", params)
+
     def test_mess_platform_curves(self):
         model = build_memory(
             "mess",

@@ -1,27 +1,24 @@
-"""Cache backends: the same digest-keyed contract over every store.
+"""The result stores: one digest-keyed contract over both of them.
 
-The directory store, the memory LRU and the pair of them are
-interchangeable by construction — any payload stored under a digest
-must round-trip byte-identically (same canonical JSON, same
-:func:`repro.specs.spec_digest`) whichever store holds it,
-corruption must quarantine instead of raising, and concurrent writers
-of the same digest must never tear an entry.
+The runner's directory store and the serve store (the same directory
+with a memory LRU in front of it) are interchangeable by construction —
+any payload stored under a digest must round-trip byte-identically
+(same canonical JSON, same :func:`repro.specs.spec_digest`) whichever
+store holds it, corruption must quarantine instead of raising, and
+concurrent writers of the same digest must never tear an entry.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serve.backends import (
-    DirectoryBackend,
-    MemoryLRUBackend,
-    TieredBackend,
-    make_backend,
-)
+from repro.runner.cache import ResultCache
+from repro.serve.backends import TieredBackend
 from repro.specs import spec_digest
 
 KEY = "ab" * 32
@@ -35,9 +32,8 @@ PAYLOAD = {
 
 def all_backends(tmp_path):
     return [
-        DirectoryBackend(tmp_path / "dir"),
-        MemoryLRUBackend(),
-        TieredBackend(MemoryLRUBackend(), DirectoryBackend(tmp_path / "tiered")),
+        ResultCache(tmp_path / "dir"),
+        TieredBackend(tmp_path / "tiered"),
     ]
 
 
@@ -57,14 +53,21 @@ class TestContract:
             assert backend.misses == 1
             assert backend.hits == 0
 
-    def test_discard_and_keys(self, tmp_path):
+    def test_discard(self, tmp_path):
         for backend in all_backends(tmp_path):
             backend.put(KEY, PAYLOAD)
             backend.put(OTHER, {"x": 1})
-            assert sorted(backend.keys()) == sorted([KEY, OTHER])
             backend.discard(KEY)
             assert backend.get(KEY) is None
+            assert not backend.path_for(KEY).exists()
             assert backend.get(OTHER) == {"x": 1}
+
+    def test_unserializable_payload_is_refused(self, tmp_path):
+        for backend in all_backends(tmp_path):
+            assert backend.put(KEY, {"x": object()}) is False
+            assert backend.get(KEY) is None
+            # nothing is left behind, not even the temporary file
+            assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_clear_empties_every_backend(self, tmp_path):
         for backend in all_backends(tmp_path):
@@ -74,8 +77,7 @@ class TestContract:
 
     def test_info_keys_are_uniform(self, tmp_path):
         required = {
-            "backend",
-            "location",
+            "root",
             "entries",
             "bytes",
             "kinds",
@@ -100,64 +102,108 @@ class TestCorruption:
             json.dumps({"key": KEY, "kind": "", "payload": "oops"}),
         ]
         for index, corrupt in enumerate(corrupt_entries):
-            backend = DirectoryBackend(tmp_path / str(index))
-            backend.put(KEY, PAYLOAD)
-            path = backend.path_for(KEY)
-            path.write_text(corrupt)
-            assert backend.get(KEY) is None
-            assert backend.quarantined == 1
-            assert not path.exists()
-            (moved,) = list(backend.corrupt_entries())
-            assert moved.name.endswith(".corrupt")
-            assert backend.info()["corrupt_entries"] == 1
+            for backend in all_backends(tmp_path / str(index)):
+                path = backend.path_for(KEY)
+                path.parent.mkdir(parents=True)
+                path.write_text(corrupt)
+                assert backend.get(KEY) is None
+                assert backend.quarantined == 1
+                assert not path.exists()
+                (moved,) = list(backend.corrupt_entries())
+                assert moved.name.endswith(".corrupt")
+                assert backend.info()["corrupt_entries"] == 1
 
 
 class TestConcurrency:
     def test_parallel_writers_same_digest_never_tear(self, tmp_path):
-        backend = DirectoryBackend(tmp_path)
-        payloads = [{"writer": n, "rows": [n] * 50} for n in range(8)]
-        barrier = threading.Barrier(8)
+        for backend in all_backends(tmp_path):
+            payloads = [{"writer": n, "rows": [n] * 50} for n in range(8)]
+            barrier = threading.Barrier(8)
 
-        def write(payload):
-            barrier.wait()
-            for _ in range(25):
-                assert backend.put(KEY, payload)
+            def write(payload):
+                barrier.wait()
+                for _ in range(25):
+                    assert backend.put(KEY, payload)
 
-        threads = [
-            threading.Thread(target=write, args=(payload,))
-            for payload in payloads
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        # the winner is some writer's payload, intact — never a mix
-        stored = backend.get(KEY)
-        assert stored in payloads
+            threads = [
+                threading.Thread(target=write, args=(payload,))
+                for payload in payloads
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            # the winner is some writer's payload, intact — never a mix
+            assert backend.get(KEY) in payloads
+            assert ResultCache(backend.root).get(KEY) in payloads
+
+
+    def test_shared_serve_store_counts_every_read(self, tmp_path):
+        # more threads than cores, switching often: a count or an LRU
+        # byte total updated outside the lock would drift
+        keys = [format(n, "064x") for n in range(24)]
+        seeded = ResultCache(tmp_path)
+        for n, key in enumerate(keys):
+            seeded.put(key, {"n": n, "rows": [n] * n})
+        store = TieredBackend(tmp_path, max_entries=8)
+        threads_n, reads = 12, 300
+        wrong = []
+
+        def read(offset):
+            for index in range(reads):
+                n = (offset * 7 + index) % len(keys)
+                if store.get(keys[n]) != {"n": n, "rows": [n] * n}:
+                    wrong.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(offset,))
+                for offset in range(threads_n)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = store.stats()
+        assert stats["hits"] + stats["misses"] == threads_n * reads
+        assert stats["misses"] == 0
+        assert stats["lru_entries"] == 8
+        assert stats["lru_bytes"] == sum(len(blob) for blob in store._lru.values())
 
 
 class TestMemoryLRU:
-    def test_eviction_under_entry_pressure(self):
-        backend = MemoryLRUBackend(max_entries=3)
+    def test_eviction_under_entry_pressure(self, tmp_path):
+        backend = TieredBackend(tmp_path, max_entries=3)
         keys = [format(n, "064x") for n in range(5)]
         for n, key in enumerate(keys):
             backend.put(key, {"n": n})
         assert backend.evictions == 2
-        assert backend.get(keys[0]) is None
+        assert backend.stats()["lru_entries"] == 3
+        # an evicted entry still reads back, from the directory
+        assert backend.get(keys[0]) == {"n": 0}
+        assert backend.promotions == 1
         assert backend.get(keys[-1]) == {"n": 4}
 
-    def test_get_refreshes_recency(self):
-        backend = MemoryLRUBackend(max_entries=2)
+    def test_get_refreshes_recency(self, tmp_path):
+        backend = TieredBackend(tmp_path, max_entries=2)
         a, b, c = (format(n, "064x") for n in range(3))
         backend.put(a, {"k": "a"})
         backend.put(b, {"k": "b"})
         assert backend.get(a) == {"k": "a"}  # a is now most recent
         backend.put(c, {"k": "c"})  # evicts b, not a
         assert backend.get(a) == {"k": "a"}
-        assert backend.get(b) is None
+        assert backend.promotions == 0
+        assert backend.get(b) == {"k": "b"}
+        assert backend.promotions == 1  # b came back from the directory
 
-    def test_stored_payloads_are_isolated(self):
-        backend = MemoryLRUBackend()
+    def test_stored_payloads_are_isolated(self, tmp_path):
+        backend = TieredBackend(tmp_path)
         payload = {"rows": [1, 2]}
         backend.put(KEY, payload)
         payload["rows"].append(3)  # caller mutates after put
@@ -165,48 +211,49 @@ class TestMemoryLRU:
         backend.get(KEY)["rows"].append(9)  # caller mutates a get
         assert backend.get(KEY) == {"rows": [1, 2]}
 
+    def test_max_entries_must_be_positive(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            TieredBackend(tmp_path, max_entries=0)
+
 
 class TestTiered:
     def test_read_through_promotes_to_fast_tier(self, tmp_path):
-        fast = MemoryLRUBackend()
-        slow = DirectoryBackend(tmp_path)
-        slow.put(KEY, PAYLOAD)
-        tiered = TieredBackend(fast, slow)
+        ResultCache(tmp_path).put(KEY, PAYLOAD)
+        tiered = TieredBackend(tmp_path)
+        assert tiered.stats()["lru_entries"] == 0
         assert tiered.get(KEY) == PAYLOAD
         assert tiered.promotions == 1
-        assert fast.get(KEY) == PAYLOAD  # promoted
+        assert tiered.stats()["lru_entries"] == 1  # promoted
+        # the next read comes from memory, with the file gone
+        tiered.path_for(KEY).unlink()
+        assert tiered.get(KEY) == PAYLOAD
+        assert tiered.promotions == 1
 
     def test_write_through_lands_everywhere_immediately(self, tmp_path):
-        fast = MemoryLRUBackend()
-        slow = DirectoryBackend(tmp_path)
-        tiered = TieredBackend(fast, slow)
-        tiered.put(KEY, PAYLOAD)
-        assert fast.get(KEY) == PAYLOAD
-        assert slow.get(KEY) == PAYLOAD
-
-
-class TestMakeBackend:
-    def test_named_specs(self, tmp_path):
-        assert make_backend("dir", tmp_path / "a").kind == "dir"
-        assert make_backend("memory", tmp_path / "c").kind == "memory"
-        assert make_backend("tiered", tmp_path / "d").kind == "tiered"
-
-    def test_tiered_alias_and_stacks(self, tmp_path):
-        tiered = make_backend("tiered", tmp_path)
-        assert tiered.memory.kind == "memory"
-        assert tiered.directory.root == tmp_path
-        # tiered is the one stack; comma-separated stacks are gone
-        for stack in ("memory,dir", "memory,sqlite"):
-            with pytest.raises(ConfigurationError):
-                make_backend(stack, tmp_path)
-
-    def test_unknown_spec_is_a_configuration_error(self, tmp_path):
-        for name in ("redis", "sqlite"):
-            with pytest.raises(ConfigurationError):
-                make_backend(name, tmp_path)
+        tiered = TieredBackend(tmp_path)
+        tiered.put(KEY, PAYLOAD, kind="result")
+        assert tiered.stats()["lru_entries"] == 1
+        assert ResultCache(tmp_path).get(KEY) == PAYLOAD
 
     def test_round_trip_matches_canonical_json(self, tmp_path):
-        backend = make_backend("tiered", tmp_path)
+        backend = TieredBackend(tmp_path)
         backend.put(KEY, PAYLOAD)
         canonical = json.dumps(PAYLOAD, sort_keys=True)
         assert json.dumps(backend.get(KEY), sort_keys=True) == canonical
+
+    def test_stats_count_in_memory(self, tmp_path):
+        backend = TieredBackend(tmp_path, max_entries=4)
+        backend.put(KEY, PAYLOAD, kind="result")
+        backend.get(KEY)
+        backend.get(OTHER)
+        assert backend.stats() == {
+            "root": str(tmp_path),
+            "lru_entries": 1,
+            "lru_bytes": len(json.dumps(PAYLOAD)),
+            "max_entries": 4,
+            "evictions": 0,
+            "promotions": 0,
+            "hits": 1,
+            "misses": 1,
+            "quarantined": 0,
+        }

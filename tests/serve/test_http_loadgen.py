@@ -8,7 +8,6 @@ import json
 import pytest
 
 from repro.experiments.base import ExperimentResult
-from repro.serve.backends import MemoryLRUBackend
 from repro.serve.client import ResponseError, ServiceClient
 from repro.serve.http import HttpServer
 from repro.serve.loadgen import (
@@ -28,9 +27,7 @@ def with_server(coro_factory, config=None):
     """Boot an ephemeral-port server, run the coroutine, tear down."""
 
     async def driver():
-        service = CharacterizationService(
-            config=config, backend=None if config else MemoryLRUBackend()
-        )
+        service = CharacterizationService(config)
         server = HttpServer(service, port=0)
         await server.start()
         client = ServiceClient(server.url)
@@ -205,7 +202,7 @@ class TestServiceClient:
 
         async def exercise():
             server = HttpServer(
-                CharacterizationService(backend=MemoryLRUBackend()), port=0
+                CharacterizationService(), port=0
             )
             # record the server's end of every connection it accepts
             server_ends = []

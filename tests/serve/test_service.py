@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pathlib
 
 import pytest
 
@@ -11,9 +12,10 @@ from repro.errors import ConfigurationError, MessError
 from repro.experiments.base import ExperimentResult
 from repro.resilience.failures import DeadlineExceededError
 from repro.runner import run_many
+from repro.runner.cache import ResultCache
 from repro.runner.manifest import ExperimentRecord, RunManifest
 from repro.scenario.core import Scenario
-from repro.serve.backends import DirectoryBackend, MemoryLRUBackend
+from repro.serve.backends import TieredBackend
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import (
     BadRequestError,
@@ -27,11 +29,11 @@ from repro.serve.service import (
 from tests.runner.test_manifest import MALFORMED_MANIFESTS
 
 
-def run_service(coro_factory, config=None, backend=None):
+def run_service(coro_factory, config=None):
     """Start a service, run the coroutine against it, close it."""
 
     async def driver():
-        service = CharacterizationService(config=config, backend=backend)
+        service = CharacterizationService(config=config)
         await service.start()
         try:
             return await coro_factory(service)
@@ -54,9 +56,7 @@ class TestSubmit:
             second = await service.submit("characterize", spec)
             return first, second, service.stats()
 
-        first, second, stats = run_service(
-            scenario, backend=MemoryLRUBackend()
-        )
+        first, second, stats = run_service(scenario)
         assert first["cached"] is False
         assert second["cached"] is True
         assert first["digest"] == second["digest"]
@@ -73,7 +73,7 @@ class TestSubmit:
         async def scenario(service):
             return await service.submit("characterize", spec)
 
-        served = run_service(scenario, backend=MemoryLRUBackend())
+        served = run_service(scenario)
         local = scenario_obj.run()
         assert (
             ExperimentResult.from_dict(served["result"]).digest()
@@ -89,7 +89,7 @@ class TestSubmit:
             )
             return responses, service.stats()
 
-        responses, stats = run_service(scenario, backend=MemoryLRUBackend())
+        responses, stats = run_service(scenario)
         digests = {response["digest"] for response in responses}
         assert len(digests) == 1
         counters = stats["counters"]
@@ -102,7 +102,7 @@ class TestSubmit:
             with pytest.raises(BadRequestError):
                 await service.submit("explode", tiny_spec())
 
-        run_service(scenario, backend=MemoryLRUBackend())
+        run_service(scenario)
 
     def test_malformed_spec_is_a_bad_request(self):
         async def scenario(service):
@@ -111,22 +111,20 @@ class TestSubmit:
             with pytest.raises(BadRequestError):
                 await service.submit("characterize", "not a mapping")
 
-        run_service(scenario, backend=MemoryLRUBackend())
+        run_service(scenario)
 
     def test_verb_must_match_workload_kind(self):
         async def scenario(service):
             with pytest.raises(BadRequestError):
                 await service.submit("simulate", tiny_spec())
 
-        run_service(scenario, backend=MemoryLRUBackend())
+        run_service(scenario)
 
 
 class TestBackpressure:
     def test_queue_limit_rejects_with_429(self):
         specs = [tiny_spec(n) for n in range(6)]
-        config = ServiceConfig(
-            backend="memory", max_inflight=1, queue_limit=2, deadline_s=120.0
-        )
+        config = ServiceConfig(max_inflight=1, queue_limit=2, deadline_s=120.0)
 
         async def scenario(service):
             outcomes = await asyncio.gather(
@@ -144,9 +142,7 @@ class TestBackpressure:
         assert stats["counters"]["serve.rejected"] == len(rejected)
 
     def test_deadline_exceeded_maps_to_504(self):
-        config = ServiceConfig(
-            backend="memory", max_inflight=1, deadline_s=0.01
-        )
+        config = ServiceConfig(max_inflight=1, deadline_s=0.01)
 
         async def scenario(service):
             with pytest.raises(DeadlineExceededError) as excinfo:
@@ -171,7 +167,7 @@ class TestLookup:
                 await service.lookup("not-a-digest!")
             return submitted, found
 
-        submitted, found = run_service(scenario, backend=MemoryLRUBackend())
+        submitted, found = run_service(scenario)
         assert found["result"] == submitted["result"]
 
 
@@ -182,13 +178,12 @@ class TestMalformedEntry:
 
     def test_submit_recomputes_a_malformed_entry(self):
         fig2 = Scenario.for_experiment("fig2", scale=0.2)
-        backend = MemoryLRUBackend()
-        backend.put(fig2.digest(), self.BOGUS, kind="result")
+        ResultCache().put(fig2.digest(), self.BOGUS, kind="result")
 
         async def scenario(service):
             return await service.submit("simulate", fig2.to_spec())
 
-        served = run_service(scenario, backend=backend)
+        served = run_service(scenario)
         assert served["cached"] is False
         assert (
             ExperimentResult.from_dict(served["result"]).digest()
@@ -197,16 +192,16 @@ class TestMalformedEntry:
 
     def test_lookup_404s_and_drops_a_malformed_entry(self, tmp_path):
         digest = Scenario.for_experiment("fig2", scale=0.2).digest()
-        backend = DirectoryBackend(tmp_path / "cache")
-        backend.put(digest, self.BOGUS, kind="result")
+        store = ResultCache(tmp_path / "cache")
+        store.put(digest, self.BOGUS, kind="result")
 
         async def scenario(service):
             with pytest.raises(NotFoundError):
                 await service.lookup(digest)
 
-        run_service(scenario, backend=backend)
-        assert not backend.path_for(digest).exists()
-        assert backend.get(digest) is None
+        run_service(scenario, ServiceConfig(cache_dir=str(store.root)))
+        assert not store.path_for(digest).exists()
+        assert store.get(digest) is None
 
 
 class TestOneEntryPerDigest:
@@ -223,16 +218,16 @@ class TestOneEntryPerDigest:
         async def serve(service):
             return await service.submit(verb, scenario_obj.to_spec())
 
-        config = ServiceConfig(backend="dir", cache_dir=str(tmp_path / "B"))
+        config = ServiceConfig(cache_dir=str(tmp_path / "B"))
         assert run_service(serve, config=config)["cached"] is False
         outcome = run_many(cache_dir=tmp_path / "A", **selection)
         manifest = tmp_path / "MANIFEST.json"
         outcome.manifest.write(manifest)
-        summary = warm_from_manifest(DirectoryBackend(tmp_path / "C"), manifest)
+        summary = warm_from_manifest(ResultCache(tmp_path / "C"), manifest)
         assert summary["warmed"] == 1
 
         entries = [
-            DirectoryBackend(tmp_path / name).path_for(digest).read_bytes()
+            ResultCache(tmp_path / name).path_for(digest).read_bytes()
             for name in "ABC"
         ]
         assert entries[0] == entries[1] == entries[2]
@@ -244,10 +239,8 @@ class TestConfigAndStats:
             ServiceConfig(max_inflight=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(deadline_s=-1.0)
-        # one store name, never a stack; sqlite is gone
-        for backend in ("redis", "sqlite", "memory,dir"):
-            with pytest.raises(ConfigurationError):
-                ServiceConfig(backend=backend)
+        with pytest.raises(ConfigurationError):
+            ServiceConfig(queue_limit=-1)
 
     def test_error_status_fallback_is_500(self):
         assert error_status(ValueError("boom")) == 500
@@ -257,9 +250,36 @@ class TestConfigAndStats:
         async def scenario(service):
             return service.stats()
 
-        stats = run_service(scenario, backend=MemoryLRUBackend())
-        assert {"counters", "gauges", "histograms", "singleflight", "backend", "config"} <= set(stats)
-        assert stats["backend"]["backend"] == "memory"
+        stats = run_service(scenario)
+        assert {"counters", "gauges", "histograms", "singleflight", "store", "config"} <= set(stats)
+        assert stats["store"]["lru_entries"] == 0
+        assert set(stats["config"]) == {"max_inflight", "queue_limit", "deadline_s"}
+
+    def test_stats_reads_no_cache_file(self, tmp_path, monkeypatch):
+        # /stats runs on the event loop: a cache full of entries must
+        # not be walked, so stats() returns with every file read failing
+        cache_dir = tmp_path / "cache"
+        seeded = ResultCache(cache_dir)
+        for index in range(20):
+            seeded.put(format(index, "064x"), {"rows": [index]}, kind="result")
+        spec = tiny_spec()
+
+        async def scenario(service):
+            await service.submit("characterize", spec)
+
+            def no_file_io(*args, **kwargs):
+                raise RuntimeError("stats() touched the cache directory")
+
+            with monkeypatch.context() as patch:
+                for name in ("stat", "read_bytes", "read_text", "iterdir", "glob"):
+                    patch.setattr(pathlib.Path, name, no_file_io)
+                return service.stats()
+
+        stats = run_service(scenario, ServiceConfig(cache_dir=str(cache_dir)))
+        assert stats["store"]["root"] == str(cache_dir)
+        assert stats["store"]["lru_entries"] == 1
+        assert stats["store"]["misses"] >= 1
+        assert stats["counters"]["serve.computed"] == 1
 
     def test_stage_histograms_time_every_hit(self):
         spec = tiny_spec()
@@ -272,7 +292,7 @@ class TestConfigAndStats:
                 assert (await service.submit("characterize", spec))["cached"]
             return before, service.stats()["histograms"]
 
-        before, after = run_service(scenario, backend=MemoryLRUBackend())
+        before, after = run_service(scenario)
 
         def delta(name, key):
             return after[name][key] - before[name][key]
@@ -291,7 +311,7 @@ class TestWarm:
         digest = scenario.digest()
         # the run used its own cache dir, not the (empty) default one
         runner_cache = tmp_path / "runner-cache"
-        source = DirectoryBackend(runner_cache)
+        source = ResultCache(runner_cache)
         source.put(digest, scenario.run().to_dict(), kind="scenario-result")
         manifest = RunManifest(
             jobs=1, package_version="test", cache_dir=str(runner_cache)
@@ -314,13 +334,13 @@ class TestWarm:
         path = tmp_path / "MANIFEST.json"
         manifest.write(path)
 
-        backend = MemoryLRUBackend()
-        summary = warm_from_manifest(backend, path)
+        store = TieredBackend(tmp_path / "serve-cache")
+        summary = warm_from_manifest(store, path)
         assert summary["warmed"] == 1
         assert summary["missing"] == 0
-        assert backend.get(digest) is not None
+        assert store.get(digest) is not None
         # idempotent: a second warm finds everything already present
-        again = warm_from_manifest(backend, path)
+        again = warm_from_manifest(store, path)
         assert again["already_present"] == 1
         assert again["warmed"] == 0
 
@@ -331,7 +351,7 @@ class TestWarm:
         path = tmp_path / "MANIFEST.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ConfigurationError, match="malformed run manifest"):
-            warm_from_manifest(MemoryLRUBackend(), path)
+            warm_from_manifest(TieredBackend(tmp_path / "serve-cache"), path)
 
     def test_warm_counts_missing_payloads(self, tmp_path):
         scenario = loadgen_scenarios(1)[0]
@@ -347,6 +367,6 @@ class TestWarm:
         )
         path = tmp_path / "MANIFEST.json"
         manifest.write(path)
-        summary = warm_from_manifest(MemoryLRUBackend(), path)
+        summary = warm_from_manifest(TieredBackend(tmp_path / "serve-cache"), path)
         assert summary["missing"] == 1
         assert summary["warmed"] == 0
