@@ -27,9 +27,10 @@ stand on:
 - :mod:`repro.engine` — the batched numpy fast path of the direct
   model probe, bit-exact with the scalar probe it falls back to;
 - :mod:`repro.telemetry` — observability: typed counters/gauges/
-  histograms, spans, and per-window control-loop traces, exportable as
-  JSONL, Chrome trace-event (Perfetto) and Prometheus text. Disabled by
-  default; ``telemetry.activate()`` turns collection on process-wide.
+  histograms, spans, and per-window control-loop traces, written as one
+  Chrome trace-event file (Perfetto) that carries every instrument;
+  serve's ``/metrics`` speaks Prometheus text. Disabled by default;
+  ``telemetry.activate()`` turns collection on process-wide.
 
 Quickstart::
 

@@ -22,6 +22,7 @@ from ..errors import BenchmarkError
 from ..memmodels.base import MemoryModel, MemoryModelStats
 from ..specs import SpecConvertible
 from ..telemetry import registry as telemetry
+from ..units import CACHE_LINE_BYTES
 from .pointer_chase import pointer_chase_ops
 from .traffic_gen import (
     TrafficGenConfig,
@@ -59,6 +60,20 @@ class MessBenchmarkConfig(SpecConvertible):
             raise BenchmarkError("sweeps must not be empty")
         if self.warmup_ns < 0 or self.measure_ns <= 0:
             raise BenchmarkError("invalid warmup/measure windows")
+        for store_fraction in self.store_fractions:
+            if not 0.0 <= store_fraction <= 1.0:
+                raise BenchmarkError(
+                    f"store_fraction must be in [0, 1], got {store_fraction}"
+                )
+        for nop_count in self.nop_counts:
+            if nop_count < 0:
+                raise BenchmarkError(f"nop_count must be >= 0, got {nop_count}")
+        if self.chase_array_bytes < CACHE_LINE_BYTES:
+            raise BenchmarkError("pointer-chase array must hold at least one line")
+        if self.traffic_array_bytes < CACHE_LINE_BYTES:
+            raise BenchmarkError("arrays must hold at least one line")
+        if self.stride_lines < 1:
+            raise BenchmarkError("stride_lines must be >= 1")
 
 
 @dataclass

@@ -9,7 +9,7 @@ Commands
     Show every registered experiment with its title, tags and cost.
 ``run [EXPERIMENT ...] [--scenario FILE|PRESET] [--all] [--jobs N]
 [--scale S] [--opt K=V] [--cache-dir DIR] [--no-cache]
-[--manifest PATH] [--csv PATH] [--trace PATH] [--metrics PATH]
+[--manifest PATH] [--csv PATH] [--trace PATH]
 [--retries N] [--deadline S] [--resume MANIFEST] [--inject-faults PLAN]``
     Run one or many experiments and/or scenarios — in parallel with
     ``--jobs``, through the content-addressed on-disk cache unless
@@ -19,10 +19,10 @@ Commands
     name (see ``repro scenario list``) and runs it through the same
     runner, cache and telemetry path; with a single scenario, ``--opt``
     pairs are dotted-path overrides (``--opt system.cores=8``).
-    ``--trace`` collects telemetry and writes a Chrome trace-event file
-    (``chrome://tracing`` / Perfetto); ``--metrics`` writes a
-    Prometheus text snapshot; either flag also embeds a per-experiment
-    telemetry summary in the manifest. ``--retries`` re-dispatches
+    ``--trace`` collects telemetry and writes the one telemetry file:
+    a Chrome trace-event document (``chrome://tracing`` / Perfetto)
+    that also carries every counter, gauge and histogram; the flag also
+    embeds a per-experiment summary in the manifest. ``--retries`` re-dispatches
     transient failures (crash/timeout/cache-error) with exponential
     backoff; ``--deadline`` bounds each experiment's wall time,
     terminating hung workers; ``--resume`` re-executes only what a
@@ -42,8 +42,9 @@ Commands
     ``info --json`` emits a machine-readable report with a per-entry
     size breakdown.
 ``telemetry summarize PATH [--json]``
-    Roll up an exported telemetry file (Chrome trace or JSONL): span
-    durations, counter totals, control-loop sample ranges.
+    Roll up the trace ``run --trace`` wrote: the summary the manifest
+    records (counters, gauges, histograms, span durations) for the
+    whole run, plus the control loop's sample ranges.
 ``check [--rules RPR001,...] [--format text|json|sarif] [--list-rules]
 [PATH ...]``
     Run the project-specific static-analysis pass (unit safety,
@@ -229,7 +230,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     labels = ids + [f"scenario:{scenario.name}" for scenario in scenarios]
     total = len(labels)
     retry, fault_plan = _run_resilience_options(args)
-    collect_telemetry = bool(args.trace or args.metrics)
     outcome = run_many(
         ids,
         jobs=args.jobs if args.jobs is not None else 1,
@@ -239,7 +239,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=_progress_printer(total),
-        collect_telemetry=collect_telemetry,
+        collect_telemetry=bool(args.trace),
         deadline_s=args.deadline,
         retry=retry,
         fault_plan=fault_plan,
@@ -284,14 +284,10 @@ def _progress_printer(total: int) -> ProgressCallback:
 
 
 def _write_telemetry(outcome, args: argparse.Namespace) -> None:
-    """Write the run's Chrome trace and Prometheus metrics, if asked."""
-    if outcome.telemetry is not None:
-        if args.trace:
-            telemetry.write_chrome_trace(outcome.telemetry, args.trace)
-            print(f"trace written to {args.trace}")
-        if args.metrics:
-            telemetry.write_prometheus(outcome.telemetry, args.metrics)
-            print(f"metrics written to {args.metrics}")
+    """Write the run's Chrome trace, if asked."""
+    if args.trace:
+        telemetry.write_chrome_trace(outcome.telemetry, args.trace)
+        print(f"trace written to {args.trace}")
 
 
 def _finish_run(outcome) -> int:
@@ -313,14 +309,13 @@ def _run_resume(args: argparse.Namespace) -> int:
     if not pending:
         print(f"{args.resume}: nothing to resume ({checkpoint.summary()})")
         return 0
-    collect_telemetry = bool(args.trace or args.metrics)
     outcome = resume_run(
         args.resume,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         progress=_progress_printer(len(pending)),
-        collect_telemetry=collect_telemetry,
+        collect_telemetry=bool(args.trace),
         deadline_s=args.deadline,
         retry=retry,
         fault_plan=fault_plan,
@@ -690,13 +685,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         default=None,
         metavar="PATH",
-        help="collect telemetry and write a Chrome trace-event file",
-    )
-    run_parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="collect telemetry and write a Prometheus text snapshot",
+        help=(
+            "collect telemetry and write a Chrome trace-event file "
+            "carrying every instrument (see `repro telemetry summarize`)"
+        ),
     )
     run_parser.add_argument(
         "--retries",
@@ -876,7 +868,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen_parser.set_defaults(func=_cmd_loadgen)
 
     telemetry_parser = commands.add_parser(
-        "telemetry", help="summarize exported telemetry files"
+        "telemetry", help="summarize the trace `repro run --trace` wrote"
     )
     telemetry_parser.add_argument("action", choices=("summarize",))
     telemetry_parser.add_argument("path", metavar="PATH")

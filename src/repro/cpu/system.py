@@ -52,6 +52,20 @@ class SystemConfig(SpecConvertible):
     def __post_init__(self) -> None:
         if self.cores < 1:
             raise ConfigurationError(f"cores must be >= 1, got {self.cores}")
+        if self.issue_gap_ns < 0:
+            raise ConfigurationError(
+                f"issue_gap_ns must be >= 0, got {self.issue_gap_ns}"
+            )
+        # an in-order machine runs two MSHRs and no prefetcher whatever
+        # these say; a characterization gives core 0 (the latency probe)
+        # one MSHR of its own, so only its traffic cores take the default
+        if not self.in_order:
+            if self.prefetch_lines < 0:
+                raise ConfigurationError(
+                    f"prefetch_lines must be >= 0, got {self.prefetch_lines}"
+                )
+            if self.mshrs < 1 and self.cores > 1:
+                raise ConfigurationError(f"mshrs must be >= 1, got {self.mshrs}")
 
     @property
     def effective_mshrs(self) -> int:

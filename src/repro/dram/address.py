@@ -29,15 +29,6 @@ class DecodedAddress(NamedTuple):
     row: int
     column: int
 
-    @property
-    def bank_global(self) -> int:
-        """Bank index unique within the channel (rank-major)."""
-        return self.rank * _BANK_STRIDE + self.bank
-
-
-# Large stride so rank-major global bank ids never collide for any sane
-# bank count. Only used for dictionary keys, never for math.
-_BANK_STRIDE = 1 << 16
 
 # decode builds its record as namedtuple's own ``_make`` does, without
 # the generated Python-level ``__new__``

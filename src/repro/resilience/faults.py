@@ -340,19 +340,6 @@ def load_fault_plan(path: str | Path) -> FaultPlan:
 _ACTIVE: FaultPlan | None = None
 
 
-def activate(plan: FaultPlan) -> FaultPlan:
-    """Install ``plan`` as the process's active (scoped) fault plan."""
-    global _ACTIVE
-    _ACTIVE = plan
-    return plan
-
-
-def deactivate() -> None:
-    """Remove the active plan; injection sites become no-ops."""
-    global _ACTIVE
-    _ACTIVE = None
-
-
 def active() -> FaultPlan | None:
     """The currently active fault plan, if any."""
     return _ACTIVE

@@ -1,21 +1,21 @@
 """Retry policy: exponential backoff with deterministic jitter.
 
 The policy is a frozen value object so it can ride inside a
-:class:`~repro.runner.pool.run_many` call, be serialized into docs and
-tests, and produce the *same* delay schedule in every process. Jitter is
-derived from a sha256 of ``(seed, label, attempt)`` rather than from
-``random`` — reproducibility is the whole point of this repository, and
-a chaos run must be replayable bit-for-bit.
+:class:`~repro.runner.pool.run_many` call and produce the *same* delay
+schedule in every process. It retries exactly the transient failure
+kinds (:data:`~repro.resilience.failures.TRANSIENT_KINDS`, the one
+retry rule). Jitter is derived from a sha256 of ``(label, attempt)``
+rather than from ``random`` — reproducibility is the whole point of
+this repository, and a chaos run must be replayable bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping
 
 from ..errors import ResilienceError
-from .failures import FAILURE_KINDS, TRANSIENT_KINDS
+from .failures import TRANSIENT_KINDS
 
 
 def deterministic_fraction(*parts: object) -> float:
@@ -33,7 +33,10 @@ def deterministic_fraction(*parts: object) -> float:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How (and whether) failed experiments are re-dispatched.
+    """How often failed experiments are re-dispatched, and when.
+
+    Only the transient failure kinds are retried; a deterministic model
+    error would fail identically.
 
     Parameters
     ----------
@@ -48,19 +51,12 @@ class RetryPolicy:
         delay is scaled by a deterministic factor in
         ``[1 - jitter, 1 + jitter]`` so retries of many experiments do
         not re-dispatch in lockstep.
-    seed:
-        Seeds the jitter draws; same seed, same schedule.
-    retry_on:
-        Failure kinds eligible for retry. Defaults to the transient
-        kinds — deterministic model errors are never retried.
     """
 
     max_attempts: int = 3
     base_delay_s: float = 0.1
     max_delay_s: float = 5.0
     jitter: float = 0.5
-    seed: int = 0
-    retry_on: tuple[str, ...] = TRANSIENT_KINDS
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -76,16 +72,10 @@ class RetryPolicy:
             raise ResilienceError(
                 f"jitter must be in [0, 1], got {self.jitter}"
             )
-        unknown = sorted(set(self.retry_on) - set(FAILURE_KINDS))
-        if unknown:
-            raise ResilienceError(
-                f"unknown failure kind(s) in retry_on: {unknown}; "
-                f"known: {list(FAILURE_KINDS)}"
-            )
 
     def should_retry(self, failure_kind: str, attempt: int) -> bool:
         """Whether attempt ``attempt`` failing with ``kind`` gets another."""
-        return attempt < self.max_attempts and failure_kind in self.retry_on
+        return attempt < self.max_attempts and failure_kind in TRANSIENT_KINDS
 
     def delay_s(self, label: str, attempt: int) -> float:
         """Backoff before re-dispatching ``label`` after attempt ``attempt``."""
@@ -93,32 +83,6 @@ class RetryPolicy:
             raise ResilienceError(f"attempt must be >= 1, got {attempt}")
         delay = min(self.base_delay_s * (2.0 ** (attempt - 1)), self.max_delay_s)
         if self.jitter and delay > 0:
-            draw = deterministic_fraction("retry", self.seed, label, attempt)
+            draw = deterministic_fraction("retry", label, attempt)
             delay *= 1.0 + self.jitter * (2.0 * draw - 1.0)
         return delay
-
-    def to_dict(self) -> dict:
-        return {
-            "max_attempts": self.max_attempts,
-            "base_delay_s": self.base_delay_s,
-            "max_delay_s": self.max_delay_s,
-            "jitter": self.jitter,
-            "seed": self.seed,
-            "retry_on": list(self.retry_on),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "RetryPolicy":
-        try:
-            return cls(
-                max_attempts=int(payload.get("max_attempts", 3)),
-                base_delay_s=float(payload.get("base_delay_s", 0.1)),
-                max_delay_s=float(payload.get("max_delay_s", 5.0)),
-                jitter=float(payload.get("jitter", 0.5)),
-                seed=int(payload.get("seed", 0)),
-                retry_on=tuple(
-                    str(kind) for kind in payload.get("retry_on", TRANSIENT_KINDS)
-                ),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ResilienceError(f"malformed retry policy: {exc}") from exc

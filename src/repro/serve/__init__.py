@@ -4,7 +4,7 @@ The scenario layer makes every run a pure function of its spec digest;
 this package turns that into a read-mostly service: one store, a
 memory LRU in front of the runner's directory cache (:mod:`.backends`),
 single-flight request coalescing (:mod:`.singleflight`), the
-transport-independent service core with backpressure/deadlines/retries
+transport-independent service core with backpressure and deadlines
 (:mod:`.service`), a stdlib asyncio HTTP front end and keep-alive
 client (:mod:`.http`, :mod:`.client`), and a deterministic load
 generator (:mod:`.loadgen`). One ``repro serve`` process fronts one

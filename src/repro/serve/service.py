@@ -34,10 +34,11 @@ The request path, in order:
    (:class:`~repro.resilience.failures.DeadlineExceededError`, 504). A
    timed-out waiter abandons the flight; the flight itself keeps
    flying so its result still lands in the cache for the next asker.
-6. **Retries**: transient compute failures re-run inside the flight
-   under :data:`RETRY_POLICY` with its deterministic backoff;
-   deterministic model errors are never retried (they would fail
-   identically).
+
+A failed compute is not retried: nothing a serve executor thread runs
+raises a transient failure kind (worker crashes, deadlines and injected
+cache faults belong to the ``repro run`` runner), and a model error
+would fail identically. Its typed error keeps its HTTP status.
 
 Every stage is instrumented on the service's own
 :class:`~repro.telemetry.registry.TelemetryRegistry`
@@ -58,11 +59,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError, MessError, ServeError
-from ..resilience.failures import (
-    DeadlineExceededError,
-    classify_failure,
-)
-from ..resilience.retry import RetryPolicy
+from ..resilience.failures import DeadlineExceededError
 from ..runner.cache import ResultCache, cached_result, compute_result, result_kind
 from ..telemetry.registry import TelemetryRegistry
 from .backends import TieredBackend
@@ -78,11 +75,6 @@ VERB_KINDS: Mapping[str, str] = {
     "simulate": "experiment",
     "profile": "experiment",
 }
-
-#: Policy for transient compute failures inside a flight: one retry.
-RETRY_POLICY = RetryPolicy(
-    max_attempts=2, base_delay_s=0.05, max_delay_s=1.0, jitter=0.5
-)
 
 #: Millisecond latency buckets for the request/stage histograms; the
 #: sub-millisecond ones resolve a cache hit's stages.
@@ -347,7 +339,7 @@ class CharacterizationService:
     # ------------------------------------------------------------------
 
     async def _fly(self, scenario: Any, key: str) -> dict:
-        """The flight body: backpressure, compute slot, retries.
+        """The flight body: backpressure, then the compute slot.
 
         Inside the slot the cache is read again (another process or
         flight may have landed the entry since the event-loop lookup)
@@ -366,31 +358,15 @@ class CharacterizationService:
         self._queue_depth.set(float(self._waiting))
         try:
             async with semaphore:
-                attempt = 1
-                while True:
-                    tick = time.perf_counter()
-                    try:
-                        payload = await self._offload(
-                            cached_result, self.store, key
-                        )
-                        if payload is None:
-                            payload = await self._offload(
-                                compute_result, self.store, scenario
-                            )
-                    except Exception as exc:
-                        kind = classify_failure(exc)
-                        if not RETRY_POLICY.should_retry(kind, attempt):
-                            raise
-                        delay = RETRY_POLICY.delay_s(key, attempt)
-                        attempt += 1
-                        if delay > 0:
-                            await asyncio.sleep(delay)
-                        continue
-                    self._computed.inc()
-                    self._compute_ms.observe(
-                        (time.perf_counter() - tick) * 1e3
+                tick = time.perf_counter()
+                payload = await self._offload(cached_result, self.store, key)
+                if payload is None:
+                    payload = await self._offload(
+                        compute_result, self.store, scenario
                     )
-                    return payload
+                self._computed.inc()
+                self._compute_ms.observe((time.perf_counter() - tick) * 1e3)
+                return payload
         finally:
             self._waiting -= 1
             self._queue_depth.set(float(self._waiting))

@@ -37,7 +37,7 @@ import types
 import typing
 from typing import Any, Mapping, NamedTuple, TypeVar
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, MessError
 
 T = TypeVar("T")
 
@@ -297,7 +297,9 @@ def from_spec(cls: type[T], payload: Mapping, where: str = "") -> T:
     Unknown keys, wrong-typed values and missing required fields all
     raise :class:`ConfigurationError` naming the offending key, so a
     scenario author sees ``system.mshrs: expected an integer`` rather
-    than a bare ``TypeError`` from deep inside a constructor.
+    than a bare ``TypeError`` from deep inside a constructor. A value
+    the constructor's own checks reject is a ``ConfigurationError``
+    too, whatever :class:`~repro.errors.MessError` the check raises.
     """
     where = where or cls.__name__
     if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
@@ -330,7 +332,12 @@ def _decode(cls: type[T], payload: object, where: str | tuple) -> T:
         raise ConfigurationError(
             f"{_label(where)}: missing required key(s) {missing}"
         )
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigurationError:
+        raise
+    except MessError as exc:
+        raise ConfigurationError(f"{_label(where)}: {exc}") from exc
 
 
 class SpecConvertible:

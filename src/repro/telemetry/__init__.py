@@ -12,11 +12,13 @@ without ad-hoc prints:
   process-global switch. Nothing is active by default: instrumented
   constructors read :func:`active` once and hot paths pay a single
   ``is not None`` check when telemetry is off (the null-sink fast path);
-- exporters — :func:`write_jsonl` (archival log),
-  :func:`write_chrome_trace` (``chrome://tracing`` / Perfetto timeline),
-  :func:`write_prometheus` (scrape-style snapshot);
-- :func:`summarize_file` — offline rollup of either export, used by
-  ``python -m repro telemetry summarize``.
+- :func:`write_chrome_trace` — the one telemetry file
+  (``repro run --trace``): a ``chrome://tracing`` / Perfetto timeline
+  that also carries every instrument; :func:`prometheus_text` is
+  serve's ``/metrics`` scrape;
+- :func:`summarize_file` — offline rollup of that file, used by
+  ``python -m repro telemetry summarize``: the registry's own
+  :meth:`TelemetryRegistry.summary` plus each sample series' range.
 
 Typical use::
 
@@ -25,24 +27,20 @@ Typical use::
     registry = telemetry.activate()
     ...  # build + run simulators, benchmarks, experiments
     telemetry.write_chrome_trace(registry, "trace.json")
-    telemetry.write_prometheus(registry, "metrics.prom")
     telemetry.deactivate()
+    print(telemetry.summarize_file("trace.json")["counters"])
 """
 
 from __future__ import annotations
 
 from .exporters import (
     chrome_trace,
-    jsonl_lines,
     metric_name,
     prometheus_text,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 from .instruments import (
     DEFAULT_BUCKETS,
-    LATENCY_NS_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -55,13 +53,11 @@ from .registry import (
     activate,
     active,
     deactivate,
-    enabled,
 )
 from .summary import format_summary, summarize_file
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "LATENCY_NS_BUCKETS",
     "Counter",
     "EventRecord",
     "Gauge",
@@ -73,13 +69,9 @@ __all__ = [
     "active",
     "chrome_trace",
     "deactivate",
-    "enabled",
     "format_summary",
-    "jsonl_lines",
     "metric_name",
     "prometheus_text",
     "summarize_file",
     "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
 ]

@@ -1,18 +1,18 @@
-"""Telemetry exporters: JSONL, Chrome trace-event JSON, Prometheus text.
+"""Telemetry exporters: Chrome trace-event JSON, Prometheus text.
 
-Three formats, three audiences:
+Two formats, two audiences:
 
-- **JSONL** (:func:`write_jsonl`) — one self-describing JSON object per
-  line; trivially greppable/streamable, the archival format.
 - **Chrome trace-event** (:func:`chrome_trace`, :func:`write_chrome_trace`)
-  — loadable in ``chrome://tracing`` and Perfetto. Wall-clock spans and
-  events go on pid 1; simulation-time series (the control loop's
-  per-window samples) become counter tracks on pid 2, because their
-  clock is the simulated nanosecond, not ours.
-- **Prometheus text exposition** (:func:`prometheus_text`,
-  :func:`write_prometheus`) — scrape-style snapshot of every counter,
-  gauge and histogram; dotted instrument names are sanitized into the
-  ``repro_*`` metric namespace.
+  — the one telemetry file (``repro run --trace``), loadable in
+  ``chrome://tracing`` and Perfetto. Wall-clock spans and events go on
+  pid 1; simulation-time series (the control loop's per-window samples)
+  become counter tracks on pid 2, because their clock is the simulated
+  nanosecond, not ours. ``otherData["instruments"]`` carries every
+  counter, gauge and histogram, so ``repro telemetry summarize``
+  rebuilds the whole registry from the file.
+- **Prometheus text exposition** (:func:`prometheus_text`) — serve's
+  ``/metrics`` scrape of every counter, gauge and histogram; dotted
+  instrument names are sanitized into the ``repro_*`` metric namespace.
 """
 
 from __future__ import annotations
@@ -28,35 +28,6 @@ _WALL_PID = 1
 _SIM_PID = 2
 
 _INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
-
-
-# ----------------------------------------------------------------------
-# JSONL
-# ----------------------------------------------------------------------
-
-
-def jsonl_lines(registry: TelemetryRegistry) -> list[str]:
-    """Every record and final instrument value, one JSON object per line."""
-    lines = []
-    for name, instrument in sorted(registry.instruments().items()):
-        entry = {"type": "instrument", "name": name}
-        entry.update(instrument.to_dict())
-        lines.append(json.dumps(entry, sort_keys=True))
-    for span in registry.spans:
-        lines.append(json.dumps({"type": "span", **span.to_dict()}, sort_keys=True))
-    for event in registry.events:
-        lines.append(
-            json.dumps({"type": "event", **event.to_dict()}, sort_keys=True)
-        )
-    for sample in registry.samples:
-        lines.append(
-            json.dumps({"type": "sample", **sample.to_dict()}, sort_keys=True)
-        )
-    return lines
-
-
-def write_jsonl(registry: TelemetryRegistry, path: str | Path) -> None:
-    Path(path).write_text("\n".join(jsonl_lines(registry)) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -132,7 +103,13 @@ def chrome_trace(registry: TelemetryRegistry) -> dict:
     return {
         "traceEvents": trace_events,
         "displayTimeUnit": "ms",
-        "otherData": {"dropped_records": registry.dropped},
+        "otherData": {
+            "dropped_records": registry.dropped,
+            "instruments": {
+                name: instrument.to_dict()
+                for name, instrument in sorted(registry.instruments().items())
+            },
+        },
     }
 
 
@@ -192,7 +169,3 @@ def prometheus_text(registry: TelemetryRegistry) -> str:
             lines.append(f"{metric}_sum {_fmt(instrument.total)}")
             lines.append(f"{metric}_count {instrument.count}")
     return "\n".join(lines) + "\n" if lines else ""
-
-
-def write_prometheus(registry: TelemetryRegistry, path: str | Path) -> None:
-    Path(path).write_text(prometheus_text(registry))

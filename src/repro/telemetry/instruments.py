@@ -20,19 +20,6 @@ from ..errors import TelemetryError
 #: Default histogram bucket upper bounds (occupancies / small counts).
 DEFAULT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
-#: Bucket upper bounds suited to nanosecond latencies.
-LATENCY_NS_BUCKETS = (
-    10.0,
-    25.0,
-    50.0,
-    100.0,
-    200.0,
-    400.0,
-    800.0,
-    1600.0,
-    3200.0,
-)
-
 
 class Counter:
     """A monotonically increasing count (requests served, rows missed)."""

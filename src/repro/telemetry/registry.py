@@ -33,8 +33,8 @@ from typing import Iterator, Mapping
 from ..errors import TelemetryError
 from .instruments import Counter, Gauge, Histogram, Instrument
 
-#: Soft cap on stored spans/events/samples; excess is counted, not kept.
-DEFAULT_MAX_RECORDS = 100_000
+#: Cap on stored spans, events and samples each; excess is counted, not kept.
+MAX_RECORDS = 100_000
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,11 @@ class SampleRecord:
 class TelemetryRegistry:
     """Process-local home of every instrument and trace record."""
 
-    def __init__(self, max_records: int = DEFAULT_MAX_RECORDS) -> None:
-        if max_records < 1:
-            raise TelemetryError(f"max_records must be >= 1, got {max_records}")
+    def __init__(self) -> None:
         self._instruments: dict[str, Instrument] = {}
         self.spans: list[SpanRecord] = []
         self.events: list[EventRecord] = []
         self.samples: list[SampleRecord] = []
-        self.max_records = max_records
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -145,7 +142,7 @@ class TelemetryRegistry:
     # ------------------------------------------------------------------
 
     def _keep(self, records: list) -> bool:
-        if len(records) >= self.max_records:
+        if len(records) >= MAX_RECORDS:
             self.dropped += 1
             return False
         return True
@@ -253,14 +250,16 @@ class TelemetryRegistry:
                 if self._keep(self.samples):
                     self.samples.append(SampleRecord(**sample))
             self.dropped += int(payload.get("dropped", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise TelemetryError(f"malformed telemetry payload: {exc}") from exc
 
     def summary(self) -> dict:
         """Compact JSON summary: counter totals, span durations, etc.
 
-        This is what the run manifest embeds per experiment — small
-        enough to read in a diff, rich enough to spot a regression.
+        The one rollup: the run manifest embeds it per experiment,
+        serve's ``/stats`` reports its instruments and ``repro
+        telemetry summarize`` prints it for a trace file — small enough
+        to read in a diff, rich enough to spot a regression.
         """
         spans: dict[str, dict] = {}
         for span in self.spans:
@@ -322,8 +321,3 @@ def deactivate() -> None:
 def active() -> TelemetryRegistry | None:
     """The currently active registry, if any."""
     return _ACTIVE
-
-
-def enabled() -> bool:
-    """True when a registry is collecting."""
-    return _ACTIVE is not None

@@ -1,11 +1,16 @@
-"""Offline summarization of exported telemetry files.
+"""Offline rollup of the telemetry file ``repro run --trace`` writes.
 
-``python -m repro telemetry summarize PATH`` accepts either exporter
-output — a Chrome trace-event JSON document or a JSONL event log — and
-reduces it to the same compact shape
-(:func:`repro.telemetry.registry.TelemetryRegistry.summary` uses for the
-run manifest): span duration rollups, counter totals, sample series
-ranges. Useful for eyeballing a trace without loading Perfetto.
+``python -m repro telemetry summarize PATH`` reads the Chrome
+trace-event document of :func:`~repro.telemetry.exporters.write_chrome_trace`
+and rebuilds the :class:`~repro.telemetry.registry.TelemetryRegistry` it
+was written from: spans from its ``X`` events, events from its ``i``
+events, simulation-time samples from its ``C`` events, and every
+instrument from ``otherData["instruments"]`` (span and event categories
+and attributes are not read back; no rollup uses them). The summary is that
+registry's :meth:`~repro.telemetry.registry.TelemetryRegistry.summary`
+— the rollup the run manifest and serve's ``/stats`` use too — plus
+the range of each sample series. Useful for eyeballing a trace without
+loading Perfetto.
 """
 
 from __future__ import annotations
@@ -14,144 +19,105 @@ import json
 from pathlib import Path
 
 from ..errors import TelemetryError
+from .registry import SampleRecord, TelemetryRegistry
 
 
-def _rollup_span(spans: dict[str, dict], name: str, dur_us: float) -> None:
-    entry = spans.setdefault(
-        name, {"count": 0, "total_us": 0.0, "max_us": 0.0}
-    )
-    entry["count"] += 1
-    entry["total_us"] += dur_us
-    entry["max_us"] = max(entry["max_us"], dur_us)
-
-
-def _rollup_series(
-    series: dict[str, dict], name: str, ts_us: float, values: dict
-) -> None:
-    entry = series.setdefault(
-        series_key(name), {"samples": 0, "first_ts_us": ts_us, "last_ts_us": ts_us}
-    )
-    entry["samples"] += 1
-    entry["first_ts_us"] = min(entry["first_ts_us"], ts_us)
-    entry["last_ts_us"] = max(entry["last_ts_us"], ts_us)
-    for key, value in values.items():
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            continue
-        stats = entry.setdefault("values", {}).setdefault(
-            key, {"min": number, "max": number, "last": number}
-        )
-        stats["min"] = min(stats["min"], number)
-        stats["max"] = max(stats["max"], number)
-        stats["last"] = number
-
-
-def series_key(name: str) -> str:
-    return str(name)
-
-
-def _summarize_chrome(document: dict) -> dict:
-    spans: dict[str, dict] = {}
-    series: dict[str, dict] = {}
-    events = 0
-    for entry in document.get("traceEvents", []):
+def _registry_payload(document: dict) -> dict:
+    """A trace document as a :meth:`TelemetryRegistry.to_dict` payload."""
+    other = document.get("otherData", {})
+    spans, events, samples = [], [], []
+    for entry in document["traceEvents"]:
         phase = entry.get("ph")
         if phase == "X":
-            _rollup_span(spans, str(entry.get("name")), float(entry.get("dur", 0.0)))
-        elif phase == "i":
-            events += 1
-        elif phase == "C":
-            _rollup_series(
-                series,
-                str(entry.get("name")),
-                float(entry.get("ts", 0.0)),
-                entry.get("args", {}) or {},
-            )
-    return {
-        "format": "chrome-trace",
-        "spans": spans,
-        "series": series,
-        "events": events,
-        "counters": {},
-        "histograms": {},
-    }
-
-
-def _summarize_jsonl(lines: list[str]) -> dict:
-    spans: dict[str, dict] = {}
-    series: dict[str, dict] = {}
-    counters: dict[str, int] = {}
-    histograms: dict[str, dict] = {}
-    events = 0
-    for number, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError as exc:
-            raise TelemetryError(f"line {number} is not JSON: {exc}") from exc
-        record_type = entry.get("type")
-        if record_type == "span":
-            _rollup_span(spans, str(entry.get("name")), float(entry.get("dur_us", 0.0)))
-        elif record_type == "event":
-            events += 1
-        elif record_type == "sample":
-            _rollup_series(
-                series,
-                str(entry.get("series")),
-                float(entry.get("ts_us", 0.0)),
-                entry.get("values", {}) or {},
-            )
-        elif record_type == "instrument":
-            kind = entry.get("kind")
-            name = str(entry.get("name"))
-            if kind == "counter":
-                counters[name] = int(entry.get("value", 0))
-            elif kind == "histogram":
-                count = int(entry.get("count", 0))
-                total = float(entry.get("total", 0.0))
-                histograms[name] = {
-                    "count": count,
-                    "total": total,
-                    "mean": total / count if count else 0.0,
+            spans.append(
+                {
+                    "name": str(entry["name"]),
+                    "ts_us": float(entry["ts"]),
+                    "dur_us": float(entry["dur"]),
                 }
+            )
+        elif phase == "i":
+            events.append({"name": str(entry["name"]), "ts_us": float(entry["ts"])})
+        elif phase == "C":
+            samples.append(
+                {
+                    "series": str(entry["name"]),
+                    "ts_us": float(entry["ts"]),
+                    "values": {
+                        str(key): float(value)
+                        for key, value in (entry.get("args") or {}).items()
+                    },
+                }
+            )
     return {
-        "format": "jsonl",
+        "instruments": other.get("instruments", {}),
         "spans": spans,
-        "series": series,
         "events": events,
-        "counters": counters,
-        "histograms": histograms,
+        "samples": samples,
+        "dropped": other.get("dropped_records", 0),
     }
+
+
+def _series_ranges(samples: list[SampleRecord]) -> dict[str, dict]:
+    """Per series: sample count, simulated-time extent, value ranges."""
+    series: dict[str, dict] = {}
+    for sample in samples:
+        entry = series.setdefault(
+            sample.series,
+            {"samples": 0, "first_ts_us": sample.ts_us, "last_ts_us": sample.ts_us},
+        )
+        entry["samples"] += 1
+        entry["first_ts_us"] = min(entry["first_ts_us"], sample.ts_us)
+        entry["last_ts_us"] = max(entry["last_ts_us"], sample.ts_us)
+        for key, value in sample.values.items():
+            stats = entry.setdefault("values", {}).setdefault(
+                key, {"min": value, "max": value, "last": value}
+            )
+            stats["min"] = min(stats["min"], value)
+            stats["max"] = max(stats["max"], value)
+            stats["last"] = value
+    return series
 
 
 def summarize_file(path: str | Path) -> dict:
-    """Summarize one exported telemetry file (Chrome trace or JSONL)."""
+    """Summarize one Chrome trace written by ``repro run --trace``.
+
+    Returns :meth:`TelemetryRegistry.summary` of the registry the file
+    holds, plus ``series``: the range of each sample series. Anything
+    else — a missing or unreadable path, a file that is not a
+    trace-event document, a malformed event — raises a one-line
+    :class:`TelemetryError` (the CLI prints it and exits 1).
+    """
     path = Path(path)
     try:
-        text = path.read_text()
+        document = json.loads(path.read_text())
     except (OSError, UnicodeDecodeError) as exc:
-        # Missing path, directory, or binary junk: all become a one-line
-        # CLI error (exit 1) via the MessError handler, never a traceback.
         raise TelemetryError(f"cannot read telemetry file {path}: {exc}") from exc
-    stripped = text.lstrip()
-    if not stripped:
-        raise TelemetryError(f"telemetry file {path} is empty")
-    if stripped.startswith("{"):
-        try:
-            document = json.loads(text)
-        except ValueError:
-            document = None
-        if isinstance(document, dict) and "traceEvents" in document:
-            return _summarize_chrome(document)
-    return _summarize_jsonl(text.splitlines())
+    except ValueError as exc:
+        raise TelemetryError(f"{path} is not a trace-event document: {exc}") from exc
+    if not (
+        isinstance(document, dict)
+        and isinstance(document.get("traceEvents"), list)
+        and isinstance(document.get("otherData", {}), dict)
+    ):
+        raise TelemetryError(
+            f"{path} is not a trace-event document: expected an object "
+            "with a traceEvents list"
+        )
+    try:
+        payload = _registry_payload(document)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise TelemetryError(f"{path}: malformed trace event: {exc!r}") from exc
+    registry = TelemetryRegistry()
+    registry.merge_dict(payload)
+    summary = registry.summary()
+    summary["series"] = _series_ranges(registry.samples)
+    return summary
 
 
 def format_summary(summary: dict) -> str:
     """Human-readable rendering of :func:`summarize_file` output."""
-    lines = [f"format: {summary['format']}"]
+    lines = []
     if summary["spans"]:
         lines.append("spans:")
         for name, entry in sorted(summary["spans"].items()):
@@ -160,10 +126,11 @@ def format_summary(summary: dict) -> str:
                 f"total={entry['total_us'] / 1e3:.2f}ms "
                 f"max={entry['max_us'] / 1e3:.2f}ms"
             )
-    if summary["counters"]:
-        lines.append("counters:")
-        for name, value in sorted(summary["counters"].items()):
-            lines.append(f"  {name}: {value}")
+    for section in ("counters", "gauges"):
+        if summary[section]:
+            lines.append(f"{section}:")
+            for name, value in sorted(summary[section].items()):
+                lines.append(f"  {name}: {value}")
     if summary["histograms"]:
         lines.append("histograms:")
         for name, entry in sorted(summary["histograms"].items()):

@@ -222,13 +222,12 @@ class TestActivation:
         assert faults_mod.active() is None
 
     def test_activation_with_none_deactivates(self):
-        plan = faults_mod.activate(FaultPlan(seed=3))
-        try:
+        plan = FaultPlan(seed=3)
+        with faults_mod.activation(plan):
             with faults_mod.activation(None):
                 assert faults_mod.active() is None
             assert faults_mod.active() is plan
-        finally:
-            faults_mod.deactivate()
+        assert faults_mod.active() is None
 
 
 class TestLoadFaultPlan:

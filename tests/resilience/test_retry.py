@@ -45,10 +45,6 @@ class TestValidation:
         with pytest.raises(ResilienceError):
             RetryPolicy(jitter=1.5)
 
-    def test_unknown_retry_kind_rejected(self):
-        with pytest.raises(ResilienceError, match="gremlin"):
-            RetryPolicy(retry_on=("crash", "gremlin"))
-
 
 class TestShouldRetry:
     def test_transient_kinds_retry_below_budget(self):
@@ -64,11 +60,6 @@ class TestShouldRetry:
 
     def test_single_attempt_policy_never_retries(self):
         policy = RetryPolicy(max_attempts=1)
-        assert not policy.should_retry("crash", 1)
-
-    def test_retry_on_override(self):
-        policy = RetryPolicy(max_attempts=2, retry_on=("model-error",))
-        assert policy.should_retry("model-error", 1)
         assert not policy.should_retry("crash", 1)
 
 
@@ -96,11 +87,6 @@ class TestDelaySchedule:
                 base_delay_s=1.0, max_delay_s=1.0, jitter=0.5
             ).delay_s("fig17", attempt)
 
-    def test_seed_changes_jittered_schedule(self):
-        a = RetryPolicy(base_delay_s=1.0, jitter=0.5, seed=1)
-        b = RetryPolicy(base_delay_s=1.0, jitter=0.5, seed=2)
-        assert a.delay_s("fig2", 1) != b.delay_s("fig2", 1)
-
     def test_zero_base_delay_is_zero(self):
         policy = RetryPolicy(base_delay_s=0.0, jitter=0.5)
         assert policy.delay_s("fig2", 3) == 0.0
@@ -109,22 +95,3 @@ class TestDelaySchedule:
         with pytest.raises(ResilienceError):
             RetryPolicy().delay_s("fig2", 0)
 
-
-class TestSerialization:
-    def test_round_trip(self):
-        policy = RetryPolicy(
-            max_attempts=4,
-            base_delay_s=0.25,
-            max_delay_s=2.0,
-            jitter=0.1,
-            seed=99,
-            retry_on=("timeout",),
-        )
-        assert RetryPolicy.from_dict(policy.to_dict()) == policy
-
-    def test_from_dict_defaults(self):
-        assert RetryPolicy.from_dict({}) == RetryPolicy()
-
-    def test_malformed_payload_raises(self):
-        with pytest.raises(ResilienceError):
-            RetryPolicy.from_dict({"max_attempts": "lots"})

@@ -263,6 +263,56 @@ MALFORMED = [
             ),
         )
     ),
+    # each parsed, then failed within moments of the run, with this message
+    *(
+        pytest.param(_field_spec(path, value), fault, id=label)
+        for label, path, value, fault in (
+            ("mshrs-0", "system.mshrs", 0, "mshrs must be >= 1, got 0"),
+            (
+                "issue-gap-negative",
+                "system.issue_gap_ns",
+                -1,
+                "issue_gap_ns must be >= 0, got -1",
+            ),
+            (
+                "prefetch-negative",
+                "system.prefetch_lines",
+                -1,
+                "prefetch_lines must be >= 0, got -1",
+            ),
+            (
+                "chase-array-0",
+                "sweep.chase_array_bytes",
+                0,
+                "pointer-chase array must hold at least one line",
+            ),
+            (
+                "traffic-array-0",
+                "sweep.traffic_array_bytes",
+                0,
+                "arrays must hold at least one line",
+            ),
+            ("stride-0", "sweep.stride_lines", 0, "stride_lines must be >= 1"),
+            (
+                "nop-count-negative",
+                "sweep.nop_counts",
+                [0, -1],
+                "nop_count must be >= 0, got -1",
+            ),
+            (
+                "store-fraction-negative",
+                "sweep.store_fractions",
+                [0.0, -1],
+                r"store_fraction must be in \[0, 1\], got -1",
+            ),
+            (
+                "store-fraction-1.5",
+                "sweep.store_fractions",
+                [0.0, 1.5],
+                r"store_fraction must be in \[0, 1\], got 1.5",
+            ),
+        )
+    ),
 ]
 
 _EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
@@ -321,6 +371,23 @@ class TestValidation:
         with pytest.raises(BadRequestError, match=fault) as caught:
             parse_request(verb, spec)
         assert caught.value.status == 400
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"system.mshrs": 0, "system.in_order": True},
+            {"system.prefetch_lines": -1, "system.in_order": True},
+            {"system.mshrs": 0, "system.cores": 1},
+        ],
+        ids=["in-order-mshrs-0", "in-order-prefetch-negative", "one-core-mshrs-0"],
+    )
+    def test_fields_the_run_overrides_still_parse_and_run(self, fields):
+        # an in-order core takes two MSHRs and no prefetcher; a one-core
+        # characterization is its latency probe, which brings one MSHR
+        spec = _characterize_spec()
+        for path, value in fields.items():
+            spec = _replaced(spec, path.split("."), value)
+        assert parse_request("characterize", spec).run().rows
 
     @pytest.mark.parametrize("part", ["ddr4-quick", "cache-thrash", "kinds"])
     def test_single_field_mutations_parse_or_are_bad_requests(self, part):

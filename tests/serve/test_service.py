@@ -8,13 +8,14 @@ import pathlib
 
 import pytest
 
-from repro.errors import ConfigurationError, MessError
+from repro.errors import CacheError, ConfigurationError, MessError
 from repro.experiments.base import ExperimentResult
 from repro.resilience.failures import DeadlineExceededError
 from repro.runner import run_many
 from repro.runner.cache import ResultCache
 from repro.runner.manifest import ExperimentRecord, RunManifest
 from repro.scenario.core import Scenario
+from repro.serve import service as service_mod
 from repro.serve.backends import TieredBackend
 from repro.serve.loadgen import loadgen_scenarios
 from repro.serve.service import (
@@ -119,6 +120,30 @@ class TestSubmit:
                 await service.submit("simulate", tiny_spec())
 
         run_service(scenario)
+
+    def test_failed_compute_runs_once_and_keeps_its_error(
+        self, tmp_path, monkeypatch
+    ):
+        calls = []
+
+        def failing_compute(store, scenario):
+            calls.append(scenario.name)
+            raise CacheError("injected")
+
+        monkeypatch.setattr(service_mod, "compute_result", failing_compute)
+
+        async def scenario(service):
+            with pytest.raises(CacheError) as caught:
+                await service.submit("characterize", tiny_spec())
+            return caught.value, service.stats()
+
+        error, stats = run_service(
+            scenario, ServiceConfig(cache_dir=str(tmp_path / "cache"))
+        )
+        assert len(calls) == 1
+        assert error_status(error) == 500
+        assert stats["counters"]["serve.errors"] == 1
+        assert stats["counters"]["serve.computed"] == 0
 
 
 class TestBackpressure:

@@ -1,9 +1,10 @@
-"""Exporter tests: Chrome trace-event validity, Prometheus parseability.
+"""Exporter tests: Chrome trace validity and round trip, Prometheus parsing.
 
 The acceptance bar: the emitted Chrome trace file must be valid
-trace-event JSON, and the Prometheus export must parse — so this module
-contains a miniature parser for Prometheus text exposition 0.0.4 and
-runs it against the real export.
+trace-event JSON that summarizes to the registry's own summary, and the
+Prometheus export must parse — so this module contains a miniature
+parser for Prometheus text exposition 0.0.4 and runs it against the
+real export.
 """
 
 from __future__ import annotations
@@ -14,16 +15,14 @@ import re
 
 import pytest
 
+from repro.errors import TelemetryError
 from repro.telemetry import (
     TelemetryRegistry,
     chrome_trace,
-    jsonl_lines,
     metric_name,
     prometheus_text,
     summarize_file,
     write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
 )
 
 _METRIC_LINE = re.compile(
@@ -116,10 +115,8 @@ class TestChromeTrace:
 
 
 class TestPrometheus:
-    def test_export_parses(self, tmp_path):
-        path = tmp_path / "metrics.prom"
-        write_prometheus(populated_registry(), path)
-        parsed = parse_prometheus(path.read_text())
+    def test_export_parses(self):
+        parsed = parse_prometheus(prometheus_text(populated_registry()))
         assert parsed["metrics"]["repro_dram_row_hits_total"] == {
             frozenset(): 7.0
         }
@@ -148,36 +145,69 @@ class TestPrometheus:
         assert prometheus_text(TelemetryRegistry()) == ""
 
 
-class TestJsonlAndSummarize:
-    def test_jsonl_lines_all_valid_json(self):
-        lines = jsonl_lines(populated_registry())
-        records = [json.loads(line) for line in lines]
-        types = {record["type"] for record in records}
-        assert types == {"instrument", "span", "event", "sample"}
-
-    def test_summarize_jsonl_file(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        write_jsonl(populated_registry(), path)
-        summary = summarize_file(path)
-        assert summary["format"] == "jsonl"
-        assert summary["counters"]["dram.row_hits"] == 7
-        assert summary["spans"]["bench.characterize"]["count"] == 1
-        assert summary["series"]["sim.window"]["samples"] == 2
-        assert summary["series"]["sim.window"]["values"]["cpu_bw_gbps"]["max"] == 14.0
-        assert summary["events"] == 1
-
-    def test_summarize_chrome_trace_file(self, tmp_path):
+class TestSummarize:
+    def test_round_trip_equals_registry_summary(self, tmp_path):
+        registry = populated_registry()
         path = tmp_path / "trace.json"
-        write_chrome_trace(populated_registry(), path)
+        write_chrome_trace(registry, path)
+        series = {
+            "sim.window": {
+                "samples": 2,
+                "first_ts_us": 10.0,
+                "last_ts_us": 20.0,
+                "values": {
+                    "cpu_bw_gbps": {"min": 12.0, "max": 14.0, "last": 14.0}
+                },
+            }
+        }
+        assert summarize_file(path) == {**registry.summary(), "series": series}
+
+    def test_merged_registries_round_trip(self, tmp_path):
+        merged = TelemetryRegistry()
+        merged.merge_dict(populated_registry().to_dict())
+        merged.merge_dict(populated_registry().to_dict())
+        path = tmp_path / "trace.json"
+        write_chrome_trace(merged, path)
         summary = summarize_file(path)
-        assert summary["format"] == "chrome-trace"
-        assert summary["spans"]["bench.characterize"]["count"] == 1
-        assert summary["series"]["sim.window"]["samples"] == 2
+        assert summary["counters"] == {"dram.row_hits": 14}
+        assert summary["histograms"]["dram.write_queue_occupancy"]["count"] == 8
+        assert summary["spans"]["bench.characterize"]["count"] == 2
+        assert summary == {**merged.summary(), "series": summary["series"]}
 
-    def test_summarize_rejects_empty_file(self, tmp_path):
-        from repro.errors import TelemetryError
-
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(TelemetryError):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            prometheus_text(populated_registry()),
+            '{"type": "instrument", "kind": "counter"}\n{"type": "span"}\n',
+            "[1, 2]",
+            '{"counters": {}}',
+            '{"traceEvents": {}}',
+            '{"traceEvents": [], "otherData": []}',
+            '{"traceEvents": [1]}',
+            '{"traceEvents": [{"ph": "X", "name": "a", "ts": 0}]}',
+            '{"traceEvents": [{"ph": "C", "name": "s", "ts": 0, "args": {"v": "x"}}]}',
+            '{"traceEvents": [], "otherData": {"instruments": {"c": {"kind": "?"}}}}',
+            '{"traceEvents": [], "otherData": {"instruments": [1]}}',
+        ],
+        ids=[
+            "empty",
+            "prometheus",
+            "jsonl",
+            "array",
+            "no-trace-events",
+            "trace-events-object",
+            "other-data-list",
+            "event-not-object",
+            "span-without-dur",
+            "sample-not-numeric",
+            "unknown-instrument-kind",
+            "instruments-list",
+        ],
+    )
+    def test_not_a_trace_is_a_one_line_error(self, tmp_path, text):
+        path = tmp_path / "telemetry.json"
+        path.write_text(text)
+        with pytest.raises(TelemetryError) as caught:
             summarize_file(path)
+        assert "\n" not in str(caught.value)

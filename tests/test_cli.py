@@ -213,9 +213,8 @@ class TestScenarioCommand:
 
 
 class TestRunTelemetry:
-    def test_trace_and_metrics_flags(self, capsys, tmp_path):
+    def test_trace_flag(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
-        metrics = tmp_path / "metrics.prom"
         manifest = tmp_path / "m.json"
         assert (
             main(
@@ -225,24 +224,47 @@ class TestRunTelemetry:
                     "--no-cache",
                     "--trace",
                     str(trace),
-                    "--metrics",
-                    str(metrics),
                     "--manifest",
                     str(manifest),
                 ]
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "trace written to" in out
-        assert "metrics written to" in out
+        assert "trace written to" in capsys.readouterr().out
         document = json.loads(trace.read_text())
         assert any(e["ph"] == "X" for e in document["traceEvents"])
-        assert "repro_sim_requests_total" in metrics.read_text()
+        instruments = document["otherData"]["instruments"]
+        assert instruments["sim.requests"]["kind"] == "counter"
         payload = json.loads(manifest.read_text())
         assert payload["experiments"][0]["telemetry"]["counters"][
             "sim.requests"
         ] > 0
+
+    def test_trace_of_a_pooled_run_holds_every_worker_registry(
+        self, capsys, tmp_path
+    ):
+        trace = tmp_path / "t.json"
+        manifest = tmp_path / "m.json"
+        argv = ["run", "optane", "ablation", "--scale", "0.3", "--jobs", "2"]
+        argv += ["--no-cache", "--trace", str(trace), "--manifest", str(manifest)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(["telemetry", "summarize", str(trace), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        records = json.loads(manifest.read_text())["experiments"]
+        assert len(records) == 2
+        expected: dict[str, int] = {}
+        for record in records:
+            for name, value in record["telemetry"]["counters"].items():
+                expected[name] = expected.get(name, 0) + value
+        assert expected["sim.requests"] > 0 and expected["dram.reads"] > 0
+        assert summary["counters"] == expected
+
+    def test_metrics_flag_is_a_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "optane", "--metrics", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --metrics" in capsys.readouterr().err
 
     def test_no_flags_no_telemetry(self, capsys, tmp_path):
         manifest = tmp_path / "m.json"
@@ -267,20 +289,28 @@ class TestTelemetryCommand:
         capsys.readouterr()
         assert main(["telemetry", "summarize", str(trace)]) == 0
         out = capsys.readouterr().out
-        assert "format: chrome-trace" in out
         assert "runner.experiment" in out
+        assert "counters:\n  sim.degraded_windows: 0\n  sim.requests: " in out
 
     def test_summarize_json(self, capsys, tmp_path):
         trace = self._export(tmp_path)
         capsys.readouterr()
         assert main(["telemetry", "summarize", str(trace), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["format"] == "chrome-trace"
         assert "runner.experiment" in payload["spans"]
+        assert payload["counters"]["sim.requests"] > 0
 
     def test_missing_file_is_an_error(self, capsys, tmp_path):
         assert main(["telemetry", "summarize", str(tmp_path / "nope")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_a_file_that_is_no_trace_is_a_one_line_error(self, capsys, tmp_path):
+        metrics = tmp_path / "metrics.prom"
+        metrics.write_text("# TYPE repro_sim_requests_total counter\n")
+        assert main(["telemetry", "summarize", str(metrics)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a trace-event document" in err
+        assert err.count("\n") == 1
 
     def test_action_required(self):
         with pytest.raises(SystemExit):
