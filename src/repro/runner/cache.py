@@ -44,7 +44,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, TypeGuard
 
 from ..errors import MessError
 from ..telemetry import registry as telemetry_mod
@@ -343,16 +343,27 @@ def cached_result(store: ResultCache, key: str) -> "dict | None":
     payload = store.get(key)
     if payload is None:
         return None
-    from ..experiments.base import ExperimentResult
-
-    if isinstance(payload, dict):
-        try:
-            ExperimentResult.from_dict(payload)
-            return payload
-        except MessError:
-            pass
+    if is_result(payload):
+        return payload
     store.discard(key)
     return None
+
+
+def is_result(payload: object) -> "TypeGuard[dict]":
+    """Whether ``payload`` rebuilds as an ``ExperimentResult``.
+
+    The check :func:`cached_result` applies to every read; ``repro
+    serve`` applies it to its on-loop LRU reads too.
+    """
+    if not isinstance(payload, dict):
+        return False
+    from ..experiments.base import ExperimentResult
+
+    try:
+        ExperimentResult.from_dict(payload)
+    except MessError:
+        return False
+    return True
 
 
 def compute_result(store: "ResultCache | None", scenario: "Scenario") -> dict:

@@ -35,6 +35,7 @@ records as unfinished. Fault injection for all of the above comes from
 from __future__ import annotations
 
 import functools
+import math
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -358,7 +359,8 @@ def run_many(
         is abandoned: its worker is terminated, the pool rebuilt, and
         the failure recorded (or retried) as ``timeout``. Enforcement
         needs a killable worker, so a ``jobs=1`` run with a deadline
-        executes on a one-worker pool instead of inline.
+        executes on a one-worker pool instead of inline. It must be
+        positive (NaN is refused); ``inf`` means no deadline.
     retry:
         :class:`RetryPolicy` for transient failures (crash / timeout /
         cache-error). ``None`` keeps the historical behaviour: one
@@ -406,8 +408,11 @@ def run_many(
         raise ConfigurationError(f"duplicate experiment ids in selection: {ids}")
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    if deadline_s is not None and deadline_s <= 0:
+    if deadline_s is not None and not deadline_s > 0:  # NaN compares false
         raise ConfigurationError(f"deadline_s must be positive, got {deadline_s}")
+    if deadline_s is not None and math.isinf(deadline_s):
+        # no bound at all; the scheduler's wait takes no infinite timeout
+        deadline_s = None
 
     policy = retry if retry is not None else RetryPolicy(
         max_attempts=1, base_delay_s=0.0, jitter=0.0

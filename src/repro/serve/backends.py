@@ -60,15 +60,9 @@ class TieredBackend(ResultCache):
         self._lru_bytes = 0
 
     def get(self, key: str) -> "dict | list | None":
-        # executor threads share the store: every count changes under
-        # the lock, and no JSON is encoded or decoded while holding it
-        with self._lock:
-            blob = self._lru.get(key)
-            if blob is not None:
-                self._lru.move_to_end(key)
-                self.hits += 1
-        if blob is not None:
-            return json.loads(blob)
+        payload = self.get_memory(key)
+        if payload is not None:
+            return payload
         payload = self._read(key)
         blob = None if payload is None else json.dumps(payload)
         with self._lock:
@@ -79,6 +73,23 @@ class TieredBackend(ResultCache):
                 self.promotions += 1
                 self._insert_locked(key, blob)
         return payload
+
+    def get_memory(self, key: str) -> "dict | list | None":
+        """The LRU's payload under ``key``, or ``None``; reads no file.
+
+        The event loop calls this directly. A hit counts as a store hit;
+        a miss is not counted, because the caller then reads through
+        :meth:`get`, which counts it.
+        """
+        # executor threads share the store: every count changes under
+        # the lock, and no JSON is encoded or decoded while holding it
+        with self._lock:
+            blob = self._lru.get(key)
+            if blob is None:
+                return None
+            self._lru.move_to_end(key)
+            self.hits += 1
+        return json.loads(blob)
 
     def put(self, key: str, payload: "dict | list", kind: str = "") -> bool:
         try:

@@ -49,7 +49,6 @@ from typing import Callable
 from ..errors import ServeError
 from ..telemetry.exporters import prometheus_text
 from .service import (
-    BadRequestError,
     CharacterizationService,
     NotFoundError,
     ServiceConfig,
@@ -232,11 +231,7 @@ class HttpServer:
         if not path.startswith("/v1/"):
             raise NotFoundError(f"no route for POST {path}")
         verb = path[len("/v1/"):]
-        try:
-            spec = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise BadRequestError(f"request body is not JSON: {exc}") from exc
-        return 200, _json_bytes(await self.service.submit(verb, spec))
+        return 200, _json_bytes(await self.service.submit(verb, body))
 
 
 async def _read_request(

@@ -2,22 +2,29 @@
 
 :class:`CharacterizationService` is the transport-independent core of
 ``repro serve``. A request is a verb (``characterize`` / ``simulate``
-/ ``profile``) plus a scenario spec; the scenario digest is the
-identity, exactly as in ``repro run``, so the service and the CLI
-share cache entries and produce digest-identical results.
+/ ``profile``) plus the raw bytes of a JSON scenario spec; the scenario
+digest is the identity, exactly as in ``repro run``, so the service and
+the CLI share cache entries and produce digest-identical results.
 
 The request path, in order:
 
-1. **Parse and validate** the spec into a frozen
-   :class:`~repro.scenario.core.Scenario` (malformed specs are a 400,
-   computed on the event loop — validation is cheap).
-2. **Cache lookup** through :func:`~repro.runner.cache.cached_result`
-   on the service's one store,
-   :class:`~repro.serve.backends.TieredBackend` (a memory LRU in front
-   of the directory cache), offloaded to the executor (a directory
-   read is blocking; RPR009 enforces the offload). The read is
-   validated: a payload that does not rebuild as a result is discarded
-   and counts as a miss.
+1. **Memo hit.** The service remembers the scenario digest and name of
+   each body that parsed, keyed by the verb and the body's sha256 (at
+   most the store's ``max_entries`` bodies, least recently used dropped
+   first). A remembered body whose result is in the store's memory LRU
+   is answered on the event loop, with no parse and no executor hop:
+   :meth:`~repro.serve.backends.TieredBackend.get_memory` reads no
+   file.
+2. **Parse and read**, for every other request, in one executor call:
+   decode the body, build the frozen
+   :class:`~repro.scenario.core.Scenario` (a malformed body is a 400
+   and is never remembered), take its digest and read the store
+   through :func:`~repro.runner.cache.cached_result` (the directory
+   read blocks; RPR009 enforces the offload). Building a scenario
+   builds its memory model to validate it, which a large model makes
+   slow, so no body is parsed on the loop. Both reads apply
+   :func:`~repro.runner.cache.is_result`: a payload that does not
+   rebuild as a result is discarded and counts as a miss.
 3. **Coalesce** misses per digest through
    :class:`~repro.serve.singleflight.SingleFlight`: a thundering herd
    on one uncached digest computes once, followers await the shared
@@ -44,23 +51,35 @@ Every stage is instrumented on the service's own
 :class:`~repro.telemetry.registry.TelemetryRegistry`
 (hit/miss/coalesce counters, queue-depth gauge, latency histograms) —
 the HTTP layer exports it at ``/metrics`` in Prometheus format. Besides
-the whole request (``serve.latency_ms``), three histograms time its
-stages: ``serve.parse_ms`` (body to scenario to digest),
-``serve.lookup_ms`` (the cache read, executor hop included) and
-``serve.compute_ms`` (a flight's compute).
+the whole request (``serve.latency_ms``), four histograms time its
+stages: ``serve.parse_ms`` (body to digest: the memo lookup, or the
+parse with the hop to the executor), ``serve.lookup_ms`` (the cache
+read: on the loop for a memo hit, else in the executor with the hop
+back), ``serve.queue_ms`` (a flight leader's wait for a compute slot)
+and ``serve.compute_ms`` (a flight's compute). Every request observes
+``parse_ms`` and ``lookup_ms`` once.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
+import json
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError, MessError, ServeError
 from ..resilience.failures import DeadlineExceededError
-from ..runner.cache import ResultCache, cached_result, compute_result, result_kind
+from ..runner.cache import (
+    ResultCache,
+    cached_result,
+    compute_result,
+    is_result,
+    result_kind,
+)
 from ..telemetry.registry import TelemetryRegistry
 from .backends import TieredBackend
 from .singleflight import SingleFlight
@@ -179,7 +198,8 @@ class ServiceConfig:
         arrivals are refused with :class:`QueueFullError`.
     deadline_s:
         Per-request wall-clock bound; a request still waiting after
-        this long fails with ``DeadlineExceededError`` (504).
+        this long fails with ``DeadlineExceededError`` (504). It must
+        be positive (NaN is refused); ``inf`` means no deadline.
     """
 
     cache_dir: "str | None" = None
@@ -196,7 +216,7 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"queue_limit must be >= 0, got {self.queue_limit}"
             )
-        if self.deadline_s <= 0:
+        if not self.deadline_s > 0:  # NaN compares false: reject it too
             raise ConfigurationError(
                 f"deadline_s must be positive, got {self.deadline_s}"
             )
@@ -210,6 +230,11 @@ class CharacterizationService:
         self.store = TieredBackend(self.config.cache_dir)
         self.telemetry = TelemetryRegistry()
         self.flights = SingleFlight()
+        #: (verb, sha256 of a body that parsed) -> (scenario digest,
+        #: scenario name), least recently used first. Event loop only.
+        self._memo: "OrderedDict[tuple[str, bytes], tuple[str, str]]" = (
+            OrderedDict()
+        )
         self._executor: "ThreadPoolExecutor | None" = None
         self._semaphore: "asyncio.Semaphore | None" = None
         self._waiting = 0
@@ -247,7 +272,12 @@ class CharacterizationService:
         self._lookup_ms = tel.histogram(
             "serve.lookup_ms",
             bounds=LATENCY_MS_BUCKETS,
-            help="cache read, executor hop included, milliseconds",
+            help="cache read, milliseconds",
+        )
+        self._queue_ms = tel.histogram(
+            "serve.queue_ms",
+            bounds=LATENCY_MS_BUCKETS,
+            help="flight leader's wait for a compute slot, milliseconds",
         )
         self._compute_ms = tel.histogram(
             "serve.compute_ms",
@@ -342,7 +372,7 @@ class CharacterizationService:
         """The flight body: backpressure, then the compute slot.
 
         Inside the slot the cache is read again (another process or
-        flight may have landed the entry since the event-loop lookup)
+        flight may have landed the entry since the request's lookup)
         before the scenario is computed and stored.
         """
         if self.config.queue_limit and self._waiting >= self.config.queue_limit:
@@ -356,9 +386,11 @@ class CharacterizationService:
             raise ServiceUnavailableError("service is not running")
         self._waiting += 1
         self._queue_depth.set(float(self._waiting))
+        queued = time.perf_counter()
         try:
             async with semaphore:
                 tick = time.perf_counter()
+                self._queue_ms.observe((tick - queued) * 1e3)
                 payload = await self._offload(cached_result, self.store, key)
                 if payload is None:
                     payload = await self._offload(
@@ -371,9 +403,38 @@ class CharacterizationService:
             self._waiting -= 1
             self._queue_depth.set(float(self._waiting))
 
-    async def submit(self, verb: str, spec_payload: Mapping) -> dict:
+    def _memory_result(self, key: str) -> "dict | None":
+        """``key``'s result from the memory LRU, checked; reads no file."""
+        payload = self.store.get_memory(key)
+        return payload if is_result(payload) else None
+
+    def _parse_and_read(self, verb: str, body: bytes) -> tuple:
+        """Decode, parse and digest ``body``, then read the store.
+
+        One executor call. Returns ``(scenario, digest, parsed_at,
+        payload)``: ``parsed_at`` is the clock reading between parse and
+        read, and ``payload`` is ``None`` on a miss.
+        """
+        try:
+            spec = json.loads(body.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:  # too deeply nested
+            raise BadRequestError(f"request body is not JSON: {exc}") from exc
+        scenario = parse_request(verb, spec)
+        key = scenario.digest()
+        parsed = time.perf_counter()
+        return scenario, key, parsed, cached_result(self.store, key)
+
+    def _remember(self, memo_key: "tuple[str, bytes]", key: str, name: str) -> None:
+        """Make ``memo_key`` the memo's most recent body, within the bound."""
+        self._memo[memo_key] = (key, name)
+        self._memo.move_to_end(memo_key)
+        while len(self._memo) > self.store.max_entries:
+            self._memo.popitem(last=False)
+
+    async def submit(self, verb: str, body: bytes) -> dict:
         """Serve one request; the response envelope is JSON-ready.
 
+        ``body`` is the request's raw bytes, a JSON scenario spec.
         Returns ``{"verb", "digest", "scenario", "cached", "coalesced",
         "latency_ms", "result"}``. Raises typed :class:`ServeError`
         subclasses (or ``DeadlineExceededError``) on refusal/failure.
@@ -388,12 +449,24 @@ class CharacterizationService:
             )
         self._active += 1
         try:
-            scenario = parse_request(verb, spec_payload)
-            key = scenario.digest()
-            parsed = time.perf_counter()
+            memo_key = (verb, hashlib.sha256(body).digest())
+            scenario: Any = None
+            payload: "dict | None" = None
+            known = self._memo.get(memo_key)
+            if known is not None:
+                key, name = known
+                parsed = time.perf_counter()
+                payload = self._memory_result(key)
+            if payload is None:
+                # a body the memo does not hold, or a result gone from
+                # the LRU: the scenario is needed, however long it takes
+                scenario, key, parsed, payload = await self._offload(
+                    self._parse_and_read, verb, body
+                )
+                name = scenario.name
             self._parse_ms.observe((parsed - start) * 1e3)
-            payload = await self._offload(cached_result, self.store, key)
             self._lookup_ms.observe((time.perf_counter() - parsed) * 1e3)
+            self._remember(memo_key, key, name)
             cached = payload is not None
             coalesced = False
             if payload is None:
@@ -420,7 +493,7 @@ class CharacterizationService:
             return {
                 "verb": verb,
                 "digest": key,
-                "scenario": scenario.name,
+                "scenario": name,
                 "cached": cached,
                 "coalesced": coalesced,
                 "latency_ms": latency_ms,
@@ -450,7 +523,9 @@ class CharacterizationService:
         self._active += 1
         try:
             start = time.perf_counter()
-            payload = await self._offload(cached_result, self.store, digest)
+            payload = self._memory_result(digest)
+            if payload is None:
+                payload = await self._offload(cached_result, self.store, digest)
             self._lookup_ms.observe((time.perf_counter() - start) * 1e3)
             if payload is None:
                 self._misses.inc()

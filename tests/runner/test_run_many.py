@@ -49,6 +49,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_many(["fig2"], options={"fig17": {}}, use_cache=False)
 
+    @pytest.mark.parametrize("deadline_s", [0.0, -1.0, float("nan")])
+    def test_bad_deadline(self, deadline_s):
+        with pytest.raises(ConfigurationError, match="deadline_s must be positive"):
+            run_many(["fig2"], deadline_s=deadline_s, use_cache=False)
+
+    def test_infinite_deadline_is_no_deadline(self):
+        outcome = run_many(["fig2"], deadline_s=float("inf"), use_cache=False)
+        assert [r.status for r in outcome.manifest.records] == ["ok"]
+
 
 class TestSerialRuns:
     def test_results_and_manifest(self, tmp_path):

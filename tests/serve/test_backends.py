@@ -11,6 +11,7 @@ concurrent writers of the same digest must never tear an entry.
 from __future__ import annotations
 
 import json
+import pathlib
 import sys
 import threading
 
@@ -228,6 +229,21 @@ class TestTiered:
         tiered.path_for(KEY).unlink()
         assert tiered.get(KEY) == PAYLOAD
         assert tiered.promotions == 1
+
+    def test_memory_read_touches_no_file(self, tmp_path, monkeypatch):
+        ResultCache(tmp_path).put(KEY, PAYLOAD)
+        tiered = TieredBackend(tmp_path)
+        tiered.put(OTHER, {"x": 1})
+
+        def no_file_io(*args, **kwargs):
+            raise RuntimeError("get_memory touched the directory")
+
+        for name in ("stat", "read_bytes", "read_text", "open"):
+            monkeypatch.setattr(pathlib.Path, name, no_file_io)
+        assert tiered.get_memory(KEY) is None  # in the directory only
+        assert tiered.get_memory(OTHER) == {"x": 1}
+        # a miss is left for the read-through get to count
+        assert (tiered.hits, tiered.misses, tiered.promotions) == (1, 0, 0)
 
     def test_write_through_lands_everywhere_immediately(self, tmp_path):
         tiered = TieredBackend(tmp_path)

@@ -274,7 +274,7 @@ class TestDrain:
             assert " 503 " in status_line
             assert json.loads(body) == {"ok": False, "draining": True}
             with pytest.raises(ServiceUnavailableError) as refused:
-                await service.submit("characterize", spec)
+                await service.submit("characterize", json.dumps(spec).encode())
             assert error_status(refused.value) == 503
             assert service.stats()["counters"]["serve.rejected"] == 1
 

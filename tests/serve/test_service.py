@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import pathlib
+import threading
 
 import pytest
 
@@ -44,8 +46,13 @@ def run_service(coro_factory, config=None):
     return asyncio.run(driver())
 
 
-def tiny_spec(index: int = 0):
-    return loadgen_scenarios(index + 1)[index].to_spec()
+def encode(spec) -> bytes:
+    """A request body: the spec's JSON, as a client sends it."""
+    return json.dumps(spec).encode()
+
+
+def tiny_spec(index: int = 0) -> bytes:
+    return encode(loadgen_scenarios(index + 1)[index].to_spec())
 
 
 class TestSubmit:
@@ -69,7 +76,7 @@ class TestSubmit:
 
     def test_result_is_digest_identical_to_local_run(self):
         scenario_obj = loadgen_scenarios(1)[0]
-        spec = scenario_obj.to_spec()
+        spec = encode(scenario_obj.to_spec())
 
         async def scenario(service):
             return await service.submit("characterize", spec)
@@ -108,9 +115,9 @@ class TestSubmit:
     def test_malformed_spec_is_a_bad_request(self):
         async def scenario(service):
             with pytest.raises(BadRequestError):
-                await service.submit("characterize", {"nope": 1})
+                await service.submit("characterize", encode({"nope": 1}))
             with pytest.raises(BadRequestError):
-                await service.submit("characterize", "not a mapping")
+                await service.submit("characterize", encode("not a mapping"))
 
         run_service(scenario)
 
@@ -144,6 +151,127 @@ class TestSubmit:
         assert error_status(error) == 500
         assert stats["counters"]["serve.errors"] == 1
         assert stats["counters"]["serve.computed"] == 0
+
+
+class TestMemo:
+    """Bodies that parsed are remembered by their bytes; nothing else is."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"{not json", b"[" * 100_000, encode({"nope": 1})],
+        ids=["not-json", "too-deep", "not-a-scenario"],
+    )
+    def test_a_malformed_body_is_never_remembered(self, body):
+        async def scenario(service):
+            for _ in range(2):
+                with pytest.raises(BadRequestError):
+                    await service.submit("characterize", body)
+            return service.stats()
+
+        stats = run_service(scenario)
+        assert stats["counters"]["serve.errors"] == 2
+
+    def test_the_memo_is_keyed_by_verb(self):
+        body = tiny_spec()
+
+        async def scenario(service):
+            await service.submit("characterize", body)
+            assert (await service.submit("characterize", body))["cached"]
+            with pytest.raises(BadRequestError, match="expects"):
+                await service.submit("simulate", body)
+
+        run_service(scenario)
+
+    def test_a_reencoded_body_is_the_same_hit(self, tmp_path):
+        spec = loadgen_scenarios(1)[0].to_spec()
+        bodies = [
+            json.dumps(spec, separators=(",", ":")).encode(),
+            json.dumps(spec, indent=2).encode(),
+        ]
+        cache_dir = tmp_path / "cache"
+
+        async def scenario(service):
+            return [
+                await service.submit("characterize", body) for body in bodies
+            ]
+
+        first, second = run_service(
+            scenario, ServiceConfig(cache_dir=str(cache_dir))
+        )
+        assert first["digest"] == second["digest"]
+        assert (first["cached"], second["cached"]) == (False, True)
+        assert ResultCache(cache_dir).info()["entries"] == 1
+
+    def test_the_memo_holds_at_most_the_store_bound(self):
+        spec = tiny_spec()
+        # distinct bytes, one scenario: trailing whitespace is still JSON
+        bodies = [spec + b" " * n for n in range(5)]
+
+        async def scenario(service):
+            service.store.max_entries = 2
+            for body in bodies:
+                await service.submit("characterize", body)
+            return list(service._memo)
+
+        remembered = run_service(scenario)
+        assert [key[1] for key in remembered] == [
+            hashlib.sha256(body).digest() for body in bodies[-2:]
+        ]
+
+    def test_a_hit_evicted_from_the_lru_reads_the_directory(self, tmp_path):
+        body = tiny_spec()
+
+        async def scenario(service):
+            service.store.max_entries = 2
+            first = await service.submit("characterize", body)
+            # two other entries push the result out of the LRU only
+            for index in range(2):
+                service.store.put(format(index, "064x"), first["result"])
+            assert service.store.get_memory(first["digest"]) is None
+            second = await service.submit("characterize", body)
+            return first, second, service.stats()["store"]
+
+        first, second, store = run_service(
+            scenario, ServiceConfig(cache_dir=str(tmp_path / "cache"))
+        )
+        assert second["cached"] is True
+        assert second["result"] == first["result"]
+        assert store["promotions"] == 1
+
+    def test_a_cold_body_cannot_hold_the_loop(self, monkeypatch):
+        warm, cold = tiny_spec(0), tiny_spec(1)
+        cold_name = json.loads(cold)["name"]
+        entered, release = threading.Event(), threading.Event()
+        released = []
+        real_parse = service_mod.parse_request
+
+        def slow_parse(verb, spec):
+            if spec["name"] == cold_name:
+                entered.set()
+                # False when it timed out: the hit below never ran meanwhile
+                released.append(release.wait(2))
+            return real_parse(verb, spec)
+
+        monkeypatch.setattr(service_mod, "parse_request", slow_parse)
+
+        async def scenario(service):
+            await service.submit("characterize", warm)
+            blocked = asyncio.ensure_future(
+                service.submit("characterize", cold)
+            )
+            for _ in range(1000):
+                if entered.is_set():
+                    break
+                await asyncio.sleep(0.001)
+            assert entered.is_set()
+            hit = await service.submit("characterize", warm)
+            release.set()
+            return hit, await blocked
+
+        hit, cold_response = run_service(scenario)
+        assert hit["cached"] is True
+        assert released == [True], "the cold body's parse held the loop"
+        assert cold_response["scenario"] == cold_name
 
 
 class TestBackpressure:
@@ -206,7 +334,7 @@ class TestMalformedEntry:
         ResultCache().put(fig2.digest(), self.BOGUS, kind="result")
 
         async def scenario(service):
-            return await service.submit("simulate", fig2.to_spec())
+            return await service.submit("simulate", encode(fig2.to_spec()))
 
         served = run_service(scenario)
         assert served["cached"] is False
@@ -214,6 +342,38 @@ class TestMalformedEntry:
             ExperimentResult.from_dict(served["result"]).digest()
             == fig2.run().digest()
         )
+
+    def test_submit_recomputes_a_malformed_lru_entry(self, tmp_path):
+        body = tiny_spec()
+
+        async def scenario(service):
+            first = await service.submit("characterize", body)
+            with service.store._lock:
+                service.store._insert_locked(
+                    first["digest"], json.dumps(self.BOGUS)
+                )
+            return first, await service.submit("characterize", body)
+
+        first, second = run_service(
+            scenario, ServiceConfig(cache_dir=str(tmp_path / "cache"))
+        )
+        assert second["cached"] is False
+        assert second["result"] == first["result"]
+
+    def test_lookup_404s_on_a_malformed_lru_entry(self, tmp_path):
+        digest = format(1, "064x")
+
+        async def scenario(service):
+            with service.store._lock:
+                service.store._insert_locked(digest, json.dumps(self.BOGUS))
+            with pytest.raises(NotFoundError):
+                await service.lookup(digest)
+            return service.store.stats()
+
+        store = run_service(
+            scenario, ServiceConfig(cache_dir=str(tmp_path / "cache"))
+        )
+        assert store["lru_entries"] == 0
 
     def test_lookup_404s_and_drops_a_malformed_entry(self, tmp_path):
         digest = Scenario.for_experiment("fig2", scale=0.2).digest()
@@ -241,7 +401,7 @@ class TestOneEntryPerDigest:
         digest = scenario_obj.digest()
 
         async def serve(service):
-            return await service.submit(verb, scenario_obj.to_spec())
+            return await service.submit(verb, encode(scenario_obj.to_spec()))
 
         config = ServiceConfig(cache_dir=str(tmp_path / "B"))
         assert run_service(serve, config=config)["cached"] is False
@@ -264,6 +424,8 @@ class TestConfigAndStats:
             ServiceConfig(max_inflight=0)
         with pytest.raises(ConfigurationError):
             ServiceConfig(deadline_s=-1.0)
+        with pytest.raises(ConfigurationError, match="got nan"):
+            ServiceConfig(deadline_s=float("nan"))
         with pytest.raises(ConfigurationError):
             ServiceConfig(queue_limit=-1)
 
@@ -328,6 +490,21 @@ class TestConfigAndStats:
         # the two stages run inside the request they time
         stages = delta("serve.parse_ms", "total") + delta("serve.lookup_ms", "total")
         assert 0 < stages <= delta("serve.latency_ms", "total")
+
+
+    def test_queue_stage_times_each_flight_leader(self):
+        bodies = [tiny_spec(0), tiny_spec(1)]
+
+        async def scenario(service):
+            await asyncio.gather(
+                *(service.submit("characterize", body) for body in bodies)
+            )
+            return service.stats()["histograms"]["serve.queue_ms"]
+
+        queue = run_service(scenario, ServiceConfig(max_inflight=1))
+        assert queue["count"] == 2
+        # one leader waited for the other's compute
+        assert queue["total"] > 0
 
 
 class TestWarm:
